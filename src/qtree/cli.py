@@ -107,14 +107,19 @@ def _parse_potential(choice: str):
     if choice.startswith("custom="):
         table = {}
         text = Path(choice.removeprefix("custom=")).read_text(encoding="utf-8")
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise InvalidParameterError(f"bad potential table line: {raw!r}")
-            table[int(parts[0])] = float(parts[1])
+            try:
+                table[int(parts[0])] = float(parts[1])
+            except ValueError:
+                raise InvalidParameterError(
+                    f"potential table line {lineno}: {raw!r} is not 'f value'"
+                ) from None
         return custom_potential(table)
     raise InvalidParameterError(
         f"unknown potential {choice!r}; use connectivity, adjacency or custom=<path>"
@@ -183,14 +188,12 @@ def run_chi(params: dict) -> int:
         ) from exc
     out = params["out"]
     payload = asdict(report)
+    del payload["spectrum"]
     _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     outputs = [out]
     spectrum_out = params.get("spectrum_out")
     if spectrum_out:
-        h = build_hamiltonian(g, potential)
-        es = eigendecompose(h, size_limit=int(params.get("size_limit") or DENSE_SOLVER_LIMIT))
-        tol = params.get("tol_abs") or default_degeneracy_tol(es)
-        _write_text(spectrum_out, spectrum_csv_text(bin_degeneracies(es, tol)))
+        _write_text(spectrum_out, spectrum_csv_text(report.spectrum))
         outputs.append(spectrum_out)
     _write_manifest("chi", params, outputs, None, started)
     return 0
@@ -329,12 +332,17 @@ def run_rerun(params: dict) -> int:
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise InvalidParameterError(f"manifest names unknown command {command!r}")
-    stored = dict(manifest.get("params") or {})
+    if not isinstance(manifest.get("params"), dict):
+        raise InvalidParameterError("manifest has no params object")
+    stored = dict(manifest["params"])
     if params.get("out") is not None:
         stored["out"] = params["out"]
     if params.get("workers") is not None:
         stored["workers"] = params["workers"]
-    return _RUNNERS[command](stored)
+    try:
+        return _RUNNERS[command](stored)
+    except KeyError as exc:
+        raise InvalidParameterError(f"manifest params lack {exc}") from None
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -435,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
         UnsupportedExactModeError,
     ) as exc:
         print(f"qtree: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"qtree: input file is not UTF-8 text ({exc})", file=sys.stderr)
         return 2
     except SizeLimitError as exc:
         print(f"qtree: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ transport live here as pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,6 +37,7 @@ from .spectral import (
     default_degeneracy_tol,
     eigendecompose,
     multiplicity_exact,
+    spectrum,
 )
 
 USE_MEASURED = "use-measured"
@@ -311,7 +312,8 @@ class EfficiencyReport:
 
     rho_star_exact is the binned spectral density at E*; the exact
     rational oracle's multiplicity and its excess over the leaf-pair
-    count are carried as diagnostics (None when the oracle was skipped).
+    count are carried as diagnostics.  spectrum is the binned spectrum
+    the measures come from; it is left out of repr and comparisons.
     """
 
     label: str
@@ -324,8 +326,9 @@ class EfficiencyReport:
     rho_star_exact: float
     rho_star_structural: float
     leaf_pair_state_count: int
-    multiplicity_e_star_exact: int | None
-    extra_e_star_states: int | None
+    multiplicity_e_star_exact: int
+    extra_e_star_states: int
+    spectrum: Spectrum = field(repr=False, compare=False)
 
 
 def efficiency_report(
@@ -334,20 +337,14 @@ def efficiency_report(
     *,
     tol_abs: float | None = None,
     size_limit: int = DENSE_SOLVER_LIMIT,
-    exact_oracle: bool = True,
 ) -> EfficiencyReport:
     """Diagonalize one tree and assemble chi with all of its bounds."""
     st = structural_stats(g)  # raises NoParentsError for n = 2
     h = build_hamiltonian(g, potential)
-    es = eigendecompose(h, size_limit=size_limit)
-    sp = bin_degeneracies(es, default_degeneracy_tol(es) if tol_abs is None else tol_abs)
+    sp = spectrum(h, tol_abs, size_limit)
     rho_exact = sp.density_at(h.e_star)
-    mult_exact: int | None = None
-    extra: int | None = None
     leaf_pairs = st.n_leaves - st.n_parents
-    if exact_oracle:
-        mult_exact = multiplicity_exact(h, _potential_exact_value(h))
-        extra = mult_exact - leaf_pairs
+    mult_exact = multiplicity_exact(h, h.potential.value_exact(1))
     return EfficiencyReport(
         label=g.label,
         n=g.n,
@@ -360,9 +357,6 @@ def efficiency_report(
         rho_star_structural=rho_star_structural(st, g.n),
         leaf_pair_state_count=leaf_pairs,
         multiplicity_e_star_exact=mult_exact,
-        extra_e_star_states=extra,
+        extra_e_star_states=mult_exact - leaf_pairs,
+        spectrum=sp,
     )
-
-
-def _potential_exact_value(h: Hamiltonian):
-    return h.potential.value_exact(1)

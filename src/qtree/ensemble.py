@@ -34,10 +34,8 @@ from .graphs import FORMAT_HEADER, generate_sft, structural_stats
 from .spectral import (
     CONNECTIVITY,
     DENSE_SOLVER_LIMIT,
-    bin_degeneracies,
     build_hamiltonian,
-    default_degeneracy_tol,
-    eigendecompose,
+    spectrum,
 )
 
 SPECTRAL_EXACT = "spectral-exact"
@@ -109,9 +107,7 @@ def _realize(args: tuple[EnsembleConfig, int]) -> tuple[float, float]:
         return 1.0 - chi_lower_from_density(0.0, cfg.n), float("nan")
     if cfg.estimator == SPECTRAL_EXACT:
         h = build_hamiltonian(g, CONNECTIVITY)
-        es = eigendecompose(h)
-        sp = bin_degeneracies(es, default_degeneracy_tol(es))
-        value = chi_lower_from_density(sp.density_at(h.e_star), cfg.n)
+        value = chi_lower_from_density(spectrum(h).density_at(h.e_star), cfg.n)
     else:
         mode = FORCE_ZERO if cfg.estimator == STRUCTURAL_DELTA0 else USE_MEASURED
         value = chi_structural(st, cfg.n, mode)

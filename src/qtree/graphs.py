@@ -370,15 +370,18 @@ def parse_edge_list_text(text: str) -> TreeGraph:
                 if key.strip() == "label":
                     label = value.strip()
             continue
-        parts = line.split()
+        try:
+            parts = [int(token) for token in line.split()]
+        except ValueError:
+            raise InvalidParameterError(f"line {lineno}: non-integer token in {line!r}") from None
         if n is None:
             if len(parts) != 1:
                 raise InvalidParameterError(f"line {lineno}: expected node count")
-            n = int(parts[0])
+            n = parts[0]
             continue
         if len(parts) != 2:
             raise InvalidParameterError(f"line {lineno}: expected 'u v' edge")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((parts[0], parts[1]))
     if n is None:
         raise InvalidParameterError("edge list has no node-count line")
     if len(edges) != n - 1:

@@ -6,9 +6,10 @@ The two named members are the connectivity matrix (V(f) = f) and the
 adjacency matrix (V(f) = 0); arbitrary finite tables are supported.
 
 Eigenvalues are grouped into degeneracy classes to realize the discrete
-spectral density, and an exact integer/rational nullity oracle guards
-the multiplicity of the distinguished eigenvalue E* = V(1) carried by
-leaf-pair superposition states.
+spectral density.  An exact oracle, the Jacobs-Trevisan tree
+diagonalization over rationals, guards the multiplicity of the
+distinguished eigenvalue E* = V(1) carried by leaf-pair superposition
+states.
 """
 from __future__ import annotations
 
@@ -42,33 +43,25 @@ class Potential:
     kind: str
     table: Mapping[int, float] | None = None
 
-    def value(self, f: int) -> float:
+    def _entry(self, f: int):
         if self.kind == CONNECTIVITY_KIND:
-            return float(f)
+            return f
         if self.kind == ADJACENCY_KIND:
-            return 0.0
+            return 0
         assert self.table is not None
         try:
-            return float(self.table[f])
+            return self.table[f]
         except KeyError:
             raise IncompletePotentialError(
                 f"custom potential table has no entry for functionality {f}"
             ) from None
 
+    def value(self, f: int) -> float:
+        return float(self._entry(f))
+
     def value_exact(self, f: int) -> Fraction:
         """Entry as an exact rational; floats convert via their binary value."""
-        if self.kind == CONNECTIVITY_KIND:
-            return Fraction(f)
-        if self.kind == ADJACENCY_KIND:
-            return Fraction(0)
-        assert self.table is not None
-        try:
-            raw = self.table[f]
-        except KeyError:
-            raise IncompletePotentialError(
-                f"custom potential table has no entry for functionality {f}"
-            ) from None
-        return _as_fraction(raw)
+        return _as_fraction(self._entry(f))
 
 
 CONNECTIVITY = Potential(CONNECTIVITY_KIND)
@@ -163,19 +156,34 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY) -> Hami
     return Hamiltonian(graph=g, potential=potential, matrix=matrix, e_star=potential.value(1))
 
 
-def eigendecompose(h: Hamiltonian, size_limit: int = DENSE_SOLVER_LIMIT) -> EigenSystem:
-    """Dense symmetric eigendecomposition; refuses n beyond size_limit."""
+def _check_dense_size(h: Hamiltonian, size_limit: int) -> None:
     if h.n > size_limit:
         raise SizeLimitError(
             f"n={h.n} exceeds the dense solver limit {size_limit}; "
             "use structural estimators at this scale"
         )
+
+
+def eigendecompose(h: Hamiltonian, size_limit: int = DENSE_SOLVER_LIMIT) -> EigenSystem:
+    """Dense symmetric eigendecomposition; refuses n beyond size_limit."""
+    _check_dense_size(h, size_limit)
     eigenvalues, eigenvectors = np.linalg.eigh(h.matrix)
     return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def spectrum(h: Hamiltonian, tol_abs: float | None = None,
+             size_limit: int = DENSE_SOLVER_LIMIT) -> Spectrum:
+    """Binned spectrum from the eigenvalues alone; refuses n beyond size_limit."""
+    _check_dense_size(h, size_limit)
+    w = np.linalg.eigvalsh(h.matrix)
+    return _bin(w, _default_tol(w) if tol_abs is None else tol_abs)
+
+
 def default_degeneracy_tol(es: EigenSystem) -> float:
-    w = es.eigenvalues
+    return _default_tol(es.eigenvalues)
+
+
+def _default_tol(w: np.ndarray) -> float:
     return 1e-8 * (float(w[-1] - w[0]) + 1.0)
 
 
@@ -186,9 +194,12 @@ def bin_degeneracies(es: EigenSystem, tol_abs: float) -> Spectrum:
     separated by raw gaps above tol_abs, representatives of distinct
     classes are more than tol_abs apart.
     """
+    return _bin(es.eigenvalues, tol_abs)
+
+
+def _bin(w: np.ndarray, tol_abs: float) -> Spectrum:
     if not tol_abs > 0:
         raise InvalidParameterError(f"tol_abs must be positive, got {tol_abs}")
-    w = es.eigenvalues
     n = len(w)
     classes: list[tuple[float, int]] = []
     start = 0
@@ -200,63 +211,37 @@ def bin_degeneracies(es: EigenSystem, tol_abs: float) -> Spectrum:
 
 
 def multiplicity_exact(h: Hamiltonian, e) -> int:
-    """Exact multiplicity of eigenvalue e as the rational nullity of H - e*I.
+    """Exact multiplicity of eigenvalue e by tree diagonalization over rationals.
 
-    Runs fraction-free-style sparse Gaussian elimination over exact
-    rationals, so the answer carries no floating-point uncertainty.
-    Requires every entry (potential values and e) to be representable as
-    an exact rational: ints, Fractions, or finite floats taken at their
-    binary value.
+    Jacobs & Trevisan, Linear Algebra Appl. 434 (2011) 81-88: one
+    children-first pass from root 0 makes H - e*I congruent to a diagonal
+    matrix whose zero entries count the multiplicity.  Requires every
+    entry (potential values and e) to be representable as an exact
+    rational: ints, Fractions, or finite floats taken at their binary value.
     """
-    e_frac = _as_fraction(e)
-    degrees = h.graph.degrees()
-    rows: list[dict[int, Fraction]] = []
-    for j, nbrs in enumerate(h.graph.adjacency):
-        row: dict[int, Fraction] = {k: Fraction(1) for k in nbrs}
-        d = h.potential.value_exact(degrees[j]) - e_frac
-        if d:
-            row[j] = d
-        rows.append(row)
-    return _sparse_rational_nullity(rows, h.n)
-
-
-def _sparse_rational_nullity(rows: list[dict[int, Fraction]], n: int) -> int:
-    """Nullity via exact elimination with sparsity-guided pivoting."""
-    col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    active = {i for i, row in enumerate(rows) if row}
-    rank = 0
-    while active:
-        pivot_row_idx = min(active, key=lambda i: (len(rows[i]), i))
-        pivot_row = rows[pivot_row_idx]
-        pivot_col = min(pivot_row, key=lambda c: (len(col_rows[c]), c))
-        pivot_val = pivot_row[pivot_col]
-        for i in list(col_rows[pivot_col]):
-            if i == pivot_row_idx or i not in active:
-                continue
-            row = rows[i]
-            factor = row[pivot_col] / pivot_val
-            for c, v in pivot_row.items():
-                if c == pivot_col:
-                    del row[c]
-                    col_rows[c].discard(i)
-                    continue
-                new_val = row.get(c, 0) - factor * v
-                if new_val:
-                    row[c] = new_val
-                    col_rows.setdefault(c, set()).add(i)
-                elif c in row:
-                    del row[c]
-                    col_rows[c].discard(i)
-            if not row:
-                active.discard(i)
-        active.discard(pivot_row_idx)
-        for c in pivot_row:
-            col_rows[c].discard(pivot_row_idx)
-        rank += 1
-    return n - rank
+    x = _as_fraction(e)
+    adjacency = h.graph.adjacency
+    parent = [-1] * h.n
+    order = [0]
+    for u in order:  # breadth-first: the list grows while it is walked
+        for v in adjacency[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    d = [h.potential.value_exact(len(nbrs)) - x for nbrs in adjacency]
+    zero_child = [-1] * h.n
+    for v in reversed(order):
+        c = zero_child[v]
+        if c >= 0:
+            # the zero child clears v's row and column, cutting v's parent edge
+            d[c] = Fraction(2)
+            d[v] = Fraction(-1, 2)
+        elif parent[v] >= 0:
+            if d[v] == 0:
+                zero_child[parent[v]] = v
+            else:
+                d[parent[v]] -= 1 / d[v]
+    return d.count(0)
 
 
 def leaf_pair_eigenstates(g: TreeGraph, h: Hamiltonian) -> list[np.ndarray]:

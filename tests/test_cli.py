@@ -283,6 +283,53 @@ def test_rerun_rejects_non_manifest(tmp_path):
     assert run_cli("rerun", str(tmp_path / "missing.json")).returncode == 3
 
 
+def _bad_token_edge_list(tmp_path):
+    edges = tmp_path / "bad.edges"
+    edges.write_text("3\n0 1\n1 x\n")
+    return ["chi", "--in", str(edges)], "line 3"
+
+
+def _bad_potential_value(tmp_path):
+    edges = tmp_path / "c3.edges"
+    run_cli("gen", "--family", "chain", "--n", "3", "--out", str(edges))
+    table = tmp_path / "pot.txt"
+    table.write_text("1 5.0\n2 seven\n")
+    return ["chi", "--in", str(edges), "--potential", f"custom={table}"], "line 2"
+
+
+def _manifest_without_params(tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"format": "qtree-manifest-1", "command": "chi"}))
+    return ["rerun", str(manifest)], "params"
+
+
+def _non_utf8_edge_list(tmp_path):
+    edges = tmp_path / "latin1.edges"
+    edges.write_bytes("# label=caf\xe9\n2\n0 1\n".encode("latin-1"))
+    return ["chi", "--in", str(edges)], "UTF-8"
+
+
+def _non_utf8_fit_kappa_csv(tmp_path):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(b"x,y\n1,1\n2,2\n3,3\n\xff\n")
+    return ["fit-kappa", "--in", str(csv_path), "--x-column", "x", "--y-column", "y"], "UTF-8"
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [_bad_token_edge_list, _bad_potential_value, _manifest_without_params,
+     _non_utf8_edge_list, _non_utf8_fit_kappa_csv],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_malformed_input_exit_2(tmp_path, make_case):
+    args, hint = make_case(tmp_path)
+    res = run_cli(*args, "--out", str(tmp_path / "out.json"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("qtree: ")
+    assert hint in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0

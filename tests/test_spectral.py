@@ -23,6 +23,7 @@ from qtree import (
     generate_vicsek,
     leaf_pair_eigenstates,
     multiplicity_exact,
+    spectrum,
     spectrum_csv_text,
     structural_stats,
 )
@@ -102,6 +103,8 @@ def test_eigendecompose_size_limit():
     h = build_hamiltonian(generate_chain(40))
     with pytest.raises(SizeLimitError):
         eigendecompose(h, size_limit=39)
+    with pytest.raises(SizeLimitError):
+        spectrum(h, size_limit=39)
 
 
 def test_bin_star4():
@@ -198,6 +201,40 @@ def test_oracle_equivalence_on_random_sfts():
         g = generate_sft(n, s, seed=int(rng.integers(0, 2**63)))
         h, es, sp = spectrum_of(g)
         assert sp.multiplicity_at(h.e_star) == multiplicity_exact(h, 1)
+
+
+ORACLE_GRAPHS = [
+    *(generate_chain(n) for n in range(5, 10)),
+    generate_star(6),
+    generate_dendrimer(3, 4),
+    generate_dendrimer(4, 3),
+    generate_vicsek(3, 2),
+    generate_vicsek(4, 2),
+    generate_sft(200, 2.4, seed=3),
+    generate_sft(200, 3.2, seed=8),
+]
+
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY], ids=lambda p: p.kind)
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
+def test_tree_oracle_matches_binned_spectrum(g, potential):
+    # integer x below, at and above E* reach zero children below the root
+    h = build_hamiltonian(g, potential)
+    sp = spectrum(h)
+    for x in range(-2, 5):
+        assert multiplicity_exact(h, x) == sp.multiplicity_at(x)
+
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY], ids=lambda p: p.kind)
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
+def test_spectrum_matches_eigendecomposition_binning(g, potential):
+    h = build_hamiltonian(g, potential)
+    es = eigendecompose(h)
+    reference = bin_degeneracies(es, default_degeneracy_tol(es))
+    sp = spectrum(h)
+    assert [m for _, m in sp.classes] == [m for _, m in reference.classes]
+    assert np.allclose([r for r, _ in sp.classes], [r for r, _ in reference.classes],
+                       rtol=0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize(
