@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -59,6 +60,7 @@ from .graphs import (
     generate_star,
     generate_vicsek,
     read_edge_list,
+    write_text_atomic,
 )
 from .spectral import (
     ADJACENCY,
@@ -79,10 +81,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def _write_manifest(command: str, params: dict, outputs: list[str],
                     master_seed: int | None, started: float) -> str:
     manifest = {
@@ -95,7 +93,7 @@ def _write_manifest(command: str, params: dict, outputs: list[str],
         "duration_seconds": time.monotonic() - started,
     }
     path = outputs[0] + ".manifest.json"
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -164,7 +162,7 @@ def run_gen(params: dict) -> int:
             int(params.get("seed") or 0),
         )
     out = params["out"]
-    _write_text(out, edge_list_text(g))
+    write_text_atomic(out, edge_list_text(g))
     _write_manifest("gen", params, [out],
                     int(params.get("seed") or 0) if family == "sft" else None, started)
     return 0
@@ -189,20 +187,30 @@ def run_chi(params: dict) -> int:
     out = params["out"]
     payload = asdict(report)
     del payload["spectrum"]
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     outputs = [out]
     spectrum_out = params.get("spectrum_out")
     if spectrum_out:
-        _write_text(spectrum_out, spectrum_csv_text(report.spectrum))
+        write_text_atomic(spectrum_out, spectrum_csv_text(report.spectrum))
         outputs.append(spectrum_out)
     _write_manifest("chi", params, outputs, None, started)
     return 0
 
 
+def _parse_s(text: str) -> float:
+    try:
+        s = float(text)
+    except ValueError:
+        raise InvalidParameterError(f"s grid value {text.strip()!r} is not a number") from None
+    if not math.isfinite(s):
+        raise InvalidParameterError(f"s grid value {text.strip()!r} is not finite")
+    return s
+
+
 def run_sweep(params: dict) -> int:
     started = time.monotonic()
     n = int(params["n"])
-    s_grid = [float(v) for v in str(params["s_grid"]).split(",") if v.strip()]
+    s_grid = [_parse_s(v) for v in str(params["s_grid"]).split(",") if v.strip()]
     if not s_grid:
         raise InvalidParameterError("empty s grid")
     if params.get("paper_r"):
@@ -223,7 +231,7 @@ def run_sweep(params: dict) -> int:
     ]
     rows = sweep(cfgs, workers=params.get("workers"))
     out = params["out"]
-    _write_text(out, sweep_csv_text(rows))
+    write_text_atomic(out, sweep_csv_text(rows))
     _write_manifest("sweep", params, [out], int(params.get("seed") or 0), started)
     if all(row.status != "ok" for row in rows):
         print("qtree: every sweep row failed", file=sys.stderr)
@@ -278,7 +286,7 @@ def run_fit_kappa(params: dict) -> int:
         "window": [list(p) for p in fit.window],
         "points_used": len(points),
     }
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_manifest("fit-kappa", params, [out], None, started)
     return 0
 
@@ -308,7 +316,7 @@ def run_timeseries(params: dict) -> int:
         )
     )
     out = params["out"]
-    _write_text(out, "\n".join(lines) + "\n")
+    write_text_atomic(out, "\n".join(lines) + "\n")
     _write_manifest("timeseries", params, [out], None, started)
     return 0
 

@@ -65,17 +65,33 @@ def rho_star_structural(st: StructuralStats, n: int) -> float:
     return (st.n_leaves - st.n_parents) / n
 
 
-def _flat_bound_truncated(a: float, b: float, n: int) -> float:
-    # a = avg functionality over non-leaves, b = avg (f - delta) over parents;
-    # this is the flat-density bound expanded through order 1/n.
-    if a - 1.0 <= 0.0 or b - 1.0 <= 0.0:
+def _python_square(x: np.ndarray) -> np.ndarray:
+    """Elementwise x ** 2 rounded as Python's float power rounds it.
+
+    Python's float ** goes through the C library's pow, which can differ
+    from numpy's correctly rounded x * x in the last bit; squaring the
+    distinct values in Python keeps array results equal to scalar ones.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([v ** 2 for v in values.tolist()])[inverse]
+
+
+def _flat_bound_truncated(a, b, n: int) -> np.ndarray:
+    # a = avg functionality over non-leaves, b = avg (f - delta) over parents,
+    # both 1-d and of equal length; this is the flat-density bound expanded
+    # through order 1/n, elementwise.
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    bad = np.flatnonzero((a - 1.0 <= 0.0) | (b - 1.0 <= 0.0))
+    if bad.size:
+        i = bad[0]
         raise DegenerateAverageError(
-            f"averages a={a}, b={b} make the bound's denominators vanish"
+            f"averages a={float(a[i])}, b={float(b[i])} make the bound's denominators vanish"
         )
     big_a = (a - 2.0) / (a - 1.0)
     big_b = (b - 2.0) / (b - 1.0)
     leading = big_a * big_a * big_b * big_b
-    correction = 1.0 - big_a * big_b + 4.0 * (a - 2.0) / (a - 1.0) ** 2 * big_b * big_b
+    correction = 1.0 - big_a * big_b + 4.0 * (a - 2.0) / _python_square(a - 1.0) * big_b * big_b
     return leading + correction / n
 
 
@@ -92,13 +108,13 @@ def chi_structural(st: StructuralStats, n: int, delta_mode: str = USE_MEASURED) 
         b = st.avg_f_parents
     else:
         raise InvalidParameterError(f"unknown delta_mode {delta_mode!r}")
-    return _flat_bound_truncated(st.avg_f_nonleaf, b, n)
+    return float(_flat_bound_truncated([st.avg_f_nonleaf], [b], n)[0])
 
 
 def avg_f_sft(s: float, f_max: int) -> float:
     """Mean functionality of the truncated power law on {2, ..., f_max}."""
-    if not s > 1:
-        raise InvalidParameterError(f"scaling exponent must exceed 1, got {s}")
+    if not (s > 1 and math.isfinite(s)):
+        raise InvalidParameterError(f"scaling exponent must be finite and exceed 1, got {s}")
     if f_max < 2:
         raise InvalidParameterError(f"f_max must be at least 2, got {f_max}")
     num = math.fsum(f ** (1.0 - s) for f in range(2, f_max + 1))
@@ -151,7 +167,7 @@ def chi_sft_finite(s: float, f_max: int, n: int) -> float:
         raise DegenerateAverageError(
             f"mean functionality {a} <= 2 (f_max={f_max}) leaves no scale-free regime"
         )
-    return _flat_bound_truncated(a, a, n)
+    return float(_flat_bound_truncated([a], [a], n)[0])
 
 
 def _exactable(f) -> bool:
@@ -159,7 +175,13 @@ def _exactable(f) -> bool:
 
 
 def chi_dendrimer_inf(f):
-    """Infinite-size chi of a dendrimer, (1 - 2/f)^2; exact on int input."""
+    """Infinite-size chi of a dendrimer, (1 - 2/f)^2; exact on int input.
+
+    Exact chi of finite dendrimers under the connectivity potential
+    approaches this for f = 4 and 5, but for f = 3 it settles near
+    0.1196 (0.11957, 0.11994, 0.11960 at g = 8, 9, 10, for any binning
+    tolerance from 1e-11 to 1e-6), not at 1/9.
+    """
     if f < 3:
         raise OutOfDomainError(f"dendrimer closed form needs f >= 3, got {f}")
     if _exactable(f):

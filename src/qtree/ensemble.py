@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
 
+import numpy as np
+
 from .efficiency import (
-    FORCE_ZERO,
-    USE_MEASURED,
+    _flat_bound_truncated,
     avg_f_sft,
     chi_lower_from_density,
     chi_sft_finite,
     chi_sft_infinite,
-    chi_structural,
 )
 from .errors import (
     DegenerateAverageError,
@@ -30,13 +30,15 @@ from .errors import (
     QtreeError,
     SizeLimitError,
 )
-from .graphs import FORMAT_HEADER, generate_sft, structural_stats
-from .spectral import (
-    CONNECTIVITY,
-    DENSE_SOLVER_LIMIT,
-    build_hamiltonian,
-    spectrum,
+from .graphs import (
+    FORMAT_HEADER,
+    _count_leaves_and_parents,
+    _grow_sft_parents,
+    _sft_cdf,
+    generate_sft,
+    write_text_atomic,
 )
+from .spectral import CONNECTIVITY, build_hamiltonian, spectrum
 
 SPECTRAL_EXACT = "spectral-exact"
 STRUCTURAL_DELTA0 = "structural-delta0"
@@ -90,28 +92,39 @@ def _check_config(cfg: EnsembleConfig) -> None:
         raise InvalidParameterError(
             f"unknown estimator {cfg.estimator!r}; choose one of {ESTIMATORS}"
         )
-    if cfg.estimator == SPECTRAL_EXACT and cfg.n > DENSE_SOLVER_LIMIT:
-        raise SizeLimitError(
-            f"spectral-exact estimator needs n <= {DENSE_SOLVER_LIMIT}, got {cfg.n}"
-        )
 
 
-def _realize(args: tuple[EnsembleConfig, int]) -> tuple[float, float]:
-    """One realization: (1 - chi lower bound, realized mean non-leaf functionality)."""
-    cfg, index = args
-    g = generate_sft(cfg.n, cfg.s, cfg.resolved_f_max(), realization_seed(cfg.master_seed, index))
-    try:
-        st = structural_stats(g)
-    except NoParentsError:
-        # tiny trees without parents contribute a zero structural density
-        return 1.0 - chi_lower_from_density(0.0, cfg.n), float("nan")
+def _block_size(n: int) -> int:
+    """Realizations per block: about 65 536 nodes, so each block array stays near 0.5 MB."""
+    return -(-65_536 // n)
+
+
+def _realize_block(
+    task: tuple[EnsembleConfig, np.ndarray, int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Realizations start..stop-1: (1 - chi lower bound, realized mean non-leaf functionality).
+
+    Each tree is grown from its own realization seed, so a value does not
+    depend on which block computes it.  An SFT has n >= 3 nodes and so
+    at least one parent.
+    """
+    cfg, cdf, start, stop = task
+    seeds = [realization_seed(cfg.master_seed, i) for i in range(start, stop)]
+    parents = _grow_sft_parents(cdf, cfg.n, seeds)
+    children = np.broadcast_to(np.arange(1, cfg.n), parents.shape)
+    counts = _count_leaves_and_parents(children, parents, cfg.n)
     if cfg.estimator == SPECTRAL_EXACT:
-        h = build_hamiltonian(g, CONNECTIVITY)
-        value = chi_lower_from_density(spectrum(h).density_at(h.e_star), cfg.n)
+        values = []
+        for seed in seeds:
+            h = build_hamiltonian(generate_sft(cfg.n, cfg.s, cfg.resolved_f_max(), seed),
+                                  CONNECTIVITY)
+            values.append(chi_lower_from_density(spectrum(h).density_at(h.e_star), cfg.n))
+        value = np.array(values)
     else:
-        mode = FORCE_ZERO if cfg.estimator == STRUCTURAL_DELTA0 else USE_MEASURED
-        value = chi_structural(st, cfg.n, mode)
-    return 1.0 - value, st.avg_f_nonleaf
+        b = (counts.avg_f_parents if cfg.estimator == STRUCTURAL_DELTA0
+             else counts.avg_f_minus_delta_parents)
+        value = _flat_bound_truncated(counts.avg_f_nonleaf, b, cfg.n)
+    return 1.0 - value, counts.avg_f_nonleaf
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -141,15 +154,19 @@ def run_ensemble(
     """
     _check_config(cfg)
     workers = resolve_workers(workers)
-    tasks = [(cfg, i) for i in range(cfg.r)]
-    if workers > 1 and cfg.r > 1:
-        chunk = max(1, cfg.r // (workers * 8))
-        with Pool(workers) as pool:
-            raw = pool.map(_realize, tasks, chunksize=chunk)
+    cdf = _sft_cdf(cfg.n, cfg.s, cfg.resolved_f_max())
+    # a dense solve costs far more than growing its tree, so spectral-exact
+    # realizations go one per task to keep every worker busy
+    size = 1 if cfg.estimator == SPECTRAL_EXACT else _block_size(cfg.n)
+    tasks = [(cfg, cdf, start, min(start + size, cfg.r)) for start in range(0, cfg.r, size)]
+    if workers > 1 and len(tasks) > 1:
+        with Pool(min(workers, len(tasks))) as pool:
+            blocks = pool.map(_realize_block, tasks,
+                              chunksize=max(1, len(tasks) // (workers * 8)))
     else:
-        raw = [_realize(t) for t in tasks]
-    values = [v for v, _ in raw]
-    avg_fs = [a for _, a in raw if not math.isnan(a)]
+        blocks = [_realize_block(t) for t in tasks]
+    values = np.concatenate([v for v, _ in blocks]).tolist()
+    avg_fs = np.concatenate([a for _, a in blocks]).tolist()
     mean = math.fsum(values) / cfg.r  # fsum: exactly rounded, order independent
     if cfg.r > 1:
         variance = math.fsum((v - mean) ** 2 for v in values) / (cfg.r - 1)
@@ -159,7 +176,7 @@ def run_ensemble(
     return EnsembleResult(
         mean_one_minus_chi_lb=mean,
         std_error=std_error,
-        realized_avg_f_mean=math.fsum(avg_fs) / len(avg_fs) if avg_fs else float("nan"),
+        realized_avg_f_mean=math.fsum(avg_fs) / cfg.r,
         config=cfg,
         per_realization=tuple(values) if keep_per_realization else None,
     )
@@ -269,4 +286,4 @@ def sweep_csv_text(rows: list[SweepRow]) -> str:
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    Path(path).write_text(sweep_csv_text(rows), encoding="utf-8")
+    write_text_atomic(path, sweep_csv_text(rows))

@@ -12,9 +12,14 @@ counts drive the structural transport-efficiency bounds.
 """
 from __future__ import annotations
 
+import math
+import os
 from collections import deque
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,6 +216,59 @@ def generate_vicsek(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> TreeG
     return _finalize(adj, f"vicsek(f={f},g={g})")
 
 
+def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
+    """Checked CDF of P(f) ~ f^(-s) on {2, ..., f_max}; entry k is P(f <= k + 2)."""
+    if n < 3:
+        raise InvalidParameterError(f"sft needs n >= 3, got {n}")
+    if not (s > 1 and math.isfinite(s)):
+        raise InvalidParameterError(f"sft needs a finite scaling exponent s > 1, got {s}")
+    if not 2 <= f_max <= n - 1:
+        raise InvalidParameterError(f"sft needs 2 <= f_max <= n-1, got f_max={f_max}")
+    support = np.arange(2, f_max + 1, dtype=np.float64)
+    weights = support ** (-float(s))
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _grow_sft_parents(cdf: np.ndarray, n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Parent arrays of len(seeds) scale-free trees on n nodes, one row per seed.
+
+    Row i holds the parents of nodes 1..n-1 of the tree grown from
+    seeds[i]: node j's target functionality comes from the j-th uniform
+    draw of default_rng(seeds[i]), the open slots are numbered in node
+    order, and node c fills slot c - 1, so its parent is the number of
+    nodes whose slots all come before that one.  A row does not depend
+    on the other seeds of the call.
+    """
+    rows = len(seeds)
+    draws = np.empty((rows, n))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).random(out=row)
+    capacity = 2 + np.searchsorted(cdf, draws, side="right")  # target functionalities
+    capacity[:, 1:] -= 1  # one bond per non-root node goes to its parent
+    # flat running sum: row i's slot ends, shifted by the slots of rows < i
+    slot_ends = np.cumsum(capacity)
+    row_start = np.concatenate(([0], slot_ends[n - 1 : -1 : n]))
+    bonds = row_start[:, None] + np.arange(n - 1)
+    node_offset = (np.arange(rows) * n)[:, None]
+    return np.searchsorted(slot_ends, bonds, side="right") - node_offset
+
+
+def _tree_from_parents(parents: np.ndarray, label: str) -> TreeGraph:
+    """TreeGraph of one parent array (parents[c - 1] < c is the parent of node c)."""
+    parent_of = parents.tolist()
+    n = len(parent_of) + 1
+    children: list[list[int]] = [[] for _ in range(n)]
+    for child, p in enumerate(parent_of, start=1):
+        children[p].append(child)
+    # parent < node < children, so each neighbor list comes out sorted
+    adjacency = [tuple(children[0])]
+    adjacency.extend((p, *children[v]) for v, p in enumerate(parent_of, start=1))
+    return TreeGraph(n=n, adjacency=tuple(adjacency), label=label)
+
+
 def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> TreeGraph:
     """Scale-free tree grown breadth-first to exactly n nodes.
 
@@ -224,73 +282,85 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
 
     Deterministic for fixed (n, s, f_max, seed).
     """
-    if n < 3:
-        raise InvalidParameterError(f"sft needs n >= 3, got {n}")
-    if not s > 1:
-        raise InvalidParameterError(f"sft needs scaling exponent s > 1, got {s}")
     if f_max is None:
         f_max = n - 1
-    if not 2 <= f_max <= n - 1:
-        raise InvalidParameterError(f"sft needs 2 <= f_max <= n-1, got f_max={f_max}")
+    cdf = _sft_cdf(n, s, f_max)
     seed = int(seed) & _MASK64
+    parents = _grow_sft_parents(cdf, n, [seed])[0]
+    return _tree_from_parents(parents, f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
-    rng = np.random.default_rng(seed)
-    support = np.arange(2, f_max + 1, dtype=np.float64)
-    weights = support ** (-float(s))
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0
-    targets = 2 + np.searchsorted(cdf, rng.random(n), side="right")
 
-    capacity = targets.astype(np.int64)
-    capacity[1:] -= 1  # one bond per non-root node goes to its parent
-    slot_ends = np.cumsum(capacity)
-    parents = np.searchsorted(slot_ends, np.arange(n - 1), side="right")
+class _TreeCounts(NamedTuple):
+    """Leaf/parent counts of a block of trees on n nodes each.
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for child in range(1, n):
-        p = int(parents[child - 1])
-        adj[p].append(child)
-        adj[child].append(p)
-    label = f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})"
-    return _finalize(adj, label)
+    Per-node fields have shape (trees, n); per-tree fields have shape
+    (trees,).  Averages of a tree without parents are not numbers.
+    """
+
+    is_leaf: np.ndarray
+    is_parent: np.ndarray
+    delta: np.ndarray  # non-leaf neighbors minus one
+    n_leaves: np.ndarray
+    n_parents: np.ndarray
+    avg_f_nonleaf: np.ndarray
+    avg_f_minus_delta_parents: np.ndarray
+    avg_f_parents: np.ndarray
+
+
+def _count_leaves_and_parents(u: np.ndarray, v: np.ndarray, n: int) -> _TreeCounts:
+    """Leaves, parents and functionality averages of trees given by edge arrays.
+
+    Row i of the (trees, n - 1) arrays u and v lists the edges of tree i
+    by node indices 0..n-1.  Leaves have functionality 1; parents are
+    non-leaves with at least one leaf neighbor.
+    """
+    trees = u.shape[0]
+    node_offset = (np.arange(trees) * n)[:, None]
+    u = (u + node_offset).ravel()
+    v = (v + node_offset).ravel()
+    degrees = np.bincount(np.concatenate((u, v)), minlength=trees * n)
+    is_leaf = degrees == 1
+    leaf_nbrs = np.bincount(np.concatenate((u[is_leaf[v]], v[is_leaf[u]])),
+                            minlength=trees * n)
+    is_parent = ~is_leaf & (leaf_nbrs > 0)
+    delta = degrees - leaf_nbrs - 1
+    degrees, is_leaf, is_parent, delta = (
+        x.reshape(trees, n) for x in (degrees, is_leaf, is_parent, delta))
+    n_leaves = is_leaf.sum(axis=1)
+    n_parents = is_parent.sum(axis=1)
+    sum_f_parents = np.where(is_parent, degrees, 0).sum(axis=1)
+    sum_delta = np.where(is_parent, delta, 0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _TreeCounts(
+            is_leaf=is_leaf,
+            is_parent=is_parent,
+            delta=delta,
+            n_leaves=n_leaves,
+            n_parents=n_parents,
+            avg_f_nonleaf=(2 * (n - 1) - n_leaves) / (n - n_leaves),
+            avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
+            avg_f_parents=sum_f_parents / n_parents,
+        )
 
 
 def structural_stats(g: TreeGraph) -> StructuralStats:
     """Exact leaf/parent counts and restricted functionality averages."""
-    deg = g.degrees()
-    leaf_ids = tuple(j for j in range(g.n) if deg[j] == 1)
-    is_leaf = [False] * g.n
-    for j in leaf_ids:
-        is_leaf[j] = True
-    parent_ids = tuple(
-        j
-        for j in range(g.n)
-        if not is_leaf[j] and any(is_leaf[v] for v in g.adjacency[j])
-    )
-    if not parent_ids:
+    edges = np.array(g.edges(), dtype=np.int64).reshape(1, -1, 2)
+    c = _count_leaves_and_parents(edges[..., 0], edges[..., 1], g.n)
+    if not c.n_parents[0]:
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"
         )
-    n_leaves = len(leaf_ids)
-    n_parents = len(parent_ids)
-    deltas = []
-    for j in parent_ids:
-        nonleaf_nbrs = sum(1 for v in g.adjacency[j] if not is_leaf[v])
-        deltas.append(nonleaf_nbrs - 1)
-    nonleaf_count = g.n - n_leaves
-    sum_f_nonleaf = 2 * (g.n - 1) - n_leaves
-    sum_f_parents = sum(deg[j] for j in parent_ids)
-    sum_delta = sum(deltas)
+    parent_ids = np.flatnonzero(c.is_parent[0])
     return StructuralStats(
-        n_leaves=n_leaves,
-        n_parents=n_parents,
-        avg_f_nonleaf=sum_f_nonleaf / nonleaf_count,
-        avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
-        avg_f_parents=sum_f_parents / n_parents,
-        per_node_delta=tuple(deltas),
-        leaf_ids=leaf_ids,
-        parent_ids=tuple(parent_ids),
+        n_leaves=int(c.n_leaves[0]),
+        n_parents=int(c.n_parents[0]),
+        avg_f_nonleaf=float(c.avg_f_nonleaf[0]),
+        avg_f_minus_delta_parents=float(c.avg_f_minus_delta_parents[0]),
+        avg_f_parents=float(c.avg_f_parents[0]),
+        per_node_delta=tuple(c.delta[0, parent_ids].tolist()),
+        leaf_ids=tuple(np.flatnonzero(c.is_leaf[0]).tolist()),
+        parent_ids=tuple(parent_ids.tolist()),
     )
 
 
@@ -401,8 +471,25 @@ def parse_edge_list_text(text: str) -> TreeGraph:
     return g
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text as UTF-8 so that path holds either its old content or all of text.
+
+    The text goes to a temporary file beside path, which then replaces
+    path in one rename; on any failure the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def write_edge_list(g: TreeGraph, path: str | Path) -> None:
-    Path(path).write_text(edge_list_text(g), encoding="utf-8")
+    write_text_atomic(path, edge_list_text(g))
 
 
 def read_edge_list(path: str | Path) -> TreeGraph:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -27,7 +28,7 @@ from .errors import (
     SizeLimitError,
     UnsupportedExactModeError,
 )
-from .graphs import FORMAT_HEADER, TreeGraph
+from .graphs import FORMAT_HEADER, TreeGraph, write_text_atomic
 
 DENSE_SOLVER_LIMIT = 4096
 
@@ -88,16 +89,28 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Dense real symmetric operator tied to the tree it was built from."""
+    """Dense real symmetric operator tied to the tree it was built from.
+
+    The n x n matrix is allocated on first use, so a solver can refuse an
+    oversize tree before any O(n^2) memory is taken.
+    """
 
     graph: TreeGraph
     potential: Potential
-    matrix: np.ndarray
     e_star: float
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Unit couplings on bonds and V(f_j) on the diagonal."""
+        matrix = np.zeros((self.n, self.n))
+        for j, nbrs in enumerate(self.graph.adjacency):
+            matrix[j, list(nbrs)] = 1.0
+            matrix[j, j] = self.potential.value(len(nbrs))
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -140,20 +153,19 @@ class Spectrum:
 
 
 def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY) -> Hamiltonian:
-    """Dense symmetric matrix with unit couplings on bonds and V(f_j) on the diagonal."""
-    degrees = g.degrees()
+    """Hamiltonian with unit couplings on bonds and V(f_j) on the diagonal.
+
+    Checks the potential against the tree's functionalities now; the
+    dense matrix is built when a solver first reads it.
+    """
     if potential.kind == CUSTOM_KIND:
-        missing = sorted({f for f in degrees if f not in potential.table} | (
+        missing = sorted({f for f in g.degrees() if f not in potential.table} | (
             {1} if 1 not in potential.table else set()))
         if missing:
             raise IncompletePotentialError(
                 f"custom potential table lacks entries for functionalities {missing}"
             )
-    matrix = np.zeros((g.n, g.n))
-    for j, nbrs in enumerate(g.adjacency):
-        matrix[j, list(nbrs)] = 1.0
-        matrix[j, j] = potential.value(degrees[j])
-    return Hamiltonian(graph=g, potential=potential, matrix=matrix, e_star=potential.value(1))
+    return Hamiltonian(graph=g, potential=potential, e_star=potential.value(1))
 
 
 def _check_dense_size(h: Hamiltonian, size_limit: int) -> None:
@@ -283,4 +295,4 @@ def spectrum_csv_text(sp: Spectrum) -> str:
 
 
 def write_spectrum_csv(sp: Spectrum, path: str | Path) -> None:
-    Path(path).write_text(spectrum_csv_text(sp), encoding="utf-8")
+    write_text_atomic(path, spectrum_csv_text(sp))

@@ -1,5 +1,7 @@
 """End-to-end CLI checks via subprocess."""
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -315,10 +317,23 @@ def _non_utf8_fit_kappa_csv(tmp_path):
     return ["fit-kappa", "--in", str(csv_path), "--x-column", "x", "--y-column", "y"], "UTF-8"
 
 
+def _non_numeric_s_grid(tmp_path):
+    return ["sweep", "--n", "50", "--s-grid", "2.5,abc", "--r", "2"], "'abc'"
+
+
+def _infinite_s_grid(tmp_path):
+    return ["sweep", "--n", "50", "--s-grid", "inf", "--r", "2"], "not finite"
+
+
+def _infinite_sft_exponent(tmp_path):
+    return ["gen", "--family", "sft", "--n", "50", "--s", "inf"], "finite"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [_bad_token_edge_list, _bad_potential_value, _manifest_without_params,
-     _non_utf8_edge_list, _non_utf8_fit_kappa_csv],
+     _non_utf8_edge_list, _non_utf8_fit_kappa_csv, _non_numeric_s_grid,
+     _infinite_s_grid, _infinite_sft_exponent],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_malformed_input_exit_2(tmp_path, make_case):
@@ -328,6 +343,59 @@ def test_malformed_input_exit_2(tmp_path, make_case):
     assert res.stderr.startswith("qtree: ")
     assert hint in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def _run_cli_capped(address_space_bytes, *args):
+    """run_cli in a child whose address space is capped, with one BLAS thread."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space_bytes, address_space_bytes))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "qtree", *args], capture_output=True,
+                          text=True, preexec_fn=cap, env=env)
+
+
+@pytest.mark.parametrize("command", ["chi", "timeseries"])
+def test_oversize_tree_exit_4_without_dense_allocation(tmp_path, command):
+    # a 5000 x 5000 matrix needs 191 MiB, more than the cap leaves after
+    # the interpreter and numpy; the size check must come first
+    cap = 256 << 20
+    for n, expected in ((50, 0), (5000, 4)):
+        edges = tmp_path / f"chain{n}.edges"
+        assert run_cli("gen", "--family", "chain", "--n", str(n),
+                       "--out", str(edges)).returncode == 0
+        res = _run_cli_capped(cap, command, "--in", str(edges),
+                              "--out", str(tmp_path / f"out{n}"))
+        assert res.returncode == expected, res.stderr
+    assert "exceeds the dense solver limit" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_outputs_leave_no_temporary_files(tmp_path):
+    assert run_cli("gen", "--family", "sft", "--n", "40", "--s", "2.5",
+                   "--out", str(tmp_path / "t.edges")).returncode == 0
+    assert run_cli("chi", "--in", str(tmp_path / "t.edges"), "--out", str(tmp_path / "r.json"),
+                   "--spectrum-out", str(tmp_path / "r.csv")).returncode == 0
+    assert run_cli("sweep", "--n", "40", "--s-grid", "2.5", "--r", "20",
+                   "--out", str(tmp_path / "s.csv")).returncode == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r.csv", "r.json", "r.json.manifest.json", "s.csv", "s.csv.manifest.json",
+        "t.edges", "t.edges.manifest.json",
+    ]
+
+
+def test_unwritable_output_exit_3_without_partial_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # a directory cannot be replaced by the output file
+    res = run_cli("sweep", "--n", "40", "--s-grid", "2.5", "--r", "20", "--out", str(target))
+    assert res.returncode == 3
+    assert res.stderr.startswith("qtree: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+    res = run_cli("gen", "--family", "star", "--n", "5",
+                  "--out", str(tmp_path / "missing-dir" / "s.edges"))
+    assert res.returncode == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_version_flag():

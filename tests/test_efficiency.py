@@ -41,6 +41,7 @@ from qtree import (
     time_average,
     zeta,
 )
+from qtree.efficiency import _flat_bound_truncated
 
 mpmath.mp.dps = 30
 
@@ -505,3 +506,23 @@ def test_time_series_bundle():
     assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(ts.abs_alpha_sq <= ts.pi_bar + 1e-12)
     assert time_average(ts.abs_alpha_sq, ts.times) == pytest.approx(0.375, abs=0.02)
+
+
+def _reference_flat_bound(a, b, n):
+    # the bound's formula on Python floats, as the scalar code evaluates it
+    big_a = (a - 2.0) / (a - 1.0)
+    big_b = (b - 2.0) / (b - 1.0)
+    leading = big_a * big_a * big_b * big_b
+    correction = 1.0 - big_a * big_b + 4.0 * (a - 2.0) / (a - 1.0) ** 2 * big_b * big_b
+    return leading + correction / n
+
+
+def test_flat_bound_on_arrays_equals_python_floats():
+    # every non-leaf average a tree on n < 400 nodes can have, paired with
+    # itself and reversed; rounding Python's float ** 2 as numpy's x * x
+    # would change the bound in the last bit at n = 191 (45 leaves, b = a)
+    for n in range(3, 400):
+        a = [(2 * (n - 1) - leaves) / (n - leaves) for leaves in range(1, n - 1)]
+        for b in (a, a[::-1]):
+            expected = [_reference_flat_bound(x, y, n) for x, y in zip(a, b)]
+            assert _flat_bound_truncated(a, b, n).tolist() == expected, n

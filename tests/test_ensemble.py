@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qtree import (
@@ -37,7 +39,8 @@ def test_single_realization_has_zero_stderr():
 
 
 def test_deterministic_across_worker_counts():
-    cfg = EnsembleConfig(n=80, s=2.4, r=96, master_seed=77)
+    # r = 2000 at n = 80 spans three realization blocks of 820
+    cfg = EnsembleConfig(n=80, s=2.4, r=2000, master_seed=77)
     serial = run_ensemble(cfg, workers=1, keep_per_realization=True)
     parallel = run_ensemble(cfg, workers=4, keep_per_realization=True)
     assert serial.per_realization == parallel.per_realization
@@ -53,14 +56,18 @@ def test_realization_seeds_injective():
 
 
 def test_structural_values_match_efficiency_module():
-    # oracle equality: per-realization value recomputed from the graph
-    cfg = EnsembleConfig(n=100, s=2.5, r=100, master_seed=3, estimator="structural-delta0")
-    res = run_ensemble(cfg, keep_per_realization=True)
-    for index in (0, 17, 50, 99):
-        g = generate_sft(100, 2.5, 99, realization_seed(3, index))
-        st = structural_stats(g)
-        expected = 1.0 - chi_structural(st, 100, "force-zero")
-        assert res.per_realization[index] == expected
+    # oracle equality at every index, for both structural estimators:
+    # per-realization values recomputed from each graph; r = 1000 at
+    # n = 100 is one full block of 656 and a partial one
+    stats = [structural_stats(generate_sft(100, 2.5, 99, realization_seed(3, index)))
+             for index in range(1000)]
+    for estimator, mode in (("structural-delta0", "force-zero"),
+                            ("structural-measured", "use-measured")):
+        cfg = EnsembleConfig(n=100, s=2.5, r=1000, master_seed=3, estimator=estimator)
+        res = run_ensemble(cfg, keep_per_realization=True)
+        for index, st in enumerate(stats):
+            assert res.per_realization[index] == 1.0 - chi_structural(st, 100, mode), index
+        assert res.realized_avg_f_mean == math.fsum(st.avg_f_nonleaf for st in stats) / cfg.r
 
 
 def test_measured_mode_uses_measured_delta():

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtree import (
     InvalidParameterError,
@@ -17,6 +20,7 @@ from qtree import (
     validate_tree,
     write_edge_list,
 )
+from qtree.graphs import _grow_sft_parents, _sft_cdf
 
 
 def test_chain_smallest():
@@ -183,6 +187,9 @@ def test_sft_parameter_validation():
         generate_sft(10, 2.5, f_max=10)
     with pytest.raises(InvalidParameterError):
         generate_sft(10, 2.5, f_max=1)
+    for s in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            generate_sft(10, s)
 
 
 def test_sft_realized_functionality_matches_power_law_mean():
@@ -318,3 +325,116 @@ def test_generated_families_all_validate():
         degs = g.degrees()
         assert all(1 <= d <= g.n - 1 for d in degs)
         assert sum(degs) == 2 * (g.n - 1)
+
+
+# --- reference loop implementations ------------------------------------------
+#
+# The per-tree code the array kernels replaced, kept as the oracle: the
+# kernels must reproduce it exactly.
+
+def _reference_sft_parents(n, s, f_max, seed):
+    rng = np.random.default_rng(seed)
+    support = np.arange(2, f_max + 1, dtype=np.float64)
+    cdf = np.cumsum(support ** (-float(s)))
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    targets = 2 + np.searchsorted(cdf, rng.random(n), side="right")
+    capacity = targets.astype(np.int64)
+    capacity[1:] -= 1
+    return np.searchsorted(np.cumsum(capacity), np.arange(n - 1), side="right")
+
+
+def _reference_stats(g):
+    deg = g.degrees()
+    is_leaf = [d == 1 for d in deg]
+    leaf_ids = tuple(j for j in range(g.n) if is_leaf[j])
+    parent_ids = tuple(
+        j for j in range(g.n) if not is_leaf[j] and any(is_leaf[v] for v in g.adjacency[j])
+    )
+    deltas = tuple(sum(1 for v in g.adjacency[j] if not is_leaf[v]) - 1 for j in parent_ids)
+    sum_f_parents = sum(deg[j] for j in parent_ids)
+    return (
+        len(leaf_ids),
+        len(parent_ids),
+        (2 * (g.n - 1) - len(leaf_ids)) / (g.n - len(leaf_ids)),
+        (sum_f_parents - sum(deltas)) / len(parent_ids),
+        sum_f_parents / len(parent_ids),
+        deltas,
+        leaf_ids,
+        parent_ids,
+    )
+
+
+SFT_CASES = [(3, 2.5, 2), (5, 2.2, 4), (60, 2.5, 2), (100, 2.2, 99), (100, 4.0, 99),
+             (200, 9.0, 199), (1000, 1.4, 30), (5000, 2.6, 4999)]
+
+
+@pytest.mark.parametrize("n, s, f_max", SFT_CASES)
+def test_sft_matches_reference_growth(n, s, f_max):
+    for seed in (0, 7, 2**64 - 1):
+        g = generate_sft(n, s, f_max, seed)
+        expected = _reference_sft_parents(n, s, f_max, seed)
+        assert g.edges() == sorted((int(p), c) for c, p in enumerate(expected, start=1))
+        assert validate_tree(g) is None
+
+
+@pytest.mark.parametrize("n, s, f_max", SFT_CASES)
+def test_sft_block_rows_do_not_depend_on_grouping(n, s, f_max):
+    seeds = [3, 1, 4, 1, 5, 9, 2, 6]
+    block = _grow_sft_parents(_sft_cdf(n, s, f_max), n, seeds)
+    assert block.shape == (len(seeds), n - 1)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row, _reference_sft_parents(n, s, f_max, seed))
+
+
+def test_structural_stats_matches_loop_reference():
+    graphs = [generate_chain(3), generate_chain(40), generate_star(3), generate_star(30),
+              generate_dendrimer(3, 4), generate_dendrimer(5, 2), generate_vicsek(3, 3),
+              generate_vicsek(4, 2)]
+    graphs += [generate_sft(n, s, seed=seed) for n, s, _ in SFT_CASES for seed in (1, 2)]
+    for g in graphs:
+        got = structural_stats(g)
+        assert (
+            got.n_leaves, got.n_parents, got.avg_f_nonleaf, got.avg_f_minus_delta_parents,
+            got.avg_f_parents, got.per_node_delta, got.leaf_ids, got.parent_ids,
+        ) == _reference_stats(g), g.label
+
+
+# --- edge-list parser properties ---------------------------------------------
+
+FAMILIES = st.one_of(
+    st.integers(2, 60).map(generate_chain),
+    st.integers(2, 60).map(generate_star),
+    st.tuples(st.integers(3, 5), st.integers(1, 3)).map(lambda fg: generate_dendrimer(*fg)),
+    st.tuples(st.integers(3, 5), st.integers(1, 2)).map(lambda fg: generate_vicsek(*fg)),
+    st.builds(generate_sft, st.integers(3, 120), st.floats(1.05, 8.0),
+              seed=st.integers(0, 2**64 - 1)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(FAMILIES)
+def test_edge_list_text_round_trips_every_family(g):
+    assert parse_edge_list_text(edge_list_text(g)) == g
+
+
+EDGE_LIST_LIKE = st.lists(
+    st.one_of(
+        st.text(max_size=12),
+        st.integers(-3, 8).map(str),
+        st.tuples(st.integers(-2, 8), st.integers(-2, 8)).map(lambda e: f"{e[0]} {e[1]}"),
+        st.sampled_from(["# label=x", "# qtree-format=1", "#", "=", " "]),
+    ),
+    max_size=12,
+).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(), EDGE_LIST_LIKE))
+def test_parse_edge_list_text_accepts_or_refuses_cleanly(text):
+    try:
+        g = parse_edge_list_text(text)
+    except InvalidParameterError:
+        return
+    assert isinstance(g, TreeGraph)
+    assert validate_tree(g) is None
