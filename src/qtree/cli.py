@@ -82,8 +82,10 @@ def _fmt(x: float) -> str:
 
 
 def _write_manifest(command: str, params: dict, outputs: list[str],
-                    master_seed: int | None, started: float) -> str:
+                    master_seed: int | None, started: float, extra: dict | None = None) -> str:
+    """Write <first output>.manifest.json; extra adds keys that rerun ignores."""
     manifest = {
+        **(extra or {}),
         "format": MANIFEST_FORMAT,
         "command": command,
         "version": __version__,
@@ -113,11 +115,16 @@ def _parse_potential(choice: str):
             if len(parts) != 2:
                 raise InvalidParameterError(f"bad potential table line: {raw!r}")
             try:
-                table[int(parts[0])] = float(parts[1])
+                f, value = int(parts[0]), float(parts[1])
             except ValueError:
                 raise InvalidParameterError(
                     f"potential table line {lineno}: {raw!r} is not 'f value'"
                 ) from None
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"potential table line {lineno}: value {parts[1]!r} is not finite"
+                )
+            table[f] = value
         return custom_potential(table)
     raise InvalidParameterError(
         f"unknown potential {choice!r}; use connectivity, adjacency or custom=<path>"
@@ -172,6 +179,7 @@ def run_chi(params: dict) -> int:
     started = time.monotonic()
     g = read_edge_list(params["in"])
     potential = _parse_potential(params.get("potential", "connectivity"))
+    read_done = time.monotonic()
     try:
         report = efficiency_report(
             g,
@@ -184,6 +192,7 @@ def run_chi(params: dict) -> int:
             f"{exc}; rerun with a larger --size-limit or use "
             "`qtree sweep --estimator structural-delta0` for structural-only estimates"
         ) from exc
+    report_done = time.monotonic()
     out = params["out"]
     payload = asdict(report)
     del payload["spectrum"]
@@ -193,7 +202,21 @@ def run_chi(params: dict) -> int:
     if spectrum_out:
         write_text_atomic(spectrum_out, spectrum_csv_text(report.spectrum))
         outputs.append(spectrum_out)
-    _write_manifest("chi", params, outputs, None, started)
+    write_done = time.monotonic()
+    sp = report.spectrum
+    _write_manifest("chi", params, outputs, None, started, {
+        "timings": {
+            "read_s": read_done - started,
+            "report_s": report_done - read_done,
+            "write_s": write_done - report_done,
+        },
+        "counters": {
+            "n": report.n,
+            "degeneracy_classes": len(sp.classes),
+            "eigvalsh_calls": len(sp.solve_dims),
+            "largest_solve_dim": max(sp.solve_dims),
+        },
+    })
     return 0
 
 
@@ -215,8 +238,10 @@ def run_sweep(params: dict) -> int:
         raise InvalidParameterError("empty s grid")
     if params.get("paper_r"):
         r = max(1, round(1_000_000 / n))
-    else:
+    elif params.get("r") is not None:
         r = int(params["r"])
+    else:
+        raise InvalidParameterError("sweep needs --r or --paper-r")
     f_max = None if params.get("f_max") is None else int(params["f_max"])
     cfgs = [
         EnsembleConfig(
@@ -347,15 +372,45 @@ def run_rerun(params: dict) -> int:
         stored["out"] = params["out"]
     if params.get("workers") is not None:
         stored["workers"] = params["workers"]
+    _, subcommands = _build_parser()
+    _check_stored_params(subcommands[command], stored)
     try:
         return _RUNNERS[command](stored)
     except KeyError as exc:
         raise InvalidParameterError(f"manifest params lack {exc}") from None
 
 
+def _check_stored_params(subparser: argparse.ArgumentParser, stored: dict) -> None:
+    """Refuse a stored param whose JSON value does not fit its declared option.
+
+    Keys the subcommand does not declare are left to the runner, which
+    ignores them.
+    """
+    for action in subparser._actions:
+        key = _param_key(action.dest)
+        value = stored.get(key)
+        if value is None:
+            if action.required:
+                raise InvalidParameterError(f"manifest params lack {key!r}")
+            continue
+        if action.nargs == 0:  # a flag
+            fits, kind = isinstance(value, bool), "true or false"
+        elif action.type is int:
+            fits, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        elif action.type is float:
+            fits, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        else:
+            fits, kind = isinstance(value, str), "a string"
+        if fits and action.choices is not None and value not in action.choices:
+            fits, kind = False, "one of " + ", ".join(map(str, action.choices))
+        if not fits:
+            raise InvalidParameterError(f"manifest param {key!r} must be {kind}, got {value!r}")
+
+
 # --- argument parsing ---------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The qtree parser and, by name, the parser of each subcommand."""
     parser = argparse.ArgumentParser(
         prog="qtree",
         description="Quantum-walk transport efficiency on tree networks",
@@ -419,7 +474,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--out", help="override the recorded output path")
     p.add_argument("--workers", type=int)
-    return parser
+    return parser, sub.choices
+
+
+def _param_key(dest: str) -> str:
+    return dest.replace("in_path", "in")
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
@@ -427,12 +486,12 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in ("command",):
             continue
-        params[key.replace("in_path", "in")] = value
+        params[_param_key(key)] = value
     return params
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, _ = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
     params = _params_from_args(args)

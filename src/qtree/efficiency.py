@@ -144,16 +144,41 @@ def zeta(s: float) -> float:
     return total
 
 
+def _zeta_tails(s: float) -> tuple[float, float]:
+    """2^s (zeta(s) - 1) and 2^s (zeta(s - 1) - zeta(s)) for s > 2.
+
+    Both are summed from k = 2 as sum (k/2)^-s and sum (k - 1)(k/2)^-s,
+    whose k = 2 terms are 1, so nothing cancels and nothing overflows at
+    large s.  The terms from the cutoff m on are the Euler-Maclaurin
+    tails of zeta, scaled by 2^s; they vanish below the smallest double
+    once (m/2)^-s does.
+    """
+    m = _ZETA_CUTOFF
+    terms = [(k, (k / 2.0) ** -s) for k in range(2, m)]
+    tail_s = tail_s1 = 0.0
+    scale = (m / 2.0) ** -s  # 2^s m^-s
+    if scale:
+        def em(sigma):  # m^sigma * sum_{k >= m} k^-sigma, through B6
+            rising3 = sigma * (sigma + 1.0) * (sigma + 2.0)
+            return (m / (sigma - 1.0) + 0.5 + sigma / (12.0 * m) - rising3 / (720.0 * m ** 3)
+                    + rising3 * (sigma + 3.0) * (sigma + 4.0) / (30240.0 * m ** 5))
+        tail_s = scale * em(s)
+        tail_s1 = scale * m * em(s - 1.0)
+    return (math.fsum([x for _, x in terms] + [tail_s]),
+            math.fsum([(k - 1) * x for k, x in terms] + [tail_s1, -tail_s]))
+
+
 def chi_sft_infinite(s: float) -> float:
     """Infinite-size scale-free-tree bound 1 - 4(zeta(s)-1)/(zeta(s-1)-zeta(s)).
 
     Leading-order expression valid for s slightly above 2; it leaves
-    [0, 1] for large s and is refused at s <= 2 where the functionality
-    average diverges.
+    [0, 1] for large s (it tends to -3) and is refused at s <= 2 where
+    the functionality average diverges.
     """
     if not s > 2:
         raise OutOfDomainError(f"infinite-size form needs s > 2, got {s}")
-    return 1.0 - 4.0 * (zeta(s) - 1.0) / (zeta(s - 1.0) - zeta(s))
+    leaves, links = _zeta_tails(s)
+    return 1.0 - 4.0 * leaves / links
 
 
 def chi_sft_finite(s: float, f_max: int, n: int) -> float:

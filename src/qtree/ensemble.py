@@ -219,12 +219,12 @@ def sweep(cfgs: list[EnsembleConfig], workers: int | None = None) -> list[SweepR
         f_max = cfg.resolved_f_max()
         avg_f = mc_mean = mc_err = finite = infinite = None
         try:
+            if cfg.s > 2:
+                infinite = 1.0 - chi_sft_infinite(cfg.s)
             avg_f = avg_f_sft(cfg.s, f_max)
             finite = 1.0 - chi_sft_finite(cfg.s, f_max, cfg.n)
         except QtreeError as exc:
             status = _error_name(exc)
-        if cfg.s > 2:
-            infinite = 1.0 - chi_sft_infinite(cfg.s)
         try:
             result = run_ensemble(cfg, workers=workers)
             mc_mean = result.mean_one_minus_chi_lb

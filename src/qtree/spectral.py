@@ -6,15 +6,28 @@ The two named members are the connectivity matrix (V(f) = f) and the
 adjacency matrix (V(f) = 0); arbitrary finite tables are supported.
 
 Eigenvalues are grouped into degeneracy classes to realize the discrete
-spectral density.  An exact oracle, the Jacobs-Trevisan tree
-diagonalization over rationals, guards the multiplicity of the
-distinguished eigenvalue E* = V(1) carried by leaf-pair superposition
-states.
+spectral density.  `spectrum` finds them on the branch-symmetry quotient
+of the tree rather than on the n x n matrix.  The lemma: when a node has
+k >= 2 child branches of the same rooted shape (same functionalities
+throughout, hence the same matrix B, whose root keeps its on-site value
+V(f)), the antisymmetric combinations of the copies give spec(B) k - 1
+times, and the symmetric one leaves H with the k branches replaced by
+one copy joined by a coupling sqrt(k).  Applied at every node, the
+spectrum is eig(quotient at the root) plus, for every repeated child
+group, k - 1 copies of that branch's spectrum, found the same way.
+Every eigenvalue a solve returns appears in the result, so the solved
+dimensions add up to at most n.  `eigendecompose` keeps the dense
+solve, because the time series needs the eigenvectors.
+
+An exact oracle, the Jacobs-Trevisan tree diagonalization over
+rationals, guards the multiplicity of the distinguished eigenvalue
+E* = V(1) carried by leaf-pair superposition states.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
@@ -131,12 +144,15 @@ class Spectrum:
 
     Each class is (representative, multiplicity); representatives are
     strictly increasing and multiplicities sum to n.  The spectral
-    density of a class is multiplicity / n.
+    density of a class is multiplicity / n.  solve_dims holds the
+    dimension of each eigenvalue solve behind the classes, when known;
+    it is left out of comparisons.
     """
 
     classes: tuple[tuple[float, int], ...]
     n: int
     tol_abs: float
+    solve_dims: tuple[int, ...] = field(default=(), compare=False)
 
     def densities(self) -> list[float]:
         return [m / self.n for _, m in self.classes]
@@ -185,10 +201,88 @@ def eigendecompose(h: Hamiltonian, size_limit: int = DENSE_SOLVER_LIMIT) -> Eige
 
 def spectrum(h: Hamiltonian, tol_abs: float | None = None,
              size_limit: int = DENSE_SOLVER_LIMIT) -> Spectrum:
-    """Binned spectrum from the eigenvalues alone; refuses n beyond size_limit."""
+    """Binned spectrum from the eigenvalues alone; refuses n beyond size_limit.
+
+    The eigenvalues come from the branch-symmetry quotient (module
+    docstring); the dense matrix is never built.
+    """
     _check_dense_size(h, size_limit)
-    w = np.linalg.eigvalsh(h.matrix)
-    return _bin(w, _default_tol(w) if tol_abs is None else tol_abs)
+    adjacency = h.graph.adjacency
+    root, shapes = _branch_shapes(adjacency, *_rooted_order(adjacency))
+    on_site = [h.potential.value(degree) for degree, _ in shapes]
+    solve_dims: list[int] = []
+    w = np.sort(_branch_eigenvalues(root, shapes, on_site, {}, solve_dims))
+    return _bin(w, _default_tol(w) if tol_abs is None else tol_abs, tuple(solve_dims))
+
+
+def _rooted_order(adjacency) -> tuple[list[int], list[int]]:
+    """Breadth-first order from node 0 and each node's parent (-1 at the root)."""
+    parent = [-1] * len(adjacency)
+    order = [0]
+    for u in order:  # the list grows while it is walked
+        for v in adjacency[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    return order, parent
+
+
+def _branch_shapes(adjacency, order, parent):
+    """Interned rooted shape of every branch, children first.
+
+    A shape is (functionality of the branch root, sorted tuple of
+    (child shape, count)); two branches share a shape exactly when they
+    are isomorphic as rooted trees with equal functionalities, so their
+    matrices are equal under any potential.  Returns the root's shape id
+    and the shapes indexed by id.
+    """
+    child_shapes: list[list[int]] = [[] for _ in adjacency]
+    ids: dict[tuple, int] = {}
+    for v in reversed(order):
+        shape = (len(adjacency[v]), tuple(sorted(Counter(child_shapes[v]).items())))
+        sid = ids.setdefault(shape, len(ids))
+        if parent[v] >= 0:
+            child_shapes[parent[v]].append(sid)
+    return sid, list(ids)
+
+
+def _branch_eigenvalues(s: int, shapes, on_site, memo: dict, solve_dims: list) -> np.ndarray:
+    """All eigenvalues of a branch of shape s, unsorted, memoized per shape.
+
+    One eigvalsh on the quotient of the branch, where every group of k
+    equal child branches is one copy joined by sqrt(k), plus k - 1
+    copies of that child's own spectrum.  A repeated shape has at most
+    half the nodes of the branch holding it, so the recursion is at most
+    log2(n) deep; the walk over the quotient is iterative because a
+    chain is n deep.
+    """
+    if s in memo:
+        return memo[s]
+    diag = [on_site[s]]
+    rows: list[int] = []
+    cols: list[int] = []
+    couplings: list[float] = []
+    extra: Counter = Counter()  # child shape -> copies of its spectrum
+    stack = [(s, 0)]
+    while stack:
+        t, i = stack.pop()
+        for c, k in shapes[t][1]:
+            rows.append(i)
+            cols.append(len(diag))
+            couplings.append(math.sqrt(k))
+            stack.append((c, len(diag)))
+            diag.append(on_site[c])
+            if k > 1:
+                extra[c] += k - 1
+    quotient = np.diag(diag)
+    quotient[rows, cols] = couplings
+    quotient[cols, rows] = couplings
+    solve_dims.append(len(diag))
+    parts = [np.linalg.eigvalsh(quotient)]
+    for c, copies in extra.items():
+        parts.append(np.tile(_branch_eigenvalues(c, shapes, on_site, memo, solve_dims), copies))
+    memo[s] = np.concatenate(parts)
+    return memo[s]
 
 
 def default_degeneracy_tol(es: EigenSystem) -> float:
@@ -209,7 +303,7 @@ def bin_degeneracies(es: EigenSystem, tol_abs: float) -> Spectrum:
     return _bin(es.eigenvalues, tol_abs)
 
 
-def _bin(w: np.ndarray, tol_abs: float) -> Spectrum:
+def _bin(w: np.ndarray, tol_abs: float, solve_dims: tuple[int, ...] = ()) -> Spectrum:
     if not tol_abs > 0:
         raise InvalidParameterError(f"tol_abs must be positive, got {tol_abs}")
     n = len(w)
@@ -219,7 +313,7 @@ def _bin(w: np.ndarray, tol_abs: float) -> Spectrum:
         if i == n or w[i] - w[i - 1] > tol_abs:
             classes.append((float(np.mean(w[start:i])), i - start))
             start = i
-    return Spectrum(classes=tuple(classes), n=n, tol_abs=tol_abs)
+    return Spectrum(classes=tuple(classes), n=n, tol_abs=tol_abs, solve_dims=solve_dims)
 
 
 def multiplicity_exact(h: Hamiltonian, e) -> int:
@@ -233,13 +327,7 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
     """
     x = _as_fraction(e)
     adjacency = h.graph.adjacency
-    parent = [-1] * h.n
-    order = [0]
-    for u in order:  # breadth-first: the list grows while it is walked
-        for v in adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
+    order, parent = _rooted_order(adjacency)
     d = [h.potential.value_exact(len(nbrs)) - x for nbrs in adjacency]
     zero_child = [-1] * h.n
     for v in reversed(order):

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +155,18 @@ def test_sweep_derived_r_and_infinite_column(tmp_path):
     assert out2.read_text().splitlines()[2].split(",")[3] == "100"
 
 
+def test_sweep_large_s_infinite_column(tmp_path):
+    # both zeta differences are about 2^-s there; the closed form tends to -3
+    out = tmp_path / "sweep.csv"
+    res = run_cli("sweep", "--n", "50", "--s-grid", "40,53", "--r", "2", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    assert float(rows[0]["one_minus_chi_analytic_infinite"]) == pytest.approx(3.9999996382418805)
+    assert float(rows[1]["one_minus_chi_analytic_infinite"]) == pytest.approx(3.9999999981412393)
+
+
 def test_sweep_rerun_is_byte_identical_across_workers(tmp_path):
     out = tmp_path / "sweep.csv"
     res = run_cli("sweep", "--n", "60", "--s-grid", "2.3,3.1", "--r", "400",
@@ -264,6 +277,17 @@ def test_chi_rerun_identical(tmp_path):
     assert run_cli("rerun", str(out) + ".manifest.json",
                    "--out", str(second)).returncode == 0
     assert second.read_bytes() == out.read_bytes()
+    report = json.loads(out.read_text())
+    for manifest_path in (str(out) + ".manifest.json", str(second) + ".manifest.json"):
+        manifest = json.loads(Path(manifest_path).read_text())
+        assert sorted(manifest["timings"]) == ["read_s", "report_s", "write_s"]
+        assert all(v >= 0 for v in manifest["timings"].values())
+        counters = manifest["counters"]
+        assert counters["n"] == report["n"] == 22
+        # dendrimer(3,3): one quotient chain of 4 levels and one solve per repeated branch
+        assert counters["degeneracy_classes"] >= 1
+        assert 1 <= counters["eigvalsh_calls"] <= 4
+        assert counters["largest_solve_dim"] == 4
 
 
 def test_gen_rerun_identical(tmp_path):
@@ -299,10 +323,47 @@ def _bad_potential_value(tmp_path):
     return ["chi", "--in", str(edges), "--potential", f"custom={table}"], "line 2"
 
 
+def _non_finite_potential_value(tmp_path):
+    edges = tmp_path / "c3.edges"
+    run_cli("gen", "--family", "chain", "--n", "3", "--out", str(edges))
+    table = tmp_path / "pot.txt"
+    table.write_text("1 nan\n2 7.0\n")
+    return ["chi", "--in", str(edges), "--potential", f"custom={table}"], "line 1"
+
+
 def _manifest_without_params(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"format": "qtree-manifest-1", "command": "chi"}))
     return ["rerun", str(manifest)], "params"
+
+
+def _rerun_of(tmp_path, command, params):
+    edges = tmp_path / "s5.edges"
+    run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"format": "qtree-manifest-1", "command": command,
+                                    "params": {"in": str(edges), **params}}))
+    return ["rerun", str(manifest)]
+
+
+def _rerun_sweep_text_n(tmp_path):
+    return _rerun_of(tmp_path, "sweep", {"n": "abc", "s_grid": "2.5", "r": 2}), "'n'"
+
+
+def _rerun_sweep_without_r(tmp_path):
+    return _rerun_of(tmp_path, "sweep", {"n": 50, "s_grid": "2.5"}), "--r"
+
+
+def _rerun_chi_numeric_in(tmp_path):
+    return _rerun_of(tmp_path, "chi", {"in": 5}), "'in'"
+
+
+def _rerun_timeseries_text_samples(tmp_path):
+    return _rerun_of(tmp_path, "timeseries", {"samples": "x"}), "'samples'"
+
+
+def _rerun_chi_text_tol_abs(tmp_path):
+    return _rerun_of(tmp_path, "chi", {"tol_abs": "x"}), "'tol_abs'"
 
 
 def _non_utf8_edge_list(tmp_path):
@@ -331,7 +392,10 @@ def _infinite_sft_exponent(tmp_path):
 
 @pytest.mark.parametrize(
     "make_case",
-    [_bad_token_edge_list, _bad_potential_value, _manifest_without_params,
+    [_bad_token_edge_list, _bad_potential_value, _non_finite_potential_value,
+     _manifest_without_params, _rerun_sweep_text_n, _rerun_sweep_without_r,
+     _rerun_chi_numeric_in,
+     _rerun_timeseries_text_samples, _rerun_chi_text_tol_abs,
      _non_utf8_edge_list, _non_utf8_fit_kappa_csv, _non_numeric_s_grid,
      _infinite_s_grid, _infinite_sft_exponent],
     ids=lambda f: f.__name__.lstrip("_"),

@@ -194,11 +194,15 @@ def test_zeta_out_of_domain():
 # --- scale-free-tree closed forms ----------------------------------------------
 
 def test_chi_sft_infinite_against_oracle():
-    for s in (2.01, 2.1, 2.5):
-        expected = float(
-            1 - 4 * (mpmath.zeta(s) - 1) / (mpmath.zeta(s - 1) - mpmath.zeta(s))
-        )
-        assert chi_sft_infinite(s) == pytest.approx(expected, rel=1e-11)
+    # at large s both zeta differences are about 2^-s: 60 digits keep the oracle exact
+    with mpmath.workdps(60):
+        for s in (2.01, 2.1, 2.5, 10, 30, 53):
+            x = mpmath.mpf(s)
+            expected = float(
+                1 - 4 * (mpmath.zeta(x) - 1) / (mpmath.zeta(x - 1) - mpmath.zeta(x))
+            )
+            assert chi_sft_infinite(s) == pytest.approx(expected, rel=1e-11)
+    assert chi_sft_infinite(1e4) == -3.0
 
 
 def test_chi_sft_infinite_asymptotics():

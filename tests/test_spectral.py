@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from qtree import (
     generate_vicsek,
     leaf_pair_eigenstates,
     multiplicity_exact,
+    parse_edge_list_text,
     spectrum,
     spectrum_csv_text,
     structural_stats,
@@ -203,19 +205,37 @@ def test_oracle_equivalence_on_random_sfts():
         assert sp.multiplicity_at(h.e_star) == multiplicity_exact(h, 1)
 
 
+def relabelled(g, seed):
+    """g with its node labels randomly permuted, read back from edge-list text."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    assert perm[0] != 0  # node 0 is then not the root g was grown from
+    lines = [f"# label=relabelled-{g.label}", str(g.n)]
+    lines += [f"{perm[u]} {perm[v]}" for u, v in g.edges()]
+    return parse_edge_list_text("\n".join(lines) + "\n")
+
+
 ORACLE_GRAPHS = [
     *(generate_chain(n) for n in range(5, 10)),
+    generate_chain(sys.getrecursionlimit() + 1),
+    relabelled(generate_chain(301), seed=4),
     generate_star(6),
     generate_dendrimer(3, 4),
     generate_dendrimer(4, 3),
+    relabelled(generate_dendrimer(3, 5), seed=5),
     generate_vicsek(3, 2),
     generate_vicsek(4, 2),
     generate_sft(200, 2.4, seed=3),
     generate_sft(200, 3.2, seed=8),
+    generate_sft(1000, 2.5, seed=11),
+    relabelled(generate_sft(1000, 2.5, seed=11), seed=12),
 ]
 
+# V(f) = (f^2 + 3) / 4: no affine map of the named potentials, exact in binary, E* = 1
+QUADRATIC_POTENTIAL = custom_potential({f: (f * f + 3) / 4 for f in range(1, 1000)})
 
-@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY], ids=lambda p: p.kind)
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY, QUADRATIC_POTENTIAL],
+                         ids=lambda p: p.kind)
 @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
 def test_tree_oracle_matches_binned_spectrum(g, potential):
     # integer x below, at and above E* reach zero children below the root
@@ -225,13 +245,18 @@ def test_tree_oracle_matches_binned_spectrum(g, potential):
         assert multiplicity_exact(h, x) == sp.multiplicity_at(x)
 
 
-@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY], ids=lambda p: p.kind)
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY, QUADRATIC_POTENTIAL],
+                         ids=lambda p: p.kind)
 @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
 def test_spectrum_matches_eigendecomposition_binning(g, potential):
+    # spectrum solves the branch-symmetry quotient; eigendecompose the dense matrix
     h = build_hamiltonian(g, potential)
+    sp = spectrum(h)
+    assert "matrix" not in vars(h)  # the dense matrix was never built
     es = eigendecompose(h)
     reference = bin_degeneracies(es, default_degeneracy_tol(es))
-    sp = spectrum(h)
+    assert sum(m for _, m in sp.classes) == g.n
+    assert sum(sp.solve_dims) <= g.n
     assert [m for _, m in sp.classes] == [m for _, m in reference.classes]
     assert np.allclose([r for r, _ in sp.classes], [r for r, _ in reference.classes],
                        rtol=0.0, atol=1e-11)
