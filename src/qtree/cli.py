@@ -25,13 +25,11 @@ import numpy as np
 
 from . import __version__
 from .efficiency import (
-    default_time_grid,
+    chi_exact,
     efficiency_report,
     kappa_fit,
-    return_amplitude_series,
-    mean_return_probability_series,
     time_average,
-    chi_exact,
+    time_series,
 )
 from .ensemble import (
     ESTIMATORS,
@@ -66,11 +64,8 @@ from .spectral import (
     ADJACENCY,
     CONNECTIVITY,
     DENSE_SOLVER_LIMIT,
-    bin_degeneracies,
     build_hamiltonian,
     custom_potential,
-    default_degeneracy_tol,
-    eigendecompose,
     spectrum_csv_text,
 )
 
@@ -131,6 +126,14 @@ def _parse_potential(choice: str):
     )
 
 
+def _option(params: dict, key: str, default, valid, requirement: str):
+    """params[key], or default when unset; refused unless valid(value)."""
+    value = default if params.get(key) is None else params[key]
+    if not valid(value):
+        raise InvalidParameterError(f"--{key.replace('_', '-')} must be {requirement}, got {value}")
+    return value
+
+
 # --- runners (shared by the subcommands and `rerun`) -------------------------
 
 _FAMILY_FLAGS = {
@@ -185,7 +188,8 @@ def run_chi(params: dict) -> int:
             g,
             potential,
             tol_abs=params.get("tol_abs"),
-            size_limit=int(params.get("size_limit") or DENSE_SOLVER_LIMIT),
+            size_limit=_option(params, "size_limit", DENSE_SOLVER_LIMIT, lambda v: v >= 1,
+                               "at least 1"),
         )
     except SizeLimitError as exc:
         raise SizeLimitError(
@@ -202,20 +206,13 @@ def run_chi(params: dict) -> int:
     if spectrum_out:
         write_text_atomic(spectrum_out, spectrum_csv_text(report.spectrum))
         outputs.append(spectrum_out)
-    write_done = time.monotonic()
     sp = report.spectrum
     _write_manifest("chi", params, outputs, None, started, {
-        "timings": {
-            "read_s": read_done - started,
-            "report_s": report_done - read_done,
-            "write_s": write_done - report_done,
-        },
-        "counters": {
-            "n": report.n,
-            "degeneracy_classes": len(sp.classes),
-            "eigvalsh_calls": len(sp.solve_dims),
-            "largest_solve_dim": max(sp.solve_dims),
-        },
+        "timings": {"read_s": read_done - started, "report_s": report_done - read_done,
+                    "write_s": time.monotonic() - report_done},
+        "counters": {"n": report.n, "degeneracy_classes": len(sp.classes),
+                     "eigvalsh_calls": len(sp.solve_dims),
+                     "largest_solve_dim": max(sp.solve_dims)},
     })
     return 0
 
@@ -318,31 +315,35 @@ def run_fit_kappa(params: dict) -> int:
 
 def run_timeseries(params: dict) -> int:
     started = time.monotonic()
+    samples = _option(params, "samples", 10_000, lambda v: v >= 2, "at least 2")
+    t_max = _option(params, "t_max", None, lambda v: v is None or 0 < v < math.inf,
+                    "finite and positive")
     g = read_edge_list(params["in"])
     potential = _parse_potential(params.get("potential", "connectivity"))
-    h = build_hamiltonian(g, potential)
-    es = eigendecompose(h)
-    samples = int(params.get("samples") or 10_000)
-    if params.get("t_max") is not None:
-        times = np.linspace(0.0, float(params["t_max"]), samples)
-    else:
-        times = default_time_grid(es, samples)
-    sp = bin_degeneracies(es, default_degeneracy_tol(es))
-    alpha2 = return_amplitude_series(sp, times)
-    pibar = mean_return_probability_series(es, times)
+    read_done = time.monotonic()
+    ts = time_series(build_hamiltonian(g, potential),
+                     None if t_max is None else np.linspace(0.0, float(t_max), samples), samples)
+    series_done = time.monotonic()
     lines = [FORMAT_HEADER, "t,abs_alpha_sq,pi_bar"]
-    for t, a, p in zip(times, alpha2, pibar):
+    for t, a, p in zip(ts.times, ts.abs_alpha_sq, ts.pi_bar):
         lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(p)}")
+    sp = ts.weights.spectrum
     lines.append(
         "# time_average_abs_alpha_sq={} time_average_pi_bar={} chi_exact={}".format(
-            _fmt(time_average(alpha2, times)),
-            _fmt(time_average(pibar, times)),
+            _fmt(time_average(ts.abs_alpha_sq, ts.times)),
+            _fmt(time_average(ts.pi_bar, ts.times)),
             _fmt(chi_exact(sp)),
         )
     )
     out = params["out"]
     write_text_atomic(out, "\n".join(lines) + "\n")
-    _write_manifest("timeseries", params, [out], None, started)
+    _write_manifest("timeseries", params, [out], None, started, {
+        "timings": {"read_s": read_done - started, "series_s": series_done - read_done,
+                    "write_s": time.monotonic() - series_done},
+        "counters": {"n": g.n, "eigh_calls": len(sp.solve_dims),
+                     "largest_solve_dim": max(sp.solve_dims),
+                     "weight_columns": ts.weights.weights.shape[1]},
+    })
     return 0
 
 
@@ -363,7 +364,7 @@ def run_rerun(params: dict) -> int:
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise InvalidParameterError(f"not a {MANIFEST_FORMAT} manifest")
     command = manifest.get("command")
-    if command not in _RUNNERS:
+    if not isinstance(command, str) or command not in _RUNNERS:
         raise InvalidParameterError(f"manifest names unknown command {command!r}")
     if not isinstance(manifest.get("params"), dict):
         raise InvalidParameterError("manifest has no params object")

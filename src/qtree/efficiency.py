@@ -28,15 +28,13 @@ from .graphs import StructuralStats, TreeGraph, structural_stats
 from .spectral import (
     CONNECTIVITY,
     DENSE_SOLVER_LIMIT,
-    EigenSystem,
     Hamiltonian,
     Potential,
+    ReturnWeights,
     Spectrum,
-    bin_degeneracies,
     build_hamiltonian,
-    default_degeneracy_tol,
-    eigendecompose,
     multiplicity_exact,
+    return_weights,
     spectrum,
 )
 
@@ -285,11 +283,12 @@ def kappa_fit(points: Iterable[tuple[float, float]]) -> KappaFit:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled node-averaged return quantities on a common time grid."""
+    """Sampled node-averaged return quantities, and the quotient weights behind them."""
 
     times: np.ndarray
     abs_alpha_sq: np.ndarray
     pi_bar: np.ndarray
+    weights: ReturnWeights = field(repr=False, compare=False)
 
 
 def return_amplitude_series(sp: Spectrum, times: Sequence[float]) -> np.ndarray:
@@ -301,25 +300,23 @@ def return_amplitude_series(sp: Spectrum, times: Sequence[float]) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def mean_return_probability_series(
-    es: EigenSystem, times: Sequence[float], chunk: int = 2048
-) -> np.ndarray:
-    """Node-averaged return probability, computed from the full eigenbasis."""
+def mean_return_probability_series(rw: ReturnWeights, times: Sequence[float]) -> np.ndarray:
+    """Node-averaged return probability from the quotient weights (spectral module docstring)."""
     t = np.asarray(times, dtype=float)
-    weights = es.eigenvectors ** 2  # (node, mode) overlap probabilities
+    share = rw.nodes / rw.nodes.sum()  # fraction of the tree's nodes at each position
+    chunk = max(1, (1 << 21) // len(rw.eigenvalues))  # about 32 MB of phases at a time
     out = np.empty(len(t))
     for start in range(0, len(t), chunk):
-        block = t[start : start + chunk]
-        phases = np.exp(-1j * np.outer(block, es.eigenvalues))
-        amp = phases @ weights.T  # (time, node) return amplitudes
-        out[start : start + len(block)] = np.mean(np.abs(amp) ** 2, axis=1)
+        phases = np.exp(-1j * np.outer(t[start : start + chunk], rw.eigenvalues))
+        amp = phases @ rw.weights.T  # (time, position) return amplitudes
+        out[start : start + len(amp)] = (np.abs(amp) ** 2) @ share
     return out
 
 
-def default_time_grid(es: EigenSystem, samples: int = 10_000, horizon: float = 50.0) -> np.ndarray:
+def default_time_grid(sp: Spectrum, samples: int = 10_000, horizon: float = 50.0) -> np.ndarray:
     """Uniform grid long enough to resolve the slowest spectral beat."""
-    spread = float(es.eigenvalues[-1] - es.eigenvalues[0])
-    t_max = horizon * es.n / spread if spread > 0 else horizon * es.n
+    spread = sp.classes[-1][0] - sp.classes[0][0]
+    t_max = horizon * sp.n / spread if spread > 0 else horizon * sp.n
     return np.linspace(0.0, t_max, samples)
 
 
@@ -338,17 +335,12 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
 
 
 def time_series(h: Hamiltonian, times: Sequence[float] | None = None,
-                tol_abs: float | None = None) -> TimeSeries:
-    es = eigendecompose(h)
-    if times is None:
-        times = default_time_grid(es)
-    sp = bin_degeneracies(es, default_degeneracy_tol(es) if tol_abs is None else tol_abs)
-    t = np.asarray(times, dtype=float)
-    return TimeSeries(
-        times=t,
-        abs_alpha_sq=return_amplitude_series(sp, t),
-        pi_bar=mean_return_probability_series(es, t),
-    )
+                samples: int = 10_000) -> TimeSeries:
+    """|averaged return amplitude|^2 and pbar on times, or on the default grid of samples."""
+    rw = return_weights(h)
+    t = default_time_grid(rw.spectrum, samples) if times is None else np.asarray(times, dtype=float)
+    return TimeSeries(t, return_amplitude_series(rw.spectrum, t),
+                      mean_return_probability_series(rw, t), rw)
 
 
 # --- per-graph report --------------------------------------------------------

@@ -5,19 +5,32 @@ potential that depends only on the node functionality, H[j][j] = V(f_j).
 The two named members are the connectivity matrix (V(f) = f) and the
 adjacency matrix (V(f) = 0); arbitrary finite tables are supported.
 
-Eigenvalues are grouped into degeneracy classes to realize the discrete
-spectral density.  `spectrum` finds them on the branch-symmetry quotient
-of the tree rather than on the n x n matrix.  The lemma: when a node has
-k >= 2 child branches of the same rooted shape (same functionalities
-throughout, hence the same matrix B, whose root keeps its on-site value
-V(f)), the antisymmetric combinations of the copies give spec(B) k - 1
-times, and the symmetric one leaves H with the k branches replaced by
-one copy joined by a coupling sqrt(k).  Applied at every node, the
-spectrum is eig(quotient at the root) plus, for every repeated child
-group, k - 1 copies of that branch's spectrum, found the same way.
-Every eigenvalue a solve returns appears in the result, so the solved
-dimensions add up to at most n.  `eigendecompose` keeps the dense
-solve, because the time series needs the eigenvectors.
+Every solve runs on the branch-symmetry quotient of the tree, never on
+the n x n matrix.  The lemma: when a node has k >= 2 child branches of
+the same rooted shape (same functionalities throughout, hence the same
+matrix B, whose root keeps its on-site value V(f)), the antisymmetric
+combinations of the copies give spec(B) k - 1 times, and the symmetric
+one leaves H with the k branches replaced by one copy joined by a
+coupling sqrt(k).  Applied at every node, the spectrum is eig(quotient
+at the root) plus, for every repeated child group, k - 1 copies of that
+branch's spectrum, found the same way.  Every eigenvalue a solve
+returns appears in the result, so the solved dimensions add up to at
+most n.
+
+Return probabilities come from the eigenvectors of the same quotients.
+Branch swaps permute the tree nodes at one position q of the root
+quotient, so they share a return probability; q stands for Pi_q nodes,
+the product of the group sizes k on its path.  A normalized quotient
+eigenvector x puts weight x_q^2 / Pi_q on each.  A group of k equal
+branches of shape c under position p passes (1 - 1/k) / Pi_p times c's
+own weights (same recursion, memoized per shape) to the positions of
+the group's copy: 1 - 1/k is the diagonal of the antisymmetric projector
+I - J/k, and 1/Pi_p spreads those sectors over the Pi_p copies of p,
+whose own antisymmetric sectors enter through the enclosing groups.
+With a column j per (solved shape, eigenvector index), of eigenvalue
+lambda_j, pbar(t) = sum_q (Pi_q / n) |sum_j W[q, j] exp(-i lambda_j t)|^2;
+each row of W sums to 1, and sum_q Pi_q W[q, j] counts column j's
+tree eigenvectors.
 
 An exact oracle, the Jacobs-Trevisan tree diagonalization over
 rationals, guards the multiplicity of the distinguished eigenvalue
@@ -28,7 +41,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -85,6 +97,9 @@ ADJACENCY = Potential(ADJACENCY_KIND)
 def custom_potential(table: Mapping[int, float]) -> Potential:
     if not table:
         raise InvalidParameterError("custom potential table is empty")
+    bad = sorted(f for f, value in table.items() if not math.isfinite(value))
+    if bad:
+        raise InvalidParameterError(f"custom potential is not finite at functionalities {bad}")
     return Potential(CUSTOM_KIND, dict(table))
 
 
@@ -102,11 +117,7 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Dense real symmetric operator tied to the tree it was built from.
-
-    The n x n matrix is allocated on first use, so a solver can refuse an
-    oversize tree before any O(n^2) memory is taken.
-    """
+    """Real symmetric operator of a tree: unit couplings on bonds, V(f_j) on the diagonal."""
 
     graph: TreeGraph
     potential: Potential
@@ -115,27 +126,6 @@ class Hamiltonian:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Unit couplings on bonds and V(f_j) on the diagonal."""
-        matrix = np.zeros((self.n, self.n))
-        for j, nbrs in enumerate(self.graph.adjacency):
-            matrix[j, list(nbrs)] = 1.0
-            matrix[j, j] = self.potential.value(len(nbrs))
-        return matrix
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full spectral decomposition, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -169,11 +159,7 @@ class Spectrum:
 
 
 def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY) -> Hamiltonian:
-    """Hamiltonian with unit couplings on bonds and V(f_j) on the diagonal.
-
-    Checks the potential against the tree's functionalities now; the
-    dense matrix is built when a solver first reads it.
-    """
+    """Hamiltonian of g; checks the potential against the tree's functionalities now."""
     if potential.kind == CUSTOM_KIND:
         missing = sorted({f for f in g.degrees() if f not in potential.table} | (
             {1} if 1 not in potential.table else set()))
@@ -184,35 +170,44 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY) -> Hami
     return Hamiltonian(graph=g, potential=potential, e_star=potential.value(1))
 
 
-def _check_dense_size(h: Hamiltonian, size_limit: int) -> None:
-    if h.n > size_limit:
-        raise SizeLimitError(
-            f"n={h.n} exceeds the dense solver limit {size_limit}; "
-            "use structural estimators at this scale"
-        )
-
-
-def eigendecompose(h: Hamiltonian, size_limit: int = DENSE_SOLVER_LIMIT) -> EigenSystem:
-    """Dense symmetric eigendecomposition; refuses n beyond size_limit."""
-    _check_dense_size(h, size_limit)
-    eigenvalues, eigenvectors = np.linalg.eigh(h.matrix)
-    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
 def spectrum(h: Hamiltonian, tol_abs: float | None = None,
              size_limit: int = DENSE_SOLVER_LIMIT) -> Spectrum:
-    """Binned spectrum from the eigenvalues alone; refuses n beyond size_limit.
-
-    The eigenvalues come from the branch-symmetry quotient (module
-    docstring); the dense matrix is never built.
-    """
-    _check_dense_size(h, size_limit)
-    adjacency = h.graph.adjacency
-    root, shapes = _branch_shapes(adjacency, *_rooted_order(adjacency))
-    on_site = [h.potential.value(degree) for degree, _ in shapes]
+    """Binned spectrum from the quotients' eigenvalues alone; refuses n beyond size_limit."""
+    root, shapes, on_site = _shapes_of(h, size_limit)
     solve_dims: list[int] = []
     w = np.sort(_branch_eigenvalues(root, shapes, on_site, {}, solve_dims))
-    return _bin(w, _default_tol(w) if tol_abs is None else tol_abs, tuple(solve_dims))
+    return _bin(w, tol_abs, tuple(solve_dims))
+
+
+@dataclass(frozen=True)
+class ReturnWeights:
+    """W, lambda_j and Pi_q of the module docstring, and the binned spectrum."""
+
+    eigenvalues: np.ndarray
+    weights: np.ndarray
+    nodes: np.ndarray
+    spectrum: Spectrum
+
+
+def return_weights(h: Hamiltonian, size_limit: int = DENSE_SOLVER_LIMIT) -> ReturnWeights:
+    """Weights of the node-averaged return probability; refuses n beyond size_limit."""
+    root, shapes, on_site = _shapes_of(h, size_limit)
+    solve_dims: list[int] = []
+    nodes, blocks = _branch_weights(root, shapes, on_site, {}, solve_dims)
+    eigenvalues = np.concatenate([w for w, _ in blocks.values()])
+    weights = np.hstack([b for _, b in blocks.values()])
+    w = np.sort(np.repeat(eigenvalues, np.rint(nodes @ weights).astype(np.int64)))
+    return ReturnWeights(eigenvalues, weights, nodes, _bin(w, None, tuple(solve_dims)))
+
+
+def _shapes_of(h: Hamiltonian, size_limit: int):
+    """Root shape id, branch shapes and each shape's on-site value; refuses n beyond size_limit."""
+    if h.n > size_limit:
+        raise SizeLimitError(f"n={h.n} exceeds the dense solver limit {size_limit}; "
+                             "use structural estimators at this scale")
+    adjacency = h.graph.adjacency
+    root, shapes = _branch_shapes(adjacency, *_rooted_order(adjacency))
+    return root, shapes, [h.potential.value(degree) for degree, _ in shapes]
 
 
 def _rooted_order(adjacency) -> tuple[list[int], list[int]]:
@@ -246,64 +241,77 @@ def _branch_shapes(adjacency, order, parent):
     return sid, list(ids)
 
 
+def _quotient(s: int, shapes, on_site):
+    """Quotient matrix of a branch of shape s, Pi of each position, and its groups.
+
+    A group of k >= 2 equal child branches is one copy joined by sqrt(k),
+    listed as (first position, shape, k).  Positions are numbered in
+    preorder as they are popped, so each copy is one block of positions
+    ordered as its shape's own quotient; `_branch_weights` relies on
+    this.  The walk is iterative because a chain is n deep.
+    """
+    diag, parents, ks, nodes, groups = [], [], [], [], []
+    stack = [(s, -1, 1)]
+    while stack:
+        t, parent, k = stack.pop()
+        if k > 1:
+            groups.append((len(diag), t, k))
+        diag.append(on_site[t])
+        parents.append(parent)
+        ks.append(k)
+        nodes.append(k * nodes[parent] if parent >= 0 else 1)
+        stack.extend((c, len(diag) - 1, kc) for c, kc in reversed(shapes[t][1]))
+    matrix = np.diag(diag)
+    rows = np.arange(1, len(diag))
+    matrix[rows, parents[1:]] = matrix[parents[1:], rows] = np.sqrt(ks[1:])
+    return matrix, nodes, groups
+
+
 def _branch_eigenvalues(s: int, shapes, on_site, memo: dict, solve_dims: list) -> np.ndarray:
     """All eigenvalues of a branch of shape s, unsorted, memoized per shape.
 
-    One eigvalsh on the quotient of the branch, where every group of k
-    equal child branches is one copy joined by sqrt(k), plus k - 1
-    copies of that child's own spectrum.  A repeated shape has at most
-    half the nodes of the branch holding it, so the recursion is at most
-    log2(n) deep; the walk over the quotient is iterative because a
-    chain is n deep.
+    One eigvalsh on its quotient plus k - 1 copies of each group's own
+    spectrum.  A repeated shape has at most half the nodes of the branch
+    holding it, so the recursion is at most log2(n) deep.
     """
-    if s in memo:
-        return memo[s]
-    diag = [on_site[s]]
-    rows: list[int] = []
-    cols: list[int] = []
-    couplings: list[float] = []
-    extra: Counter = Counter()  # child shape -> copies of its spectrum
-    stack = [(s, 0)]
-    while stack:
-        t, i = stack.pop()
-        for c, k in shapes[t][1]:
-            rows.append(i)
-            cols.append(len(diag))
-            couplings.append(math.sqrt(k))
-            stack.append((c, len(diag)))
-            diag.append(on_site[c])
-            if k > 1:
-                extra[c] += k - 1
-    quotient = np.diag(diag)
-    quotient[rows, cols] = couplings
-    quotient[cols, rows] = couplings
-    solve_dims.append(len(diag))
-    parts = [np.linalg.eigvalsh(quotient)]
-    for c, copies in extra.items():
-        parts.append(np.tile(_branch_eigenvalues(c, shapes, on_site, memo, solve_dims), copies))
-    memo[s] = np.concatenate(parts)
+    if s not in memo:
+        matrix, _, groups = _quotient(s, shapes, on_site)
+        solve_dims.append(len(matrix))
+        memo[s] = np.concatenate([np.linalg.eigvalsh(matrix)] + [
+            np.tile(_branch_eigenvalues(c, shapes, on_site, memo, solve_dims), k - 1)
+            for _, c, k in groups])
     return memo[s]
 
 
-def default_degeneracy_tol(es: EigenSystem) -> float:
-    return _default_tol(es.eigenvalues)
+def _branch_weights(s: int, shapes, on_site, memo: dict, solve_dims: list):
+    """Pi of each quotient position of shape s, and per shape solved in the branch
+    its quotient's eigenvalues and weights (position x eigenvector); memoized per shape.
+    """
+    if s not in memo:
+        matrix, nodes, groups = _quotient(s, shapes, on_site)
+        solve_dims.append(len(matrix))
+        w, x = np.linalg.eigh(matrix)
+        nodes = np.array(nodes)
+        blocks = {s: (w, x * x / nodes[:, None])}
+        for start, c, k in groups:  # nodes[start] = k Pi_p, so this is (1 - 1/k) / Pi_p
+            for d, (wd, block) in _branch_weights(c, shapes, on_site, memo, solve_dims)[1].items():
+                if d not in blocks:
+                    blocks[d] = (wd, np.zeros((len(nodes), len(wd))))
+                blocks[d][1][start:start + len(block)] += (k - 1) / nodes[start] * block
+        memo[s] = nodes, blocks
+    return memo[s]
 
 
-def _default_tol(w: np.ndarray) -> float:
-    return 1e-8 * (float(w[-1] - w[0]) + 1.0)
-
-
-def bin_degeneracies(es: EigenSystem, tol_abs: float) -> Spectrum:
-    """Merge consecutive eigenvalues within tol_abs into one class.
+def _bin(w: np.ndarray, tol_abs: float | None, solve_dims: tuple[int, ...] = ()) -> Spectrum:
+    """Merge consecutive sorted eigenvalues within tol_abs into one class.
 
     The class representative is the class mean.  Because clusters are
     separated by raw gaps above tol_abs, representatives of distinct
-    classes are more than tol_abs apart.
+    classes are more than tol_abs apart.  The default tolerance is 1e-8
+    times (spectral width + 1).
     """
-    return _bin(es.eigenvalues, tol_abs)
-
-
-def _bin(w: np.ndarray, tol_abs: float, solve_dims: tuple[int, ...] = ()) -> Spectrum:
+    if tol_abs is None:
+        tol_abs = 1e-8 * (float(w[-1] - w[0]) + 1.0)
     if not tol_abs > 0:
         raise InvalidParameterError(f"tol_abs must be positive, got {tol_abs}")
     n = len(w)

@@ -16,7 +16,6 @@ import pytest
 from qtree import (
     CONNECTIVITY,
     EnsembleConfig,
-    bin_degeneracies,
     build_hamiltonian,
     chi_dendrimer_inf,
     chi_exact,
@@ -27,9 +26,6 @@ from qtree import (
     chi_sft_infinite,
     chi_structural,
     chi_vicsek_inf,
-    default_degeneracy_tol,
-    default_time_grid,
-    eigendecompose,
     generate_chain,
     generate_dendrimer,
     generate_sft,
@@ -37,14 +33,15 @@ from qtree import (
     generate_vicsek,
     kappa_fit,
     leaf_pair_eigenstates,
-    mean_return_probability_series,
     multiplicity_exact,
-    return_amplitude_series,
     rho_star_structural,
     run_ensemble,
     structural_stats,
     time_average,
+    time_series,
 )
+
+from conftest import dense_matrix, dense_reference
 
 
 def _criterion(num, name, ok, detail=""):
@@ -56,8 +53,8 @@ def _criterion(num, name, ok, detail=""):
 
 def _spectrum(g, potential=CONNECTIVITY):
     h = build_hamiltonian(g, potential)
-    es = eigendecompose(h)
-    return h, es, bin_degeneracies(es, default_degeneracy_tol(es))
+    es = dense_reference(h)
+    return h, es, es.spectrum()
 
 
 def test_criterion_01_chain_identity():
@@ -144,8 +141,9 @@ def test_criterion_04_leaf_pair_eigenstates():
         vectors = leaf_pair_eigenstates(g, h)
         if len(vectors) != st.n_leaves - st.n_parents:
             counts_ok = False
+        matrix = dense_matrix(h)
         for v in vectors:
-            worst = max(worst, float(np.max(np.abs(h.matrix @ v - h.e_star * v))))
+            worst = max(worst, float(np.max(np.abs(matrix @ v - h.e_star * v))))
     ok = worst <= 1e-12 and counts_ok
     _criterion(4, "leaf-pair eigenstates at E*", ok,
                f"max residual = {worst:.2e}, counts N_L - N_P: {counts_ok}")
@@ -246,12 +244,10 @@ def test_criterion_09_time_domain_inequality():
     worst_gap = -1.0
     worst_avg = 0.0
     for g in [generate_chain(8), generate_star(8), generate_dendrimer(3, 3)]:
-        h, es, sp = _spectrum(g)
-        t = default_time_grid(es, samples=10_000)
-        alpha2 = return_amplitude_series(sp, t)
-        pibar = mean_return_probability_series(es, t)
-        worst_gap = max(worst_gap, float(np.max(alpha2 - pibar)))
-        worst_avg = max(worst_avg, abs(time_average(alpha2, t) - chi_exact(sp)))
+        ts = time_series(build_hamiltonian(g), samples=10_000)
+        worst_gap = max(worst_gap, float(np.max(ts.abs_alpha_sq - ts.pi_bar)))
+        worst_avg = max(worst_avg, abs(time_average(ts.abs_alpha_sq, ts.times)
+                                       - chi_exact(ts.weights.spectrum)))
     elapsed = time.monotonic() - started
     ok = worst_gap <= 1e-12 and worst_avg <= 1e-2 and elapsed < 30.0
     _criterion(9, "time-domain inequality and average", ok,

@@ -1,12 +1,19 @@
-"""End-to-end CLI checks via subprocess."""
+"""End-to-end CLI checks via subprocess, and the CLI's input parsers in-process."""
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtree import Potential, QtreeError
+from qtree import cli
 
 
 def run_cli(*args):
@@ -265,6 +272,13 @@ def test_timeseries_rerun_identical(tmp_path):
     assert run_cli("rerun", str(out) + ".manifest.json",
                    "--out", str(second)).returncode == 0
     assert second.read_bytes() == out.read_bytes()
+    for manifest_path in (str(out) + ".manifest.json", str(second) + ".manifest.json"):
+        manifest = json.loads(Path(manifest_path).read_text())
+        assert sorted(manifest["timings"]) == ["read_s", "series_s", "write_s"]
+        assert all(v >= 0 for v in manifest["timings"].values())
+        # star(5): a 2-position quotient at the root and the 1-node leaf shape
+        assert manifest["counters"] == {"n": 5, "eigh_calls": 2, "largest_solve_dim": 2,
+                                        "weight_columns": 3}
 
 
 def test_chi_rerun_identical(tmp_path):
@@ -366,6 +380,33 @@ def _rerun_chi_text_tol_abs(tmp_path):
     return _rerun_of(tmp_path, "chi", {"tol_abs": "x"}), "'tol_abs'"
 
 
+def _option_case(command, key, value, rerun):
+    """A case giving `command` the out-of-range `value` for option `key`."""
+    flag = "--" + key.replace("_", "-")
+
+    def make_case(tmp_path):
+        if rerun:
+            return _rerun_of(tmp_path, command, {key: value}), flag
+        edges = tmp_path / "s5.edges"
+        run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges))
+        return [command, "--in", str(edges), flag, str(value)], flag
+
+    make_case.__name__ = f"{'rerun_' if rerun else ''}{command}_{key}_{value}"
+    return make_case
+
+
+_OUT_OF_RANGE_OPTIONS = [
+    _option_case(command, key, value, rerun)
+    for rerun in (False, True)
+    for command, key, value in [
+        ("timeseries", "samples", 0), ("timeseries", "samples", -5),
+        ("timeseries", "samples", 1), ("chi", "size_limit", 0),
+        ("timeseries", "t_max", 0.0), ("timeseries", "t_max", float("nan")),
+        ("timeseries", "t_max", float("inf")),
+    ]
+]
+
+
 def _non_utf8_edge_list(tmp_path):
     edges = tmp_path / "latin1.edges"
     edges.write_bytes("# label=caf\xe9\n2\n0 1\n".encode("latin-1"))
@@ -397,7 +438,7 @@ def _infinite_sft_exponent(tmp_path):
      _rerun_chi_numeric_in,
      _rerun_timeseries_text_samples, _rerun_chi_text_tol_abs,
      _non_utf8_edge_list, _non_utf8_fit_kappa_csv, _non_numeric_s_grid,
-     _infinite_s_grid, _infinite_sft_exponent],
+     _infinite_s_grid, _infinite_sft_exponent, *_OUT_OF_RANGE_OPTIONS],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_malformed_input_exit_2(tmp_path, make_case):
@@ -435,6 +476,23 @@ def test_oversize_tree_exit_4_without_dense_allocation(tmp_path, command):
     assert "Traceback" not in res.stderr
 
 
+def test_timeseries_star_4000_within_address_space_cap(tmp_path):
+    # a dense eigh of the 4000 x 4000 matrix and its eigenvectors does not
+    # fit under this cap; the star's quotient at the root has two positions
+    edges = tmp_path / "star.edges"
+    assert run_cli("gen", "--family", "star", "--n", "4000", "--out", str(edges)).returncode == 0
+    out = tmp_path / "ts.csv"
+    res = _run_cli_capped(256 << 20, "timeseries", "--in", str(edges), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 10_000 + 1
+    footer = dict(item.split("=") for item in lines[-1].lstrip("# ").split())
+    # E* = 1 holds n - 2 leaf-pair states; the other two eigenvalues are simple
+    assert float(footer["chi_exact"]) == pytest.approx((3998 / 4000) ** 2 + 2 / 4000 ** 2,
+                                                       rel=1e-12)
+    assert float(footer["time_average_pi_bar"]) >= float(footer["chi_exact"]) - 0.01
+
+
 def test_outputs_leave_no_temporary_files(tmp_path):
     assert run_cli("gen", "--family", "sft", "--n", "40", "--s", "2.5",
                    "--out", str(tmp_path / "t.edges")).returncode == 0
@@ -466,3 +524,61 @@ def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
     assert res.stdout.startswith("qtree ")
+
+
+POTENTIAL_TABLE_LIKE = st.lists(
+    st.one_of(
+        st.text(max_size=12),
+        st.tuples(st.integers(-2, 8), st.floats()).map(lambda e: f"{e[0]} {e[1]}"),
+        st.tuples(st.integers(1, 5), st.floats(-10, 10)).map(lambda e: f"{e[0]},{e[1]}"),
+        st.sampled_from(["# comment", "1 nan", "2 inf", "3 -inf", "1 1e999", "x 1", "1", " "]),
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(), POTENTIAL_TABLE_LIKE))
+def test_parse_potential_table_accepts_or_refuses_cleanly(text):
+    with tempfile.TemporaryDirectory() as work:
+        table = Path(work) / "pot.txt"
+        table.write_text(text, encoding="utf-8")
+        try:
+            potential = cli._parse_potential(f"custom={table}")
+        except QtreeError:
+            return
+    assert isinstance(potential, Potential) and potential.table
+    assert all(isinstance(value, float) and value == value and abs(value) != float("inf")
+               for value in potential.table.values())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+PARAM_KEYS = st.sampled_from(["in", "out", "n", "s", "s_grid", "r", "paper_r", "samples",
+                              "t_max", "size_limit", "tol_abs", "potential", "estimator",
+                              "family", "y_column", "workers", "help", "other"])
+MANIFEST_LIKE = st.fixed_dictionaries(
+    {"format": st.sampled_from([cli.MANIFEST_FORMAT, "qtree-manifest-0"]),
+     "command": st.sampled_from([*cli._RUNNERS, "rerun", "nope"]) | JSON_VALUES},
+    optional={"params": st.dictionaries(PARAM_KEYS, JSON_VALUES, max_size=6) | JSON_VALUES},
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(), MANIFEST_LIKE.map(json.dumps), JSON_VALUES.map(json.dumps)))
+def test_rerun_manifest_reader_accepts_or_refuses_cleanly(text):
+    # the runners are replaced, so an accepted manifest runs nothing
+    ran = []
+    runners = {name: (lambda params, name=name: ran.append(name) or 0) for name in cli._RUNNERS}
+    with tempfile.TemporaryDirectory() as work, mock.patch.dict(cli._RUNNERS, runners):
+        manifest = Path(work) / "m.json"
+        manifest.write_text(text, encoding="utf-8")
+        try:
+            assert cli.run_rerun({"manifest": str(manifest), "out": None, "workers": None}) == 0
+        except QtreeError:
+            return
+    assert len(ran) == 1

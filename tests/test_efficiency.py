@@ -13,7 +13,6 @@ from qtree import (
     OutOfDomainError,
     Spectrum,
     avg_f_sft,
-    bin_degeneracies,
     build_hamiltonian,
     chi_dendrimer_inf,
     chi_exact,
@@ -24,10 +23,8 @@ from qtree import (
     chi_sft_infinite,
     chi_structural,
     chi_vicsek_inf,
-    default_degeneracy_tol,
     default_time_grid,
     efficiency_report,
-    eigendecompose,
     generate_chain,
     generate_dendrimer,
     generate_sft,
@@ -36,6 +33,7 @@ from qtree import (
     kappa_fit,
     mean_return_probability_series,
     return_amplitude_series,
+    return_weights,
     rho_star_structural,
     structural_stats,
     time_average,
@@ -43,13 +41,16 @@ from qtree import (
 )
 from qtree.efficiency import _flat_bound_truncated
 
+from conftest import dense_reference
+
 mpmath.mp.dps = 30
 
 
 def spectrum_of(g, potential=CONNECTIVITY):
+    """Hamiltonian, dense reference eigensystem and its binned spectrum."""
     h = build_hamiltonian(g, potential)
-    es = eigendecompose(h)
-    return h, es, bin_degeneracies(es, default_degeneracy_tol(es))
+    es = dense_reference(h)
+    return h, es, es.spectrum()
 
 
 def eq8_fraction_oracle(a: Fraction, b: Fraction, n: int) -> Fraction:
@@ -382,10 +383,10 @@ def test_star4_long_time_average_reaches_chi():
 
 def test_return_probability_dominates_amplitude():
     for g in [generate_star(4), generate_chain(6), generate_dendrimer(3, 2)]:
-        h, es, sp = spectrum_of(g)
-        t = default_time_grid(es, samples=2000)
+        h, _, sp = spectrum_of(g)
+        t = default_time_grid(sp, samples=2000)
         alpha2 = return_amplitude_series(sp, t)
-        pibar = mean_return_probability_series(es, t)
+        pibar = mean_return_probability_series(return_weights(h), t)
         assert alpha2[0] == pytest.approx(1.0, abs=1e-12)
         assert pibar[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(alpha2 <= pibar + 1e-12)
@@ -394,9 +395,9 @@ def test_return_probability_dominates_amplitude():
 
 
 def test_chain3_mean_return_probability_average_above_chi():
-    _, es, sp = spectrum_of(generate_chain(3))
+    h, _, sp = spectrum_of(generate_chain(3))
     t = np.linspace(0, 200, 10_000)
-    avg = time_average(mean_return_probability_series(es, t), t)
+    avg = time_average(mean_return_probability_series(return_weights(h), t), t)
     assert avg >= chi_exact(sp) - 0.01
 
 
@@ -510,6 +511,9 @@ def test_time_series_bundle():
     assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(ts.abs_alpha_sq <= ts.pi_bar + 1e-12)
     assert time_average(ts.abs_alpha_sq, ts.times) == pytest.approx(0.375, abs=0.02)
+    # without times: the default grid of the requested length, from the weights' spectrum
+    ts = time_series(h, samples=50)
+    assert np.array_equal(ts.times, default_time_grid(ts.weights.spectrum, samples=50))
 
 
 def _reference_flat_bound(a, b, n):

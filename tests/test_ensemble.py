@@ -7,12 +7,9 @@ from qtree import (
     EnsembleConfig,
     InvalidParameterError,
     SizeLimitError,
-    bin_degeneracies,
     build_hamiltonian,
     chi_lower_from_density,
     chi_structural,
-    default_degeneracy_tol,
-    eigendecompose,
     generate_sft,
     realization_seed,
     run_ensemble,
@@ -20,6 +17,8 @@ from qtree import (
     sweep,
     sweep_csv_text,
 )
+
+from conftest import dense_reference
 
 
 def test_three_node_ensemble_is_forced():
@@ -86,8 +85,7 @@ def test_spectral_exact_estimator_matches_direct_path():
     res = run_ensemble(cfg, keep_per_realization=True)
     g = generate_sft(40, 2.5, 39, realization_seed(21, 2))
     h = build_hamiltonian(g, CONNECTIVITY)
-    es = eigendecompose(h)
-    sp = bin_degeneracies(es, default_degeneracy_tol(es))
+    sp = dense_reference(h).spectrum()
     expected = 1.0 - chi_lower_from_density(sp.density_at(h.e_star), 40)
     assert res.per_realization[2] == expected
 

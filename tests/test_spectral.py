@@ -11,50 +11,60 @@ from qtree import (
     IncompletePotentialError,
     InvalidParameterError,
     SizeLimitError,
+    Potential,
     UnsupportedExactModeError,
-    bin_degeneracies,
     build_hamiltonian,
     custom_potential,
-    default_degeneracy_tol,
-    eigendecompose,
     generate_chain,
     generate_dendrimer,
     generate_sft,
     generate_star,
     generate_vicsek,
     leaf_pair_eigenstates,
+    mean_return_probability_series,
     multiplicity_exact,
     parse_edge_list_text,
+    return_weights,
     spectrum,
     spectrum_csv_text,
     structural_stats,
 )
+from qtree.spectral import _bin
+
+from conftest import dense_matrix, dense_reference, dense_return_probability
 
 
 def spectrum_of(g, potential=CONNECTIVITY, tol=None):
+    """Hamiltonian, dense reference eigensystem and its binned spectrum."""
     h = build_hamiltonian(g, potential)
-    es = eigendecompose(h)
-    return h, es, bin_degeneracies(es, tol or default_degeneracy_tol(es))
+    es = dense_reference(h)
+    return h, es, es.spectrum(tol)
 
 
 def test_build_chain3_connectivity_matrix():
     h = build_hamiltonian(generate_chain(3), CONNECTIVITY)
     expected = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
-    assert np.array_equal(h.matrix, expected)
+    assert np.array_equal(dense_matrix(h), expected)
     assert h.e_star == 1.0
 
 
 def test_build_star4_adjacency_matrix():
     h = build_hamiltonian(generate_star(4), ADJACENCY)
-    assert np.array_equal(np.diag(h.matrix), np.zeros(4))
-    assert np.array_equal(h.matrix[0, 1:], np.ones(3))
+    assert np.array_equal(np.diag(dense_matrix(h)), np.zeros(4))
+    assert np.array_equal(dense_matrix(h)[0, 1:], np.ones(3))
     assert h.e_star == 0.0
 
 
 def test_build_custom_potential():
     h = build_hamiltonian(generate_chain(3), custom_potential({1: 5.0, 2: 7.0}))
-    assert np.array_equal(np.diag(h.matrix), np.array([5.0, 7.0, 5.0]))
+    assert np.array_equal(np.diag(dense_matrix(h)), np.array([5.0, 7.0, 5.0]))
     assert h.e_star == 5.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_custom_potential_rejects_non_finite(value):
+    with pytest.raises(InvalidParameterError, match=r"not finite .*\[3\]"):
+        custom_potential({1: 1.0, 3: value})
 
 
 def test_build_custom_potential_missing_entry():
@@ -62,13 +72,13 @@ def test_build_custom_potential_missing_entry():
         build_hamiltonian(generate_star(5), custom_potential({1: 0.5}))
 
 
-def test_eigendecompose_chain3():
+def test_dense_reference_chain3():
     # characteristic polynomial by hand: (1-x) x (x-3)
     _, es, _ = spectrum_of(generate_chain(3))
     assert np.allclose(es.eigenvalues, [0.0, 1.0, 3.0], atol=1e-9)
 
 
-def test_eigendecompose_star4():
+def test_dense_reference_star4():
     # symmetric/antisymmetric reduction: {0, 1, 1, 4}
     _, es, _ = spectrum_of(generate_star(4))
     assert np.allclose(es.eigenvalues, [0.0, 1.0, 1.0, 4.0], atol=1e-9)
@@ -88,9 +98,9 @@ def test_eigendecompose_star4():
 def test_eigensystem_invariants(g):
     for potential in (CONNECTIVITY, ADJACENCY):
         h = build_hamiltonian(g, potential)
-        es = eigendecompose(h)
-        scale = np.linalg.norm(h.matrix)
-        residual = h.matrix @ es.eigenvectors - es.eigenvectors * es.eigenvalues
+        es = dense_reference(h)
+        scale = np.linalg.norm(es.matrix)
+        residual = es.matrix @ es.eigenvectors - es.eigenvectors * es.eigenvalues
         assert np.max(np.abs(residual)) <= 1e-9 * scale
         gram = es.eigenvectors.T @ es.eigenvectors
         assert np.max(np.abs(gram - np.eye(g.n))) <= 1e-9
@@ -101,10 +111,10 @@ def test_eigensystem_invariants(g):
         )
 
 
-def test_eigendecompose_size_limit():
+def test_quotient_solvers_size_limit():
     h = build_hamiltonian(generate_chain(40))
     with pytest.raises(SizeLimitError):
-        eigendecompose(h, size_limit=39)
+        return_weights(h, size_limit=39)
     with pytest.raises(SizeLimitError):
         spectrum(h, size_limit=39)
 
@@ -125,21 +135,17 @@ def test_bin_chain3_singletons():
 
 
 def test_bin_merges_within_tolerance():
-    from qtree import EigenSystem
-
-    es = EigenSystem(np.array([1.0, 1.0 + 1e-12]), np.eye(2))
-    sp = bin_degeneracies(es, 1e-8)
+    sp = _bin(np.array([1.0, 1.0 + 1e-12]), 1e-8)
     assert len(sp.classes) == 1
     assert sp.classes[0][1] == 2
     assert sp.classes[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bin_rejects_nonpositive_tolerance():
-    from qtree import EigenSystem
-
-    es = EigenSystem(np.array([0.0, 1.0]), np.eye(2))
     with pytest.raises(InvalidParameterError):
-        bin_degeneracies(es, 0.0)
+        _bin(np.array([0.0, 1.0]), 0.0)
+    with pytest.raises(InvalidParameterError):
+        spectrum(build_hamiltonian(generate_chain(3)), tol_abs=0.0)
 
 
 def test_bin_large_chain_keeps_simple_spectrum():
@@ -147,8 +153,8 @@ def test_bin_large_chain_keeps_simple_spectrum():
     # default tolerance: 1024 singleton classes, chi exactly 1/N
     g = generate_chain(1024)
     h = build_hamiltonian(g)
-    es = eigendecompose(h)
-    sp = bin_degeneracies(es, default_degeneracy_tol(es))
+    es = dense_reference(h)
+    sp = spectrum(h)
     assert len(sp.classes) == 1024
     assert all(m == 1 for _, m in sp.classes)
     assert np.min(np.diff(es.eigenvalues)) > 100 * sp.tol_abs
@@ -189,9 +195,12 @@ def test_multiplicity_exact_fraction_eigenvalue():
 
 
 def test_multiplicity_exact_rejects_non_finite():
-    h = build_hamiltonian(generate_star(4), custom_potential({1: float("nan"), 3: 1.0}))
+    # custom_potential refuses such a table; a Potential built directly does not
+    h = build_hamiltonian(generate_star(4), Potential("custom", {1: float("nan"), 3: 1.0}))
     with pytest.raises(UnsupportedExactModeError):
         multiplicity_exact(h, 1)
+    with pytest.raises(UnsupportedExactModeError):
+        multiplicity_exact(build_hamiltonian(generate_star(4)), float("nan"))
 
 
 def test_oracle_equivalence_on_random_sfts():
@@ -249,16 +258,39 @@ def test_tree_oracle_matches_binned_spectrum(g, potential):
                          ids=lambda p: p.kind)
 @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
 def test_spectrum_matches_eigendecomposition_binning(g, potential):
-    # spectrum solves the branch-symmetry quotient; eigendecompose the dense matrix
+    # spectrum solves the branch-symmetry quotient; the reference the dense matrix
     h = build_hamiltonian(g, potential)
     sp = spectrum(h)
-    assert "matrix" not in vars(h)  # the dense matrix was never built
-    es = eigendecompose(h)
-    reference = bin_degeneracies(es, default_degeneracy_tol(es))
+    assert not hasattr(h, "matrix")  # no dense matrix exists in the program
+    reference = dense_reference(h).spectrum()
     assert sum(m for _, m in sp.classes) == g.n
     assert sum(sp.solve_dims) <= g.n
     assert [m for _, m in sp.classes] == [m for _, m in reference.classes]
     assert np.allclose([r for r, _ in sp.classes], [r for r, _ in reference.classes],
+                       rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY, QUADRATIC_POTENTIAL],
+                         ids=lambda p: p.kind)
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
+def test_return_weights_match_dense_reference(g, potential):
+    h = build_hamiltonian(g, potential)
+    rw = return_weights(h)
+    ref = dense_reference(h)
+    t = np.linspace(0.0, 400.0, 33)
+    gap = mean_return_probability_series(rw, t) - dense_return_probability(ref, t)
+    assert np.max(np.abs(gap)) <= 1e-10
+    # every tree node at a position carries the whole of its norm
+    assert np.allclose(rw.weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert rw.nodes.sum() == g.n
+    # each column stands for a whole number of tree eigenvectors, n in all
+    copies = rw.nodes @ rw.weights
+    assert np.allclose(copies, np.rint(copies), rtol=0.0, atol=1e-9)
+    assert np.all(np.rint(copies) >= 1) and np.rint(copies).sum() == g.n
+    assert rw.weights.shape[1] == len(rw.eigenvalues) == sum(rw.spectrum.solve_dims) <= g.n
+    sp = spectrum(h)
+    assert [m for _, m in rw.spectrum.classes] == [m for _, m in sp.classes]
+    assert np.allclose([r for r, _ in rw.spectrum.classes], [r for r, _ in sp.classes],
                        rtol=0.0, atol=1e-11)
 
 
@@ -286,7 +318,7 @@ def test_leaf_pair_star4():
     vectors = leaf_pair_eigenstates(g, h)
     assert len(vectors) == 2
     for v in vectors:
-        assert np.linalg.norm(h.matrix @ v - h.e_star * v) <= 1e-12
+        assert np.linalg.norm(dense_matrix(h) @ v - h.e_star * v) <= 1e-12
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -320,8 +352,9 @@ def test_leaf_pair_invariants(g):
         basis = np.array(vectors)
         gram = basis @ basis.T
         assert np.max(np.abs(gram - np.eye(len(vectors)))) <= 1e-12
+        matrix = dense_matrix(h)
         for v in vectors:
-            assert np.linalg.norm(h.matrix @ v - h.e_star * v) <= 1e-12
+            assert np.linalg.norm(matrix @ v - h.e_star * v) <= 1e-12
 
 
 def test_spectrum_csv_format():
