@@ -291,26 +291,26 @@ class TimeSeries:
     weights: ReturnWeights = field(repr=False, compare=False)
 
 
+def _phase_sums(times, freqs, weights, share) -> np.ndarray:
+    """sum_q share_q |sum_j weights[q, j] exp(-i freqs_j t)|^2 at each time t."""
+    # Blocks of at most 2^16 phases (1 MiB) stay under the 4 MiB from which numpy asks
+    # for transparent huge pages, so peak memory does not depend on free huge pages.
+    out, step = np.empty(len(times)), max(1, (1 << 16) // len(freqs))
+    for start in range(0, len(times), step):
+        amp = np.exp(-1j * np.outer(times[start : start + step], freqs)) @ weights.T
+        out[start : start + len(amp)] = (np.abs(amp) ** 2) @ share
+    return out
+
+
 def return_amplitude_series(sp: Spectrum, times: Sequence[float]) -> np.ndarray:
     """|averaged return amplitude|^2 from the spectral density alone."""
-    t = np.asarray(times, dtype=float)
-    reps = np.array([rep for rep, _ in sp.classes])
-    dens = np.array([mult / sp.n for _, mult in sp.classes])
-    amp = np.exp(-1j * np.outer(t, reps)) @ dens
-    return np.abs(amp) ** 2
+    dens = np.array([[mult / sp.n for _, mult in sp.classes]])
+    return _phase_sums(times, np.array([rep for rep, _ in sp.classes]), dens, np.ones(1))
 
 
 def mean_return_probability_series(rw: ReturnWeights, times: Sequence[float]) -> np.ndarray:
     """Node-averaged return probability from the quotient weights (spectral module docstring)."""
-    t = np.asarray(times, dtype=float)
-    share = rw.nodes / rw.nodes.sum()  # fraction of the tree's nodes at each position
-    chunk = max(1, (1 << 21) // len(rw.eigenvalues))  # about 32 MB of phases at a time
-    out = np.empty(len(t))
-    for start in range(0, len(t), chunk):
-        phases = np.exp(-1j * np.outer(t[start : start + chunk], rw.eigenvalues))
-        amp = phases @ rw.weights.T  # (time, position) return amplitudes
-        out[start : start + len(amp)] = (np.abs(amp) ** 2) @ share
-    return out
+    return _phase_sums(times, rw.eigenvalues, rw.weights, rw.nodes / rw.nodes.sum())
 
 
 def default_time_grid(sp: Spectrum, samples: int = 10_000, horizon: float = 50.0) -> np.ndarray:

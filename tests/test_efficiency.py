@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -399,6 +400,21 @@ def test_chain3_mean_return_probability_average_above_chi():
     t = np.linspace(0, 200, 10_000)
     avg = time_average(mean_return_probability_series(return_weights(h), t), t)
     assert avg >= chi_exact(sp) - 0.01
+
+
+def test_series_memory_does_not_grow_with_the_grid():
+    # chain(301) has no branch symmetry: 301 columns, so one (time, column)
+    # array over 20 000 times would take 96 MB
+    rw = return_weights(build_hamiltonian(generate_chain(301), CONNECTIVITY))
+    t = np.linspace(0.0, 400.0, 20_000)
+    tracemalloc.start()
+    try:
+        return_amplitude_series(rw.spectrum, t)
+        mean_return_probability_series(rw, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_time_average_convergence_schedule():
