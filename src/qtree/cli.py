@@ -40,15 +40,7 @@ from .ensemble import (
     sweep,
     sweep_csv_text,
 )
-from .errors import (
-    DegenerateAverageError,
-    IncompletePotentialError,
-    InvalidParameterError,
-    NoParentsError,
-    OutOfDomainError,
-    SizeLimitError,
-    UnsupportedExactModeError,
-)
+from .errors import InvalidParameterError, QtreeError, SizeLimitError
 from .graphs import (
     FORMAT_HEADER,
     edge_list_text,
@@ -502,22 +494,15 @@ def main(argv: list[str] | None = None) -> int:
         if command == "sweep" and params.get("workers") is not None:
             resolve_workers(params["workers"])
         return _RUNNERS[command](params)
-    except (
-        InvalidParameterError,
-        OutOfDomainError,
-        DegenerateAverageError,
-        NoParentsError,
-        IncompletePotentialError,
-        UnsupportedExactModeError,
-    ) as exc:
+    except SizeLimitError as exc:
+        print(f"qtree: {exc}", file=sys.stderr)
+        return 4
+    except QtreeError as exc:
         print(f"qtree: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
         print(f"qtree: input file is not UTF-8 text ({exc})", file=sys.stderr)
         return 2
-    except SizeLimitError as exc:
-        print(f"qtree: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"qtree: {exc}", file=sys.stderr)
         return 3

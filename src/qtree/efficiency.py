@@ -201,9 +201,11 @@ def chi_dendrimer_inf(f):
     """Infinite-size chi of a dendrimer, (1 - 2/f)^2; exact on int input.
 
     Exact chi of finite dendrimers under the connectivity potential
-    approaches this for f = 4 and 5, but for f = 3 it settles near
-    0.1196 (0.11957, 0.11994, 0.11960 at g = 8, 9, 10, for any binning
-    tolerance from 1e-11 to 1e-6), not at 1/9.
+    approaches this for f = 5 (0.360018 at g = 7), but not for f = 3,
+    where it settles near 0.1196 (0.11957, 0.11994, 0.11960 at g = 8, 9,
+    10, for any binning tolerance from 1e-11 to 1e-6), nor for f = 4,
+    where it settles above 1/4 (0.250349, 0.250580, 0.250546 at g = 6,
+    8, 10); see notes/decisions.md section 06.
     """
     if f < 3:
         raise OutOfDomainError(f"dendrimer closed form needs f >= 3, got {f}")

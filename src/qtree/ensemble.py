@@ -32,10 +32,10 @@ from .errors import (
 )
 from .graphs import (
     FORMAT_HEADER,
+    TreeGraph,
     _count_leaves_and_parents,
     _grow_sft_parents,
     _sft_cdf,
-    generate_sft,
     write_text_atomic,
 )
 from .spectral import CONNECTIVITY, build_hamiltonian, spectrum
@@ -115,9 +115,8 @@ def _realize_block(
     counts = _count_leaves_and_parents(children, parents, cfg.n)
     if cfg.estimator == SPECTRAL_EXACT:
         values = []
-        for seed in seeds:
-            h = build_hamiltonian(generate_sft(cfg.n, cfg.s, cfg.resolved_f_max(), seed),
-                                  CONNECTIVITY)
+        for row in parents:
+            h = build_hamiltonian(TreeGraph((-1, *row.tolist())), CONNECTIVITY)
             values.append(chi_lower_from_density(spectrum(h).density_at(h.e_star), cfg.n))
         value = np.array(values)
     else:

@@ -1,10 +1,17 @@
 """Tree-network families and their structural statistics.
 
 Generators cover chains, stars, dendrimers, Vicsek fractals and randomly
-grown scale-free trees.  Graphs are undirected, connected and acyclic,
-stored as adjacency lists with 0-based breadth-first node indexing, so
-repeated construction with identical parameters yields identical edge
-lists.
+grown scale-free trees.  A tree is stored as its breadth-first parent
+array: node 0 is the root, every other node's parent has a lower index,
+and the children of each node are numbered consecutively in the order
+of their parents.  Repeated construction with identical parameters
+yields identical edge lists.
+
+Reading an edge list renumbers its nodes breadth-first from node 0,
+visiting neighbours in ascending order.  This is the identity on the
+files qtree writes; for any other file, node indices in the results
+(such as `StructuralStats.leaf_ids` and `parent_ids`) refer to that
+numbering.
 
 Structural statistics split the nodes into leaves (functionality 1),
 parents (non-leaves adjacent to at least one leaf) and the rest; these
@@ -14,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
@@ -32,25 +38,29 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class TreeGraph:
-    """Undirected tree given by per-node neighbor lists.
+    """Undirected tree given by its breadth-first parent array.
 
-    ``adjacency[j]`` holds the sorted neighbor indices of node ``j``; the
-    functionality (degree) of ``j`` is ``len(adjacency[j])``.  Instances
-    are immutable and safe to share across workers.
+    ``parents[0] = -1`` marks the root; every other node v has parent
+    ``parents[v] < v``, and ``parents[1:]`` is nondecreasing.  The
+    functionality (degree) of v is its child count, plus one for v > 0.
+    Instances are immutable and safe to share across workers.
     """
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    parents: tuple[int, ...]
     label: str = ""
 
+    @property
+    def n(self) -> int:
+        return len(self.parents)
+
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
+        degrees = np.bincount(np.array(self.parents[1:], dtype=np.int64), minlength=self.n)
+        degrees[1:] += 1
+        return degrees.tolist()
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted lexicographically."""
-        out = [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
-        out.sort()
-        return out
+        """All edges as (u, v) with u < v, sorted lexicographically: (parent, child)."""
+        return list(zip(self.parents[1:], range(1, self.n)))
 
 
 @dataclass(frozen=True)
@@ -72,34 +82,61 @@ class StructuralStats:
     parent_ids: tuple[int, ...]
 
 
-def _finalize(adj: list[list[int]], label: str) -> TreeGraph:
-    return TreeGraph(
-        n=len(adj),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        label=label,
-    )
+def _check_size(label: str, n: int, max_nodes: int = MAX_NODES_DEFAULT) -> None:
+    if n > max_nodes:
+        # str() refuses ints of more than 4300 digits
+        count = n if n.bit_length() <= 64 else "more than 2^64"
+        raise SizeLimitError(f"{label} has {count} nodes, above the limit {max_nodes}")
+
+
+def _bfs_parents(n: int, u, v) -> tuple[int, ...]:
+    """Breadth-first parent array of the graph on nodes 0..n-1 with edges (u[i], v[i]).
+
+    Nodes are renumbered in the order a breadth-first search from node 0
+    reaches them, visiting each node's neighbours in ascending order.
+    Refuses a graph in which some node is not reached; given n - 1
+    edges, that is exactly a graph that is not a tree (a cycle, a
+    self-loop or a repeated edge leaves it short of an edge).
+    """
+    ends = np.concatenate((u, v))
+    others = np.concatenate((v, u))
+    by_end = np.lexsort((others, ends))
+    nbrs = others[by_end].tolist()
+    starts = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+    new = [-1] * n
+    new[0] = 0
+    order = [0]
+    parents = [-1]
+    for p, old in enumerate(order):  # the list grows while it is walked
+        for w in nbrs[starts[old]:starts[old + 1]]:
+            if new[w] < 0:
+                new[w] = len(order)
+                order.append(w)
+                parents.append(p)
+    if len(order) < n:
+        raise InvalidParameterError(
+            f"edge list is not a tree: {n - len(order)} of its {n} nodes are not connected "
+            "to node 0 (with n - 1 edges, a cycle, self-loop or repeated edge does this)"
+        )
+    return tuple(parents)
 
 
 def generate_chain(n: int) -> TreeGraph:
     """Path graph 0-1-...-(n-1)."""
     if n < 2:
         raise InvalidParameterError(f"chain needs n >= 2, got {n}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n - 1):
-        adj[i].append(i + 1)
-        adj[i + 1].append(i)
-    return _finalize(adj, f"chain(n={n})")
+    label = f"chain(n={n})"
+    _check_size(label, n)
+    return TreeGraph(tuple(range(-1, n - 1)), label)
 
 
 def generate_star(n: int) -> TreeGraph:
     """Star with center 0 and n-1 leaves."""
     if n < 2:
         raise InvalidParameterError(f"star needs n >= 2, got {n}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        adj[0].append(i)
-        adj[i].append(0)
-    return _finalize(adj, f"star(n={n})")
+    label = f"star(n={n})"
+    _check_size(label, n)
+    return TreeGraph((-1,) + (0,) * (n - 1), label)
 
 
 def generate_dendrimer(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> TreeGraph:
@@ -114,49 +151,13 @@ def generate_dendrimer(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> Tr
         raise InvalidParameterError(f"dendrimer needs f >= 3, got {f}")
     if g < 1:
         raise InvalidParameterError(f"dendrimer needs g >= 1, got {g}")
+    label = f"dendrimer(f={f},g={g})"
     n_total = 1 + f * ((f - 1) ** g - 1) // (f - 2)
-    if n_total > max_nodes:
-        raise SizeLimitError(
-            f"dendrimer(f={f}, g={g}) has {n_total} nodes, above the limit {max_nodes}"
-        )
-    adj: list[list[int]] = [[] for _ in range(n_total)]
-    nxt = 1
-    frontier = [0]
-    for depth in range(g):
-        new_frontier = []
-        children_per_node = f if depth == 0 else f - 1
-        for node in frontier:
-            for _ in range(children_per_node):
-                adj[node].append(nxt)
-                adj[nxt].append(node)
-                new_frontier.append(nxt)
-                nxt += 1
-        frontier = new_frontier
-    assert nxt == n_total
-    return _finalize(adj, f"dendrimer(f={f},g={g})")
-
-
-def _bfs_relabel(adj: list[list[int]], root: int) -> list[list[int]]:
-    """Relabel nodes in BFS order from root, exploring neighbors ascending."""
-    n = len(adj)
-    order = []
-    seen = [False] * n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in sorted(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    relabel = [0] * n
-    for new, old in enumerate(order):
-        relabel[old] = new
-    out: list[list[int]] = [[] for _ in range(n)]
-    for old, nbrs in enumerate(adj):
-        out[relabel[old]] = [relabel[v] for v in nbrs]
-    return out
+    _check_size(label, n_total, max_nodes)
+    n_inner = n_total - f * (f - 1) ** (g - 1)  # all but the depth-g leaves
+    children = np.full(n_inner, f - 1)
+    children[0] = f
+    return TreeGraph((-1, *np.repeat(np.arange(n_inner), children).tolist()), label)
 
 
 def generate_vicsek(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> TreeGraph:
@@ -172,48 +173,26 @@ def generate_vicsek(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> TreeG
         raise InvalidParameterError(f"vicsek needs f >= 3, got {f}")
     if g < 1:
         raise InvalidParameterError(f"vicsek needs g >= 1, got {g}")
-    n_total = (f + 1) ** g
-    if n_total > max_nodes:
-        raise SizeLimitError(
-            f"vicsek(f={f}, g={g}) has {n_total} nodes, above the limit {max_nodes}"
-        )
-    adj: list[list[int]] = [[] for _ in range(f + 1)]
-    for i in range(1, f + 1):
-        adj[0].append(i)
-        adj[i].append(0)
-    m = f + 1
+    label = f"vicsek(f={f},g={g})"
+    _check_size(label, (f + 1) ** g, max_nodes)
+    parents = (-1,) + (0,) * f
     for _ in range(g - 1):
-        degrees = [len(nbrs) for nbrs in adj]
-        leaves = [u for u in range(m) if degrees[u] == 1]
-        copy_attach = min(leaves)
-        # arm of each node = which neighbor of the center its subtree hangs from
-        arm_leaf: dict[int, int] = {}
-        for root in sorted(adj[0]):
-            stack = [root]
-            seen = {0, root}
-            best = m
-            while stack:
-                u = stack.pop()
-                if degrees[u] == 1 and u < best:
-                    best = u
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            arm_leaf[root] = best
-        new_adj: list[list[int]] = [[] for _ in range(m * (f + 1))]
-        for offset in range(0, m * (f + 1), m):
-            for u, nbrs in enumerate(adj):
-                new_adj[u + offset] = [v + offset for v in nbrs]
-        for i, root in enumerate(sorted(arm_leaf), start=1):
-            u = arm_leaf[root]
-            v = i * m + copy_attach
-            new_adj[u].append(v)
-            new_adj[v].append(u)
-        adj = _bfs_relabel(new_adj, 0)
-        m *= f + 1
-    assert m == n_total
-    return _finalize(adj, f"vicsek(f={f},g={g})")
+        m = len(parents)
+        # the center's f children are nodes 1..f; arm[v] is the one v hangs from
+        arm = list(range(m))
+        for v in range(f + 1, m):
+            arm[v] = arm[parents[v]]
+        children = np.bincount(parents[1:], minlength=m)
+        leaves = np.flatnonzero(children == 0)  # node 0, the center, has f children
+        _, first = np.unique(np.array(arm)[leaves], return_index=True)
+        arm_leaves = leaves[first]  # lowest-index leaf of arms 1..f
+        copies = np.arange(f + 1)[:, None] * m
+        u = (np.array(parents[1:]) + copies).ravel()
+        v = (np.arange(1, m) + copies).ravel()
+        u = np.concatenate((u, arm_leaves))
+        v = np.concatenate((v, copies[1:, 0] + leaves[0]))
+        parents = _bfs_parents(m * (f + 1), u, v)
+    return TreeGraph(parents, label)
 
 
 def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
@@ -256,19 +235,6 @@ def _grow_sft_parents(cdf: np.ndarray, n: int, seeds: Sequence[int]) -> np.ndarr
     return np.searchsorted(slot_ends, bonds, side="right") - node_offset
 
 
-def _tree_from_parents(parents: np.ndarray, label: str) -> TreeGraph:
-    """TreeGraph of one parent array (parents[c - 1] < c is the parent of node c)."""
-    parent_of = parents.tolist()
-    n = len(parent_of) + 1
-    children: list[list[int]] = [[] for _ in range(n)]
-    for child, p in enumerate(parent_of, start=1):
-        children[p].append(child)
-    # parent < node < children, so each neighbor list comes out sorted
-    adjacency = [tuple(children[0])]
-    adjacency.extend((p, *children[v]) for v, p in enumerate(parent_of, start=1))
-    return TreeGraph(n=n, adjacency=tuple(adjacency), label=label)
-
-
 def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> TreeGraph:
     """Scale-free tree grown breadth-first to exactly n nodes.
 
@@ -282,12 +248,14 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
 
     Deterministic for fixed (n, s, f_max, seed).
     """
+    _check_size(f"sft(n={n})", n)
     if f_max is None:
         f_max = n - 1
     cdf = _sft_cdf(n, s, f_max)
     seed = int(seed) & _MASK64
     parents = _grow_sft_parents(cdf, n, [seed])[0]
-    return _tree_from_parents(parents, f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
+    return TreeGraph((-1, *parents.tolist()),
+                     f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
 
 class _TreeCounts(NamedTuple):
@@ -345,8 +313,8 @@ def _count_leaves_and_parents(u: np.ndarray, v: np.ndarray, n: int) -> _TreeCoun
 
 def structural_stats(g: TreeGraph) -> StructuralStats:
     """Exact leaf/parent counts and restricted functionality averages."""
-    edges = np.array(g.edges(), dtype=np.int64).reshape(1, -1, 2)
-    c = _count_leaves_and_parents(edges[..., 0], edges[..., 1], g.n)
+    parents = np.array(g.parents[1:], dtype=np.int64)
+    c = _count_leaves_and_parents(np.arange(1, g.n)[None], parents[None], g.n)
     if not c.n_parents[0]:
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"
@@ -365,45 +333,18 @@ def structural_stats(g: TreeGraph) -> StructuralStats:
 
 
 def validate_tree(g: TreeGraph) -> str | None:
-    """Check all tree invariants; return None when valid.
+    """Check the breadth-first parent-array invariant; return None when valid.
 
-    On failure returns a short description of the first violated
-    invariant instead of raising.
+    On failure returns a short description of the first violation
+    instead of raising.
     """
-    n = g.n
-    if n < 1 or len(g.adjacency) != n:
-        return "node count mismatch"
-    edge_count = 0
-    for u, nbrs in enumerate(g.adjacency):
-        for v in nbrs:
-            if not 0 <= v < n:
-                return f"neighbor index out of range at node {u}"
-            if v == u:
-                return f"self-loop at node {u}"
-        if len(set(nbrs)) != len(nbrs):
-            return f"duplicate edge at node {u}"
-        edge_count += len(nbrs)
-    neighbor_sets = [set(nbrs) for nbrs in g.adjacency]
-    for u, nbrs in enumerate(g.adjacency):
-        for v in nbrs:
-            if u not in neighbor_sets[v]:
-                return f"asymmetric adjacency between {u} and {v}"
-    edge_count //= 2
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                reached += 1
-                queue.append(v)
-    if reached != n:
-        return "disconnected"
-    if edge_count > n - 1:
-        return "cycle detected"
+    if not g.parents or g.parents[0] != -1:
+        return "node 0 is not the root (parents[0] must be -1)"
+    for v, (before, p) in enumerate(zip(g.parents, g.parents[1:]), start=1):
+        if not 0 <= p < v:
+            return f"parent {p} of node {v} is not an earlier node"
+        if p < before:
+            return f"parents are not in breadth-first order at node {v}"
     return None
 
 
@@ -426,6 +367,7 @@ def edge_list_text(g: TreeGraph) -> str:
 
 
 def parse_edge_list_text(text: str) -> TreeGraph:
+    """The tree of an edge list, its nodes renumbered breadth-first from node 0."""
     label = ""
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -458,17 +400,11 @@ def parse_edge_list_text(text: str) -> TreeGraph:
         raise InvalidParameterError(
             f"edge list has {len(edges)} edges, expected {n - 1} for n={n}"
         )
-    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
-        adj[u].append(v)
-        adj[v].append(u)
-    g = _finalize(adj, label)
-    violation = validate_tree(g)
-    if violation is not None:
-        raise InvalidParameterError(f"edge list is not a valid tree: {violation}")
-    return g
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return TreeGraph(_bfs_parents(n, ends[:, 0], ends[:, 1]), label)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -205,24 +205,11 @@ def _shapes_of(h: Hamiltonian, size_limit: int):
     if h.n > size_limit:
         raise SizeLimitError(f"n={h.n} exceeds the dense solver limit {size_limit}; "
                              "use structural estimators at this scale")
-    adjacency = h.graph.adjacency
-    root, shapes = _branch_shapes(adjacency, *_rooted_order(adjacency))
+    root, shapes = _branch_shapes(h.graph.parents)
     return root, shapes, [h.potential.value(degree) for degree, _ in shapes]
 
 
-def _rooted_order(adjacency) -> tuple[list[int], list[int]]:
-    """Breadth-first order from node 0 and each node's parent (-1 at the root)."""
-    parent = [-1] * len(adjacency)
-    order = [0]
-    for u in order:  # the list grows while it is walked
-        for v in adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
-    return order, parent
-
-
-def _branch_shapes(adjacency, order, parent):
+def _branch_shapes(parents):
     """Interned rooted shape of every branch, children first.
 
     A shape is (functionality of the branch root, sorted tuple of
@@ -231,13 +218,14 @@ def _branch_shapes(adjacency, order, parent):
     matrices are equal under any potential.  Returns the root's shape id
     and the shapes indexed by id.
     """
-    child_shapes: list[list[int]] = [[] for _ in adjacency]
+    child_shapes: list[list[int]] = [[] for _ in parents]
     ids: dict[tuple, int] = {}
-    for v in reversed(order):
-        shape = (len(adjacency[v]), tuple(sorted(Counter(child_shapes[v]).items())))
+    for v in range(len(parents) - 1, -1, -1):
+        children = child_shapes[v]
+        shape = (len(children) + (v > 0), tuple(sorted(Counter(children).items())))
         sid = ids.setdefault(shape, len(ids))
-        if parent[v] >= 0:
-            child_shapes[parent[v]].append(sid)
+        if v:
+            child_shapes[parents[v]].append(sid)
     return sid, list(ids)
 
 
@@ -334,21 +322,20 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
     rational: ints, Fractions, or finite floats taken at their binary value.
     """
     x = _as_fraction(e)
-    adjacency = h.graph.adjacency
-    order, parent = _rooted_order(adjacency)
-    d = [h.potential.value_exact(len(nbrs)) - x for nbrs in adjacency]
+    parents = h.graph.parents
+    d = [h.potential.value_exact(f) - x for f in h.graph.degrees()]
     zero_child = [-1] * h.n
-    for v in reversed(order):
+    for v in range(h.n - 1, -1, -1):
         c = zero_child[v]
         if c >= 0:
             # the zero child clears v's row and column, cutting v's parent edge
             d[c] = Fraction(2)
             d[v] = Fraction(-1, 2)
-        elif parent[v] >= 0:
+        elif v:
             if d[v] == 0:
-                zero_child[parent[v]] = v
+                zero_child[parents[v]] = v
             else:
-                d[parent[v]] -= 1 / d[v]
+                d[parents[v]] -= 1 / d[v]
     return d.count(0)
 
 
@@ -361,15 +348,17 @@ def leaf_pair_eigenstates(g: TreeGraph, h: Hamiltonian) -> list[np.ndarray]:
     parents).  Each vector satisfies H v = E* v because all leaves carry
     the same on-site value V(1) and couple only to their common parent.
     """
-    if h.graph.adjacency != g.adjacency:
+    if h.graph.parents != g.parents:
         raise InvalidParameterError("hamiltonian was built from a different graph")
-    deg = g.degrees()
-    is_leaf = [d == 1 for d in deg]
+    is_leaf = [d == 1 for d in g.degrees()]
+    leaves_of: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():  # ascending in v, so each list comes out sorted
+        if is_leaf[v] and not is_leaf[u]:
+            leaves_of[u].append(v)
+        elif is_leaf[u] and not is_leaf[v]:
+            leaves_of[v].append(u)
     vectors: list[np.ndarray] = []
-    for j in range(g.n):
-        if is_leaf[j]:
-            continue
-        leaves = [v for v in g.adjacency[j] if is_leaf[v]]
+    for leaves in leaves_of:
         for k in range(1, len(leaves)):
             # Helmert vector: mutually orthogonal, zero coefficient sum
             v = np.zeros(g.n)

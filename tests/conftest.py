@@ -42,10 +42,9 @@ class DenseReference:
 
 def dense_matrix(h) -> np.ndarray:
     """Unit couplings on bonds and V(f_j) on the diagonal."""
-    matrix = np.zeros((h.n, h.n))
-    for j, nbrs in enumerate(h.graph.adjacency):
-        matrix[j, list(nbrs)] = 1.0
-        matrix[j, j] = h.potential.value(len(nbrs))
+    matrix = np.diag([h.potential.value(f) for f in h.graph.degrees()])
+    for u, v in h.graph.edges():
+        matrix[u, v] = matrix[v, u] = 1.0
     return matrix
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtree import Potential, QtreeError
-from qtree import cli
+from qtree import cli, errors
 
 
 def run_cli(*args):
@@ -476,6 +476,24 @@ def test_oversize_tree_exit_4_without_dense_allocation(tmp_path, command):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("family_args", [
+    ["--family", "chain", "--n", "30000000"],
+    ["--family", "star", "--n", "30000000"],
+    ["--family", "sft", "--n", "100000000", "--s", "2.5"],
+    ["--family", "dendrimer", "--f", "3", "--g", "30"],
+    ["--family", "vicsek", "--f", "3", "--g", "20"],
+], ids=lambda args: args[1])
+def test_oversize_gen_exit_4_before_allocation(tmp_path, family_args):
+    # each of these trees needs far more than the cap; the node count
+    # check comes before any array or tuple of that size is made
+    out = tmp_path / "big.edges"
+    res = _run_cli_capped(512 << 20, "gen", *family_args, "--out", str(out))
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("qtree: ") and "above the limit" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_timeseries_star_4000_within_address_space_cap(tmp_path):
     # a dense eigh of the 4000 x 4000 matrix and its eigenvectors does not
     # fit under this cap; the star's quotient at the root has two positions
@@ -582,3 +600,33 @@ def test_rerun_manifest_reader_accepts_or_refuses_cleanly(text):
         except QtreeError:
             return
     assert len(ran) == 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.InvalidParameterError, 2),
+    (errors.OutOfDomainError, 2),
+    (errors.DegenerateAverageError, 2),
+    (errors.NoParentsError, 2),
+    (errors.IncompletePotentialError, 2),
+    (errors.UnsupportedExactModeError, 2),
+    (errors.QtreeError, 2),
+    (errors.SizeLimitError, 4),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_main_maps_each_error_class_to_its_exit_code(error, code, capsys):
+    def stub(params):
+        raise error("stub failure")
+
+    with mock.patch.dict(cli._RUNNERS, {"gen": stub}):
+        assert cli.main(["gen", "--family", "chain", "--n", "5", "--out", "unused"]) == code
+    assert capsys.readouterr().err == "qtree: stub failure\n"
+
+
+def test_every_error_class_has_a_mapping_test():
+    # a new QtreeError subclass must be added to the table above
+    declared = {obj for obj in vars(errors).values()
+                if isinstance(obj, type) and issubclass(obj, errors.QtreeError)}
+    assert declared == {
+        errors.InvalidParameterError, errors.OutOfDomainError, errors.DegenerateAverageError,
+        errors.NoParentsError, errors.IncompletePotentialError,
+        errors.UnsupportedExactModeError, errors.QtreeError, errors.SizeLimitError,
+    }

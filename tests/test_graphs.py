@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,9 @@ def test_dendrimer_node_count_closed_form():
 def test_dendrimer_size_limit():
     with pytest.raises(SizeLimitError):
         generate_dendrimer(3, 10, max_nodes=1000)
+    # a count of thousands of digits is too long for str(); the message says so
+    with pytest.raises(SizeLimitError, match="more than 2\\^64 nodes"):
+        generate_dendrimer(3, 20_000)
 
 
 def test_dendrimer_invalid_parameters():
@@ -145,6 +150,35 @@ def test_vicsek_f3_g2_golden_edge_list():
     assert edge_list_text(generate_vicsek(3, 2)) == expected
 
 
+EDGE_LIST_SHA256 = {
+    "chain(50)": (lambda: generate_chain(50),
+                  "f38a22d2b923133156fc917c5d7a63dd61f75a06bf8f5541b6795d23dc1b588b"),
+    "star(50)": (lambda: generate_star(50),
+                 "45be3480e7fe2ed3e60a08f8e43a2f89e50f8d64f4be69cf74b7856839327a71"),
+    "dendrimer(3,6)": (lambda: generate_dendrimer(3, 6),
+                       "defd21176a16d0928f8936978ca922093677f0b0863a90ebf6965cd48065afd1"),
+    "dendrimer(4,4)": (lambda: generate_dendrimer(4, 4),
+                       "7d36cc254e72a973c8640aa67b52dfa4f600ec429b50616fc2a050fef18e8f24"),
+    "vicsek(3,3)": (lambda: generate_vicsek(3, 3),
+                    "c91dabe9a66e916f5efe450ed9d87cd5812c064cb908e47feccc350b69f0174b"),
+    "vicsek(4,3)": (lambda: generate_vicsek(4, 3),
+                    "d8791d44a8690f596968ad7cbae286b4713c2e1ab4a3a3e7085fb7d05a89bf4f"),
+    "vicsek(5,2)": (lambda: generate_vicsek(5, 2),
+                    "25ec68e9a606716f8f48253e96968f3b028e97e63b8f8a7725f031b2284a4675"),
+    "sft(1000,2.5,seed=7)": (lambda: generate_sft(1000, 2.5, seed=7),
+                             "413dc1ea0459805bffb0657e8c95d1b78b9c9ab63ce1a244318179d8c6014a08"),
+    "sft(4000,2.2,seed=3)": (lambda: generate_sft(4000, 2.2, seed=3),
+                             "307b32354f0c894f809197aa4653411f6d9b3b61f84932f1a81008563eda9fdf"),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_LIST_SHA256)
+def test_generated_edge_list_golden_sha256(name):
+    # written files stay byte-stable across changes to the tree representation
+    make, digest = EDGE_LIST_SHA256[name]
+    assert hashlib.sha256(edge_list_text(make()).encode()).hexdigest() == digest
+
+
 def test_vicsek_nonleaf_average_approaches_limit():
     # (f + 4)/3 for the non-leaf average, f for the parent average
     st = structural_stats(generate_vicsek(4, 4))
@@ -155,6 +189,8 @@ def test_vicsek_nonleaf_average_approaches_limit():
 def test_vicsek_size_limit():
     with pytest.raises(SizeLimitError):
         generate_vicsek(4, 5, max_nodes=3000)
+    with pytest.raises(SizeLimitError, match="more than 2\\^64 nodes"):
+        generate_vicsek(3, 20_000)
 
 
 def test_sft_n3_is_path():
@@ -267,23 +303,45 @@ def test_validate_tree_ok():
     assert validate_tree(generate_chain(5)) is None
 
 
-def test_validate_tree_cycle():
-    g = generate_chain(5)
-    adj = [list(nbrs) for nbrs in g.adjacency]
-    adj[0].append(4)
-    adj[4].append(0)
-    bad = TreeGraph(5, tuple(tuple(a) for a in adj), "chain-plus-edge")
-    assert validate_tree(bad) == "cycle detected"
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("5\n0 1\n1 2\n2 0\n3 4\n", id="cycle"),
+        pytest.param("5\n0 1\n1 2\n2 3\n3 1\n", id="cycle-away-from-0"),
+        pytest.param("4\n0 1\n2 3\n2 3\n", id="repeated-edge"),
+        pytest.param("3\n0 0\n1 2\n", id="self-loop"),
+        pytest.param("4\n0 1\n1 2\n3 3\n", id="self-loop-isolated"),
+        pytest.param("4\n0 1\n1 0\n2 3\n", id="disconnected"),
+    ],
+)
+def test_parse_refuses_edge_lists_that_are_not_trees(text):
+    # with n - 1 edges, each of these leaves some node unreached from node 0
+    with pytest.raises(InvalidParameterError, match="not connected to node 0"):
+        parse_edge_list_text(text)
 
 
-def test_validate_tree_disconnected():
-    bad = TreeGraph(4, ((1,), (0,), (3,), (2,)), "two-edges")
-    assert validate_tree(bad) == "disconnected"
+@pytest.mark.parametrize(
+    "parents, problem",
+    [
+        ((), "root"),
+        ((0, 0), "root"),
+        ((-1, 1), "not an earlier node"),
+        ((-1, 0, 3, 1), "not an earlier node"),
+        ((-1, 0, -1), "not an earlier node"),
+        ((-1, 0, 1, 0), "breadth-first order"),
+        ((-1, 0, 0, 2, 1), "breadth-first order"),
+    ],
+)
+def test_validate_tree_refuses_bad_parent_arrays(parents, problem):
+    assert problem in validate_tree(TreeGraph(parents))
 
 
-def test_validate_tree_self_loop_and_asymmetry():
-    assert "self-loop" in validate_tree(TreeGraph(2, ((0, 1), (0,)), ""))
-    assert "asymmetric" in validate_tree(TreeGraph(3, ((1, 2), (0,), ()), ""))
+def test_parse_renumbers_breadth_first_from_node_zero():
+    # star centered at node 3, listed in no particular order
+    g = parse_edge_list_text("5\n3 4\n1 3\n0 3\n3 2\n")
+    assert g.parents == (-1, 0, 1, 1, 1)
+    assert validate_tree(g) is None
+    assert structural_stats(g).parent_ids == (1,)
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -345,13 +403,17 @@ def _reference_sft_parents(n, s, f_max, seed):
 
 
 def _reference_stats(g):
-    deg = g.degrees()
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(a) for a in nbrs]
     is_leaf = [d == 1 for d in deg]
     leaf_ids = tuple(j for j in range(g.n) if is_leaf[j])
     parent_ids = tuple(
-        j for j in range(g.n) if not is_leaf[j] and any(is_leaf[v] for v in g.adjacency[j])
+        j for j in range(g.n) if not is_leaf[j] and any(is_leaf[v] for v in nbrs[j])
     )
-    deltas = tuple(sum(1 for v in g.adjacency[j] if not is_leaf[v]) - 1 for j in parent_ids)
+    deltas = tuple(sum(1 for v in nbrs[j] if not is_leaf[v]) - 1 for j in parent_ids)
     sum_f_parents = sum(deg[j] for j in parent_ids)
     return (
         len(leaf_ids),

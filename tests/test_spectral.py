@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from qtree import (
     UnsupportedExactModeError,
     build_hamiltonian,
     custom_potential,
+    efficiency_report,
     generate_chain,
     generate_dendrimer,
     generate_sft,
@@ -221,6 +223,17 @@ def relabelled(g, seed):
     lines = [f"# label=relabelled-{g.label}", str(g.n)]
     lines += [f"{perm[u]} {perm[v]}" for u, v in g.edges()]
     return parse_edge_list_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("g", [generate_chain(301), generate_dendrimer(3, 5), generate_vicsek(4, 3),
+                               generate_sft(1000, 2.5, seed=11)], ids=lambda g: g.label)
+def test_report_does_not_depend_on_node_labels(g):
+    # reading renumbers from a different root; every measure stays the same
+    for potential in (CONNECTIVITY, ADJACENCY):
+        report = efficiency_report(g, potential)
+        other = efficiency_report(relabelled(g, seed=g.n), potential)
+        assert other.label == f"relabelled-{g.label}"
+        assert dataclasses.replace(other, label=g.label) == report
 
 
 ORACLE_GRAPHS = [
