@@ -43,6 +43,7 @@ from .ensemble import (
 from .errors import InvalidParameterError, QtreeError, SizeLimitError
 from .graphs import (
     FORMAT_HEADER,
+    _check_size,
     edge_list_text,
     generate_chain,
     generate_dendrimer,
@@ -222,6 +223,7 @@ def _parse_s(text: str) -> float:
 def run_sweep(params: dict) -> int:
     started = time.monotonic()
     n = int(params["n"])
+    _check_size(f"sft(n={n})", n)  # before any row: each row's analytic mean loops over n - 1 values
     s_grid = [_parse_s(v) for v in str(params["s_grid"]).split(",") if v.strip()]
     if not s_grid:
         raise InvalidParameterError("empty s grid")

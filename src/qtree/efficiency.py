@@ -123,23 +123,24 @@ def avg_f_sft(s: float, f_max: int) -> float:
 _ZETA_CUTOFF = 32
 
 
-def zeta(s: float) -> float:
-    """Riemann zeta for s > 1 via Euler-Maclaurin with analytic tail.
+def _em_tail(sigma: float, m: int = _ZETA_CUTOFF) -> float:
+    """m^sigma * sum_{k >= m} k^-sigma by Euler-Maclaurin: the integral, B2, B4 and B6 terms."""
+    rising3 = sigma * (sigma + 1.0) * (sigma + 2.0)
+    return (m / (sigma - 1.0) + 0.5 + sigma / (12.0 * m) - rising3 / (720.0 * m ** 3)
+            + rising3 * (sigma + 3.0) * (sigma + 4.0) / (30240.0 * m ** 5))
 
-    Sums the first terms directly and corrects with the integral tail
-    M^(1-s)/(s-1) plus Bernoulli terms through B4, which keeps at least
-    twelve significant digits even arbitrarily close to the pole at
-    s = 1.
+
+def zeta(s: float) -> float:
+    """Riemann zeta for s > 1: the first terms summed directly plus the Euler-Maclaurin tail.
+
+    The tail's leading term m^(1-s)/(s-1) carries the pole at s = 1
+    analytically, so the result stays within a few units in the last
+    place even arbitrarily close to it.
     """
     if not s > 1:
         raise OutOfDomainError(f"zeta implemented for s > 1 only, got {s}")
-    m = float(_ZETA_CUTOFF)
-    total = math.fsum(k ** (-s) for k in range(1, _ZETA_CUTOFF))
-    total += m ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * m ** (-s)
-    total += s * m ** (-s - 1.0) / 12.0
-    total -= s * (s + 1.0) * (s + 2.0) * m ** (-s - 3.0) / 720.0
-    return total
+    m = _ZETA_CUTOFF
+    return math.fsum([k ** (-s) for k in range(1, m)] + [m ** (-s) * _em_tail(s)])
 
 
 def _zeta_tails(s: float) -> tuple[float, float]:
@@ -156,12 +157,8 @@ def _zeta_tails(s: float) -> tuple[float, float]:
     tail_s = tail_s1 = 0.0
     scale = (m / 2.0) ** -s  # 2^s m^-s
     if scale:
-        def em(sigma):  # m^sigma * sum_{k >= m} k^-sigma, through B6
-            rising3 = sigma * (sigma + 1.0) * (sigma + 2.0)
-            return (m / (sigma - 1.0) + 0.5 + sigma / (12.0 * m) - rising3 / (720.0 * m ** 3)
-                    + rising3 * (sigma + 3.0) * (sigma + 4.0) / (30240.0 * m ** 5))
-        tail_s = scale * em(s)
-        tail_s1 = scale * m * em(s - 1.0)
+        tail_s = scale * _em_tail(s)
+        tail_s1 = scale * m * _em_tail(s - 1.0)
     return (math.fsum([x for _, x in terms] + [tail_s]),
             math.fsum([(k - 1) * x for k, x in terms] + [tail_s1, -tail_s]))
 
@@ -193,8 +190,11 @@ def chi_sft_finite(s: float, f_max: int, n: int) -> float:
     return float(_flat_bound_truncated([a], [a], n)[0])
 
 
-def _exactable(f) -> bool:
-    return isinstance(f, int) and not isinstance(f, bool)
+def _closed_form_argument(f, family: str):
+    """f as a Fraction for an int, so the closed form is exact, else as a float; refuses f < 3."""
+    if f < 3:
+        raise OutOfDomainError(f"{family} closed form needs f >= 3, got {f}")
+    return Fraction(f) if isinstance(f, int) and not isinstance(f, bool) else float(f)
 
 
 def chi_dendrimer_inf(f):
@@ -207,38 +207,26 @@ def chi_dendrimer_inf(f):
     where it settles above 1/4 (0.250349, 0.250580, 0.250546 at g = 6,
     8, 10); see notes/decisions.md section 06.
     """
-    if f < 3:
-        raise OutOfDomainError(f"dendrimer closed form needs f >= 3, got {f}")
-    if _exactable(f):
-        return (1 - Fraction(2, f)) ** 2
-    return (1.0 - 2.0 / f) ** 2
+    f = _closed_form_argument(f, "dendrimer")
+    return (1 - 2 / f) ** 2
 
 
 def chi_vicsek_inf(f):
     """Infinite-size chi of a Vicsek fractal, 1 - 6(f-1)/(f(f+2)-2)."""
-    if f < 3:
-        raise OutOfDomainError(f"vicsek closed form needs f >= 3, got {f}")
-    if _exactable(f):
-        return 1 - Fraction(6 * (f - 1), f * (f + 2) - 2)
-    return 1.0 - 6.0 * (f - 1.0) / (f * (f + 2.0) - 2.0)
+    f = _closed_form_argument(f, "vicsek")
+    return 1 - 6 * (f - 1) / (f * (f + 2) - 2)
 
 
 def chi_lb_dendrimer_inf(f):
     """Infinite-size flat-density bound for a dendrimer, (1 - 1/(f-1))^4."""
-    if f < 3:
-        raise OutOfDomainError(f"dendrimer closed form needs f >= 3, got {f}")
-    if _exactable(f):
-        return (1 - Fraction(1, f - 1)) ** 4
-    return (1.0 - 1.0 / (f - 1.0)) ** 4
+    f = _closed_form_argument(f, "dendrimer")
+    return (1 - 1 / (f - 1)) ** 4
 
 
 def chi_lb_vicsek_inf(f):
     """Infinite-size flat-density bound for a Vicsek fractal, (1 - (4f-5)/(f^2-1))^2."""
-    if f < 3:
-        raise OutOfDomainError(f"vicsek closed form needs f >= 3, got {f}")
-    if _exactable(f):
-        return (1 - Fraction(4 * f - 5, f * f - 1)) ** 2
-    return (1.0 - (4.0 * f - 5.0) / (f * f - 1.0)) ** 2
+    f = _closed_form_argument(f, "vicsek")
+    return (1 - (4 * f - 5) / (f * f - 1)) ** 2
 
 
 @dataclass(frozen=True)
@@ -293,28 +281,6 @@ class TimeSeries:
     weights: ReturnWeights = field(repr=False, compare=False)
 
 
-def _phase_sums(times, freqs, weights, share) -> np.ndarray:
-    """sum_q share_q |sum_j weights[q, j] exp(-i freqs_j t)|^2 at each time t."""
-    # Blocks of at most 2^16 phases (1 MiB) stay under the 4 MiB from which numpy asks
-    # for transparent huge pages, so peak memory does not depend on free huge pages.
-    out, step = np.empty(len(times)), max(1, (1 << 16) // len(freqs))
-    for start in range(0, len(times), step):
-        amp = np.exp(-1j * np.outer(times[start : start + step], freqs)) @ weights.T
-        out[start : start + len(amp)] = (np.abs(amp) ** 2) @ share
-    return out
-
-
-def return_amplitude_series(sp: Spectrum, times: Sequence[float]) -> np.ndarray:
-    """|averaged return amplitude|^2 from the spectral density alone."""
-    dens = np.array([[mult / sp.n for _, mult in sp.classes]])
-    return _phase_sums(times, np.array([rep for rep, _ in sp.classes]), dens, np.ones(1))
-
-
-def mean_return_probability_series(rw: ReturnWeights, times: Sequence[float]) -> np.ndarray:
-    """Node-averaged return probability from the quotient weights (spectral module docstring)."""
-    return _phase_sums(times, rw.eigenvalues, rw.weights, rw.nodes / rw.nodes.sum())
-
-
 def default_time_grid(sp: Spectrum, samples: int = 10_000, horizon: float = 50.0) -> np.ndarray:
     """Uniform grid long enough to resolve the slowest spectral beat."""
     spread = sp.classes[-1][0] - sp.classes[0][0]
@@ -338,11 +304,28 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
 
 def time_series(h: Hamiltonian, times: Sequence[float] | None = None,
                 samples: int = 10_000) -> TimeSeries:
-    """|averaged return amplitude|^2 and pbar on times, or on the default grid of samples."""
+    """|averaged return amplitude|^2 and pbar on times, or on the default grid of samples.
+
+    One pass over the quotient weights (spectral module docstring): at each
+    time, amp_q = sum_j W[q, j] exp(-i lambda_j t) is the return amplitude
+    of every node at root-quotient position q, pbar = sum_q (Pi_q/n) |amp_q|^2
+    and alpha = sum_q (Pi_q/n) amp_q, so |alpha|^2 <= pbar is Jensen's
+    inequality on the same numbers.
+    """
     rw = return_weights(h)
     t = default_time_grid(rw.spectrum, samples) if times is None else np.asarray(times, dtype=float)
-    return TimeSeries(t, return_amplitude_series(rw.spectrum, t),
-                      mean_return_probability_series(rw, t), rw)
+    share = rw.nodes / rw.nodes.sum()
+    abs_alpha_sq, pi_bar = np.empty(len(t)), np.empty(len(t))
+    # Blocks of at most 2^16 phases (1 MiB) stay under the 4 MiB from which numpy asks
+    # for transparent huge pages, so peak memory does not depend on free huge pages;
+    # amp has at most as many positions as there are columns, so it stays within 1 MiB too.
+    step = max(1, (1 << 16) // len(rw.eigenvalues))
+    for start in range(0, len(t), step):
+        amp = np.exp(-1j * np.outer(t[start : start + step], rw.eigenvalues)) @ rw.weights.T
+        block = slice(start, start + len(amp))
+        abs_alpha_sq[block] = np.abs(amp @ share) ** 2
+        pi_bar[block] = (np.abs(amp) ** 2) @ share
+    return TimeSeries(t, abs_alpha_sq, pi_bar, rw)
 
 
 # --- per-graph report --------------------------------------------------------

@@ -33,12 +33,13 @@ from .errors import (
 from .graphs import (
     FORMAT_HEADER,
     TreeGraph,
+    _check_size,
     _count_leaves_and_parents,
     _grow_sft_parents,
     _sft_cdf,
     write_text_atomic,
 )
-from .spectral import CONNECTIVITY, build_hamiltonian, spectrum
+from .spectral import CONNECTIVITY, build_hamiltonian, multiplicity_exact
 
 SPECTRAL_EXACT = "spectral-exact"
 STRUCTURAL_DELTA0 = "structural-delta0"
@@ -86,6 +87,7 @@ def realization_seed(master_seed: int, index: int) -> int:
 
 
 def _check_config(cfg: EnsembleConfig) -> None:
+    _check_size(f"sft(n={cfg.n})", cfg.n)
     if cfg.r < 1:
         raise InvalidParameterError(f"realization count must be >= 1, got {cfg.r}")
     if cfg.estimator not in ESTIMATORS:
@@ -114,11 +116,10 @@ def _realize_block(
     children = np.broadcast_to(np.arange(1, cfg.n), parents.shape)
     counts = _count_leaves_and_parents(children, parents, cfg.n)
     if cfg.estimator == SPECTRAL_EXACT:
-        values = []
-        for row in parents:
-            h = build_hamiltonian(TreeGraph((-1, *row.tolist())), CONNECTIVITY)
-            values.append(chi_lower_from_density(spectrum(h).density_at(h.e_star), cfg.n))
-        value = np.array(values)
+        # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
+        trees = (build_hamiltonian(TreeGraph((-1, *row.tolist())), CONNECTIVITY) for row in parents)
+        value = np.array([chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
+                          for h in trees])
     else:
         b = (counts.avg_f_parents if cfg.estimator == STRUCTURAL_DELTA0
              else counts.avg_f_minus_delta_parents)
@@ -154,9 +155,7 @@ def run_ensemble(
     _check_config(cfg)
     workers = resolve_workers(workers)
     cdf = _sft_cdf(cfg.n, cfg.s, cfg.resolved_f_max())
-    # a dense solve costs far more than growing its tree, so spectral-exact
-    # realizations go one per task to keep every worker busy
-    size = 1 if cfg.estimator == SPECTRAL_EXACT else _block_size(cfg.n)
+    size = _block_size(cfg.n)
     tasks = [(cfg, cdf, start, min(start + size, cfg.r)) for start in range(0, cfg.r, size)]
     if workers > 1 and len(tasks) > 1:
         with Pool(min(workers, len(tasks))) as pool:

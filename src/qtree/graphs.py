@@ -82,11 +82,19 @@ class StructuralStats:
     parent_ids: tuple[int, ...]
 
 
-def _check_size(label: str, n: int, max_nodes: int = MAX_NODES_DEFAULT) -> None:
-    if n > max_nodes:
+def _check_size(label: str, n: int) -> None:
+    if n > MAX_NODES_DEFAULT:
         # str() refuses ints of more than 4300 digits
         count = n if n.bit_length() <= 64 else "more than 2^64"
-        raise SizeLimitError(f"{label} has {count} nodes, above the limit {max_nodes}")
+        raise SizeLimitError(f"{label} has {count} nodes, above the limit {MAX_NODES_DEFAULT}")
+
+
+def _check_generation(label: str, g: int) -> None:
+    # dendrimers and Vicsek fractals have more than 2^g nodes: refusing a large g
+    # first keeps their exact count, a number of about g log2(f) bits, from being formed
+    if g > MAX_NODES_DEFAULT.bit_length():
+        raise SizeLimitError(f"{label} has more than 2^{min(g, 64)} nodes, "
+                             f"above the limit {MAX_NODES_DEFAULT}")
 
 
 def _bfs_parents(n: int, u, v) -> tuple[int, ...]:
@@ -139,7 +147,7 @@ def generate_star(n: int) -> TreeGraph:
     return TreeGraph((-1,) + (0,) * (n - 1), label)
 
 
-def generate_dendrimer(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> TreeGraph:
+def generate_dendrimer(f: int, g: int) -> TreeGraph:
     """Dendrimer of functionality f and generation g.
 
     The core carries f branches; every internal node at depth < g has
@@ -152,15 +160,16 @@ def generate_dendrimer(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> Tr
     if g < 1:
         raise InvalidParameterError(f"dendrimer needs g >= 1, got {g}")
     label = f"dendrimer(f={f},g={g})"
+    _check_generation(label, g)
     n_total = 1 + f * ((f - 1) ** g - 1) // (f - 2)
-    _check_size(label, n_total, max_nodes)
+    _check_size(label, n_total)
     n_inner = n_total - f * (f - 1) ** (g - 1)  # all but the depth-g leaves
     children = np.full(n_inner, f - 1)
     children[0] = f
     return TreeGraph((-1, *np.repeat(np.arange(n_inner), children).tolist()), label)
 
 
-def generate_vicsek(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> TreeGraph:
+def generate_vicsek(f: int, g: int) -> TreeGraph:
     """Vicsek fractal of functionality f and generation g.
 
     Generation 1 is a star of f + 1 nodes.  Generation g joins f + 1
@@ -174,7 +183,8 @@ def generate_vicsek(f: int, g: int, max_nodes: int = MAX_NODES_DEFAULT) -> TreeG
     if g < 1:
         raise InvalidParameterError(f"vicsek needs g >= 1, got {g}")
     label = f"vicsek(f={f},g={g})"
-    _check_size(label, (f + 1) ** g, max_nodes)
+    _check_generation(label, g)
+    _check_size(label, (f + 1) ** g)
     parents = (-1,) + (0,) * f
     for _ in range(g - 1):
         m = len(parents)

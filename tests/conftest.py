@@ -3,8 +3,9 @@
 The program diagonalizes trees only through their branch-symmetry
 quotients.  The dense n x n path below is the independent oracle the
 tests compare that against: the full matrix, `numpy.linalg.eigh` of it,
-its binned spectrum and the node-averaged return probability from the
-full eigenbasis.
+its binned spectrum, the node-averaged return probability from the
+full eigenbasis and the squared averaged return amplitude from the
+eigenvalues.
 """
 import os
 from dataclasses import dataclass
@@ -64,4 +65,15 @@ def dense_return_probability(ref: DenseReference, times, chunk: int = 2048) -> n
         phases = np.exp(-1j * np.outer(block, ref.eigenvalues))
         amp = phases @ weights.T  # (time, node) return amplitudes
         out[start : start + len(block)] = np.mean(np.abs(amp) ** 2, axis=1)
+    return out
+
+
+def dense_abs_alpha_sq(ref: DenseReference, times, chunk: int = 2048) -> np.ndarray:
+    """|(1/n) Tr exp(-iHt)|^2, the squared mean of exp(-i lambda_k t) over all eigenvalues."""
+    t = np.asarray(times, dtype=float)
+    out = np.empty(len(t))
+    for start in range(0, len(t), chunk):
+        block = t[start : start + chunk]
+        phases = np.exp(-1j * np.outer(block, ref.eigenvalues))
+        out[start : start + len(block)] = np.abs(phases.mean(axis=1)) ** 2
     return out

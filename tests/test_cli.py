@@ -75,11 +75,12 @@ def test_gen_missing_family_flag_exit_2(tmp_path):
 
 
 def test_sweep_all_rows_failed_exit_5(tmp_path):
-    res = run_cli("sweep", "--n", "5000", "--s-grid", "2.5,3.0", "--r", "2",
+    # with f_max = 2 every node has functionality 2 or less: the averages are degenerate
+    res = run_cli("sweep", "--n", "5000", "--s-grid", "2.5,3.0", "--r", "2", "--f-max", "2",
                   "--estimator", "spectral-exact", "--out", str(tmp_path / "s.csv"))
     assert res.returncode == 5
     text = (tmp_path / "s.csv").read_text()
-    assert text.count("size-limit") == 2
+    assert text.count("degenerate-average") == 2
 
 
 def test_chi_star4(tmp_path):
@@ -492,6 +493,27 @@ def test_oversize_gen_exit_4_before_allocation(tmp_path, family_args):
     assert res.stderr.startswith("qtree: ") and "above the limit" in res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_oversize_sweep_exit_4_before_any_row(tmp_path):
+    # one row's analytic averages alone would loop over 10^8 functionalities
+    # and then fail to allocate its distribution under the cap
+    out = tmp_path / "s.csv"
+    res = _run_cli_capped(1 << 30, "sweep", "--n", "100000000", "--s-grid", "2.5", "--r", "1",
+                          "--out", str(out))
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("qtree: ") and "above the limit" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_huge_generation_exit_4_at_once(tmp_path):
+    # the exact count 3^30000000 would take minutes to form; g alone settles it
+    res = subprocess.run([sys.executable, "-m", "qtree", "gen", "--family", "dendrimer",
+                          "--f", "4", "--g", "30000000", "--out", str(tmp_path / "d.edges")],
+                         capture_output=True, text=True, timeout=2)
+    assert res.returncode == 4, res.stderr
+    assert "above the limit" in res.stderr
 
 
 def test_timeseries_star_4000_within_address_space_cap(tmp_path):

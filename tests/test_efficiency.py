@@ -32,12 +32,10 @@ from qtree import (
     generate_star,
     generate_vicsek,
     kappa_fit,
-    mean_return_probability_series,
-    return_amplitude_series,
-    return_weights,
     rho_star_structural,
     structural_stats,
     time_average,
+    time_series,
     zeta,
 )
 from qtree.efficiency import _flat_bound_truncated
@@ -343,14 +341,8 @@ def test_kappa_fit_vicsek_against_mean_functionality():
 # --- time-domain quantities -------------------------------------------------------
 
 def test_return_amplitude_at_t0():
-    _, _, sp = spectrum_of(generate_chain(3))
-    assert return_amplitude_series(sp, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_return_amplitude_single_class_is_constant():
-    sp = Spectrum(classes=((1.5, 4),), n=4, tol_abs=1e-8)
-    values = return_amplitude_series(sp, np.linspace(0, 50, 100))
-    assert np.allclose(values, 1.0, atol=1e-12)
+    ts = time_series(build_hamiltonian(generate_chain(3)), [0.0])
+    assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_time_average_constant_series():
@@ -369,25 +361,24 @@ def test_time_average_rejects_nonuniform_grid():
 
 
 def test_chain3_long_time_average_reaches_chi():
-    _, _, sp = spectrum_of(generate_chain(3))
+    h = build_hamiltonian(generate_chain(3))
     t = np.linspace(0, 200, 10_000)
-    avg = time_average(return_amplitude_series(sp, t), t)
+    avg = time_average(time_series(h, t).abs_alpha_sq, t)
     assert avg == pytest.approx(1 / 3, abs=0.01)
 
 
 def test_star4_long_time_average_reaches_chi():
-    _, _, sp = spectrum_of(generate_star(4))
+    h = build_hamiltonian(generate_star(4))
     t = np.linspace(0, 200, 10_000)
-    avg = time_average(return_amplitude_series(sp, t), t)
+    avg = time_average(time_series(h, t).abs_alpha_sq, t)
     assert avg == pytest.approx(0.375, abs=0.01)
 
 
 def test_return_probability_dominates_amplitude():
     for g in [generate_star(4), generate_chain(6), generate_dendrimer(3, 2)]:
         h, _, sp = spectrum_of(g)
-        t = default_time_grid(sp, samples=2000)
-        alpha2 = return_amplitude_series(sp, t)
-        pibar = mean_return_probability_series(return_weights(h), t)
+        ts = time_series(h, default_time_grid(sp, samples=2000))
+        alpha2, pibar = ts.abs_alpha_sq, ts.pi_bar
         assert alpha2[0] == pytest.approx(1.0, abs=1e-12)
         assert pibar[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(alpha2 <= pibar + 1e-12)
@@ -398,19 +389,18 @@ def test_return_probability_dominates_amplitude():
 def test_chain3_mean_return_probability_average_above_chi():
     h, _, sp = spectrum_of(generate_chain(3))
     t = np.linspace(0, 200, 10_000)
-    avg = time_average(mean_return_probability_series(return_weights(h), t), t)
+    avg = time_average(time_series(h, t).pi_bar, t)
     assert avg >= chi_exact(sp) - 0.01
 
 
 def test_series_memory_does_not_grow_with_the_grid():
     # chain(301) has no branch symmetry: 301 columns, so one (time, column)
     # array over 20 000 times would take 96 MB
-    rw = return_weights(build_hamiltonian(generate_chain(301), CONNECTIVITY))
+    h = build_hamiltonian(generate_chain(301), CONNECTIVITY)
     t = np.linspace(0.0, 400.0, 20_000)
     tracemalloc.start()
     try:
-        return_amplitude_series(rw.spectrum, t)
-        mean_return_probability_series(rw, t)
+        time_series(h, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,11 +411,11 @@ def test_time_average_convergence_schedule():
     # error against chi shrinks under a halving tolerance schedule
     schedule = [(50, 2e-2), (100, 1e-2), (200, 5e-3), (400, 2.5e-3), (800, 1.25e-3)]
     for g in [generate_chain(3), generate_chain(8), generate_star(8)]:
-        _, _, sp = spectrum_of(g)
+        h, _, sp = spectrum_of(g)
         chi = chi_exact(sp)
         for t_max, tol in schedule:
             t = np.linspace(0, t_max, 10_000)
-            avg = time_average(return_amplitude_series(sp, t), t)
+            avg = time_average(time_series(h, t).abs_alpha_sq, t)
             assert abs(avg - chi) <= tol, (g.label, t_max)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qtree import (
@@ -17,8 +18,10 @@ from qtree import (
     sweep,
     sweep_csv_text,
 )
+from qtree.graphs import MAX_NODES_DEFAULT
+from qtree.spectral import _bin
 
-from conftest import dense_reference
+from conftest import dense_matrix, dense_reference
 
 
 def test_three_node_ensemble_is_forced():
@@ -97,9 +100,19 @@ def test_spectral_exact_deterministic_across_workers():
     assert serial.per_realization == parallel.per_realization
 
 
-def test_spectral_exact_size_limit():
-    with pytest.raises(SizeLimitError):
-        run_ensemble(EnsembleConfig(n=5000, s=2.5, r=1, estimator="spectral-exact"))
+def test_spectral_exact_runs_above_the_dense_solver_limit():
+    # the estimator reads the exact E* multiplicity and solves nothing, so
+    # n = 5000 runs; the reference is the binned spectrum of the dense matrix
+    res = run_ensemble(EnsembleConfig(n=5000, s=2.5, r=1, estimator="spectral-exact"),
+                       keep_per_realization=True)
+    h = build_hamiltonian(generate_sft(5000, 2.5, 4999, realization_seed(0, 0)), CONNECTIVITY)
+    density = _bin(np.linalg.eigvalsh(dense_matrix(h)), None).density_at(h.e_star)
+    assert res.per_realization[0] == 1.0 - chi_lower_from_density(density, 5000)
+
+
+def test_ensemble_size_limit():
+    with pytest.raises(SizeLimitError, match="above the limit"):
+        run_ensemble(EnsembleConfig(n=MAX_NODES_DEFAULT + 1, s=2.5, r=1))
 
 
 def test_config_validation():

@@ -103,7 +103,7 @@ def test_dendrimer_node_count_closed_form():
 
 def test_dendrimer_size_limit():
     with pytest.raises(SizeLimitError):
-        generate_dendrimer(3, 10, max_nodes=1000)
+        generate_dendrimer(3, 20)  # 3 145 726 nodes
     # a count of thousands of digits is too long for str(); the message says so
     with pytest.raises(SizeLimitError, match="more than 2\\^64 nodes"):
         generate_dendrimer(3, 20_000)
@@ -188,7 +188,7 @@ def test_vicsek_nonleaf_average_approaches_limit():
 
 def test_vicsek_size_limit():
     with pytest.raises(SizeLimitError):
-        generate_vicsek(4, 5, max_nodes=3000)
+        generate_vicsek(4, 10)  # 9 765 625 nodes
     with pytest.raises(SizeLimitError, match="more than 2\\^64 nodes"):
         generate_vicsek(3, 20_000)
 

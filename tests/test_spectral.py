@@ -23,17 +23,17 @@ from qtree import (
     generate_star,
     generate_vicsek,
     leaf_pair_eigenstates,
-    mean_return_probability_series,
     multiplicity_exact,
     parse_edge_list_text,
     return_weights,
     spectrum,
     spectrum_csv_text,
     structural_stats,
+    time_series,
 )
 from qtree.spectral import _bin
 
-from conftest import dense_matrix, dense_reference, dense_return_probability
+from conftest import dense_abs_alpha_sq, dense_matrix, dense_reference, dense_return_probability
 
 
 def spectrum_of(g, potential=CONNECTIVITY, tol=None):
@@ -288,11 +288,11 @@ def test_spectrum_matches_eigendecomposition_binning(g, potential):
 @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
 def test_return_weights_match_dense_reference(g, potential):
     h = build_hamiltonian(g, potential)
-    rw = return_weights(h)
+    ts = time_series(h, np.linspace(0.0, 400.0, 33))
     ref = dense_reference(h)
-    t = np.linspace(0.0, 400.0, 33)
-    gap = mean_return_probability_series(rw, t) - dense_return_probability(ref, t)
-    assert np.max(np.abs(gap)) <= 1e-10
+    assert np.max(np.abs(ts.pi_bar - dense_return_probability(ref, ts.times))) <= 1e-10
+    assert np.max(np.abs(ts.abs_alpha_sq - dense_abs_alpha_sq(ref, ts.times))) <= 1e-10
+    rw = ts.weights
     # every tree node at a position carries the whole of its norm
     assert np.allclose(rw.weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     assert rw.nodes.sum() == g.n
