@@ -176,19 +176,13 @@ def run_chi(params: dict) -> int:
     g = read_edge_list(params["in"])
     potential = _parse_potential(params.get("potential", "connectivity"))
     read_done = time.monotonic()
-    try:
-        report = efficiency_report(
-            g,
-            potential,
-            tol_abs=params.get("tol_abs"),
-            size_limit=_option(params, "size_limit", DENSE_SOLVER_LIMIT, lambda v: v >= 1,
-                               "at least 1"),
-        )
-    except SizeLimitError as exc:
-        raise SizeLimitError(
-            f"{exc}; rerun with a larger --size-limit or use "
-            "`qtree sweep --estimator structural-delta0` for structural-only estimates"
-        ) from exc
+    report = efficiency_report(
+        g,
+        potential,
+        tol_abs=params.get("tol_abs"),
+        size_limit=_option(params, "size_limit", DENSE_SOLVER_LIMIT, lambda v: v >= 1,
+                           "at least 1"),
+    )
     report_done = time.monotonic()
     out = params["out"]
     payload = asdict(report)
@@ -429,7 +423,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--potential", default="connectivity",
                    help="connectivity | adjacency | custom=<table file>")
     p.add_argument("--tol-abs", type=float, help="degeneracy binning tolerance")
-    p.add_argument("--size-limit", type=int, default=DENSE_SOLVER_LIMIT)
+    p.add_argument("--size-limit", type=int, default=DENSE_SOLVER_LIMIT,
+                   help="largest quotient to diagonalize, in positions (default %(default)s)")
     p.add_argument("--spectrum-out", help="also export the binned spectrum CSV")
     p.add_argument("--out", required=True)
 

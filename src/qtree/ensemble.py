@@ -217,6 +217,7 @@ def sweep(cfgs: list[EnsembleConfig], workers: int | None = None) -> list[SweepR
         f_max = cfg.resolved_f_max()
         avg_f = mc_mean = mc_err = finite = infinite = None
         try:
+            _check_config(cfg)
             if cfg.s > 2:
                 infinite = 1.0 - chi_sft_infinite(cfg.s)
             avg_f = avg_f_sft(cfg.s, f_max)

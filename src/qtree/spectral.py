@@ -13,9 +13,14 @@ combinations of the copies give spec(B) k - 1 times, and the symmetric
 one leaves H with the k branches replaced by one copy joined by a
 coupling sqrt(k).  Applied at every node, the spectrum is eig(quotient
 at the root) plus, for every repeated child group, k - 1 copies of that
-branch's spectrum, found the same way.  Every eigenvalue a solve
-returns appears in the result, so the solved dimensions add up to at
-most n.
+branch's spectrum, found the same way.  One plan serves the solves,
+the size check and the oracle: the branch shapes, interned children
+first with their quotient sizes, and counts[s], how often eig(quotient
+of s) occurs: 1 for the root plus k - 1 per group of k branches of
+shape s in each counted quotient.  A branch's path from the root runs
+through one copy of each group it passes, so its quotient is a block of
+the root's: the root's is the largest solve, and interning stops at the
+first branch above the size limit.
 
 Return probabilities come from the eigenvectors of the same quotients.
 Branch swaps permute the tree nodes at one position q of the root
@@ -33,13 +38,14 @@ each row of W sums to 1, and sum_q Pi_q W[q, j] counts column j's
 tree eigenvectors.
 
 An exact oracle, the Jacobs-Trevisan tree diagonalization over
-rationals, guards the multiplicity of the distinguished eigenvalue
-E* = V(1) carried by leaf-pair superposition states.
+rationals run on the same quotients, guards the multiplicity of the
+distinguished eigenvalue E* = V(1) carried by leaf-pair superposition
+states.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -104,9 +110,7 @@ def custom_potential(table: Mapping[int, float]) -> Potential:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
@@ -122,10 +126,6 @@ class Hamiltonian:
     graph: TreeGraph
     potential: Potential
     e_star: float
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,13 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY) -> Hami
 
 def spectrum(h: Hamiltonian, tol_abs: float | None = None,
              size_limit: int = DENSE_SOLVER_LIMIT) -> Spectrum:
-    """Binned spectrum from the quotients' eigenvalues alone; refuses n beyond size_limit."""
-    root, shapes, on_site = _shapes_of(h, size_limit)
-    solve_dims: list[int] = []
-    w = np.sort(_branch_eigenvalues(root, shapes, on_site, {}, solve_dims))
-    return _bin(w, tol_abs, tuple(solve_dims))
+    """Binned spectrum from the quotients' eigenvalues alone; refuses quotients above size_limit."""
+    shapes, counts = _plan(h, size_limit)
+    on_site = [h.potential.value(f) for f, _, _ in shapes]
+    w = np.sort(np.concatenate([
+        np.tile(np.linalg.eigvalsh(_matrix(_quotient(s, shapes), on_site)), count)
+        for s, count in counts.items()]))
+    return _bin(w, tol_abs, tuple(shapes[s][2] for s in counts))
 
 
 @dataclass(frozen=True)
@@ -190,99 +192,96 @@ class ReturnWeights:
 
 
 def return_weights(h: Hamiltonian, size_limit: int = DENSE_SOLVER_LIMIT) -> ReturnWeights:
-    """Weights of the node-averaged return probability; refuses n beyond size_limit."""
-    root, shapes, on_site = _shapes_of(h, size_limit)
-    solve_dims: list[int] = []
-    nodes, blocks = _branch_weights(root, shapes, on_site, {}, solve_dims)
+    """Weights of the node-averaged return probability; refuses a quotient above size_limit."""
+    shapes, counts = _plan(h, size_limit)
+    on_site = [h.potential.value(f) for f, _, _ in shapes]
+    nodes, blocks = _branch_weights(len(shapes) - 1, shapes, on_site, {})
     eigenvalues = np.concatenate([w for w, _ in blocks.values()])
     weights = np.hstack([b for _, b in blocks.values()])
-    w = np.sort(np.repeat(eigenvalues, np.rint(nodes @ weights).astype(np.int64)))
-    return ReturnWeights(eigenvalues, weights, nodes, _bin(w, None, tuple(solve_dims)))
+    w = np.sort(np.concatenate([np.tile(wd, counts[d]) for d, (wd, _) in blocks.items()]))
+    return ReturnWeights(eigenvalues, weights, nodes,
+                         _bin(w, None, tuple(shapes[s][2] for s in blocks)))
 
 
-def _shapes_of(h: Hamiltonian, size_limit: int):
-    """Root shape id, branch shapes and each shape's on-site value; refuses n beyond size_limit."""
-    if h.n > size_limit:
-        raise SizeLimitError(f"n={h.n} exceeds the dense solver limit {size_limit}; "
-                             "use structural estimators at this scale")
-    root, shapes = _branch_shapes(h.graph.parents)
-    return root, shapes, [h.potential.value(degree) for degree, _ in shapes]
-
-
-def _branch_shapes(parents):
-    """Interned rooted shape of every branch, children first.
-
-    A shape is (functionality of the branch root, sorted tuple of
-    (child shape, count)); two branches share a shape exactly when they
-    are isomorphic as rooted trees with equal functionalities, so their
-    matrices are equal under any potential.  Returns the root's shape id
-    and the shapes indexed by id.
+def _plan(h: Hamiltonian, size_limit: int | None = None):
+    """Shapes by id as (functionality, groups, quotient size), the root's last, and counts
+    by solved shape, as in the module docstring; refuses a quotient above size_limit.
     """
-    child_shapes: list[list[int]] = [[] for _ in parents]
+    parents = h.graph.parents
+    pending: deque[tuple[int, int]] = deque()  # (parent, shape) per unjoined branch, BFS order
     ids: dict[tuple, int] = {}
+    shapes: list[tuple] = []
     for v in range(len(parents) - 1, -1, -1):
-        children = child_shapes[v]
-        shape = (len(children) + (v > 0), tuple(sorted(Counter(children).items())))
-        sid = ids.setdefault(shape, len(ids))
-        if v:
-            child_shapes[parents[v]].append(sid)
-    return sid, list(ids)
+        children = []
+        while pending and pending[0][0] == v:
+            children.append(pending.popleft()[1])
+        children.sort()
+        key = (len(children) + (v > 0), tuple(children))
+        sid = ids.setdefault(key, len(ids))
+        if sid == len(shapes):
+            groups = tuple(Counter(children).items())
+            size = 1 + sum(shapes[c][2] for c, _ in groups)
+            if size_limit is not None and size > size_limit:
+                raise SizeLimitError(f"n={len(parents)}: a quotient of {size} positions exceeds "
+                                     f"the dense solver limit {size_limit}; raise --size-limit "
+                                     "or use the structural estimators of `qtree sweep`")
+            shapes.append((key[0], groups, size))
+        pending.append((parents[v], sid))
+    counts = {len(shapes) - 1: 1}
+    occurrences = [0] * len(shapes)  # of each shape as a position, over all counted quotients
+    for s in range(len(shapes) - 1, -1, -1):
+        occurrences[s] += counts.get(s, 0)
+        for c, k in shapes[s][1]:
+            occurrences[c] += occurrences[s]
+            if k > 1:
+                counts[c] = counts.get(c, 0) + occurrences[s] * (k - 1)
+    return shapes, counts
 
 
-def _quotient(s: int, shapes, on_site):
-    """Quotient matrix of a branch of shape s, Pi of each position, and its groups.
+def _quotient(s: int, shapes):
+    """Positions of the quotient of a branch of shape s: shape, parent position, k and Pi of each.
 
-    A group of k >= 2 equal child branches is one copy joined by sqrt(k),
-    listed as (first position, shape, k).  Positions are numbered in
-    preorder as they are popped, so each copy is one block of positions
-    ordered as its shape's own quotient; `_branch_weights` relies on
-    this.  The walk is iterative because a chain is n deep.
+    Positions are numbered in preorder as they are popped, so each copy
+    is one block of positions ordered as its shape's own quotient;
+    `_branch_weights` relies on this.  The walk is iterative because a
+    chain is n deep.
     """
-    diag, parents, ks, nodes, groups = [], [], [], [], []
+    shape, parent, ks, nodes = [], [], [], []
     stack = [(s, -1, 1)]
     while stack:
-        t, parent, k = stack.pop()
-        if k > 1:
-            groups.append((len(diag), t, k))
-        diag.append(on_site[t])
-        parents.append(parent)
+        t, p, k = stack.pop()
+        shape.append(t)
+        parent.append(p)
         ks.append(k)
-        nodes.append(k * nodes[parent] if parent >= 0 else 1)
-        stack.extend((c, len(diag) - 1, kc) for c, kc in reversed(shapes[t][1]))
-    matrix = np.diag(diag)
-    rows = np.arange(1, len(diag))
-    matrix[rows, parents[1:]] = matrix[parents[1:], rows] = np.sqrt(ks[1:])
-    return matrix, nodes, groups
+        nodes.append(k * nodes[p] if p >= 0 else 1)
+        stack.extend((c, len(shape) - 1, kc) for c, kc in reversed(shapes[t][1]))
+    return shape, parent, ks, nodes
 
 
-def _branch_eigenvalues(s: int, shapes, on_site, memo: dict, solve_dims: list) -> np.ndarray:
-    """All eigenvalues of a branch of shape s, unsorted, memoized per shape.
-
-    One eigvalsh on its quotient plus k - 1 copies of each group's own
-    spectrum.  A repeated shape has at most half the nodes of the branch
-    holding it, so the recursion is at most log2(n) deep.
-    """
-    if s not in memo:
-        matrix, _, groups = _quotient(s, shapes, on_site)
-        solve_dims.append(len(matrix))
-        memo[s] = np.concatenate([np.linalg.eigvalsh(matrix)] + [
-            np.tile(_branch_eigenvalues(c, shapes, on_site, memo, solve_dims), k - 1)
-            for _, c, k in groups])
-    return memo[s]
+def _matrix(quotient, on_site) -> np.ndarray:
+    """Quotient matrix: on-site values on the diagonal, sqrt(k) on each bond."""
+    shape, parent, ks, _ = quotient
+    matrix = np.diag([on_site[t] for t in shape])
+    rows = np.arange(1, len(shape))
+    matrix[rows, parent[1:]] = matrix[parent[1:], rows] = np.sqrt(ks[1:])
+    return matrix
 
 
-def _branch_weights(s: int, shapes, on_site, memo: dict, solve_dims: list):
+def _branch_weights(s: int, shapes, on_site, memo: dict):
     """Pi of each quotient position of shape s, and per shape solved in the branch
     its quotient's eigenvalues and weights (position x eigenvector); memoized per shape.
     """
     if s not in memo:
-        matrix, nodes, groups = _quotient(s, shapes, on_site)
-        solve_dims.append(len(matrix))
-        w, x = np.linalg.eigh(matrix)
+        quotient = _quotient(s, shapes)
+        w, x = np.linalg.eigh(_matrix(quotient, on_site))
+        shape, _, ks, nodes = quotient
         nodes = np.array(nodes)
         blocks = {s: (w, x * x / nodes[:, None])}
-        for start, c, k in groups:  # nodes[start] = k Pi_p, so this is (1 - 1/k) / Pi_p
-            for d, (wd, block) in _branch_weights(c, shapes, on_site, memo, solve_dims)[1].items():
+        for start, (c, k) in enumerate(zip(shape, ks)):
+            if k == 1:
+                continue
+            # nodes[start] = k Pi_p, so this is (1 - 1/k) / Pi_p
+            for d, (wd, block) in _branch_weights(c, shapes, on_site, memo)[1].items():
                 if d not in blocks:
                     blocks[d] = (wd, np.zeros((len(nodes), len(wd))))
                 blocks[d][1][start:start + len(block)] += (k - 1) / nodes[start] * block
@@ -316,30 +315,38 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
     """Exact multiplicity of eigenvalue e by tree diagonalization over rationals.
 
     Jacobs & Trevisan, Linear Algebra Appl. 434 (2011) 81-88: one
-    children-first pass from root 0 makes H - e*I congruent to a diagonal
-    matrix whose zero entries count the multiplicity.  Requires every
-    entry (potential values and e) to be representable as an exact
-    rational: ints, Fractions, or finite floats taken at their binary value.
+    children-first pass makes Q - e*I congruent to a diagonal matrix
+    whose zero entries count the multiplicity.  It runs on each solved
+    quotient Q, where a bond sqrt(k) enters only squared, as the integer
+    k, and the counts of zeros add up as the quotients' spectra do.
+    Requires every entry (potential values and e) to be representable
+    as an exact rational: ints, Fractions, or finite floats taken at
+    their binary value.
     """
     x = _as_fraction(e)
-    parents = h.graph.parents
-    d = [h.potential.value_exact(f) - x for f in h.graph.degrees()]
-    zero_child = [-1] * h.n
-    for v in range(h.n - 1, -1, -1):
-        c = zero_child[v]
-        if c >= 0:
-            # the zero child clears v's row and column, cutting v's parent edge
-            d[c] = Fraction(2)
-            d[v] = Fraction(-1, 2)
-        elif v:
-            if d[v] == 0:
-                zero_child[parents[v]] = v
-            else:
-                d[parents[v]] -= 1 / d[v]
-    return d.count(0)
+    shapes, counts = _plan(h)
+    on_site = [h.potential.value_exact(f) - x for f, _, _ in shapes]
+    total = 0
+    for s, count in counts.items():
+        shape, parent, ks, _ = _quotient(s, shapes)
+        d = [on_site[t] for t in shape]
+        zero_child = [-1] * len(d)
+        for v in range(len(d) - 1, -1, -1):
+            c = zero_child[v]
+            if c >= 0:
+                # the zero child clears v's row and column, cutting v's parent bond
+                d[c] = Fraction(2)
+                d[v] = Fraction(-1, 2)
+            elif v:
+                if d[v] == 0:
+                    zero_child[parent[v]] = v
+                else:
+                    d[parent[v]] -= ks[v] / d[v]
+        total += count * d.count(0)
+    return total
 
 
-def leaf_pair_eigenstates(g: TreeGraph, h: Hamiltonian) -> list[np.ndarray]:
+def leaf_pair_eigenstates(h: Hamiltonian) -> list[np.ndarray]:
     """Orthonormal eigenvectors at E* built from leaves sharing a parent.
 
     For a parent with leaves l_1..l_m the vectors span the differences
@@ -348,23 +355,20 @@ def leaf_pair_eigenstates(g: TreeGraph, h: Hamiltonian) -> list[np.ndarray]:
     parents).  Each vector satisfies H v = E* v because all leaves carry
     the same on-site value V(1) and couple only to their common parent.
     """
-    if h.graph.parents != g.parents:
-        raise InvalidParameterError("hamiltonian was built from a different graph")
-    is_leaf = [d == 1 for d in g.degrees()]
+    g = h.graph
+    degrees = g.degrees()
     leaves_of: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges():  # ascending in v, so each list comes out sorted
-        if is_leaf[v] and not is_leaf[u]:
-            leaves_of[u].append(v)
-        elif is_leaf[u] and not is_leaf[v]:
-            leaves_of[v].append(u)
+    for v, p in enumerate(g.parents):  # ascending in v, so each list comes out sorted
+        neighbour = p if v else 1  # a root of functionality 1 hangs from node 1
+        if degrees[v] == 1 and degrees[neighbour] > 1:
+            leaves_of[neighbour].append(v)
     vectors: list[np.ndarray] = []
     for leaves in leaves_of:
         for k in range(1, len(leaves)):
             # Helmert vector: mutually orthogonal, zero coefficient sum
             v = np.zeros(g.n)
             norm = 1.0 / math.sqrt(k * (k + 1))
-            for i in range(k):
-                v[leaves[i]] = norm
+            v[leaves[:k]] = norm
             v[leaves[k]] = -k * norm
             vectors.append(v)
     return vectors

@@ -1,19 +1,21 @@
-"""Test-session set-up shared by every test module, and the dense reference.
+"""Test-session set-up shared by every test module, and the n-node references.
 
-The program diagonalizes trees only through their branch-symmetry
-quotients.  The dense n x n path below is the independent oracle the
-tests compare that against: the full matrix, `numpy.linalg.eigh` of it,
-its binned spectrum, the node-averaged return probability from the
-full eigenbasis and the squared averaged return amplitude from the
-eigenvalues.
+The program diagonalizes trees, and counts exact multiplicities, only
+through their branch-symmetry quotients.  The n-node paths below are
+the independent oracles the tests compare that against: the full
+matrix, `numpy.linalg.eigh` of it, its binned spectrum, the
+node-averaged return probability from the full eigenbasis, the squared
+averaged return amplitude from the eigenvalues, and the exact
+multiplicity from one Jacobs-Trevisan pass over every node.
 """
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from qtree.spectral import _bin
+from qtree.spectral import _as_fraction, _bin
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -77,3 +79,31 @@ def dense_abs_alpha_sq(ref: DenseReference, times, chunk: int = 2048) -> np.ndar
         phases = np.exp(-1j * np.outer(block, ref.eigenvalues))
         out[start : start + len(block)] = np.abs(phases.mean(axis=1)) ** 2
     return out
+
+
+def multiplicity_exact_reference(h, e) -> int:
+    """Exact multiplicity of eigenvalue e by tree diagonalization over rationals.
+
+    Jacobs & Trevisan, Linear Algebra Appl. 434 (2011) 81-88: one
+    children-first pass from root 0 makes H - e*I congruent to a diagonal
+    matrix whose zero entries count the multiplicity.  Requires every
+    entry (potential values and e) to be representable as an exact
+    rational: ints, Fractions, or finite floats taken at their binary value.
+    """
+    x = _as_fraction(e)
+    n = h.graph.n
+    parents = h.graph.parents
+    d = [h.potential.value_exact(f) - x for f in h.graph.degrees()]
+    zero_child = [-1] * n
+    for v in range(n - 1, -1, -1):
+        c = zero_child[v]
+        if c >= 0:
+            # the zero child clears v's row and column, cutting v's parent edge
+            d[c] = Fraction(2)
+            d[v] = Fraction(-1, 2)
+        elif v:
+            if d[v] == 0:
+                zero_child[parents[v]] = v
+            else:
+                d[parents[v]] -= 1 / d[v]
+    return d.count(0)

@@ -138,7 +138,7 @@ def test_criterion_04_leaf_pair_eigenstates():
     for g in graphs:
         st = structural_stats(g)
         h = build_hamiltonian(g, CONNECTIVITY)
-        vectors = leaf_pair_eigenstates(g, h)
+        vectors = leaf_pair_eigenstates(h)
         if len(vectors) != st.n_leaves - st.n_parents:
             counts_ok = False
         matrix = dense_matrix(h)

@@ -133,6 +133,21 @@ def test_chi_size_limit_exit_4(tmp_path):
     assert "structural" in res.stderr
 
 
+def test_chi_dendrimer_above_4096_nodes_solves_its_quotient(tmp_path):
+    # n = 12 286 is above the default limit; the largest solve, the root's quotient, has 13
+    edges = tmp_path / "d312.edges"
+    assert run_cli("gen", "--family", "dendrimer", "--f", "3", "--g", "12",
+                   "--out", str(edges)).returncode == 0
+    out = tmp_path / "d312.json"
+    res = run_cli("chi", "--in", str(edges), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    report = json.loads(out.read_text())
+    counters = json.loads((tmp_path / "d312.json.manifest.json").read_text())["counters"]
+    assert report["n"] == counters["n"] == 12_286
+    assert counters["largest_solve_dim"] == 13
+    assert report["multiplicity_e_star_exact"] == round(report["rho_star_exact"] * 12_286) == 3276
+
+
 def test_chi_spectrum_export(tmp_path):
     edges = tmp_path / "s4.edges"
     run_cli("gen", "--family", "star", "--n", "4", "--out", str(edges))

@@ -115,6 +115,17 @@ def test_ensemble_size_limit():
         run_ensemble(EnsembleConfig(n=MAX_NODES_DEFAULT + 1, s=2.5, r=1))
 
 
+def test_sweep_checks_each_row_before_its_analytic_values(monkeypatch):
+    # the analytic mean loops over f_max = n - 1 values; an oversize row never reaches it
+    def analytic_mean(*args):
+        raise AssertionError("analytic values computed before the size check")
+
+    monkeypatch.setattr("qtree.ensemble.avg_f_sft", analytic_mean)
+    (row,) = sweep([EnsembleConfig(n=MAX_NODES_DEFAULT + 1, s=2.5, r=1)])
+    assert row.status == "size-limit"
+    assert row.avg_f_analytic is None
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         run_ensemble(EnsembleConfig(n=50, s=2.5, r=0))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtree import (
     ADJACENCY,
@@ -33,7 +35,13 @@ from qtree import (
 )
 from qtree.spectral import _bin
 
-from conftest import dense_abs_alpha_sq, dense_matrix, dense_reference, dense_return_probability
+from conftest import (
+    dense_abs_alpha_sq,
+    dense_matrix,
+    dense_reference,
+    dense_return_probability,
+    multiplicity_exact_reference,
+)
 
 
 def spectrum_of(g, potential=CONNECTIVITY, tol=None):
@@ -119,6 +127,14 @@ def test_quotient_solvers_size_limit():
         return_weights(h, size_limit=39)
     with pytest.raises(SizeLimitError):
         spectrum(h, size_limit=39)
+    # the limit bounds the largest solve, the root's quotient, not n
+    d = build_hamiltonian(generate_dendrimer(3, 4))  # 46 nodes, a root quotient of 5 positions
+    assert max(spectrum(d, size_limit=5).solve_dims) == 5
+    with pytest.raises(SizeLimitError, match="n=46: a quotient of 5 positions"):
+        return_weights(d, size_limit=4)
+    # a chain is its own quotient; interning stops at the first branch above the limit
+    with pytest.raises(SizeLimitError, match="n=5000: a quotient of 4097 positions exceeds"):
+        spectrum(build_hamiltonian(generate_chain(5000)))
 
 
 def test_bin_star4():
@@ -214,6 +230,38 @@ def test_oracle_equivalence_on_random_sfts():
         g = generate_sft(n, s, seed=int(rng.integers(0, 2**63)))
         h, es, sp = spectrum_of(g)
         assert sp.multiplicity_at(h.e_star) == multiplicity_exact(h, 1)
+
+
+@st.composite
+def breadth_first_trees(draw):
+    """A random tree with k >= 0 copies of one random branch under one node, read back
+    breadth-first, so repeated branches and their groups are common."""
+    def random_parents(size):
+        return [draw(st.integers(0, v - 1)) for v in range(1, size)]
+
+    edges = list(enumerate(random_parents(draw(st.integers(2, 30))), start=1))
+    n = len(edges) + 1
+    branch = random_parents(draw(st.integers(1, 8)))
+    at = draw(st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        edges += [(n, at)] + [(n + v, n + p) for v, p in enumerate(branch, start=1)]
+        n += len(branch) + 1
+    return parse_edge_list_text(f"{n}\n" + "".join(f"{v} {p}\n" for v, p in edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_quotient_oracle_matches_node_pass(data):
+    g = data.draw(breadth_first_trees())
+    top = max(g.degrees())
+    value = st.one_of(st.integers(-2, 3), st.fractions(-2, 3, max_denominator=4))
+    potential = data.draw(st.one_of(
+        st.just(CONNECTIVITY), st.just(ADJACENCY),
+        st.lists(value, min_size=top, max_size=top).map(
+            lambda values: custom_potential(dict(enumerate(values, start=1))))))
+    h = build_hamiltonian(g, potential)
+    for e in (potential.value_exact(1), 0, 2):
+        assert multiplicity_exact(h, e) == multiplicity_exact_reference(h, e)
 
 
 def relabelled(g, seed):
@@ -328,7 +376,7 @@ def test_density_at_e_star_dominates_structural_count(g):
 def test_leaf_pair_star4():
     g = generate_star(4)
     h = build_hamiltonian(g)
-    vectors = leaf_pair_eigenstates(g, h)
+    vectors = leaf_pair_eigenstates(h)
     assert len(vectors) == 2
     for v in vectors:
         assert np.linalg.norm(dense_matrix(h) @ v - h.e_star * v) <= 1e-12
@@ -337,12 +385,12 @@ def test_leaf_pair_star4():
 
 def test_leaf_pair_chain4_empty():
     g = generate_chain(4)
-    assert leaf_pair_eigenstates(g, build_hamiltonian(g)) == []
+    assert leaf_pair_eigenstates(build_hamiltonian(g)) == []
 
 
 def test_leaf_pair_dendrimer_count():
     g = generate_dendrimer(3, 2)
-    assert len(leaf_pair_eigenstates(g, build_hamiltonian(g))) == 3
+    assert len(leaf_pair_eigenstates(build_hamiltonian(g))) == 3
 
 
 @pytest.mark.parametrize(
@@ -360,7 +408,7 @@ def test_leaf_pair_invariants(g):
     for potential in (CONNECTIVITY, ADJACENCY, custom_potential(
             {f: 0.25 * f * f for f in range(1, max(g.degrees()) + 1)})):
         h = build_hamiltonian(g, potential)
-        vectors = leaf_pair_eigenstates(g, h)
+        vectors = leaf_pair_eigenstates(h)
         assert len(vectors) == st.n_leaves - st.n_parents
         basis = np.array(vectors)
         gram = basis @ basis.T
