@@ -36,6 +36,7 @@ from .ensemble import (
     STRUCTURAL_DELTA0,
     WORKERS_ENV_VAR,
     EnsembleConfig,
+    _check_config,
     resolve_workers,
     sweep,
     sweep_csv_text,
@@ -43,7 +44,7 @@ from .ensemble import (
 from .errors import InvalidParameterError, QtreeError, SizeLimitError
 from .graphs import (
     FORMAT_HEADER,
-    _check_size,
+    MAX_NODES_DEFAULT,
     edge_list_text,
     generate_chain,
     generate_dendrimer,
@@ -179,7 +180,8 @@ def run_chi(params: dict) -> int:
     report = efficiency_report(
         g,
         potential,
-        tol_abs=params.get("tol_abs"),
+        tol_abs=_option(params, "tol_abs", None, lambda v: v is None or 0 < v < math.inf,
+                        "finite and positive"),
         size_limit=_option(params, "size_limit", DENSE_SOLVER_LIMIT, lambda v: v >= 1,
                            "at least 1"),
     )
@@ -217,12 +219,11 @@ def _parse_s(text: str) -> float:
 def run_sweep(params: dict) -> int:
     started = time.monotonic()
     n = int(params["n"])
-    _check_size(f"sft(n={n})", n)  # before any row: each row's analytic mean loops over n - 1 values
     s_grid = [_parse_s(v) for v in str(params["s_grid"]).split(",") if v.strip()]
     if not s_grid:
         raise InvalidParameterError("empty s grid")
     if params.get("paper_r"):
-        r = max(1, round(1_000_000 / n))
+        r = max(1, round(1_000_000 / max(n, 1)))  # n < 3 is refused below; max() only avoids / 0
     elif params.get("r") is not None:
         r = int(params["r"])
     else:
@@ -239,7 +240,10 @@ def run_sweep(params: dict) -> int:
         )
         for s in s_grid
     ]
-    rows = sweep(cfgs, workers=params.get("workers"))
+    # before any row: what the rows share, including n, whose analytic mean loops over n - 1 values
+    workers = resolve_workers(params.get("workers"))
+    _check_config(cfgs[0])
+    rows = sweep(cfgs, workers=workers)
     out = params["out"]
     write_text_atomic(out, sweep_csv_text(rows))
     _write_manifest("sweep", params, [out], int(params.get("seed") or 0), started)
@@ -304,6 +308,8 @@ def run_fit_kappa(params: dict) -> int:
 def run_timeseries(params: dict) -> int:
     started = time.monotonic()
     samples = _option(params, "samples", 10_000, lambda v: v >= 2, "at least 2")
+    if samples > MAX_NODES_DEFAULT:
+        raise SizeLimitError(f"--samples {samples} is above the limit {MAX_NODES_DEFAULT}")
     t_max = _option(params, "t_max", None, lambda v: v is None or 0 < v < math.inf,
                     "finite and positive")
     g = read_edge_list(params["in"])
@@ -488,8 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if command == "rerun":
             return run_rerun(params)
-        if command == "sweep" and params.get("workers") is not None:
-            resolve_workers(params["workers"])
         return _RUNNERS[command](params)
     except SizeLimitError as exc:
         print(f"qtree: {exc}", file=sys.stderr)

@@ -182,7 +182,11 @@ def chi_sft_finite(s: float, f_max: int, n: int) -> float:
     Evaluates the structural bound with both averages equal to
     avg_f_sft(s, f_max) and delta forced to zero.
     """
-    a = avg_f_sft(s, f_max)
+    return _chi_sft_at_mean(avg_f_sft(s, f_max), f_max, n)
+
+
+def _chi_sft_at_mean(a: float, f_max: int, n: int) -> float:
+    """chi_sft_finite from the mean functionality a = avg_f_sft(s, f_max)."""
     if a <= 2.0:
         raise DegenerateAverageError(
             f"mean functionality {a} <= 2 (f_max={f_max}) leaves no scale-free regime"
@@ -251,8 +255,8 @@ def kappa_fit(points: Iterable[tuple[float, float]]) -> KappaFit:
         raise OutOfDomainError(f"need at least 3 points, got {len(pts)}")
     offsets = np.array([p[0] for p in pts], dtype=float)
     values = np.array([p[1] for p in pts], dtype=float)
-    if np.any(offsets <= 0) or np.any(values <= 0):
-        raise OutOfDomainError("offsets and values must be positive")
+    if not np.all((0 < offsets) & (offsets < np.inf) & (0 < values) & (values < np.inf)):
+        raise OutOfDomainError("offsets and values must be finite and positive")
     if np.any(np.diff(offsets) <= 0):
         raise OutOfDomainError("offsets must be distinct")
     x = np.log(offsets)
@@ -364,8 +368,8 @@ def efficiency_report(
 ) -> EfficiencyReport:
     """Diagonalize one tree and assemble chi with all of its bounds."""
     st = structural_stats(g)  # raises NoParentsError for n = 2
-    h = build_hamiltonian(g, potential)
-    sp = spectrum(h, tol_abs, size_limit)
+    h = build_hamiltonian(g, potential, size_limit)
+    sp = spectrum(h, tol_abs)
     rho_exact = sp.density_at(h.e_star)
     leaf_pairs = st.n_leaves - st.n_parents
     mult_exact = multiplicity_exact(h, h.potential.value_exact(1))

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .efficiency import (
+    _chi_sft_at_mean,
     _flat_bound_truncated,
     avg_f_sft,
     chi_lower_from_density,
-    chi_sft_finite,
     chi_sft_infinite,
 )
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
 from .graphs import (
     FORMAT_HEADER,
     TreeGraph,
-    _check_size,
+    _check_sft_size,
     _count_leaves_and_parents,
     _grow_sft_parents,
     _sft_cdf,
@@ -87,7 +87,7 @@ def realization_seed(master_seed: int, index: int) -> int:
 
 
 def _check_config(cfg: EnsembleConfig) -> None:
-    _check_size(f"sft(n={cfg.n})", cfg.n)
+    _check_sft_size(cfg.n, cfg.resolved_f_max())
     if cfg.r < 1:
         raise InvalidParameterError(f"realization count must be >= 1, got {cfg.r}")
     if cfg.estimator not in ESTIMATORS:
@@ -117,7 +117,8 @@ def _realize_block(
     counts = _count_leaves_and_parents(children, parents, cfg.n)
     if cfg.estimator == SPECTRAL_EXACT:
         # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
-        trees = (build_hamiltonian(TreeGraph((-1, *row.tolist())), CONNECTIVITY) for row in parents)
+        trees = (build_hamiltonian(TreeGraph((-1, *row.tolist())), CONNECTIVITY, size_limit=None)
+                 for row in parents)
         value = np.array([chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
                           for h in trees])
     else:
@@ -221,7 +222,7 @@ def sweep(cfgs: list[EnsembleConfig], workers: int | None = None) -> list[SweepR
             if cfg.s > 2:
                 infinite = 1.0 - chi_sft_infinite(cfg.s)
             avg_f = avg_f_sft(cfg.s, f_max)
-            finite = 1.0 - chi_sft_finite(cfg.s, f_max, cfg.n)
+            finite = 1.0 - _chi_sft_at_mean(avg_f, f_max, cfg.n)
         except QtreeError as exc:
             status = _error_name(exc)
         try:

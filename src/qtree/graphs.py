@@ -205,14 +205,19 @@ def generate_vicsek(f: int, g: int) -> TreeGraph:
     return TreeGraph(parents, label)
 
 
-def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
-    """Checked CDF of P(f) ~ f^(-s) on {2, ..., f_max}; entry k is P(f <= k + 2)."""
+def _check_sft_size(n: int, f_max: int) -> None:
+    _check_size(f"sft(n={n})", n)
     if n < 3:
         raise InvalidParameterError(f"sft needs n >= 3, got {n}")
-    if not (s > 1 and math.isfinite(s)):
-        raise InvalidParameterError(f"sft needs a finite scaling exponent s > 1, got {s}")
     if not 2 <= f_max <= n - 1:
         raise InvalidParameterError(f"sft needs 2 <= f_max <= n-1, got f_max={f_max}")
+
+
+def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
+    """Checked CDF of P(f) ~ f^(-s) on {2, ..., f_max}; entry k is P(f <= k + 2)."""
+    _check_sft_size(n, f_max)
+    if not (s > 1 and math.isfinite(s)):
+        raise InvalidParameterError(f"sft needs a finite scaling exponent s > 1, got {s}")
     support = np.arange(2, f_max + 1, dtype=np.float64)
     weights = support ** (-float(s))
     cdf = np.cumsum(weights)
@@ -258,7 +263,6 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
 
     Deterministic for fixed (n, s, f_max, seed).
     """
-    _check_size(f"sft(n={n})", n)
     if f_max is None:
         f_max = n - 1
     cdf = _sft_cdf(n, s, f_max)

@@ -20,7 +20,8 @@ of s) occurs: 1 for the root plus k - 1 per group of k branches of
 shape s in each counted quotient.  A branch's path from the root runs
 through one copy of each group it passes, so its quotient is a block of
 the root's: the root's is the largest solve, and interning stops at the
-first branch above the size limit.
+first branch above the size limit.  `build_hamiltonian` builds the plan
+and checks the limit; the oracle on a tree above it needs size_limit=None.
 
 Return probabilities come from the eigenvectors of the same quotients.
 Branch swaps permute the tree nodes at one position q of the root
@@ -126,6 +127,9 @@ class Hamiltonian:
     graph: TreeGraph
     potential: Potential
     e_star: float
+    # the plan: each shape's functionality by id; by counted shape, its quotient and count
+    functionality: tuple[int, ...] = field(repr=False, compare=False)
+    quotients: dict[int, tuple[tuple, int]] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -158,27 +162,23 @@ class Spectrum:
         return self.multiplicity_at(e, atol) / self.n
 
 
-def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY) -> Hamiltonian:
-    """Hamiltonian of g; checks the potential against the tree's functionalities now."""
+def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,
+                      size_limit: int | None = DENSE_SOLVER_LIMIT) -> Hamiltonian:
+    """Hamiltonian and plan of g; refuses gaps in the potential, then quotients over size_limit."""
     if potential.kind == CUSTOM_KIND:
-        missing = sorted({f for f in g.degrees() if f not in potential.table} | (
-            {1} if 1 not in potential.table else set()))
+        missing = sorted({1, *g.degrees()} - potential.table.keys())
         if missing:
             raise IncompletePotentialError(
-                f"custom potential table lacks entries for functionalities {missing}"
-            )
-    return Hamiltonian(graph=g, potential=potential, e_star=potential.value(1))
+                f"custom potential table lacks entries for functionalities {missing}")
+    return Hamiltonian(g, potential, potential.value(1), *_plan(g.parents, size_limit))
 
 
-def spectrum(h: Hamiltonian, tol_abs: float | None = None,
-             size_limit: int = DENSE_SOLVER_LIMIT) -> Spectrum:
-    """Binned spectrum from the quotients' eigenvalues alone; refuses quotients above size_limit."""
-    shapes, counts = _plan(h, size_limit)
-    on_site = [h.potential.value(f) for f, _, _ in shapes]
-    w = np.sort(np.concatenate([
-        np.tile(np.linalg.eigvalsh(_matrix(_quotient(s, shapes), on_site)), count)
-        for s, count in counts.items()]))
-    return _bin(w, tol_abs, tuple(shapes[s][2] for s in counts))
+def spectrum(h: Hamiltonian, tol_abs: float | None = None) -> Spectrum:
+    """Binned spectrum from the quotients' eigenvalues alone."""
+    on_site = [h.potential.value(f) for f in h.functionality]
+    w = np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(_matrix(q, on_site)), count)
+                                for q, count in h.quotients.values()]))
+    return _bin(w, tol_abs, tuple(len(q[0]) for q, _ in h.quotients.values()))
 
 
 @dataclass(frozen=True)
@@ -191,26 +191,24 @@ class ReturnWeights:
     spectrum: Spectrum
 
 
-def return_weights(h: Hamiltonian, size_limit: int = DENSE_SOLVER_LIMIT) -> ReturnWeights:
-    """Weights of the node-averaged return probability; refuses a quotient above size_limit."""
-    shapes, counts = _plan(h, size_limit)
-    on_site = [h.potential.value(f) for f, _, _ in shapes]
-    nodes, blocks = _branch_weights(len(shapes) - 1, shapes, on_site, {})
+def return_weights(h: Hamiltonian) -> ReturnWeights:
+    """Weights of the node-averaged return probability."""
+    on_site = [h.potential.value(f) for f in h.functionality]
+    nodes, blocks = _branch_weights(len(h.functionality) - 1, h.quotients, on_site, {})
     eigenvalues = np.concatenate([w for w, _ in blocks.values()])
     weights = np.hstack([b for _, b in blocks.values()])
-    w = np.sort(np.concatenate([np.tile(wd, counts[d]) for d, (wd, _) in blocks.items()]))
+    w = np.sort(np.concatenate([np.tile(wd, h.quotients[d][1]) for d, (wd, _) in blocks.items()]))
     return ReturnWeights(eigenvalues, weights, nodes,
-                         _bin(w, None, tuple(shapes[s][2] for s in blocks)))
+                         _bin(w, None, tuple(len(wd) for wd, _ in blocks.values())))
 
 
-def _plan(h: Hamiltonian, size_limit: int | None = None):
-    """Shapes by id as (functionality, groups, quotient size), the root's last, and counts
-    by solved shape, as in the module docstring; refuses a quotient above size_limit.
+def _plan(parents, size_limit: int | None):
+    """Functionality of each shape by id, the root's last, and by counted shape its
+    quotient and count, as in the module docstring; refuses a quotient above size_limit.
     """
-    parents = h.graph.parents
     pending: deque[tuple[int, int]] = deque()  # (parent, shape) per unjoined branch, BFS order
     ids: dict[tuple, int] = {}
-    shapes: list[tuple] = []
+    shapes: list[tuple] = []  # (functionality, groups, quotient size)
     for v in range(len(parents) - 1, -1, -1):
         children = []
         while pending and pending[0][0] == v:
@@ -235,7 +233,7 @@ def _plan(h: Hamiltonian, size_limit: int | None = None):
             occurrences[c] += occurrences[s]
             if k > 1:
                 counts[c] = counts.get(c, 0) + occurrences[s] * (k - 1)
-    return shapes, counts
+    return tuple(f for f, _, _ in shapes), {s: (_quotient(s, shapes), counts[s]) for s in counts}
 
 
 def _quotient(s: int, shapes):
@@ -267,21 +265,20 @@ def _matrix(quotient, on_site) -> np.ndarray:
     return matrix
 
 
-def _branch_weights(s: int, shapes, on_site, memo: dict):
+def _branch_weights(s: int, quotients, on_site, memo: dict):
     """Pi of each quotient position of shape s, and per shape solved in the branch
     its quotient's eigenvalues and weights (position x eigenvector); memoized per shape.
     """
     if s not in memo:
-        quotient = _quotient(s, shapes)
+        shape, _, ks, nodes = quotient = quotients[s][0]
         w, x = np.linalg.eigh(_matrix(quotient, on_site))
-        shape, _, ks, nodes = quotient
         nodes = np.array(nodes)
         blocks = {s: (w, x * x / nodes[:, None])}
         for start, (c, k) in enumerate(zip(shape, ks)):
             if k == 1:
                 continue
             # nodes[start] = k Pi_p, so this is (1 - 1/k) / Pi_p
-            for d, (wd, block) in _branch_weights(c, shapes, on_site, memo)[1].items():
+            for d, (wd, block) in _branch_weights(c, quotients, on_site, memo)[1].items():
                 if d not in blocks:
                     blocks[d] = (wd, np.zeros((len(nodes), len(wd))))
                 blocks[d][1][start:start + len(block)] += (k - 1) / nodes[start] * block
@@ -299,8 +296,8 @@ def _bin(w: np.ndarray, tol_abs: float | None, solve_dims: tuple[int, ...] = ())
     """
     if tol_abs is None:
         tol_abs = 1e-8 * (float(w[-1] - w[0]) + 1.0)
-    if not tol_abs > 0:
-        raise InvalidParameterError(f"tol_abs must be positive, got {tol_abs}")
+    if not 0 < tol_abs < math.inf:
+        raise InvalidParameterError(f"tol_abs must be finite and positive, got {tol_abs}")
     n = len(w)
     classes: list[tuple[float, int]] = []
     start = 0
@@ -324,11 +321,9 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
     their binary value.
     """
     x = _as_fraction(e)
-    shapes, counts = _plan(h)
-    on_site = [h.potential.value_exact(f) - x for f, _, _ in shapes]
+    on_site = [h.potential.value_exact(f) - x for f in h.functionality]
     total = 0
-    for s, count in counts.items():
-        shape, parent, ks, _ = _quotient(s, shapes)
+    for (shape, parent, ks, _), count in h.quotients.values():
         d = [on_site[t] for t in shape]
         zero_child = [-1] * len(d)
         for v in range(len(d) - 1, -1, -1):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtree import Potential, QtreeError
-from qtree import cli, errors
+from qtree import cli, errors, spectral
 
 
 def run_cli(*args):
@@ -253,6 +253,19 @@ def test_fit_kappa_too_few_rows_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_fit_kappa_non_finite_point_exit_2(tmp_path, cell):
+    # a non-finite point would make the slope NaN, which is not valid JSON
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text(f"x,y\n0.1,1.0\n0.2,2.0\n0.3,{cell}\n0.4,4.0\n")
+    out = tmp_path / "f.json"
+    res = run_cli("fit-kappa", "--in", str(csv_path), "--x-column", "x",
+                  "--y-column", "y", "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("qtree: ") and "finite" in res.stderr
+    assert not out.exists()
+
+
 def test_timeseries_chain3(tmp_path):
     edges = tmp_path / "c3.edges"
     run_cli("gen", "--family", "chain", "--n", "3", "--out", str(edges))
@@ -418,7 +431,7 @@ _OUT_OF_RANGE_OPTIONS = [
         ("timeseries", "samples", 0), ("timeseries", "samples", -5),
         ("timeseries", "samples", 1), ("chi", "size_limit", 0),
         ("timeseries", "t_max", 0.0), ("timeseries", "t_max", float("nan")),
-        ("timeseries", "t_max", float("inf")),
+        ("timeseries", "t_max", float("inf")), ("chi", "tol_abs", float("inf")),
     ]
 ]
 
@@ -522,6 +535,65 @@ def test_oversize_sweep_exit_4_before_any_row(tmp_path):
     assert not out.exists()
 
 
+_SHARED_SWEEP_PARAMS = {
+    # name: (params over n = 50, s = 2.5,3.0, r = 2; environment; exit code; message part)
+    "workers_0": ({"workers": 0}, {}, 2, "worker count"),
+    "env_workers_abc": ({}, {"QTREE_WORKERS": "abc"}, 2, "QTREE_WORKERS"),
+    "r_0": ({"r": 0}, {}, 2, "realization count"),
+    "n_2": ({"n": 2}, {}, 2, "n >= 3"),
+    "n_0_paper_r": ({"n": 0, "r": None, "paper_r": True}, {}, 2, "n >= 3"),
+    "f_max_1": ({"f_max": 1}, {}, 2, "f_max"),
+    "n_above_node_limit": ({"n": 3_000_000}, {}, 4, "above the limit"),
+}
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["cli", "rerun"])
+@pytest.mark.parametrize("case", _SHARED_SWEEP_PARAMS)
+def test_sweep_refuses_shared_params_before_any_row(tmp_path, case, rerun):
+    # every row would fail alike, so nothing is written and the exit is 2 or 4, not 5
+    overrides, env, code, hint = _SHARED_SWEEP_PARAMS[case]
+    params = {"n": 50, "s_grid": "2.5,3.0", "r": 2, **overrides}
+    params = {key: value for key, value in params.items() if value is not None}
+    out = tmp_path / "s.csv"
+    if rerun:
+        workers = params.pop("workers", None)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"format": "qtree-manifest-1", "command": "sweep",
+                                        "params": params}))
+        args = ["rerun", str(manifest), "--out", str(out)]
+        if workers is not None:
+            args += ["--workers", str(workers)]
+    else:
+        args = ["sweep", "--out", str(out)]
+        for key, value in params.items():
+            flag = "--" + key.replace("_", "-")
+            args += [flag] if value is True else [flag, str(value)]
+    res = subprocess.run([sys.executable, "-m", "qtree", *args], capture_output=True,
+                         text=True, env={**os.environ, **env})
+    assert res.returncode == code, res.stderr
+    assert res.stderr.startswith("qtree: ") and hint in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["cli", "rerun"])
+def test_oversize_timeseries_samples_exit_4_before_allocation(tmp_path, rerun):
+    # 10^9 samples need 8 GB per array, far more than the cap
+    samples = 1_000_000_000
+    if rerun:
+        args = _rerun_of(tmp_path, "timeseries", {"samples": samples})
+    else:
+        edges = tmp_path / "s5.edges"
+        assert run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges)).returncode == 0
+        args = ["timeseries", "--in", str(edges), "--samples", str(samples)]
+    out = tmp_path / "ts.csv"
+    res = _run_cli_capped(1 << 30, *args, "--out", str(out))
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("qtree: ") and "--samples" in res.stderr
+    assert "above the limit" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_huge_generation_exit_4_at_once(tmp_path):
     # the exact count 3^30000000 would take minutes to form; g alone settles it
     res = subprocess.run([sys.executable, "-m", "qtree", "gen", "--family", "dendrimer",
@@ -579,6 +651,16 @@ def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
     assert res.stdout.startswith("qtree ")
+
+
+@pytest.mark.parametrize("command", ["chi", "timeseries"])
+def test_one_quotient_plan_per_command(tmp_path, command):
+    edges = tmp_path / "d35.edges"
+    assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "5",
+                     "--out", str(edges)]) == 0
+    with mock.patch("qtree.spectral._plan", wraps=spectral._plan) as plan:
+        assert cli.main([command, "--in", str(edges), "--out", str(tmp_path / "out")]) == 0
+    assert plan.call_count == 1
 
 
 POTENTIAL_TABLE_LIKE = st.lists(

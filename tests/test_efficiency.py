@@ -313,6 +313,11 @@ def test_kappa_fit_input_validation():
         kappa_fit([(-0.1, 1.0), (0.2, 2.0), (0.3, 3.0)])
     with pytest.raises(OutOfDomainError):
         kappa_fit([(0.1, 0.0), (0.2, 2.0), (0.3, 3.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OutOfDomainError, match="finite"):
+            kappa_fit([(0.1, 1.0), (0.2, bad), (0.3, 3.0)])
+        with pytest.raises(OutOfDomainError, match="finite"):
+            kappa_fit([(0.1, 1.0), (0.2, 2.0), (bad, 3.0)])
 
 
 def test_kappa_fit_sft_universal_exponent():

@@ -122,19 +122,23 @@ def test_eigensystem_invariants(g):
 
 
 def test_quotient_solvers_size_limit():
-    h = build_hamiltonian(generate_chain(40))
+    chain = generate_chain(40)
     with pytest.raises(SizeLimitError):
-        return_weights(h, size_limit=39)
-    with pytest.raises(SizeLimitError):
-        spectrum(h, size_limit=39)
+        build_hamiltonian(chain, size_limit=39)
+    assert max(return_weights(build_hamiltonian(chain, size_limit=40)).spectrum.solve_dims) == 40
     # the limit bounds the largest solve, the root's quotient, not n
-    d = build_hamiltonian(generate_dendrimer(3, 4))  # 46 nodes, a root quotient of 5 positions
-    assert max(spectrum(d, size_limit=5).solve_dims) == 5
+    d = generate_dendrimer(3, 4)  # 46 nodes, a root quotient of 5 positions
+    assert max(spectrum(build_hamiltonian(d, size_limit=5)).solve_dims) == 5
     with pytest.raises(SizeLimitError, match="n=46: a quotient of 5 positions"):
-        return_weights(d, size_limit=4)
+        build_hamiltonian(d, size_limit=4)
     # a chain is its own quotient; interning stops at the first branch above the limit
     with pytest.raises(SizeLimitError, match="n=5000: a quotient of 4097 positions exceeds"):
-        spectrum(build_hamiltonian(generate_chain(5000)))
+        build_hamiltonian(generate_chain(5000))
+
+
+def test_exact_oracle_without_size_limit():
+    h = build_hamiltonian(generate_chain(5000), size_limit=None)
+    assert multiplicity_exact(h, 1) == multiplicity_exact_reference(h, 1)
 
 
 def test_bin_star4():
@@ -162,6 +166,9 @@ def test_bin_merges_within_tolerance():
 def test_bin_rejects_nonpositive_tolerance():
     with pytest.raises(InvalidParameterError):
         _bin(np.array([0.0, 1.0]), 0.0)
+    for tol in (math.inf, math.nan):  # inf would bin every eigenvalue into one class
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            _bin(np.array([0.0, 1.0]), tol)
     with pytest.raises(InvalidParameterError):
         spectrum(build_hamiltonian(generate_chain(3)), tol_abs=0.0)
 
