@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -36,6 +37,7 @@ from .ensemble import (
     STRUCTURAL_DELTA0,
     WORKERS_ENV_VAR,
     EnsembleConfig,
+    _block_size,
     _check_config,
     resolve_workers,
     sweep,
@@ -65,6 +67,9 @@ from .spectral import (
 
 MANIFEST_FORMAT = "qtree-manifest-1"
 
+# the BLAS thread count can change the last digits of eigenvalue-based outputs
+BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -82,6 +87,7 @@ def _write_manifest(command: str, params: dict, outputs: list[str],
         "master_seed": master_seed,
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
+        "blas_env": {var: os.environ.get(var) for var in BLAS_ENV_VARS},
     }
     path = outputs[0] + ".manifest.json"
     write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -165,10 +171,15 @@ def run_gen(params: dict) -> int:
             None if params.get("f_max") is None else int(params["f_max"]),
             int(params.get("seed") or 0),
         )
+    generated = time.monotonic()
     out = params["out"]
     write_text_atomic(out, edge_list_text(g))
     _write_manifest("gen", params, [out],
-                    int(params.get("seed") or 0) if family == "sft" else None, started)
+                    int(params.get("seed") or 0) if family == "sft" else None, started, {
+                        "timings": {"generate_s": generated - started,
+                                    "write_s": time.monotonic() - generated},
+                        "counters": {"n": g.n},
+                    })
     return 0
 
 
@@ -243,10 +254,18 @@ def run_sweep(params: dict) -> int:
     # before any row: what the rows share, including n, whose analytic mean loops over n - 1 values
     workers = resolve_workers(params.get("workers"))
     _check_config(cfgs[0])
-    rows = sweep(cfgs, workers=workers)
+    rows, row_s = [], []
+    for cfg in cfgs:
+        row_started = time.monotonic()
+        rows += sweep([cfg], workers=workers)
+        row_s.append(time.monotonic() - row_started)
+    ran = sum(row.one_minus_chi_mc_mean is not None for row in rows)
     out = params["out"]
     write_text_atomic(out, sweep_csv_text(rows))
-    _write_manifest("sweep", params, [out], int(params.get("seed") or 0), started)
+    _write_manifest("sweep", params, [out], int(params.get("seed") or 0), started, {
+        "timings": {"row_s": row_s},
+        "counters": {"realizations": ran * r, "blocks": ran * -(-r // _block_size(n))},
+    })
     if all(row.status != "ok" for row in rows):
         print("qtree: every sweep row failed", file=sys.stderr)
         return 5

@@ -4,6 +4,13 @@ Each realization gets its own seed derived injectively from the master
 seed and the realization index, so results are bit-identical no matter
 how the work is distributed across processes.  Aggregation always runs
 in index order.
+
+Realizations run in blocks of consecutive indices.  A block's seeds are
+one SplitMix64 pass over the index array, and its trees are grown
+together: row i draws exactly what NumPy's default generator seeded
+with seed i draws, `np.random.Generator(np.random.PCG64(seed)).random(n)`
+on the installed NumPy, with the seeding hashed in NumPy for the whole
+block (`graphs._uniform_rows`).
 """
 from __future__ import annotations
 
@@ -51,11 +58,11 @@ WORKERS_ENV_VAR = "QTREE_WORKERS"
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function of each uint64 in x, in wrapping uint64 arithmetic."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> 31)
 
 
@@ -81,9 +88,14 @@ class EnsembleResult:
     per_realization: tuple[float, ...] | None = None
 
 
+def _realization_seeds(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """The realization seed of each uint64 index, as uint64."""
+    return _splitmix64(np.uint64(master_seed & _MASK64) ^ _splitmix64(indices))
+
+
 def realization_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit per-realization seed, injective in index."""
-    return _splitmix64((master_seed & _MASK64) ^ _splitmix64(index & _MASK64))
+    return int(_realization_seeds(master_seed, np.array([index & _MASK64], dtype=np.uint64))[0])
 
 
 def _check_config(cfg: EnsembleConfig) -> None:
@@ -111,10 +123,9 @@ def _realize_block(
     at least one parent.
     """
     cfg, cdf, start, stop = task
-    seeds = [realization_seed(cfg.master_seed, i) for i in range(start, stop)]
+    seeds = _realization_seeds(cfg.master_seed, np.arange(start, stop, dtype=np.uint64))
     parents = _grow_sft_parents(cdf, cfg.n, seeds)
-    children = np.broadcast_to(np.arange(1, cfg.n), parents.shape)
-    counts = _count_leaves_and_parents(children, parents, cfg.n)
+    counts = _count_leaves_and_parents(parents, cfg.n)
     if cfg.estimator == SPECTRAL_EXACT:
         # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
         trees = (build_hamiltonian(TreeGraph((-1, *row.tolist())), CONNECTIVITY, size_limit=None)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,28 +226,94 @@ def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
     return cdf
 
 
-def _grow_sft_parents(cdf: np.ndarray, n: int, seeds: Sequence[int]) -> np.ndarray:
+# NumPy's SeedSequence (pool of four 32-bit words) and PCG64 seeding, as
+# fixed by numpy/random/bit_generator.pyx and pcg64.h, hashed for a whole
+# array of seeds at once.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_keys(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiply) constants of successive SeedSequence hash steps."""
+    key = init
+    while True:
+        following = key * mult & _MASK32
+        yield np.uint32(key), np.uint32(following)
+        key = following
+
+
+def _hashmix(value: np.ndarray, keys) -> np.ndarray:
+    xor_key, mul_key = next(keys)
+    value = (value ^ xor_key) * mul_key
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return result ^ (result >> 16)
+
+
+def _seed_state_words(seeds: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(seed).generate_state(4, np.uint64) of each uint64 seed, as four arrays.
+
+    The entropy is the seed's low and high 32-bit words; a seed below
+    2^32 has one word, and the zero padding of the pool gives it the
+    same state, so every seed takes the same path.
+    """
+    keys = _hash_keys(0x43B0D7E5, 0x931E8875)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+    pool = [_hashmix(word, keys) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], keys))
+    keys = _hash_keys(0x8B51F9DD, 0x58F38DED)
+    words = [_hashmix(pool[k % 4], keys).astype(np.uint64) for k in range(8)]
+    return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
+
+
+def _uniform_rows(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Row i is the first n uniform draws of NumPy's default generator seeded with seeds[i].
+
+    That generator is PCG64 seeded through SeedSequence(seeds[i]); the
+    seed hashing runs on the whole array, and one reused PCG64 is set to
+    each row's state and draws the row in one call.
+    """
+    w0, w1, w2, w3 = (w.tolist() for w in _seed_state_words(np.asarray(seeds, dtype=np.uint64)))
+    draws = np.empty((len(w0), n))
+    bits = np.random.PCG64(0)
+    generator = np.random.Generator(bits)
+    for row, a, b, c, d in zip(draws, w0, w1, w2, w3):
+        # pcg64_set_seed: inc = 2 (c 2^64 + d) + 1 and state = (a 2^64 + b + inc) M + inc
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        generator.random(out=row)
+    return draws
+
+
+def _grow_sft_parents(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """Parent arrays of len(seeds) scale-free trees on n nodes, one row per seed.
 
     Row i holds the parents of nodes 1..n-1 of the tree grown from
     seeds[i]: node j's target functionality comes from the j-th uniform
-    draw of default_rng(seeds[i]), the open slots are numbered in node
-    order, and node c fills slot c - 1, so its parent is the number of
-    nodes whose slots all come before that one.  A row does not depend
-    on the other seeds of the call.
+    draw of `np.random.Generator(np.random.PCG64(seeds[i]))`, NumPy's
+    default generator, on the installed NumPy; the SeedSequence hashing
+    and PCG64 seeding run in NumPy over all seeds at once
+    (`_uniform_rows`).  The open slots are numbered in node order, and
+    node c fills slot c - 1, so its parent is the node owning that slot.
+    A row does not depend on the other seeds of the call.
     """
-    rows = len(seeds)
-    draws = np.empty((rows, n))
-    for row, seed in zip(draws, seeds):
-        np.random.default_rng(seed).random(out=row)
-    capacity = 2 + np.searchsorted(cdf, draws, side="right")  # target functionalities
+    capacity = 2 + np.searchsorted(cdf, _uniform_rows(seeds, n), side="right")
     capacity[:, 1:] -= 1  # one bond per non-root node goes to its parent
-    # flat running sum: row i's slot ends, shifted by the slots of rows < i
-    slot_ends = np.cumsum(capacity)
-    row_start = np.concatenate(([0], slot_ends[n - 1 : -1 : n]))
-    bonds = row_start[:, None] + np.arange(n - 1)
-    node_offset = (np.arange(rows) * n)[:, None]
-    return np.searchsorted(slot_ends, bonds, side="right") - node_offset
+    # node k owns slots ends[k - 1]..ends[k] - 1; only the first n - 1 slots are filled
+    ends = np.minimum(np.cumsum(capacity, axis=1), n - 1)
+    owned = np.diff(ends, axis=1, prepend=0)
+    nodes = np.broadcast_to(np.arange(n), owned.shape)
+    return np.repeat(nodes.ravel(), owned.ravel()).reshape(len(owned), n - 1)
 
 
 def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> TreeGraph:
@@ -289,25 +355,22 @@ class _TreeCounts(NamedTuple):
     avg_f_parents: np.ndarray
 
 
-def _count_leaves_and_parents(u: np.ndarray, v: np.ndarray, n: int) -> _TreeCounts:
-    """Leaves, parents and functionality averages of trees given by edge arrays.
+def _count_leaves_and_parents(parents: np.ndarray, n: int) -> _TreeCounts:
+    """Leaves, parents and functionality averages of trees given by parent arrays.
 
-    Row i of the (trees, n - 1) arrays u and v lists the edges of tree i
-    by node indices 0..n-1.  Leaves have functionality 1; parents are
-    non-leaves with at least one leaf neighbor.
+    Row i of the (trees, n - 1) array holds the parents of nodes 1..n-1
+    of tree i.  Leaves have functionality 1; parents are non-leaves with
+    at least one leaf neighbor.
     """
-    trees = u.shape[0]
-    node_offset = (np.arange(trees) * n)[:, None]
-    u = (u + node_offset).ravel()
-    v = (v + node_offset).ravel()
-    degrees = np.bincount(np.concatenate((u, v)), minlength=trees * n)
+    trees = parents.shape[0]
+    flat = (parents + (np.arange(trees) * n)[:, None]).ravel()  # parent ids across the block
+    degrees = np.bincount(flat, minlength=trees * n).reshape(trees, n)
+    degrees[:, 1:] += 1  # the bond to the parent
     is_leaf = degrees == 1
-    leaf_nbrs = np.bincount(np.concatenate((u[is_leaf[v]], v[is_leaf[u]])),
-                            minlength=trees * n)
+    leaf_nbrs = np.bincount(flat[is_leaf[:, 1:].ravel()], minlength=trees * n).reshape(trees, n)
+    leaf_nbrs[:, 1:] += is_leaf.ravel()[flat].reshape(trees, n - 1)  # a root of functionality 1
     is_parent = ~is_leaf & (leaf_nbrs > 0)
     delta = degrees - leaf_nbrs - 1
-    degrees, is_leaf, is_parent, delta = (
-        x.reshape(trees, n) for x in (degrees, is_leaf, is_parent, delta))
     n_leaves = is_leaf.sum(axis=1)
     n_parents = is_parent.sum(axis=1)
     sum_f_parents = np.where(is_parent, degrees, 0).sum(axis=1)
@@ -327,8 +390,7 @@ def _count_leaves_and_parents(u: np.ndarray, v: np.ndarray, n: int) -> _TreeCoun
 
 def structural_stats(g: TreeGraph) -> StructuralStats:
     """Exact leaf/parent counts and restricted functionality averages."""
-    parents = np.array(g.parents[1:], dtype=np.int64)
-    c = _count_leaves_and_parents(np.arange(1, g.n)[None], parents[None], g.n)
+    c = _count_leaves_and_parents(np.array([g.parents[1:]], dtype=np.int64), g.n)
     if not c.n_parents[0]:
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"
@@ -344,22 +406,6 @@ def structural_stats(g: TreeGraph) -> StructuralStats:
         leaf_ids=tuple(np.flatnonzero(c.is_leaf[0]).tolist()),
         parent_ids=tuple(parent_ids.tolist()),
     )
-
-
-def validate_tree(g: TreeGraph) -> str | None:
-    """Check the breadth-first parent-array invariant; return None when valid.
-
-    On failure returns a short description of the first violation
-    instead of raising.
-    """
-    if not g.parents or g.parents[0] != -1:
-        return "node 0 is not the root (parents[0] must be -1)"
-    for v, (before, p) in enumerate(zip(g.parents, g.parents[1:]), start=1):
-        if not 0 <= p < v:
-            return f"parent {p} of node {v} is not an earlier node"
-        if p < before:
-            return f"parents are not in breadth-first order at node {v}"
-    return None
 
 
 # --- edge-list text format -------------------------------------------------

@@ -341,34 +341,6 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
     return total
 
 
-def leaf_pair_eigenstates(h: Hamiltonian) -> list[np.ndarray]:
-    """Orthonormal eigenvectors at E* built from leaves sharing a parent.
-
-    For a parent with leaves l_1..l_m the vectors span the differences
-    (|l_i> - |l_j>)/sqrt(2); the returned basis has m - 1 members per
-    parent, so the total count is (number of leaves) - (number of
-    parents).  Each vector satisfies H v = E* v because all leaves carry
-    the same on-site value V(1) and couple only to their common parent.
-    """
-    g = h.graph
-    degrees = g.degrees()
-    leaves_of: list[list[int]] = [[] for _ in range(g.n)]
-    for v, p in enumerate(g.parents):  # ascending in v, so each list comes out sorted
-        neighbour = p if v else 1  # a root of functionality 1 hangs from node 1
-        if degrees[v] == 1 and degrees[neighbour] > 1:
-            leaves_of[neighbour].append(v)
-    vectors: list[np.ndarray] = []
-    for leaves in leaves_of:
-        for k in range(1, len(leaves)):
-            # Helmert vector: mutually orthogonal, zero coefficient sum
-            v = np.zeros(g.n)
-            norm = 1.0 / math.sqrt(k * (k + 1))
-            v[leaves[:k]] = norm
-            v[leaves[k]] = -k * norm
-            vectors.append(v)
-    return vectors
-
-
 # --- spectrum export ---------------------------------------------------------
 
 def spectrum_csv_text(sp: Spectrum) -> str:

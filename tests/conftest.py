@@ -6,8 +6,11 @@ the independent oracles the tests compare that against: the full
 matrix, `numpy.linalg.eigh` of it, its binned spectrum, the
 node-averaged return probability from the full eigenbasis, the squared
 averaged return amplitude from the eigenvalues, and the exact
-multiplicity from one Jacobs-Trevisan pass over every node.
+multiplicity from one Jacobs-Trevisan pass over every node.  It also
+holds two checks the program itself does not need: the breadth-first
+parent-array invariant and the explicit leaf-pair eigenvectors at E*.
 """
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,3 +110,48 @@ def multiplicity_exact_reference(h, e) -> int:
             else:
                 d[parents[v]] -= 1 / d[v]
     return d.count(0)
+
+
+def validate_tree(g) -> str | None:
+    """Check the breadth-first parent-array invariant; return None when valid.
+
+    On failure returns a short description of the first violation
+    instead of raising.
+    """
+    if not g.parents or g.parents[0] != -1:
+        return "node 0 is not the root (parents[0] must be -1)"
+    for v, (before, p) in enumerate(zip(g.parents, g.parents[1:]), start=1):
+        if not 0 <= p < v:
+            return f"parent {p} of node {v} is not an earlier node"
+        if p < before:
+            return f"parents are not in breadth-first order at node {v}"
+    return None
+
+
+def leaf_pair_eigenstates(h) -> list[np.ndarray]:
+    """Orthonormal eigenvectors at E* built from leaves sharing a parent.
+
+    For a parent with leaves l_1..l_m the vectors span the differences
+    (|l_i> - |l_j>)/sqrt(2); the returned basis has m - 1 members per
+    parent, so the total count is (number of leaves) - (number of
+    parents).  Each vector satisfies H v = E* v because all leaves carry
+    the same on-site value V(1) and couple only to their common parent.
+    Each is a dense length-n vector, so the basis takes O(n^2) memory.
+    """
+    g = h.graph
+    degrees = g.degrees()
+    leaves_of: list[list[int]] = [[] for _ in range(g.n)]
+    for v, p in enumerate(g.parents):  # ascending in v, so each list comes out sorted
+        neighbour = p if v else 1  # a root of functionality 1 hangs from node 1
+        if degrees[v] == 1 and degrees[neighbour] > 1:
+            leaves_of[neighbour].append(v)
+    vectors: list[np.ndarray] = []
+    for leaves in leaves_of:
+        for k in range(1, len(leaves)):
+            # Helmert vector: mutually orthogonal, zero coefficient sum
+            v = np.zeros(g.n)
+            norm = 1.0 / math.sqrt(k * (k + 1))
+            v[leaves[:k]] = norm
+            v[leaves[k]] = -k * norm
+            vectors.append(v)
+    return vectors

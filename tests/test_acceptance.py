@@ -32,7 +32,6 @@ from qtree import (
     generate_star,
     generate_vicsek,
     kappa_fit,
-    leaf_pair_eigenstates,
     multiplicity_exact,
     rho_star_structural,
     run_ensemble,
@@ -41,7 +40,7 @@ from qtree import (
     time_series,
 )
 
-from conftest import dense_matrix, dense_reference
+from conftest import dense_matrix, dense_reference, leaf_pair_eigenstates
 
 
 def _criterion(num, name, ok, detail=""):

@@ -200,6 +200,12 @@ def test_sweep_rerun_is_byte_identical_across_workers(tmp_path):
                   "--workers", "8")
     assert res.returncode == 0
     assert rerun_out.read_bytes() == out.read_bytes()
+    for manifest_path in (str(out) + ".manifest.json", str(rerun_out) + ".manifest.json"):
+        manifest = json.loads(Path(manifest_path).read_text())
+        assert len(manifest["timings"]["row_s"]) == 2
+        assert all(v >= 0 for v in manifest["timings"]["row_s"])
+        # n = 60 takes blocks of 1093 realizations, so each row's 400 are one block
+        assert manifest["counters"] == {"realizations": 800, "blocks": 2}
 
 
 def test_fit_kappa_synthetic_power_law(tmp_path):
@@ -341,6 +347,33 @@ def test_gen_rerun_identical(tmp_path):
     assert run_cli("rerun", str(out) + ".manifest.json",
                    "--out", str(second)).returncode == 0
     assert second.read_bytes() == out.read_bytes()
+    for manifest_path in (str(out) + ".manifest.json", str(second) + ".manifest.json"):
+        manifest = json.loads(Path(manifest_path).read_text())
+        assert sorted(manifest["timings"]) == ["generate_s", "write_s"]
+        assert all(v >= 0 for v in manifest["timings"].values())
+        assert manifest["counters"] == {"n": 300}
+
+
+def test_manifest_records_blas_thread_environment(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_ENV_VARS}
+    out = tmp_path / "s5.edges"
+    res = subprocess.run([sys.executable, "-m", "qtree", "gen", "--family", "star", "--n", "5",
+                          "--out", str(out)], capture_output=True, text=True,
+                         env={**env, "OPENBLAS_NUM_THREADS": "1"})
+    assert res.returncode == 0
+    manifest = json.loads((tmp_path / "s5.edges.manifest.json").read_text())
+    assert manifest["blas_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                    "MKL_NUM_THREADS": None}
+    # rerun reads only the command and its params: it runs under its own environment
+    second = tmp_path / "s5-rerun.edges"
+    res = subprocess.run([sys.executable, "-m", "qtree", "rerun", str(out) + ".manifest.json",
+                          "--out", str(second)], capture_output=True, text=True,
+                         env={**env, "MKL_NUM_THREADS": "2"})
+    assert res.returncode == 0
+    assert second.read_bytes() == out.read_bytes()
+    manifest = json.loads((tmp_path / "s5-rerun.edges.manifest.json").read_text())
+    assert manifest["blas_env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+                                    "MKL_NUM_THREADS": "2"}
 
 
 def test_rerun_rejects_non_manifest(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from qtree import (
     sweep,
     sweep_csv_text,
 )
+from qtree.ensemble import _realization_seeds
 from qtree.graphs import MAX_NODES_DEFAULT
 from qtree.spectral import _bin
 
@@ -55,6 +57,30 @@ def test_realization_seeds_injective():
     seeds = {realization_seed(12345, i) for i in range(20_000)}
     assert len(seeds) == 20_000
     assert realization_seed(1, 0) != realization_seed(2, 0)
+
+
+def _splitmix64_reference(x):
+    x = (x + 0x9E3779B97F4A7C15) & (2**64 - 1)
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+    return z ^ (z >> 31)
+
+
+def test_realization_seed_is_splitmix64_of_master_and_index():
+    for master, index in ((0, 0), (12345, 7), (2**64 - 1, 2**64 - 1), (-3, 2**70 + 5)):
+        expected = _splitmix64_reference(
+            (master & (2**64 - 1)) ^ _splitmix64_reference(index & (2**64 - 1)))
+        assert realization_seed(master, index) == expected
+
+
+def test_block_realization_seeds_equal_scalar_seeds():
+    rng = np.random.default_rng(2024)
+    masters = [0, 2**64 - 1, *rng.integers(0, 2**64 - 1, size=6, dtype=np.uint64, endpoint=True)]
+    for master in map(int, masters):
+        start = int(rng.integers(0, 10**6))
+        block = _realization_seeds(master, np.arange(start, start + 700, dtype=np.uint64))
+        assert block.dtype == np.uint64
+        assert block.tolist() == [realization_seed(master, i) for i in range(start, start + 700)]
 
 
 def test_structural_values_match_efficiency_module():
@@ -190,3 +216,22 @@ def test_sweep_csv_layout():
     assert high_s[8] != ""
     assert float(high_s[0]) == 2.5
     assert high_s[1:4] == ["60", "59", "5"]
+
+
+SWEEP_SHA256 = {
+    # (estimator, n, r) -> SHA-256 of the sweep CSV over s = 2.2, 3.0, 6.0 with master seed 0
+    ("structural-delta0", 100, 2000):
+        "6fb487fde73f81a093cb6ecfb733acc4935cf8fcf264330c426a91c24004e348",
+    ("structural-measured", 100, 2000):
+        "f348ea5bc1a851657b41c89d09068f1edfceaca34c19dba7726e3dde3c8342d1",
+    ("spectral-exact", 60, 300):
+        "0f0e36f646ce9bb3aa81a10011c68765fc198f234bd9add8fd966ef7db8d9cd3",
+}
+
+
+@pytest.mark.parametrize("estimator, n, r", SWEEP_SHA256)
+def test_sweep_csv_golden_sha256(estimator, n, r):
+    # every realization's draws, seeds and counts stay bit-identical across refactors
+    rows = sweep([EnsembleConfig(n=n, s=s, r=r, estimator=estimator) for s in (2.2, 3.0, 6.0)])
+    digest = hashlib.sha256(sweep_csv_text(rows).encode()).hexdigest()
+    assert digest == SWEEP_SHA256[estimator, n, r]

@@ -19,10 +19,11 @@ from qtree import (
     parse_edge_list_text,
     read_edge_list,
     structural_stats,
-    validate_tree,
     write_edge_list,
 )
-from qtree.graphs import _grow_sft_parents, _sft_cdf
+from qtree.graphs import _grow_sft_parents, _sft_cdf, _uniform_rows
+
+from conftest import validate_tree
 
 
 def test_chain_smallest():
@@ -447,6 +448,23 @@ def test_sft_block_rows_do_not_depend_on_grouping(n, s, f_max):
     assert block.shape == (len(seeds), n - 1)
     for row, seed in zip(block, seeds):
         assert np.array_equal(row, _reference_sft_parents(n, s, f_max, seed))
+
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+       n=st.integers(3, 300),
+       cuts=st.lists(st.integers(0, 17), max_size=4))
+def test_uniform_rows_equal_default_rng_in_any_grouping(seeds, n, cuts):
+    # the block hashes NumPy's seeding itself; the reference is NumPy's own generator
+    seeds = SEED_EDGES + seeds
+    bounds = sorted({0, len(seeds), *(min(c, len(seeds)) for c in cuts)})
+    block = np.concatenate([_uniform_rows(seeds[a:b], n) for a, b in zip(bounds, bounds[1:])])
+    assert block.shape == (len(seeds), n)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row, np.random.default_rng(seed).random(n)), seed
 
 
 def test_structural_stats_matches_loop_reference():

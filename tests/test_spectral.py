@@ -24,7 +24,6 @@ from qtree import (
     generate_sft,
     generate_star,
     generate_vicsek,
-    leaf_pair_eigenstates,
     multiplicity_exact,
     parse_edge_list_text,
     return_weights,
@@ -40,6 +39,7 @@ from conftest import (
     dense_matrix,
     dense_reference,
     dense_return_probability,
+    leaf_pair_eigenstates,
     multiplicity_exact_reference,
 )
 
