@@ -298,14 +298,14 @@ def _bin(w: np.ndarray, tol_abs: float | None, solve_dims: tuple[int, ...] = ())
         tol_abs = 1e-8 * (float(w[-1] - w[0]) + 1.0)
     if not 0 < tol_abs < math.inf:
         raise InvalidParameterError(f"tol_abs must be finite and positive, got {tol_abs}")
-    n = len(w)
-    classes: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > tol_abs:
-            classes.append((float(np.mean(w[start:i])), i - start))
-            start = i
-    return Spectrum(classes=tuple(classes), n=n, tol_abs=tol_abs, solve_dims=solve_dims)
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol_abs)
+    sizes = np.diff(starts, append=len(w))
+    reps = w[starts]  # a singleton class is its eigenvalue
+    # np.mean sums pairwise; a sequential np.add.reduceat would differ in the last bit
+    for i in np.flatnonzero(sizes > 1).tolist():
+        reps[i] = np.mean(w[starts[i]:starts[i] + sizes[i]])
+    return Spectrum(classes=tuple(zip(reps.tolist(), sizes.tolist())), n=len(w),
+                    tol_abs=tol_abs, solve_dims=solve_dims)
 
 
 def multiplicity_exact(h: Hamiltonian, e) -> int:

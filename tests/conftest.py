@@ -6,9 +6,12 @@ the independent oracles the tests compare that against: the full
 matrix, `numpy.linalg.eigh` of it, its binned spectrum, the
 node-averaged return probability from the full eigenbasis, the squared
 averaged return amplitude from the eigenvalues, and the exact
-multiplicity from one Jacobs-Trevisan pass over every node.  It also
-holds two checks the program itself does not need: the breadth-first
-parent-array invariant and the explicit leaf-pair eigenvectors at E*.
+multiplicity from one Jacobs-Trevisan pass over every node.  Two
+references replay earlier forms of the program's own steps: the time
+series with every phase evaluated directly, and degeneracy binning by a
+loop over the sorted eigenvalues.  It also holds two checks the program
+itself does not need: the breadth-first parent-array invariant and the
+explicit leaf-pair eigenvectors at E*.
 """
 import math
 import os
@@ -82,6 +85,31 @@ def dense_abs_alpha_sq(ref: DenseReference, times, chunk: int = 2048) -> np.ndar
         phases = np.exp(-1j * np.outer(block, ref.eigenvalues))
         out[start : start + len(block)] = np.abs(phases.mean(axis=1)) ** 2
     return out
+
+
+def direct_time_series(rw, times) -> tuple[np.ndarray, np.ndarray]:
+    """|alpha|^2 and pbar from ReturnWeights, each phase exp(-i lambda_j t) evaluated directly."""
+    t = np.asarray(times, dtype=float)
+    share = rw.nodes / rw.nodes.sum()
+    abs_alpha_sq, pi_bar = np.empty(len(t)), np.empty(len(t))
+    step = max(1, (1 << 16) // len(rw.eigenvalues))
+    for start in range(0, len(t), step):
+        amp = np.exp(-1j * np.outer(t[start : start + step], rw.eigenvalues)) @ rw.weights.T
+        block = slice(start, start + len(amp))
+        abs_alpha_sq[block] = np.abs(amp @ share) ** 2
+        pi_bar[block] = (np.abs(amp) ** 2) @ share
+    return abs_alpha_sq, pi_bar
+
+
+def bin_reference(w, tol_abs) -> tuple[tuple[float, int], ...]:
+    """Classes of sorted eigenvalues w, split where a gap exceeds tol_abs; each its mean and size."""
+    classes = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > tol_abs:
+            classes.append((float(np.mean(w[start:i])), i - start))
+            start = i
+    return tuple(classes)
 
 
 def multiplicity_exact_reference(h, e) -> int:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtree import Potential, QtreeError
+from qtree import Potential, QtreeError, build_hamiltonian, read_edge_list, time_series
 from qtree import cli, errors, spectral
 
 
@@ -222,6 +222,26 @@ def test_fit_kappa_synthetic_power_law(tmp_path):
     assert fit["points_used"] == 5
 
 
+def test_fit_kappa_manifest_timings_and_counters(tmp_path):
+    csv_path = tmp_path / "points.csv"
+    # six data rows: one failed, one with a non-positive x, four usable
+    rows = ["x,y,status", "0.01,0.3,ok", "0.02,1.2,ok", "0.04,4.8,ok", "0.08,19.2,",
+            "0.16,76.8,failed", "-0.1,1.0,ok"]
+    csv_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "fit.json"
+    assert run_cli("fit-kappa", "--in", str(csv_path), "--x-column", "x",
+                   "--y-column", "y", "--out", str(out)).returncode == 0
+    second = tmp_path / "fit2.json"
+    assert run_cli("rerun", str(out) + ".manifest.json",
+                   "--out", str(second)).returncode == 0
+    assert second.read_bytes() == out.read_bytes()
+    for manifest_path in (str(out) + ".manifest.json", str(second) + ".manifest.json"):
+        manifest = json.loads(Path(manifest_path).read_text())
+        assert sorted(manifest["timings"]) == ["fit_s", "read_s", "write_s"]
+        assert all(v >= 0 for v in manifest["timings"].values())
+        assert manifest["counters"] == {"rows": 6, "points_used": 4}
+
+
 def test_fit_kappa_on_sweep_infinite_column(tmp_path):
     out = tmp_path / "sweep.csv"
     grid = ",".join(str(round(2.0 + 0.001 * 1.5**k, 6)) for k in range(10))
@@ -295,6 +315,18 @@ def test_timeseries_chain3(tmp_path):
     avg = float(trailer.split("time_average_abs_alpha_sq=")[1].split()[0])
     assert chi == pytest.approx(1 / 3, abs=1e-12)
     assert avg == pytest.approx(chi, abs=0.01)
+
+
+@pytest.mark.parametrize("t_max", [None, 50.0])
+def test_timeseries_body_is_each_value_at_17_digits(tmp_path, t_max):
+    edges, out = str(tmp_path / "d33.edges"), str(tmp_path / "ts.csv")
+    assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "3", "--out", edges]) == 0
+    assert cli.main(["timeseries", "--in", edges, "--samples", "300", "--out", out]
+                    + ([] if t_max is None else ["--t-max", str(t_max)])) == 0
+    ts = time_series(build_hamiltonian(read_edge_list(edges)), t_max, 300)
+    lines = Path(out).read_text().splitlines()
+    assert lines[2:-1] == [f"{t:.17g},{a:.17g},{p:.17g}"
+                           for t, a, p in zip(ts.times, ts.abs_alpha_sq, ts.pi_bar)]
 
 
 def test_timeseries_rerun_identical(tmp_path):

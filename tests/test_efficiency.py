@@ -346,7 +346,7 @@ def test_kappa_fit_vicsek_against_mean_functionality():
 # --- time-domain quantities -------------------------------------------------------
 
 def test_return_amplitude_at_t0():
-    ts = time_series(build_hamiltonian(generate_chain(3)), [0.0])
+    ts = time_series(build_hamiltonian(generate_chain(3)), samples=1)
     assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -366,23 +366,20 @@ def test_time_average_rejects_nonuniform_grid():
 
 
 def test_chain3_long_time_average_reaches_chi():
-    h = build_hamiltonian(generate_chain(3))
-    t = np.linspace(0, 200, 10_000)
-    avg = time_average(time_series(h, t).abs_alpha_sq, t)
+    ts = time_series(build_hamiltonian(generate_chain(3)), 200.0, 10_000)
+    avg = time_average(ts.abs_alpha_sq, ts.times)
     assert avg == pytest.approx(1 / 3, abs=0.01)
 
 
 def test_star4_long_time_average_reaches_chi():
-    h = build_hamiltonian(generate_star(4))
-    t = np.linspace(0, 200, 10_000)
-    avg = time_average(time_series(h, t).abs_alpha_sq, t)
+    ts = time_series(build_hamiltonian(generate_star(4)), 200.0, 10_000)
+    avg = time_average(ts.abs_alpha_sq, ts.times)
     assert avg == pytest.approx(0.375, abs=0.01)
 
 
 def test_return_probability_dominates_amplitude():
     for g in [generate_star(4), generate_chain(6), generate_dendrimer(3, 2)]:
-        h, _, sp = spectrum_of(g)
-        ts = time_series(h, default_time_grid(sp, samples=2000))
+        ts = time_series(build_hamiltonian(g), samples=2000)
         alpha2, pibar = ts.abs_alpha_sq, ts.pi_bar
         assert alpha2[0] == pytest.approx(1.0, abs=1e-12)
         assert pibar[0] == pytest.approx(1.0, abs=1e-12)
@@ -393,8 +390,8 @@ def test_return_probability_dominates_amplitude():
 
 def test_chain3_mean_return_probability_average_above_chi():
     h, _, sp = spectrum_of(generate_chain(3))
-    t = np.linspace(0, 200, 10_000)
-    avg = time_average(time_series(h, t).pi_bar, t)
+    ts = time_series(h, 200.0, 10_000)
+    avg = time_average(ts.pi_bar, ts.times)
     assert avg >= chi_exact(sp) - 0.01
 
 
@@ -402,10 +399,9 @@ def test_series_memory_does_not_grow_with_the_grid():
     # chain(301) has no branch symmetry: 301 columns, so one (time, column)
     # array over 20 000 times would take 96 MB
     h = build_hamiltonian(generate_chain(301), CONNECTIVITY)
-    t = np.linspace(0.0, 400.0, 20_000)
     tracemalloc.start()
     try:
-        time_series(h, t)
+        time_series(h, 400.0, 20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -419,8 +415,8 @@ def test_time_average_convergence_schedule():
         h, _, sp = spectrum_of(g)
         chi = chi_exact(sp)
         for t_max, tol in schedule:
-            t = np.linspace(0, t_max, 10_000)
-            avg = time_average(time_series(h, t).abs_alpha_sq, t)
+            ts = time_series(h, t_max, 10_000)
+            avg = time_average(ts.abs_alpha_sq, ts.times)
             assert abs(avg - chi) <= tol, (g.label, t_max)
 
 
@@ -518,11 +514,12 @@ def test_time_series_bundle():
     from qtree import build_hamiltonian, time_series
 
     h = build_hamiltonian(generate_star(4))
-    ts = time_series(h, np.linspace(0, 100, 2000))
+    ts = time_series(h, 100.0, 2000)
+    assert np.array_equal(ts.times, np.linspace(0.0, 100.0, 2000))
     assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(ts.abs_alpha_sq <= ts.pi_bar + 1e-12)
     assert time_average(ts.abs_alpha_sq, ts.times) == pytest.approx(0.375, abs=0.02)
-    # without times: the default grid of the requested length, from the weights' spectrum
+    # without t_max: the default grid of the requested length, from the weights' spectrum
     ts = time_series(h, samples=50)
     assert np.array_equal(ts.times, default_time_grid(ts.weights.spectrum, samples=50))
 

@@ -35,10 +35,12 @@ from qtree import (
 from qtree.spectral import _bin
 
 from conftest import (
+    bin_reference,
     dense_abs_alpha_sq,
     dense_matrix,
     dense_reference,
     dense_return_probability,
+    direct_time_series,
     leaf_pair_eigenstates,
     multiplicity_exact_reference,
 )
@@ -161,6 +163,23 @@ def test_bin_merges_within_tolerance():
     assert len(sp.classes) == 1
     assert sp.classes[0][1] == 2
     assert sp.classes[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+@given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bin_matches_loop_reference(sizes, seed):
+    # sorted classes of 1 to 300 members: gaps up to tol/2 inside, above 2 tol between
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    parts, x = [], rng.uniform(-10.0, 10.0)
+    for size in sizes:
+        parts.append(x + np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, tol / 2, size - 1)))))
+        x = parts[-1][-1] + rng.uniform(2 * tol, 1.0)
+    w = np.concatenate(parts)
+    classes = _bin(w, tol).classes
+    assert [m for _, m in classes] == sizes
+    assert classes == bin_reference(w, tol)  # the same means to the last bit
 
 
 def test_bin_rejects_nonpositive_tolerance():
@@ -343,7 +362,7 @@ def test_spectrum_matches_eigendecomposition_binning(g, potential):
 @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
 def test_return_weights_match_dense_reference(g, potential):
     h = build_hamiltonian(g, potential)
-    ts = time_series(h, np.linspace(0.0, 400.0, 33))
+    ts = time_series(h, 400.0, 33)
     ref = dense_reference(h)
     assert np.max(np.abs(ts.pi_bar - dense_return_probability(ref, ts.times))) <= 1e-10
     assert np.max(np.abs(ts.abs_alpha_sq - dense_abs_alpha_sq(ref, ts.times))) <= 1e-10
@@ -437,3 +456,23 @@ def test_spectrum_csv_format():
     assert eigs == sorted(eigs)
     assert [int(r[1]) for r in rows] == [1, 2, 1]
     assert float(rows[1][2]) == 0.5
+
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY, QUADRATIC_POTENTIAL],
+                         ids=lambda p: p.kind)
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
+def test_time_series_matches_direct_phases(g, potential):
+    # phases by block rotation against exp(-i lambda t) at every sample; chain(1001)
+    # runs 31 blocks of 65 times over the default horizon
+    ts = time_series(build_hamiltonian(g, potential), samples=2000)
+    abs_alpha_sq, pi_bar = direct_time_series(ts.weights, ts.times)
+    assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11
+    assert np.max(np.abs(ts.pi_bar - pi_bar)) <= 1e-11
+
+
+def test_time_series_matches_direct_phases_at_long_times():
+    # lambda t reaches about 4e7, where the arguments themselves carry rounding error
+    ts = time_series(build_hamiltonian(generate_sft(1000, 2.5, seed=11)), 1e5)
+    abs_alpha_sq, pi_bar = direct_time_series(ts.weights, ts.times)
+    assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11
+    assert np.max(np.abs(ts.pi_bar - pi_bar)) <= 1e-11
