@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -426,8 +427,13 @@ def _check_stored_params(subparser: argparse.ArgumentParser, stored: dict) -> No
 
 # --- argument parsing ---------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The qtree parser and, by name, the parser of each subcommand."""
+    """The qtree parser and, by name, the parser of each subcommand; built once per process.
+
+    Parsing leaves a parser unchanged: each call gets a new namespace
+    filled from the declared defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="qtree",
         description="Quantum-walk transport efficiency on tree networks",

@@ -8,10 +8,11 @@ of their parents.  Repeated construction with identical parameters
 yields identical edge lists.
 
 Reading an edge list renumbers its nodes breadth-first from node 0,
-visiting neighbours in ascending order.  This is the identity on the
-files qtree writes; for any other file, node indices in the results
-(such as `StructuralStats.leaf_ids` and `parent_ids`) refer to that
-numbering.
+visiting neighbours in ascending order.  A file whose edges are
+(parents[v], v) of a breadth-first parent array, as in every file qtree
+writes, is already so numbered and is read as it is; for any other
+file, node indices in the results (such as `StructuralStats.leaf_ids`
+and `parent_ids`) refer to the new numbering.
 
 Structural statistics split the nodes into leaves (functionality 1),
 parents (non-leaves adjacent to at least one leaf) and the rest; these
@@ -21,9 +22,11 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,6 +46,7 @@ class TreeGraph:
     ``parents[0] = -1`` marks the root; every other node v has parent
     ``parents[v] < v``, and ``parents[1:]`` is nondecreasing.  The
     functionality (degree) of v is its child count, plus one for v > 0.
+    ``parent_array`` holds the same parents as read-only numpy integers.
     Instances are immutable and safe to share across workers.
     """
 
@@ -53,8 +57,13 @@ class TreeGraph:
     def n(self) -> int:
         return len(self.parents)
 
+    @cached_property
+    def parent_array(self) -> np.ndarray:
+        """`parents` as a read-only int64 array, built once."""
+        return _read_only(np.array(self.parents, dtype=np.int64))
+
     def degrees(self) -> list[int]:
-        degrees = np.bincount(np.array(self.parents[1:], dtype=np.int64), minlength=self.n)
+        degrees = np.bincount(self.parent_array[1:], minlength=self.n)
         degrees[1:] += 1
         return degrees.tolist()
 
@@ -80,6 +89,11 @@ class StructuralStats:
     per_node_delta: tuple[int, ...]
     leaf_ids: tuple[int, ...]
     parent_ids: tuple[int, ...]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _check_size(label: str, n: int) -> None:
@@ -390,7 +404,7 @@ def _count_leaves_and_parents(parents: np.ndarray, n: int) -> _TreeCounts:
 
 def structural_stats(g: TreeGraph) -> StructuralStats:
     """Exact leaf/parent counts and restricted functionality averages."""
-    c = _count_leaves_and_parents(np.array([g.parents[1:]], dtype=np.int64), g.n)
+    c = _count_leaves_and_parents(g.parent_array[None, 1:], g.n)
     if not c.n_parents[0]:
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"
@@ -416,18 +430,54 @@ def structural_stats(g: TreeGraph) -> StructuralStats:
 
 FORMAT_HEADER = "# qtree-format=1"
 
+# comment lines, then the count line; in printable ASCII, lines end only at "\n", as
+# they do for the line scan
+_PLAIN_HEAD = re.compile(r"(?:#[\t -~]*\n)*[0-9]+\n")
+
 
 def edge_list_text(g: TreeGraph) -> str:
-    lines = [FORMAT_HEADER]
-    if g.label:
-        lines.append(f"# label={g.label}")
-    lines.append(str(g.n))
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    label = f"# label={g.label}\n" if g.label else ""
+    edges = np.column_stack((g.parent_array[1:], np.arange(1, g.n))).ravel().tolist()
+    return f"{FORMAT_HEADER}\n{label}{g.n}\n" + "%d %d\n" * (g.n - 1) % tuple(edges)
 
 
 def parse_edge_list_text(text: str) -> TreeGraph:
-    """The tree of an edge list, its nodes renumbered breadth-first from node 0."""
+    """The tree of an edge list, its nodes renumbered breadth-first from node 0.
+
+    A node count above MAX_NODES_DEFAULT is refused before any edge is
+    read.  The edges of a text in the form qtree writes are tokenized in
+    one call (`_plain_edges`); any other text goes through a line scan,
+    which gives every refusal its message.  When the edges are exactly
+    (parents[v], v) for a breadth-first parent array, that array is the
+    renumbering; any other tree is renumbered by `_bfs_parents`.
+    """
+    head = _PLAIN_HEAD.match(text)
+    ends = None
+    if head:
+        label, n, _ = _scan_lines(head.group())
+        ends = _plain_edges(text[head.end():], n)
+    if ends is None:
+        label, n, edges = _scan_lines(text)
+        if len(edges) != n - 1:
+            raise InvalidParameterError(
+                f"edge list has {len(edges)} edges, expected {n - 1} for n={n}"
+            )
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    # parents never decrease and parents[v] < v; with u >= 0, that makes u[0] the root 0
+    if np.array_equal(v, np.arange(1, n)) and np.all(u[1:] >= u[:-1]) and np.all(u <= v - 1):
+        parents = _read_only(np.concatenate(([-1], u)))
+        g = TreeGraph(tuple(parents.tolist()), label)
+        g.__dict__["parent_array"] = parents  # where cached_property keeps it
+        return g
+    return TreeGraph(_bfs_parents(n, u, v), label)
+
+
+def _scan_lines(text: str) -> tuple[str, int, list[tuple[int, int]]]:
+    """Label, node count and edges of an edge list, read line by line and checked as read."""
     label = ""
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -450,21 +500,30 @@ def parse_edge_list_text(text: str) -> TreeGraph:
             if len(parts) != 1:
                 raise InvalidParameterError(f"line {lineno}: expected node count")
             n = parts[0]
+            _check_size("edge list", n)
             continue
         if len(parts) != 2:
             raise InvalidParameterError(f"line {lineno}: expected 'u v' edge")
         edges.append((parts[0], parts[1]))
     if n is None:
         raise InvalidParameterError("edge list has no node-count line")
-    if len(edges) != n - 1:
-        raise InvalidParameterError(
-            f"edge list has {len(edges)} edges, expected {n - 1} for n={n}"
-        )
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return TreeGraph(_bfs_parents(n, ends[:, 0], ends[:, 1]), label)
+    return label, n, edges
+
+
+def _plain_edges(body: str, n: int) -> np.ndarray | None:
+    """The (n - 1) x 2 edge array of body when it is n - 1 lines "u v\n" of decimal
+    digits with 0 <= u, v < n; otherwise None, and the line scan reads the text.
+    """
+    if n < 1 or not body.isascii():
+        return None
+    # without its digits, the body is " \n" per edge; its last byte ends the last edge
+    if body.encode("ascii").translate(None, b"0123456789") != b" \n" * (n - 1) or (
+            n > 1 and body[-1] != "\n"):
+        return None
+    tokens = np.fromstring(body, dtype=np.int64, sep=" ")  # an empty token leaves it short
+    if len(tokens) != 2 * (n - 1) or np.any(tokens >= n):  # above 2^63 reads as 2^63 - 1
+        return None
+    return tokens.reshape(-1, 2)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -46,7 +46,7 @@ states.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -170,15 +170,14 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,
         if missing:
             raise IncompletePotentialError(
                 f"custom potential table lacks entries for functionalities {missing}")
-    return Hamiltonian(g, potential, potential.value(1), *_plan(g.parents, size_limit))
+    return Hamiltonian(g, potential, potential.value(1), *_plan(g.parent_array, size_limit))
 
 
 def spectrum(h: Hamiltonian, tol_abs: float | None = None) -> Spectrum:
     """Binned spectrum from the quotients' eigenvalues alone."""
     on_site = [h.potential.value(f) for f in h.functionality]
-    w = np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(_matrix(q, on_site)), count)
-                                for q, count in h.quotients.values()]))
-    return _bin(w, tol_abs, tuple(len(q[0]) for q, _ in h.quotients.values()))
+    return _bin([(np.linalg.eigvalsh(_matrix(q, on_site)), count)
+                 for q, count in h.quotients.values()], tol_abs)
 
 
 @dataclass(frozen=True)
@@ -197,34 +196,60 @@ def return_weights(h: Hamiltonian) -> ReturnWeights:
     nodes, blocks = _branch_weights(len(h.functionality) - 1, h.quotients, on_site, {})
     eigenvalues = np.concatenate([w for w, _ in blocks.values()])
     weights = np.hstack([b for _, b in blocks.values()])
-    w = np.sort(np.concatenate([np.tile(wd, h.quotients[d][1]) for d, (wd, _) in blocks.items()]))
     return ReturnWeights(eigenvalues, weights, nodes,
-                         _bin(w, None, tuple(len(wd) for wd, _ in blocks.values())))
+                         _bin([(wd, h.quotients[d][1]) for d, (wd, _) in blocks.items()], None))
 
 
 def _plan(parents, size_limit: int | None):
     """Functionality of each shape by id, the root's last, and by counted shape its
     quotient and count, as in the module docstring; refuses a quotient above size_limit.
+
+    parents is the tree's breadth-first parent array, as numpy integers.
+    Shapes are interned children first, from the last node: every leaf
+    is shape 0 at once, and since breadth-first order numbers a node's
+    children consecutively, their shapes are one slice of the per-node
+    shape list.
     """
-    pending: deque[tuple[int, int]] = deque()  # (parent, shape) per unjoined branch, BFS order
-    ids: dict[tuple, int] = {}
+    n = len(parents)
+    # breadth-first order: v's children, first[v]..first[v + 1] - 1, follow v - 1's
+    first = np.cumsum(np.bincount(parents[1:] + 1, minlength=n + 1))
+    first += 1
+    inner = np.flatnonzero(first[1:] > first[:-1])[1:]  # nodes with children but the root
+
+    def last_first(block: int = 4096):
+        """(v, first child, last child + 1) of each node in inner, from the last, in blocks
+        so that a refusal costs no list of length n."""
+        for stop in range(len(inner), 0, -block):
+            nodes = inner[max(stop - block, 0):stop][::-1]
+            yield from zip(nodes.tolist(), first[nodes].tolist(), first[nodes + 1].tolist())
+
     shapes: list[tuple] = []  # (functionality, groups, quotient size)
-    for v in range(len(parents) - 1, -1, -1):
-        children = []
-        while pending and pending[0][0] == v:
-            children.append(pending.popleft()[1])
+
+    def new_shape(f: int, children: list[int]) -> int:
+        groups = tuple(Counter(children).items())
+        size = 1 + sum(shapes[c][2] for c, _ in groups)
+        if size_limit is not None and size > size_limit:
+            raise SizeLimitError(f"n={n}: a quotient of {size} positions exceeds "
+                                 f"the dense solver limit {size_limit}; raise --size-limit "
+                                 "or use the structural estimators of `qtree sweep`")
+        shapes.append((f, groups, size))
+        return len(shapes) - 1
+
+    shape_of = [0] * n
+    ids: dict[tuple, int] = {}  # a branch's shape by its sorted child shapes
+    if n > 1:
+        ids[()] = new_shape(1, [])
+    for v, start, stop in last_first():
+        children = shape_of[start:stop]
         children.sort()
-        key = (len(children) + (v > 0), tuple(children))
-        sid = ids.setdefault(key, len(ids))
-        if sid == len(shapes):
-            groups = tuple(Counter(children).items())
-            size = 1 + sum(shapes[c][2] for c, _ in groups)
-            if size_limit is not None and size > size_limit:
-                raise SizeLimitError(f"n={len(parents)}: a quotient of {size} positions exceeds "
-                                     f"the dense solver limit {size_limit}; raise --size-limit "
-                                     "or use the structural estimators of `qtree sweep`")
-            shapes.append((key[0], groups, size))
-        pending.append((parents[v], sid))
+        key = tuple(children)
+        sid = ids.get(key)
+        if sid is None:
+            sid = ids[key] = new_shape(len(children) + 1, children)
+        shape_of[v] = sid
+    # the root's functionality is its child count, one less than a branch's, so its shape is new
+    root = sorted(shape_of[first[0]:first[1]])
+    new_shape(len(root), root)
     counts = {len(shapes) - 1: 1}
     occurrences = [0] * len(shapes)  # of each shape as a position, over all counted quotients
     for s in range(len(shapes) - 1, -1, -1):
@@ -286,26 +311,36 @@ def _branch_weights(s: int, quotients, on_site, memo: dict):
     return memo[s]
 
 
-def _bin(w: np.ndarray, tol_abs: float | None, solve_dims: tuple[int, ...] = ()) -> Spectrum:
-    """Merge consecutive sorted eigenvalues within tol_abs into one class.
+def _bin(solved, tol_abs: float | None) -> Spectrum:
+    """Binned spectrum of solves given as (eigenvalues, count), each eigenvalue count times.
 
-    The class representative is the class mean.  Because clusters are
-    separated by raw gaps above tol_abs, representatives of distinct
-    classes are more than tol_abs apart.  The default tolerance is 1e-8
-    times (spectral width + 1).
+    The eigenvalues are sorted together with their counts, and
+    consecutive ones within tol_abs merge into one class.  The class
+    representative is the mean of its eigenvalues, each repeated as
+    often as it occurs.  Because clusters are separated by raw gaps
+    above tol_abs, representatives of distinct classes are more than
+    tol_abs apart.  The default tolerance is 1e-8 times (spectral width
+    + 1).
     """
+    w = np.concatenate([values for values, _ in solved])
+    order = np.argsort(w)
+    w = w[order]
+    counts = np.repeat([count for _, count in solved], [len(values) for values, _ in solved])
+    counts = counts[order]
     if tol_abs is None:
         tol_abs = 1e-8 * (float(w[-1] - w[0]) + 1.0)
     if not 0 < tol_abs < math.inf:
         raise InvalidParameterError(f"tol_abs must be finite and positive, got {tol_abs}")
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol_abs)
-    sizes = np.diff(starts, append=len(w))
-    reps = w[starts]  # a singleton class is its eigenvalue
+    stops = np.append(starts[1:], len(w))
+    sizes = np.add.reduceat(counts, starts)
+    reps = w[starts]  # a class of one eigenvalue is that eigenvalue
     # np.mean sums pairwise; a sequential np.add.reduceat would differ in the last bit
     for i in np.flatnonzero(sizes > 1).tolist():
-        reps[i] = np.mean(w[starts[i]:starts[i] + sizes[i]])
-    return Spectrum(classes=tuple(zip(reps.tolist(), sizes.tolist())), n=len(w),
-                    tol_abs=tol_abs, solve_dims=solve_dims)
+        members = slice(starts[i], stops[i])
+        reps[i] = np.mean(np.repeat(w[members], counts[members]))
+    return Spectrum(classes=tuple(zip(reps.tolist(), sizes.tolist())), n=int(counts.sum()),
+                    tol_abs=tol_abs, solve_dims=tuple(len(values) for values, _ in solved))
 
 
 def multiplicity_exact(h: Hamiltonian, e) -> int:

@@ -6,22 +6,27 @@ the independent oracles the tests compare that against: the full
 matrix, `numpy.linalg.eigh` of it, its binned spectrum, the
 node-averaged return probability from the full eigenbasis, the squared
 averaged return amplitude from the eigenvalues, and the exact
-multiplicity from one Jacobs-Trevisan pass over every node.  Two
+multiplicity from one Jacobs-Trevisan pass over every node.  Other
 references replay earlier forms of the program's own steps: the time
-series with every phase evaluated directly, and degeneracy binning by a
-loop over the sorted eigenvalues.  It also holds two checks the program
-itself does not need: the breadth-first parent-array invariant and the
-explicit leaf-pair eigenvectors at E*.
+series with every phase evaluated directly, degeneracy binning by a
+loop over the sorted eigenvalues and by tiling each solve's eigenvalues
+count times, the edge-list reader that scans line by line, and the
+quotient plan that joins branches through a queue.  It also holds two
+checks the program itself does not need: the breadth-first parent-array
+invariant and the explicit leaf-pair eigenvectors at E*.
 """
 import math
 import os
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from qtree.spectral import _as_fraction, _bin
+from qtree.errors import InvalidParameterError, SizeLimitError
+from qtree.graphs import TreeGraph, _bfs_parents
+from qtree.spectral import Spectrum, _as_fraction, _bin, _quotient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -46,7 +51,7 @@ class DenseReference:
 
     def spectrum(self, tol_abs=None):
         """The eigenvalues binned as the program bins them (default tolerance when None)."""
-        return _bin(self.eigenvalues, tol_abs)
+        return _bin([(self.eigenvalues, 1)], tol_abs)
 
 
 def dense_matrix(h) -> np.ndarray:
@@ -110,6 +115,91 @@ def bin_reference(w, tol_abs) -> tuple[tuple[float, int], ...]:
             classes.append((float(np.mean(w[start:i])), i - start))
             start = i
     return tuple(classes)
+
+
+def tiled_spectrum_reference(solved, tol_abs=None) -> Spectrum:
+    """Binned spectrum of solves (eigenvalues, count): each solve's eigenvalues tiled count
+    times, all sorted, then binned by `bin_reference` (default tolerance when None)."""
+    w = np.sort(np.concatenate([np.tile(values, count) for values, count in solved]))
+    if tol_abs is None:
+        tol_abs = 1e-8 * (float(w[-1] - w[0]) + 1.0)
+    return Spectrum(bin_reference(w, tol_abs), len(w), tol_abs,
+                    tuple(len(values) for values, _ in solved))
+
+
+def parse_edge_list_text_reference(text: str) -> TreeGraph:
+    """The tree of an edge list, its nodes renumbered breadth-first from node 0, read line
+    by line into a list of edges; no node-count limit."""
+    label = ""
+    n: int | None = None
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                if key.strip() == "label":
+                    label = value.strip()
+            continue
+        try:
+            parts = [int(token) for token in line.split()]
+        except ValueError:
+            raise InvalidParameterError(f"line {lineno}: non-integer token in {line!r}") from None
+        if n is None:
+            if len(parts) != 1:
+                raise InvalidParameterError(f"line {lineno}: expected node count")
+            n = parts[0]
+            continue
+        if len(parts) != 2:
+            raise InvalidParameterError(f"line {lineno}: expected 'u v' edge")
+        edges.append((parts[0], parts[1]))
+    if n is None:
+        raise InvalidParameterError("edge list has no node-count line")
+    if len(edges) != n - 1:
+        raise InvalidParameterError(
+            f"edge list has {len(edges)} edges, expected {n - 1} for n={n}"
+        )
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return TreeGraph(_bfs_parents(n, ends[:, 0], ends[:, 1]), label)
+
+
+def plan_reference(parents, size_limit):
+    """The quotient plan of a breadth-first parent tuple: shapes interned from the last
+    node, each node's children taken off a queue of the branches not yet joined."""
+    pending: deque[tuple[int, int]] = deque()  # (parent, shape) per unjoined branch, BFS order
+    ids: dict[tuple, int] = {}
+    shapes: list[tuple] = []  # (functionality, groups, quotient size)
+    for v in range(len(parents) - 1, -1, -1):
+        children = []
+        while pending and pending[0][0] == v:
+            children.append(pending.popleft()[1])
+        children.sort()
+        key = (len(children) + (v > 0), tuple(children))
+        sid = ids.setdefault(key, len(ids))
+        if sid == len(shapes):
+            groups = tuple(Counter(children).items())
+            size = 1 + sum(shapes[c][2] for c, _ in groups)
+            if size_limit is not None and size > size_limit:
+                raise SizeLimitError(f"n={len(parents)}: a quotient of {size} positions exceeds "
+                                     f"the dense solver limit {size_limit}; raise --size-limit "
+                                     "or use the structural estimators of `qtree sweep`")
+            shapes.append((key[0], groups, size))
+        pending.append((parents[v], sid))
+    counts = {len(shapes) - 1: 1}
+    occurrences = [0] * len(shapes)  # of each shape as a position, over all counted quotients
+    for s in range(len(shapes) - 1, -1, -1):
+        occurrences[s] += counts.get(s, 0)
+        for c, k in shapes[s][1]:
+            occurrences[c] += occurrences[s]
+            if k > 1:
+                counts[c] = counts.get(c, 0) + occurrences[s] * (k - 1)
+    return tuple(f for f, _, _ in shapes), {s: (_quotient(s, shapes), counts[s]) for s in counts}
 
 
 def multiplicity_exact_reference(h, e) -> int:

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -814,3 +815,47 @@ def test_every_error_class_has_a_mapping_test():
         errors.NoParentsError, errors.IncompletePotentialError,
         errors.UnsupportedExactModeError, errors.QtreeError, errors.SizeLimitError,
     }
+
+
+def test_commands_in_one_process_write_what_they_write_alone(tmp_path, monkeypatch):
+    # the parser is built once per process; no option value may carry over between calls
+    edges = tmp_path / "d34.edges"
+    assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "4",
+                     "--out", str(edges)]) == 0
+    commands = [
+        ["chi", "--in", str(edges), "--potential", "adjacency", "--size-limit", "5",
+         "--tol-abs", "1e-6", "--out", "chi_adjacency.json"],
+        ["chi", "--in", str(edges), "--out", "chi.json", "--spectrum-out", "chi.csv"],
+        ["timeseries", "--in", str(edges), "--samples", "64", "--out", "ts.csv"],
+        ["sweep", "--n", "30", "--s-grid", "2.5,3", "--r", "6", "--out", "sweep.csv"],
+        ["rerun", "chi.json.manifest.json", "--out", "chi_rerun.json"],
+    ]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    monkeypatch.chdir(together)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert cli._build_parser() is cli._build_parser()
+    for argv in commands:
+        res = subprocess.run([sys.executable, "-m", "qtree", *argv], cwd=alone,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+    for name in ("chi_adjacency.json", "chi.json", "chi.csv", "ts.csv", "sweep.csv",
+                 "chi_rerun.json"):
+        assert (together / name).read_bytes() == (alone / name).read_bytes(), name
+    params = json.loads((together / "chi.json.manifest.json").read_text())["params"]
+    assert (params["potential"], params["size_limit"], params["tol_abs"]) == (
+        "connectivity", spectral.DENSE_SOLVER_LIMIT, None)
+
+
+def test_chi_refuses_an_oversize_node_count_before_reading_edges(tmp_path, capsys):
+    edges = tmp_path / "huge.edges"
+    edges.write_text("# qtree-format=1\n2000001\n" + "0 1\n" * 2_000_000, encoding="utf-8")
+    out = tmp_path / "r.json"
+    started = time.monotonic()
+    assert cli.main(["chi", "--in", str(edges), "--out", str(out)]) == 4
+    assert time.monotonic() - started < 0.5
+    assert capsys.readouterr().err == (
+        "qtree: edge list has 2000001 nodes, above the limit 2000000\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.edges"]

@@ -132,7 +132,7 @@ def test_spectral_exact_runs_above_the_dense_solver_limit():
     res = run_ensemble(EnsembleConfig(n=5000, s=2.5, r=1, estimator="spectral-exact"),
                        keep_per_realization=True)
     h = build_hamiltonian(generate_sft(5000, 2.5, 4999, realization_seed(0, 0)), CONNECTIVITY)
-    density = _bin(np.linalg.eigvalsh(dense_matrix(h)), None).density_at(h.e_star)
+    density = _bin([(np.linalg.eigvalsh(dense_matrix(h)), 1)], None).density_at(h.e_star)
     assert res.per_realization[0] == 1.0 - chi_lower_from_density(density, 5000)
 
 

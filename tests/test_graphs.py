@@ -21,9 +21,9 @@ from qtree import (
     structural_stats,
     write_edge_list,
 )
-from qtree.graphs import _grow_sft_parents, _sft_cdf, _uniform_rows
+from qtree.graphs import MAX_NODES_DEFAULT, _bfs_parents, _grow_sft_parents, _sft_cdf, _uniform_rows
 
-from conftest import validate_tree
+from conftest import parse_edge_list_text_reference, validate_tree
 
 
 def test_chain_smallest():
@@ -518,3 +518,103 @@ def test_parse_edge_list_text_accepts_or_refuses_cleanly(text):
         return
     assert isinstance(g, TreeGraph)
     assert validate_tree(g) is None
+
+
+# --- the one-call reader against the line scan ---------------------------------
+
+ODD_TOKENS = ["+{u} {v}", "{u}_0 {v}", "{u}.5 {v}", "{u} {v} {v}", "0{u} {v}", "{u}", "-{u} {v}",
+              "{u} 99999999999999999999", "{u}\t{v}", "{u}  {v} "]
+COMMENTS = ["# label=in-between", "# note", "#", "", "   "]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists of generated trees as qtree writes them, or reordered, relabelled,
+    interleaved with comments or with odd tokens."""
+    g = draw(FAMILIES)
+    edges = g.edges()
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(g.n)))
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    swaps = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    lines = [f"{v} {u}" if swap else f"{u} {v}" for (u, v), swap in zip(edges, swaps)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        u, v = edges[at]
+        lines[at] = draw(st.sampled_from(ODD_TOKENS)).format(u=u, v=v)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(COMMENTS)))
+    head = edge_list_text(g).splitlines()[:-len(edges)]
+    text = "\n".join(head + lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    return text.replace("\n", "\r\n") if draw(st.integers(0, 3)) == 0 else text
+
+
+@st.composite
+def parent_column_texts(draw):
+    """Edge lists "p v" for v = 1..n-1 in order with any earlier parent p: breadth-first
+    only when the parents never decrease."""
+    n = draw(st.integers(1, 40))
+    lines = [f"{draw(st.integers(0, v - 1))} {v}" for v in range(1, n)]
+    return "".join(f"{line}\n" for line in [str(n), *lines])
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except InvalidParameterError as exc:
+        return str(exc)
+    assert np.array_equal(g.parent_array, g.parents)
+    return g
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(FAMILIES.map(edge_list_text), edge_list_texts(), parent_column_texts(),
+                 EDGE_LIST_LIKE))
+def test_reader_matches_line_scan_reference(text):
+    # the same tree and label, or the same refusal and message
+    assert _outcome(parse_edge_list_text, text) == _outcome(parse_edge_list_text_reference, text)
+
+
+@pytest.mark.parametrize("text", [
+    "3\n0 1\n1 2", "3\n0 1\n1 2\n\n", "3\n0 2\n0 1\n", "3\n00 1\n0 02\n", "1\n", "1\n\n",
+    "1\n0 0\n", "0\n", "-1\n", "2\n\n0 1\n", "2\n 0 1\n", "2\n0 1 \n", "2\n0\t1\n",
+    "2\n0 1\r\n", "2\r\n0 1\n", "# label=\u00e9\n2\n0 1\n", "2\n\u0660 \u0661\n",
+    "3\n0 1\n0 2\n# label=late\n", "3\n0 \n1 2\n", "4\n0 \n1 1\n2 2\n3", "3\n0 1\n2 2\n",
+    "3\n1 1\n1 2\n", "3\n0 1\n1 5\n", "3\n0 1\n1 99999999999999999999\n", "3\n0 1\n",
+    "3\n0 1\n0 2\n1 2\n", "#x\n#y=1\n# label = a=b \n3\n0 1\n0 2\n",
+])
+def test_reader_matches_line_scan_reference_at_the_edges_of_the_plain_form(text):
+    assert _outcome(parse_edge_list_text, text) == _outcome(parse_edge_list_text_reference, text)
+
+
+@st.composite
+def breadth_first_parent_arrays(draw):
+    n = draw(st.integers(1, 80))
+    parents = [-1]
+    for v in range(1, n):
+        parents.append(draw(st.integers(max(parents[-1], 0), v - 1)))
+    return parents
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parents=breadth_first_parent_arrays(), data=st.data())
+def test_bfs_parents_returns_a_breadth_first_parent_array_unchanged(parents, data):
+    # the reader's shortcut: edges (parents[v], v) of such an array are already its numbering
+    n = len(parents)
+    edges = [(p, v) for v, p in enumerate(parents) if v]
+    edges = data.draw(st.permutations(edges))
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    assert _bfs_parents(n, ends[:, 0], ends[:, 1]) == tuple(parents)
+
+
+def test_reader_refuses_an_oversize_node_count_before_reading_edges():
+    count = MAX_NODES_DEFAULT + 1
+    message = f"edge list has {count} nodes, above the limit {MAX_NODES_DEFAULT}"
+    # the edges below would be refused as not a tree, were they read
+    for text in (f"# qtree-format=1\n{count}\n" + "0 1\n" * (count - 1),
+                 f"  {count} \r\nnot an edge\n"):
+        with pytest.raises(SizeLimitError, match=message):
+            parse_edge_list_text(text)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from qtree import (
     ADJACENCY,
     CONNECTIVITY,
+    DENSE_SOLVER_LIMIT,
     IncompletePotentialError,
     InvalidParameterError,
     SizeLimitError,
@@ -31,8 +33,9 @@ from qtree import (
     spectrum_csv_text,
     structural_stats,
     time_series,
+    TreeGraph,
 )
-from qtree.spectral import _bin
+from qtree.spectral import _bin, _matrix, _plan
 
 from conftest import (
     bin_reference,
@@ -43,6 +46,8 @@ from conftest import (
     direct_time_series,
     leaf_pair_eigenstates,
     multiplicity_exact_reference,
+    plan_reference,
+    tiled_spectrum_reference,
 )
 
 
@@ -159,7 +164,7 @@ def test_bin_chain3_singletons():
 
 
 def test_bin_merges_within_tolerance():
-    sp = _bin(np.array([1.0, 1.0 + 1e-12]), 1e-8)
+    sp = _bin([(np.array([1.0, 1.0 + 1e-12]), 1)], 1e-8)
     assert len(sp.classes) == 1
     assert sp.classes[0][1] == 2
     assert sp.classes[0][0] == pytest.approx(1.0, abs=1e-12)
@@ -177,17 +182,17 @@ def test_bin_matches_loop_reference(sizes, seed):
         parts.append(x + np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, tol / 2, size - 1)))))
         x = parts[-1][-1] + rng.uniform(2 * tol, 1.0)
     w = np.concatenate(parts)
-    classes = _bin(w, tol).classes
+    classes = _bin([(w, 1)], tol).classes
     assert [m for _, m in classes] == sizes
     assert classes == bin_reference(w, tol)  # the same means to the last bit
 
 
 def test_bin_rejects_nonpositive_tolerance():
     with pytest.raises(InvalidParameterError):
-        _bin(np.array([0.0, 1.0]), 0.0)
+        _bin([(np.array([0.0, 1.0]), 1)], 0.0)
     for tol in (math.inf, math.nan):  # inf would bin every eigenvalue into one class
         with pytest.raises(InvalidParameterError, match="finite and positive"):
-            _bin(np.array([0.0, 1.0]), tol)
+            _bin([(np.array([0.0, 1.0]), 1)], tol)
     with pytest.raises(InvalidParameterError):
         spectrum(build_hamiltonian(generate_chain(3)), tol_abs=0.0)
 
@@ -476,3 +481,87 @@ def test_time_series_matches_direct_phases_at_long_times():
     abs_alpha_sq, pi_bar = direct_time_series(ts.weights, ts.times)
     assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11
     assert np.max(np.abs(ts.pi_bar - pi_bar)) <= 1e-11
+
+
+# --- the slice-based plan and binning from counts against their references -----
+
+def _plan_outcome(plan, parents, size_limit):
+    try:
+        functionality, quotients = plan(parents, size_limit)
+    except SizeLimitError as exc:
+        return str(exc)
+    return functionality, list(quotients.items())  # the order of the solves too
+
+
+PLAN_GRAPHS = [
+    TreeGraph((-1,)), generate_chain(2), generate_chain(3), generate_star(3), generate_star(40),
+    generate_dendrimer(3, 1), generate_dendrimer(3, 5), generate_dendrimer(4, 3),
+    generate_dendrimer(5, 2), generate_vicsek(3, 1), generate_vicsek(3, 3),
+    generate_vicsek(4, 2), generate_sft(3, 2.5, seed=1), generate_sft(1000, 2.5, seed=11),
+    generate_sft(4000, 3.0, seed=2), relabelled(generate_dendrimer(3, 5), seed=5),
+    relabelled(generate_sft(1000, 2.5, seed=11), seed=12),
+]
+
+
+@pytest.mark.parametrize("g", PLAN_GRAPHS, ids=lambda g: g.label or f"n={g.n}")
+def test_plan_matches_queue_reference_on_every_family(g):
+    for size_limit in (None, DENSE_SOLVER_LIMIT, 1, 0, 5, 12):
+        assert (_plan_outcome(_plan, g.parent_array, size_limit)
+                == _plan_outcome(plan_reference, g.parents, size_limit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_plan_matches_queue_reference_on_random_trees(data):
+    g = data.draw(breadth_first_trees())
+    size_limit = data.draw(st.one_of(st.none(), st.integers(0, g.n)))
+    assert (_plan_outcome(_plan, g.parent_array, size_limit)
+            == _plan_outcome(plan_reference, g.parents, size_limit))
+
+
+@pytest.mark.parametrize("g, size_limit, message", [
+    (generate_dendrimer(3, 4), 4, "n=46: a quotient of 5 positions"),
+    (generate_chain(5000), DENSE_SOLVER_LIMIT, "n=5000: a quotient of 4097 positions exceeds"),
+])
+def test_plan_refuses_as_the_queue_reference_does(g, size_limit, message):
+    refusal = _plan_outcome(_plan, g.parent_array, size_limit)
+    assert refusal == _plan_outcome(plan_reference, g.parents, size_limit)
+    assert refusal.startswith(message)
+
+
+def _bits(sp):
+    return [(rep.hex(), m) for rep, m in sp.classes], sp.n, sp.tol_abs, sp.solve_dims
+
+
+# eigenvalues on a coarse grid plus offsets below, near and above a 1e-8 tolerance,
+# so that classes join across solves, split at the tolerance and repeat exactly
+SOLVES = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(-8, 8), st.sampled_from([0.0, 1e-13, 4e-9, 9e-9, 3e-8])),
+                 min_size=1, max_size=12).map(lambda xs: np.sort([k / 4 + d for k, d in xs])),
+        st.integers(1, 40),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(solved=SOLVES, tol_abs=st.sampled_from([None, 1e-8, 5e-9, 0.3]))
+def test_binning_from_counts_matches_tiled_binning(solved, tol_abs):
+    assert (_bits(_bin(solved, tol_abs))
+            == _bits(tiled_spectrum_reference(solved, tol_abs)))
+
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY, QUADRATIC_POTENTIAL],
+                         ids=lambda p: p.kind)
+@pytest.mark.parametrize("g", [*ORACLE_GRAPHS, generate_dendrimer(3, 12)], ids=lambda g: g.label)
+def test_spectrum_and_return_weights_bin_as_tiled_copies(g, potential):
+    h = build_hamiltonian(g, potential)
+    on_site = [potential.value(f) for f in h.functionality]
+    solved = [(np.linalg.eigvalsh(_matrix(q, on_site)), count) for q, count in h.quotients.values()]
+    assert _bits(spectrum(h)) == _bits(tiled_spectrum_reference(solved))
+    with mock.patch("qtree.spectral._bin", wraps=_bin) as binner:
+        rw = return_weights(h)
+    (solved, tol_abs), _ = binner.call_args
+    assert np.array_equal(np.concatenate([values for values, _ in solved]), rw.eigenvalues)
+    assert _bits(rw.spectrum) == _bits(tiled_spectrum_reference(solved, tol_abs))
