@@ -33,7 +33,6 @@ from .ensemble import (
     run_ensemble,
     sweep,
     sweep_csv_text,
-    write_sweep_csv,
 )
 from .errors import (
     DegenerateAverageError,
@@ -57,7 +56,6 @@ from .graphs import (
     parse_edge_list_text,
     read_edge_list,
     structural_stats,
-    write_edge_list,
 )
 from .spectral import (
     ADJACENCY,
@@ -73,5 +71,4 @@ from .spectral import (
     return_weights,
     spectrum,
     spectrum_csv_text,
-    write_spectrum_csv,
 )

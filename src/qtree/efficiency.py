@@ -383,8 +383,8 @@ def efficiency_report(
     size_limit: int = DENSE_SOLVER_LIMIT,
 ) -> EfficiencyReport:
     """Diagonalize one tree and assemble chi with all of its bounds."""
+    h = build_hamiltonian(g, potential, size_limit)  # refuses before the structural pass
     st = structural_stats(g)  # raises NoParentsError for n = 2
-    h = build_hamiltonian(g, potential, size_limit)
     sp = spectrum(h, tol_abs)
     rho_exact = sp.density_at(h.e_star)
     leaf_pairs = st.n_leaves - st.n_parents

@@ -18,7 +18,6 @@ import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .graphs import (
     _count_leaves_and_parents,
     _grow_sft_parents,
     _sft_cdf,
-    write_text_atomic,
 )
 from .spectral import CONNECTIVITY, build_hamiltonian, multiplicity_exact
 
@@ -128,8 +126,8 @@ def _realize_block(
     counts = _count_leaves_and_parents(parents, cfg.n)
     if cfg.estimator == SPECTRAL_EXACT:
         # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
-        trees = (build_hamiltonian(TreeGraph((-1, *row.tolist())), CONNECTIVITY, size_limit=None)
-                 for row in parents)
+        trees = (build_hamiltonian(TreeGraph(row), CONNECTIVITY, size_limit=None)
+                 for row in np.pad(parents, ((0, 0), (1, 0)), constant_values=-1))
         value = np.array([chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
                           for h in trees])
     else:
@@ -294,7 +292,3 @@ def sweep_csv_text(rows: list[SweepRow]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    write_text_atomic(path, sweep_csv_text(rows))

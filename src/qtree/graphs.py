@@ -2,10 +2,11 @@
 
 Generators cover chains, stars, dendrimers, Vicsek fractals and randomly
 grown scale-free trees.  A tree is stored as its breadth-first parent
-array: node 0 is the root, every other node's parent has a lower index,
-and the children of each node are numbered consecutively in the order
-of their parents.  Repeated construction with identical parameters
-yields identical edge lists.
+array, one read-only int64 numpy array that every layer reads: node 0
+is the root, every other node's parent has a lower index, and the
+children of each node are numbered consecutively in the order of their
+parents.  Repeated construction with identical parameters yields
+identical edge lists.
 
 Reading an edge list renumbers its nodes breadth-first from node 0,
 visiting neighbours in ascending order.  A file whose edges are
@@ -26,7 +27,6 @@ import re
 from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,30 +46,44 @@ class TreeGraph:
     ``parents[0] = -1`` marks the root; every other node v has parent
     ``parents[v] < v``, and ``parents[1:]`` is nondecreasing.  The
     functionality (degree) of v is its child count, plus one for v > 0.
-    ``parent_array`` holds the same parents as read-only numpy integers.
-    Instances are immutable and safe to share across workers.
+    ``parents`` is a read-only int64 numpy array, copied once from the
+    integer sequence given.  ``==`` compares the parents by value and
+    the label, and equal graphs hash equal.  Instances are immutable
+    and safe to share across workers: a pickled or copied graph is
+    rebuilt through the constructor, so its parents stay read-only.
     """
 
-    parents: tuple[int, ...]
+    parents: np.ndarray
     label: str = ""
+
+    def __post_init__(self) -> None:
+        parents = np.array(self.parents, dtype=np.int64)
+        parents.flags.writeable = False
+        object.__setattr__(self, "parents", parents)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TreeGraph):
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.parents, other.parents)
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.parents.tobytes()))
+
+    def __reduce__(self):
+        return TreeGraph, (self.parents, self.label)
 
     @property
     def n(self) -> int:
         return len(self.parents)
 
-    @cached_property
-    def parent_array(self) -> np.ndarray:
-        """`parents` as a read-only int64 array, built once."""
-        return _read_only(np.array(self.parents, dtype=np.int64))
-
     def degrees(self) -> list[int]:
-        degrees = np.bincount(self.parent_array[1:], minlength=self.n)
+        degrees = np.bincount(self.parents[1:], minlength=self.n)
         degrees[1:] += 1
         return degrees.tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically: (parent, child)."""
-        return list(zip(self.parents[1:], range(1, self.n)))
+        return list(zip(self.parents[1:].tolist(), range(1, self.n)))
 
 
 @dataclass(frozen=True)
@@ -91,11 +105,6 @@ class StructuralStats:
     parent_ids: tuple[int, ...]
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _check_size(label: str, n: int) -> None:
     if n > MAX_NODES_DEFAULT:
         # str() refuses ints of more than 4300 digits
@@ -111,14 +120,15 @@ def _check_generation(label: str, g: int) -> None:
                              f"above the limit {MAX_NODES_DEFAULT}")
 
 
-def _bfs_parents(n: int, u, v) -> tuple[int, ...]:
+def _bfs_parents(n: int, u, v) -> np.ndarray:
     """Breadth-first parent array of the graph on nodes 0..n-1 with edges (u[i], v[i]).
 
     Nodes are renumbered in the order a breadth-first search from node 0
     reaches them, visiting each node's neighbours in ascending order.
     Refuses a graph in which some node is not reached; given n - 1
     edges, that is exactly a graph that is not a tree (a cycle, a
-    self-loop or a repeated edge leaves it short of an edge).
+    self-loop or a repeated edge leaves it short of an edge).  In a
+    tree, every edge joins a node to its parent, the end reached first.
     """
     ends = np.concatenate((u, v))
     others = np.concatenate((v, u))
@@ -128,19 +138,20 @@ def _bfs_parents(n: int, u, v) -> tuple[int, ...]:
     new = [-1] * n
     new[0] = 0
     order = [0]
-    parents = [-1]
-    for p, old in enumerate(order):  # the list grows while it is walked
+    for old in order:  # the list grows while it is walked
         for w in nbrs[starts[old]:starts[old + 1]]:
             if new[w] < 0:
                 new[w] = len(order)
                 order.append(w)
-                parents.append(p)
     if len(order) < n:
         raise InvalidParameterError(
             f"edge list is not a tree: {n - len(order)} of its {n} nodes are not connected "
             "to node 0 (with n - 1 edges, a cycle, self-loop or repeated edge does this)"
         )
-    return tuple(parents)
+    new = np.array(new)
+    parents = np.full(n, -1)
+    parents[np.maximum(new[u], new[v])] = np.minimum(new[u], new[v])
+    return parents
 
 
 def generate_chain(n: int) -> TreeGraph:
@@ -149,7 +160,7 @@ def generate_chain(n: int) -> TreeGraph:
         raise InvalidParameterError(f"chain needs n >= 2, got {n}")
     label = f"chain(n={n})"
     _check_size(label, n)
-    return TreeGraph(tuple(range(-1, n - 1)), label)
+    return TreeGraph(np.arange(-1, n - 1), label)
 
 
 def generate_star(n: int) -> TreeGraph:
@@ -158,7 +169,7 @@ def generate_star(n: int) -> TreeGraph:
         raise InvalidParameterError(f"star needs n >= 2, got {n}")
     label = f"star(n={n})"
     _check_size(label, n)
-    return TreeGraph((-1,) + (0,) * (n - 1), label)
+    return TreeGraph(np.repeat([-1, 0], [1, n - 1]), label)
 
 
 def generate_dendrimer(f: int, g: int) -> TreeGraph:
@@ -180,7 +191,7 @@ def generate_dendrimer(f: int, g: int) -> TreeGraph:
     n_inner = n_total - f * (f - 1) ** (g - 1)  # all but the depth-g leaves
     children = np.full(n_inner, f - 1)
     children[0] = f
-    return TreeGraph((-1, *np.repeat(np.arange(n_inner), children).tolist()), label)
+    return TreeGraph(np.concatenate(([-1], np.repeat(np.arange(n_inner), children))), label)
 
 
 def generate_vicsek(f: int, g: int) -> TreeGraph:
@@ -199,19 +210,20 @@ def generate_vicsek(f: int, g: int) -> TreeGraph:
     label = f"vicsek(f={f},g={g})"
     _check_generation(label, g)
     _check_size(label, (f + 1) ** g)
-    parents = (-1,) + (0,) * f
+    parents = np.repeat([-1, 0], [1, f])
     for _ in range(g - 1):
         m = len(parents)
         # the center's f children are nodes 1..f; arm[v] is the one v hangs from
         arm = list(range(m))
+        parent_of = parents.tolist()
         for v in range(f + 1, m):
-            arm[v] = arm[parents[v]]
+            arm[v] = arm[parent_of[v]]
         children = np.bincount(parents[1:], minlength=m)
         leaves = np.flatnonzero(children == 0)  # node 0, the center, has f children
         _, first = np.unique(np.array(arm)[leaves], return_index=True)
         arm_leaves = leaves[first]  # lowest-index leaf of arms 1..f
         copies = np.arange(f + 1)[:, None] * m
-        u = (np.array(parents[1:]) + copies).ravel()
+        u = (parents[1:] + copies).ravel()
         v = (np.arange(1, m) + copies).ravel()
         u = np.concatenate((u, arm_leaves))
         v = np.concatenate((v, copies[1:, 0] + leaves[0]))
@@ -348,7 +360,7 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
     cdf = _sft_cdf(n, s, f_max)
     seed = int(seed) & _MASK64
     parents = _grow_sft_parents(cdf, n, [seed])[0]
-    return TreeGraph((-1, *parents.tolist()),
+    return TreeGraph(np.concatenate(([-1], parents)),
                      f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
 
@@ -404,7 +416,7 @@ def _count_leaves_and_parents(parents: np.ndarray, n: int) -> _TreeCounts:
 
 def structural_stats(g: TreeGraph) -> StructuralStats:
     """Exact leaf/parent counts and restricted functionality averages."""
-    c = _count_leaves_and_parents(g.parent_array[None, 1:], g.n)
+    c = _count_leaves_and_parents(g.parents[None, 1:], g.n)
     if not c.n_parents[0]:
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"
@@ -437,7 +449,7 @@ _PLAIN_HEAD = re.compile(r"(?:#[\t -~]*\n)*[0-9]+\n")
 
 def edge_list_text(g: TreeGraph) -> str:
     label = f"# label={g.label}\n" if g.label else ""
-    edges = np.column_stack((g.parent_array[1:], np.arange(1, g.n))).ravel().tolist()
+    edges = np.column_stack((g.parents[1:], np.arange(1, g.n))).ravel().tolist()
     return f"{FORMAT_HEADER}\n{label}{g.n}\n" + "%d %d\n" * (g.n - 1) % tuple(edges)
 
 
@@ -469,10 +481,7 @@ def parse_edge_list_text(text: str) -> TreeGraph:
     u, v = ends[:, 0], ends[:, 1]
     # parents never decrease and parents[v] < v; with u >= 0, that makes u[0] the root 0
     if np.array_equal(v, np.arange(1, n)) and np.all(u[1:] >= u[:-1]) and np.all(u <= v - 1):
-        parents = _read_only(np.concatenate(([-1], u)))
-        g = TreeGraph(tuple(parents.tolist()), label)
-        g.__dict__["parent_array"] = parents  # where cached_property keeps it
-        return g
+        return TreeGraph(np.concatenate(([-1], u)), label)
     return TreeGraph(_bfs_parents(n, u, v), label)
 
 
@@ -541,10 +550,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         with suppress(OSError):
             tmp.unlink()
         raise
-
-
-def write_edge_list(g: TreeGraph, path: str | Path) -> None:
-    write_text_atomic(path, edge_list_text(g))
 
 
 def read_edge_list(path: str | Path) -> TreeGraph:

@@ -49,7 +49,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -60,7 +59,7 @@ from .errors import (
     SizeLimitError,
     UnsupportedExactModeError,
 )
-from .graphs import FORMAT_HEADER, TreeGraph, write_text_atomic
+from .graphs import FORMAT_HEADER, TreeGraph
 
 DENSE_SOLVER_LIMIT = 4096
 
@@ -170,7 +169,7 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,
         if missing:
             raise IncompletePotentialError(
                 f"custom potential table lacks entries for functionalities {missing}")
-    return Hamiltonian(g, potential, potential.value(1), *_plan(g.parent_array, size_limit))
+    return Hamiltonian(g, potential, potential.value(1), *_plan(g.parents, size_limit))
 
 
 def spectrum(h: Hamiltonian, tol_abs: float | None = None) -> Spectrum:
@@ -204,7 +203,7 @@ def _plan(parents, size_limit: int | None):
     """Functionality of each shape by id, the root's last, and by counted shape its
     quotient and count, as in the module docstring; refuses a quotient above size_limit.
 
-    parents is the tree's breadth-first parent array, as numpy integers.
+    parents is `TreeGraph.parents`, the tree's breadth-first parent array.
     Shapes are interned children first, from the last node: every leaf
     is shape 0 at once, and since breadth-first order numbers a node's
     children consecutively, their shapes are one slice of the per-node
@@ -383,7 +382,3 @@ def spectrum_csv_text(sp: Spectrum) -> str:
     for rep, mult in sp.classes:
         lines.append(f"{rep:.17g},{mult},{mult / sp.n:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def write_spectrum_csv(sp: Spectrum, path: str | Path) -> None:
-    write_text_atomic(path, spectrum_csv_text(sp))

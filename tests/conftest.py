@@ -170,8 +170,9 @@ def parse_edge_list_text_reference(text: str) -> TreeGraph:
 
 
 def plan_reference(parents, size_limit):
-    """The quotient plan of a breadth-first parent tuple: shapes interned from the last
+    """The quotient plan of a breadth-first parent array: shapes interned from the last
     node, each node's children taken off a queue of the branches not yet joined."""
+    parents = parents.tolist()
     pending: deque[tuple[int, int]] = deque()  # (parent, shape) per unjoined branch, BFS order
     ids: dict[tuple, int] = {}
     shapes: list[tuple] = []  # (functionality, groups, quotient size)
@@ -213,7 +214,7 @@ def multiplicity_exact_reference(h, e) -> int:
     """
     x = _as_fraction(e)
     n = h.graph.n
-    parents = h.graph.parents
+    parents = h.graph.parents.tolist()
     d = [h.potential.value_exact(f) - x for f in h.graph.degrees()]
     zero_child = [-1] * n
     for v in range(n - 1, -1, -1):
@@ -236,9 +237,10 @@ def validate_tree(g) -> str | None:
     On failure returns a short description of the first violation
     instead of raising.
     """
-    if not g.parents or g.parents[0] != -1:
+    parents = g.parents.tolist()
+    if len(parents) == 0 or parents[0] != -1:
         return "node 0 is not the root (parents[0] must be -1)"
-    for v, (before, p) in enumerate(zip(g.parents, g.parents[1:]), start=1):
+    for v, (before, p) in enumerate(zip(parents, parents[1:]), start=1):
         if not 0 <= p < v:
             return f"parent {p} of node {v} is not an earlier node"
         if p < before:
@@ -259,7 +261,7 @@ def leaf_pair_eigenstates(h) -> list[np.ndarray]:
     g = h.graph
     degrees = g.degrees()
     leaves_of: list[list[int]] = [[] for _ in range(g.n)]
-    for v, p in enumerate(g.parents):  # ascending in v, so each list comes out sorted
+    for v, p in enumerate(g.parents.tolist()):  # ascending in v, so each list comes out sorted
         neighbour = p if v else 1  # a root of functionality 1 hangs from node 1
         if degrees[v] == 1 and degrees[neighbour] > 1:
             leaves_of[neighbour].append(v)

@@ -12,6 +12,7 @@ from qtree import (
     InvalidParameterError,
     NoParentsError,
     OutOfDomainError,
+    SizeLimitError,
     Spectrum,
     avg_f_sft,
     build_hamiltonian,
@@ -508,6 +509,16 @@ def test_efficiency_report_invariants_on_families():
 def test_efficiency_report_rejects_two_node_tree():
     with pytest.raises(NoParentsError):
         efficiency_report(generate_chain(2))
+
+
+def test_efficiency_report_refuses_an_oversize_plan_before_the_structural_pass(monkeypatch):
+    reached = []
+    monkeypatch.setattr("qtree.efficiency.structural_stats", reached.append)
+    with pytest.raises(SizeLimitError):
+        efficiency_report(generate_chain(5000))
+    with pytest.raises(SizeLimitError):
+        efficiency_report(generate_chain(2), size_limit=1)
+    assert reached == []
 
 
 def test_time_series_bundle():

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -19,9 +20,15 @@ from qtree import (
     parse_edge_list_text,
     read_edge_list,
     structural_stats,
-    write_edge_list,
 )
-from qtree.graphs import MAX_NODES_DEFAULT, _bfs_parents, _grow_sft_parents, _sft_cdf, _uniform_rows
+from qtree.graphs import (
+    MAX_NODES_DEFAULT,
+    _bfs_parents,
+    _grow_sft_parents,
+    _sft_cdf,
+    _uniform_rows,
+    write_text_atomic,
+)
 
 from conftest import parse_edge_list_text_reference, validate_tree
 
@@ -340,7 +347,7 @@ def test_validate_tree_refuses_bad_parent_arrays(parents, problem):
 def test_parse_renumbers_breadth_first_from_node_zero():
     # star centered at node 3, listed in no particular order
     g = parse_edge_list_text("5\n3 4\n1 3\n0 3\n3 2\n")
-    assert g.parents == (-1, 0, 1, 1, 1)
+    assert g.parents.tolist() == [-1, 0, 1, 1, 1]
     assert validate_tree(g) is None
     assert structural_stats(g).parent_ids == (1,)
 
@@ -348,11 +355,47 @@ def test_parse_renumbers_breadth_first_from_node_zero():
 def test_edge_list_round_trip(tmp_path):
     g = generate_sft(80, 2.7, seed=3)
     path = tmp_path / "g.edges"
-    write_edge_list(g, path)
+    write_text_atomic(path, edge_list_text(g))
     back = read_edge_list(path)
     assert back == g
     # writing the parsed graph reproduces the file byte for byte
     assert edge_list_text(back) == path.read_text(encoding="utf-8")
+
+
+def _relabelled_text(g):
+    """An edge list of g with node v named n - 1 - v, so it is read through `_bfs_parents`."""
+    return f"{g.n}\n" + "".join(f"{g.n - 1 - v} {g.n - 1 - u}\n" for u, v in g.edges())
+
+
+TREE_SOURCES = {
+    "chain": lambda: generate_chain(9),
+    "star": lambda: generate_star(6),
+    "dendrimer": lambda: generate_dendrimer(3, 3),
+    "vicsek": lambda: generate_vicsek(3, 2),
+    "sft": lambda: generate_sft(60, 2.5, seed=2),
+    "reader, as written": lambda: parse_edge_list_text(edge_list_text(generate_sft(60, 2.5))),
+    "reader, relabelled": lambda: parse_edge_list_text(_relabelled_text(generate_dendrimer(3, 3))),
+    "bfs_parents": lambda: TreeGraph(_bfs_parents(5, np.array([3, 3, 0, 3]), np.array([4, 1, 3, 2])),
+                                     "star centered at node 3"),
+}
+
+
+@pytest.mark.parametrize("make", TREE_SOURCES.values(), ids=TREE_SOURCES.keys())
+def test_tree_parents_are_one_read_only_int64_array_compared_by_value(make):
+    g = make()
+    assert g.parents.dtype == np.int64
+    assert not g.parents.flags.writeable
+    with pytest.raises(ValueError):
+        g.parents[1] = 0
+    as_tuple = TreeGraph(tuple(g.parents.tolist()), g.label)
+    source = np.array(g.parents)
+    as_array = TreeGraph(source, g.label)
+    source[1:] = 0  # the graph holds its own copy
+    assert as_tuple == as_array == g
+    assert hash(as_tuple) == hash(as_array) == hash(g)
+    assert g != TreeGraph(g.parents, g.label + "x")
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and not back.parents.flags.writeable
 
 
 def test_edge_list_header_and_label(tmp_path):
@@ -565,7 +608,7 @@ def _outcome(parse, text):
         g = parse(text)
     except InvalidParameterError as exc:
         return str(exc)
-    assert np.array_equal(g.parent_array, g.parents)
+    assert g.parents.dtype == np.int64 and not g.parents.flags.writeable
     return g
 
 
@@ -607,7 +650,7 @@ def test_bfs_parents_returns_a_breadth_first_parent_array_unchanged(parents, dat
     edges = data.draw(st.permutations(edges))
     edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    assert _bfs_parents(n, ends[:, 0], ends[:, 1]) == tuple(parents)
+    assert tuple(_bfs_parents(n, ends[:, 0], ends[:, 1]).tolist()) == tuple(parents)
 
 
 def test_reader_refuses_an_oversize_node_count_before_reading_edges():

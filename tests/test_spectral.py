@@ -506,7 +506,7 @@ PLAN_GRAPHS = [
 @pytest.mark.parametrize("g", PLAN_GRAPHS, ids=lambda g: g.label or f"n={g.n}")
 def test_plan_matches_queue_reference_on_every_family(g):
     for size_limit in (None, DENSE_SOLVER_LIMIT, 1, 0, 5, 12):
-        assert (_plan_outcome(_plan, g.parent_array, size_limit)
+        assert (_plan_outcome(_plan, g.parents, size_limit)
                 == _plan_outcome(plan_reference, g.parents, size_limit))
 
 
@@ -515,7 +515,7 @@ def test_plan_matches_queue_reference_on_every_family(g):
 def test_plan_matches_queue_reference_on_random_trees(data):
     g = data.draw(breadth_first_trees())
     size_limit = data.draw(st.one_of(st.none(), st.integers(0, g.n)))
-    assert (_plan_outcome(_plan, g.parent_array, size_limit)
+    assert (_plan_outcome(_plan, g.parents, size_limit)
             == _plan_outcome(plan_reference, g.parents, size_limit))
 
 
@@ -524,7 +524,7 @@ def test_plan_matches_queue_reference_on_random_trees(data):
     (generate_chain(5000), DENSE_SOLVER_LIMIT, "n=5000: a quotient of 4097 positions exceeds"),
 ])
 def test_plan_refuses_as_the_queue_reference_does(g, size_limit, message):
-    refusal = _plan_outcome(_plan, g.parent_array, size_limit)
+    refusal = _plan_outcome(_plan, g.parents, size_limit)
     assert refusal == _plan_outcome(plan_reference, g.parents, size_limit)
     assert refusal.startswith(message)
 
