@@ -117,6 +117,9 @@ def avg_f_sft(s: float, f_max: int) -> float:
         raise InvalidParameterError(f"f_max must be at least 2, got {f_max}")
     num = math.fsum(f ** (1.0 - s) for f in range(2, f_max + 1))
     den = math.fsum(f ** (-s) for f in range(2, f_max + 1))
+    if not den:
+        raise InvalidParameterError(
+            f"weights f^(-s) underflow to zero for s={s}; the largest usable s is about 1074")
     return num / den
 
 

@@ -10,7 +10,10 @@ one SplitMix64 pass over the index array, and its trees are grown
 together: row i draws exactly what NumPy's default generator seeded
 with seed i draws, `np.random.Generator(np.random.PCG64(seed)).random(n)`
 on the installed NumPy, with the seeding hashed in NumPy for the whole
-block (`graphs._uniform_rows`).
+block (`graphs._uniform_rows`).  A grown block is the child count of
+every node of every tree; the structural estimators count leaves and
+parents from it directly, and only the spectral-exact estimator builds
+the trees' parent arrays.
 """
 from __future__ import annotations
 
@@ -41,7 +44,8 @@ from .graphs import (
     TreeGraph,
     _check_sft_size,
     _count_leaves_and_parents,
-    _grow_sft_parents,
+    _grow_sft_children,
+    _parent_arrays,
     _sft_cdf,
 )
 from .spectral import CONNECTIVITY, build_hamiltonian, multiplicity_exact
@@ -107,7 +111,8 @@ def _check_config(cfg: EnsembleConfig) -> None:
 
 
 def _block_size(n: int) -> int:
-    """Realizations per block: about 65 536 nodes, so each block array stays near 0.5 MB."""
+    """Realizations per block: about 65 536 nodes, so each per-node array of a block
+    (draws, child counts, leaf flags) stays within about 0.5 MB."""
     return -(-65_536 // n)
 
 
@@ -122,12 +127,12 @@ def _realize_block(
     """
     cfg, cdf, start, stop = task
     seeds = _realization_seeds(cfg.master_seed, np.arange(start, stop, dtype=np.uint64))
-    parents = _grow_sft_parents(cdf, cfg.n, seeds)
-    counts = _count_leaves_and_parents(parents, cfg.n)
+    children = _grow_sft_children(cdf, cfg.n, seeds)
+    counts = _count_leaves_and_parents(children)
     if cfg.estimator == SPECTRAL_EXACT:
         # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
         trees = (build_hamiltonian(TreeGraph(row), CONNECTIVITY, size_limit=None)
-                 for row in np.pad(parents, ((0, 0), (1, 0)), constant_values=-1))
+                 for row in _parent_arrays(children))
         value = np.array([chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
                           for h in trees])
     else:

@@ -247,6 +247,9 @@ def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
     support = np.arange(2, f_max + 1, dtype=np.float64)
     weights = support ** (-float(s))
     cdf = np.cumsum(weights)
+    if not cdf[-1] > 0:
+        raise InvalidParameterError(
+            f"sft weights f^(-s) underflow to zero for s={s}; the largest usable s is about 1074")
     cdf /= cdf[-1]
     cdf[-1] = 1.0
     return cdf
@@ -321,25 +324,62 @@ def _uniform_rows(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     return draws
 
 
-def _grow_sft_parents(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Parent arrays of len(seeds) scale-free trees on n nodes, one row per seed.
+_BUCKETS = 4096  # a power of two, so u * _BUCKETS and every bucket edge b / _BUCKETS are exact
 
-    Row i holds the parents of nodes 1..n-1 of the tree grown from
+
+def _draw_functionalities(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") of each draw u in [0, 1), by a guide table.
+
+    Chen & Asau's table (AIIE Trans. 6 (1974) 163): entry b is the count
+    at the bucket edge b / _BUCKETS.  The count does not decrease in u,
+    so a draw in [b, b + 1) / _BUCKETS whose bucket holds no CDF entry
+    (entries b and b + 1 agree) takes entry b; only draws in the other
+    buckets are searched.
+    """
+    table = np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+    bucket = (u * _BUCKETS).astype(np.intp)
+    counts = table[bucket]
+    searched = np.flatnonzero((table[1:] != table[:-1])[bucket])
+    counts.flat[searched] = np.searchsorted(cdf, u.flat[searched], side="right")
+    return counts
+
+
+def _grow_sft_children(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Child counts of len(seeds) scale-free trees on n nodes, one int32 row per seed.
+
+    Row i holds the child counts of nodes 0..n-1 of the tree grown from
     seeds[i]: node j's target functionality comes from the j-th uniform
     draw of `np.random.Generator(np.random.PCG64(seeds[i]))`, NumPy's
     default generator, on the installed NumPy; the SeedSequence hashing
     and PCG64 seeding run in NumPy over all seeds at once
     (`_uniform_rows`).  The open slots are numbered in node order, and
-    node c fills slot c - 1, so its parent is the node owning that slot.
-    A row does not depend on the other seeds of the call.
+    node c fills slot c - 1, so node k's children are the consecutive
+    nodes ends[k - 1] + 1..ends[k], where ends is the row's prefix sum
+    (`_parent_arrays`).  A row does not depend on the other seeds of the
+    call.
     """
-    capacity = 2 + np.searchsorted(cdf, _uniform_rows(seeds, n), side="right")
-    capacity[:, 1:] -= 1  # one bond per non-root node goes to its parent
-    # node k owns slots ends[k - 1]..ends[k] - 1; only the first n - 1 slots are filled
-    ends = np.minimum(np.cumsum(capacity, axis=1), n - 1)
-    owned = np.diff(ends, axis=1, prepend=0)
-    nodes = np.broadcast_to(np.arange(n), owned.shape)
-    return np.repeat(nodes.ravel(), owned.ravel()).reshape(len(owned), n - 1)
+    # functionality 2 + the draw, less the bond to the parent that every node but the root has
+    capacity = 1 + _draw_functionalities(cdf, _uniform_rows(seeds, n))
+    capacity[:, 0] += 1
+    # node k owns slots ends[k - 1]..ends[k] - 1; only the first n - 1 slots are filled.
+    # int32 holds any count below the node limit and halves what the counting reads
+    ends = np.minimum(np.cumsum(capacity, axis=1), n - 1).astype(np.int32)
+    children = ends.copy()
+    children[:, 1:] -= ends[:, :-1]
+    return children
+
+
+def _parent_arrays(children: np.ndarray) -> np.ndarray:
+    """Breadth-first parent arrays of trees given by child counts, one row per tree.
+
+    Node k is the parent of the next children[k] nodes after those of
+    nodes 0..k-1; each row starts with the root's -1.
+    """
+    trees, n = children.shape
+    parents = np.full((trees, n), -1)
+    nodes = np.broadcast_to(np.arange(n), children.shape)
+    parents[:, 1:] = np.repeat(nodes.ravel(), children.ravel()).reshape(trees, n - 1)
+    return parents
 
 
 def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> TreeGraph:
@@ -359,9 +399,8 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
         f_max = n - 1
     cdf = _sft_cdf(n, s, f_max)
     seed = int(seed) & _MASK64
-    parents = _grow_sft_parents(cdf, n, [seed])[0]
-    return TreeGraph(np.concatenate(([-1], parents)),
-                     f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
+    parents = _parent_arrays(_grow_sft_children(cdf, n, [seed]))[0]
+    return TreeGraph(parents, f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
 
 class _TreeCounts(NamedTuple):
@@ -381,26 +420,33 @@ class _TreeCounts(NamedTuple):
     avg_f_parents: np.ndarray
 
 
-def _count_leaves_and_parents(parents: np.ndarray, n: int) -> _TreeCounts:
-    """Leaves, parents and functionality averages of trees given by parent arrays.
+def _count_leaves_and_parents(children: np.ndarray) -> _TreeCounts:
+    """Leaves, parents and functionality averages of breadth-first trees given by child counts.
 
-    Row i of the (trees, n - 1) array holds the parents of nodes 1..n-1
-    of tree i.  Leaves have functionality 1; parents are non-leaves with
-    at least one leaf neighbor.
+    Row i of the (trees, n) array holds the child counts of nodes 0..n-1
+    of tree i.  Node k's children are the consecutive nodes
+    ends[k - 1] + 1..ends[k], with ends the row's prefix sum, so its
+    leaf children are a difference of one prefix sum of the leaf flags
+    gathered at ends.  Leaves have functionality 1; parents are
+    non-leaves with at least one leaf neighbor.
     """
-    trees = parents.shape[0]
-    flat = (parents + (np.arange(trees) * n)[:, None]).ravel()  # parent ids across the block
-    degrees = np.bincount(flat, minlength=trees * n).reshape(trees, n)
-    degrees[:, 1:] += 1  # the bond to the parent
+    trees, n = children.shape
+    degrees = children + 1  # the bond to the parent
+    degrees[:, 0] -= 1
     is_leaf = degrees == 1
-    leaf_nbrs = np.bincount(flat[is_leaf[:, 1:].ravel()], minlength=trees * n).reshape(trees, n)
-    leaf_nbrs[:, 1:] += is_leaf.ravel()[flat].reshape(trees, n - 1)  # a root of functionality 1
+    # summed over the whole block, whose trees' differences cancel; int32 here and in
+    # the ends, as a block has far fewer than 2^31 nodes
+    leaves_through = np.cumsum(is_leaf.view(np.int8), dtype=np.int32)
+    first = np.arange(0, trees * n, n)
+    at_ends = leaves_through[np.cumsum(children, axis=1, dtype=np.int32) + first[:, None]]
+    leaf_nbrs = np.diff(at_ends, axis=1, prepend=leaves_through[first, None])
+    leaf_nbrs[:, 1:2] += is_leaf[:, :1]  # a root of functionality 1 is node 1's leaf neighbor
     is_parent = ~is_leaf & (leaf_nbrs > 0)
     delta = degrees - leaf_nbrs - 1
     n_leaves = is_leaf.sum(axis=1)
     n_parents = is_parent.sum(axis=1)
-    sum_f_parents = np.where(is_parent, degrees, 0).sum(axis=1)
-    sum_delta = np.where(is_parent, delta, 0).sum(axis=1)
+    sum_f_parents = degrees.sum(axis=1, where=is_parent)
+    sum_delta = delta.sum(axis=1, where=is_parent)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _TreeCounts(
             is_leaf=is_leaf,
@@ -416,7 +462,7 @@ def _count_leaves_and_parents(parents: np.ndarray, n: int) -> _TreeCounts:
 
 def structural_stats(g: TreeGraph) -> StructuralStats:
     """Exact leaf/parent counts and restricted functionality averages."""
-    c = _count_leaves_and_parents(g.parents[None, 1:], g.n)
+    c = _count_leaves_and_parents(np.bincount(g.parents[1:], minlength=g.n)[None])
     if not c.n_parents[0]:
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"

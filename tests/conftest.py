@@ -11,9 +11,10 @@ references replay earlier forms of the program's own steps: the time
 series with every phase evaluated directly, degeneracy binning by a
 loop over the sorted eigenvalues and by tiling each solve's eigenvalues
 count times, the edge-list reader that scans line by line, and the
-quotient plan that joins branches through a queue.  It also holds two
-checks the program itself does not need: the breadth-first parent-array
-invariant and the explicit leaf-pair eigenvectors at E*.
+quotient plan that joins branches through a queue, and the leaf and
+parent counts taken from parent arrays by `np.bincount`.  It also holds
+two checks the program itself does not need: the breadth-first
+parent-array invariant and the explicit leaf-pair eigenvectors at E*.
 """
 import math
 import os
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from qtree.errors import InvalidParameterError, SizeLimitError
-from qtree.graphs import TreeGraph, _bfs_parents
+from qtree.graphs import TreeGraph, _bfs_parents, _TreeCounts
 from qtree.spectral import Spectrum, _as_fraction, _bin, _quotient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -229,6 +230,39 @@ def multiplicity_exact_reference(h, e) -> int:
             else:
                 d[parents[v]] -= 1 / d[v]
     return d.count(0)
+
+
+def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> _TreeCounts:
+    """Leaves, parents and functionality averages of trees given by parent arrays.
+
+    Row i of the (trees, n - 1) array holds the parents of nodes 1..n-1
+    of tree i.  Degrees and leaf neighbors are counted by `np.bincount`
+    over the parent ids of the whole block.
+    """
+    trees = parents.shape[0]
+    flat = (parents + (np.arange(trees) * n)[:, None]).ravel()  # parent ids across the block
+    degrees = np.bincount(flat, minlength=trees * n).reshape(trees, n)
+    degrees[:, 1:] += 1  # the bond to the parent
+    is_leaf = degrees == 1
+    leaf_nbrs = np.bincount(flat[is_leaf[:, 1:].ravel()], minlength=trees * n).reshape(trees, n)
+    leaf_nbrs[:, 1:] += is_leaf.ravel()[flat].reshape(trees, n - 1)  # a root of functionality 1
+    is_parent = ~is_leaf & (leaf_nbrs > 0)
+    delta = degrees - leaf_nbrs - 1
+    n_leaves = is_leaf.sum(axis=1)
+    n_parents = is_parent.sum(axis=1)
+    sum_f_parents = np.where(is_parent, degrees, 0).sum(axis=1)
+    sum_delta = np.where(is_parent, delta, 0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _TreeCounts(
+            is_leaf=is_leaf,
+            is_parent=is_parent,
+            delta=delta,
+            n_leaves=n_leaves,
+            n_parents=n_parents,
+            avg_f_nonleaf=(2 * (n - 1) - n_leaves) / (n - n_leaves),
+            avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
+            avg_f_parents=sum_f_parents / n_parents,
+        )
 
 
 def validate_tree(g) -> str | None:

@@ -84,6 +84,23 @@ def test_sweep_all_rows_failed_exit_5(tmp_path):
     assert text.count("degenerate-average") == 2
 
 
+def test_gen_sft_refuses_an_s_whose_weights_underflow_exit_2(tmp_path):
+    out = tmp_path / "x.edges"
+    res = run_cli("gen", "--family", "sft", "--n", "50", "--s", "1075", "--out", str(out))
+    assert res.returncode == 2
+    assert "underflow" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_sweep_rows_whose_weights_underflow_are_invalid_exit_5(tmp_path):
+    res = run_cli("sweep", "--n", "50", "--s-grid", "1075,1e308", "--r", "4",
+                  "--out", str(tmp_path / "s.csv"))
+    assert res.returncode == 5
+    assert "Traceback" not in res.stderr
+    rows = (tmp_path / "s.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[-1] for row in rows] == ["invalid-parameter"] * 2
+
+
 def test_chi_star4(tmp_path):
     edges = tmp_path / "s4.edges"
     run_cli("gen", "--family", "star", "--n", "4", "--out", str(edges))

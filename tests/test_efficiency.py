@@ -157,6 +157,13 @@ def test_avg_f_sft_large_s_limit():
     assert avg_f_sft(50.0, 100) > 2.0
 
 
+@pytest.mark.parametrize("s", [1075, 1e308])
+def test_avg_f_sft_refuses_an_s_whose_weights_underflow(s):
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        avg_f_sft(s, 100)
+    assert avg_f_sft(1074, 100) == 2.0  # 2^-1074, the smallest subnormal, is the only weight
+
+
 def test_avg_f_sft_matches_exact_rational_sum():
     # direct summation oracle in exact arithmetic at integer s
     s = 3

@@ -19,8 +19,9 @@ from qtree import (
     sweep,
     sweep_csv_text,
 )
-from qtree.ensemble import _realization_seeds
-from qtree.graphs import MAX_NODES_DEFAULT
+from qtree import ensemble
+from qtree.ensemble import _realization_seeds, _realize_block
+from qtree.graphs import _BUCKETS, MAX_NODES_DEFAULT, _sft_cdf, _uniform_rows
 from qtree.spectral import _bin
 
 from conftest import dense_matrix, dense_reference
@@ -51,6 +52,54 @@ def test_deterministic_across_worker_counts():
     assert serial.mean_one_minus_chi_lb == parallel.mean_one_minus_chi_lb
     assert serial.std_error == parallel.std_error
     assert serial.realized_avg_f_mean == parallel.realized_avg_f_mean
+
+
+@pytest.mark.parametrize("estimator, n, r", [
+    ("structural-delta0", 100, 1500), ("structural-measured", 60, 2400),
+    ("spectral-exact", 60, 40),
+])
+def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r):
+    # a block's leaf flags are summed over the whole block: a slip at a tree
+    # boundary would leak counts into the next tree of the block
+    cfg = EnsembleConfig(n=n, s=2.3, r=r, master_seed=9, estimator=estimator)
+    expected = run_ensemble(cfg, keep_per_realization=True)
+    for size in (1, 7, 656):
+        monkeypatch.setattr(ensemble, "_block_size", lambda n, size=size: size)
+        for workers in (1, 2):
+            assert run_ensemble(cfg, workers=workers, keep_per_realization=True) == expected, \
+                (size, workers)
+
+
+def test_structural_block_counts_from_draws_and_child_counts_alone(monkeypatch):
+    # no parent array is built and no degree is counted by bincount; beside the bucket
+    # edges, only the draws in a bucket (b, b + 1] / K that holds a CDF entry are searched
+    searched = []
+    real_searchsorted = np.searchsorted
+
+    def searchsorted(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return real_searchsorted(a, v, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structural block built or counted parent arrays")
+
+    n, r = 100, 656
+    cdf = _sft_cdf(n, 2.5, n - 1)
+    held = np.unique(np.ceil(cdf * _BUCKETS) - 1)  # c * K is exact: K is a power of two
+    draws = _uniform_rows(_realization_seeds(0, np.arange(r, dtype=np.uint64)), n)
+    ambiguous = int(np.isin(np.floor(draws * _BUCKETS), held).sum())
+    assert 0 < ambiguous < 0.05 * draws.size
+    for estimator in ("structural-delta0", "structural-measured"):
+        task = (EnsembleConfig(n=n, s=2.5, r=r, estimator=estimator), cdf, 0, r)
+        expected = _realize_block(task)
+        searched.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "searchsorted", searchsorted)
+            m.setattr(np, "repeat", refuse)
+            m.setattr(np, "bincount", refuse)
+            got = _realize_block(task)
+        assert searched == [_BUCKETS + 1, ambiguous]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_realization_seeds_injective():
@@ -187,6 +236,17 @@ def test_sweep_flags_degenerate_rows_and_continues():
     # capped functionality forces chains; the bound is exactly 1/n
     assert rows[0].one_minus_chi_mc_mean == pytest.approx(1 - 1 / 50, abs=1e-14)
     assert rows[1].status == "ok"
+
+
+def test_sweep_flags_an_s_whose_weights_underflow_and_continues():
+    # 2^-s is 0 above s = 1074; at 1074 every node takes functionality 2, so every
+    # realization is a chain, whose bound is exactly 1/n
+    rows = sweep([EnsembleConfig(n=50, s=s, r=10, master_seed=1) for s in (1075, 1e308, 1074)])
+    assert [row.status for row in rows] == ["invalid-parameter"] * 2 + ["degenerate-average"]
+    assert all(row.avg_f_analytic is None and row.one_minus_chi_mc_mean is None
+               for row in rows[:2])
+    assert rows[2].avg_f_analytic == 2.0
+    assert rows[2].one_minus_chi_mc_mean == pytest.approx(1 - 1 / 50, abs=1e-14)
 
 
 def test_sweep_rejects_empty_list():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import pickle
 
@@ -23,14 +24,22 @@ from qtree import (
 )
 from qtree.graphs import (
     MAX_NODES_DEFAULT,
+    _BUCKETS,
     _bfs_parents,
-    _grow_sft_parents,
+    _count_leaves_and_parents,
+    _draw_functionalities,
+    _grow_sft_children,
+    _parent_arrays,
     _sft_cdf,
     _uniform_rows,
     write_text_atomic,
 )
 
-from conftest import parse_edge_list_text_reference, validate_tree
+from conftest import (
+    count_leaves_and_parents_reference,
+    parse_edge_list_text_reference,
+    validate_tree,
+)
 
 
 def test_chain_smallest():
@@ -487,10 +496,11 @@ def test_sft_matches_reference_growth(n, s, f_max):
 @pytest.mark.parametrize("n, s, f_max", SFT_CASES)
 def test_sft_block_rows_do_not_depend_on_grouping(n, s, f_max):
     seeds = [3, 1, 4, 1, 5, 9, 2, 6]
-    block = _grow_sft_parents(_sft_cdf(n, s, f_max), n, seeds)
-    assert block.shape == (len(seeds), n - 1)
-    for row, seed in zip(block, seeds):
-        assert np.array_equal(row, _reference_sft_parents(n, s, f_max, seed))
+    block = _grow_sft_children(_sft_cdf(n, s, f_max), n, seeds)
+    assert block.shape == (len(seeds), n)
+    for row, seed in zip(_parent_arrays(block), seeds):
+        assert row[0] == -1
+        assert np.array_equal(row[1:], _reference_sft_parents(n, s, f_max, seed))
 
 
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -521,6 +531,90 @@ def test_structural_stats_matches_loop_reference():
             got.n_leaves, got.n_parents, got.avg_f_nonleaf, got.avg_f_minus_delta_parents,
             got.avg_f_parents, got.per_node_delta, got.leaf_ids, got.parent_ids,
         ) == _reference_stats(g), g.label
+
+
+DRAW_S = (1.4, 2.2, 2.6, 9.0, 1074)  # 1074: the CDF is 1.0 throughout
+DRAW_F_MAX = (2, 4, 99, 4999, 200_000)  # 200 000: thousands of entries in the top bucket
+
+
+@functools.cache
+def _draw_cdf(s, f_max):
+    return _sft_cdf(f_max + 1, s, f_max)
+
+
+@pytest.mark.parametrize("f_max", DRAW_F_MAX)
+@pytest.mark.parametrize("s", DRAW_S)
+def test_draw_functionalities_equals_searchsorted_at_every_edge(s, f_max):
+    cdf = _draw_cdf(s, f_max)
+    edges = np.arange(_BUCKETS) / _BUCKETS
+    u = np.concatenate((cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
+                        edges, np.nextafter(edges, 0), [0.0, 1 - 2.0**-53]))
+    u = u[(u >= 0) & (u < 1)]
+    got = _draw_functionalities(cdf, u)
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+    block = u[: len(u) // 4 * 4].reshape(4, -1)  # a block of rows draws as its flat draws do
+    assert np.array_equal(_draw_functionalities(cdf, block), got[: block.size].reshape(4, -1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(s=st.sampled_from(DRAW_S), f_max=st.sampled_from(DRAW_F_MAX),
+       u=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=50))
+def test_draw_functionalities_equals_searchsorted(s, f_max, u):
+    cdf = _draw_cdf(s, f_max)
+    u = np.array(u)
+    assert np.array_equal(_draw_functionalities(cdf, u), np.searchsorted(cdf, u, side="right"))
+
+
+def _assert_counts_equal(got, expected):
+    for field, a, b in zip(expected._fields, got, expected):
+        assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), field
+
+
+@pytest.mark.parametrize("n, s, f_max", SFT_CASES)
+def test_counts_from_child_counts_match_parent_array_reference(n, s, f_max):
+    cdf = _sft_cdf(n, s, f_max)
+    for seeds in ([0], [3, 1, 4, 1, 5, 9, 2, 6], list(range(100, 100 + max(2, 6000 // n))),
+                  [2**64 - 1, 2**32, 17]):
+        children = _grow_sft_children(cdf, n, seeds)
+        _assert_counts_equal(_count_leaves_and_parents(children),
+                             count_leaves_and_parents_reference(_parent_arrays(children)[:, 1:], n))
+
+
+def test_counts_from_child_counts_match_parent_array_reference_on_every_family():
+    # chain(2) and chain(3) have roots of functionality 1; blocks mix the trees of each n
+    graphs = [generate_chain(2), generate_chain(3), generate_chain(40), generate_star(3),
+              generate_star(30), generate_dendrimer(3, 4), generate_dendrimer(5, 2),
+              generate_vicsek(3, 3), generate_vicsek(4, 2)]
+    graphs += [generate_sft(n, s, seed=seed) for n, s, _ in SFT_CASES for seed in (1, 2)]
+    graphs += [generate_sft(g.n, 2.5, seed=seed) for g in graphs[:9] if g.n > 2 for seed in (3, 4)]
+    by_n = {}
+    for g in graphs:
+        by_n.setdefault(g.n, []).append(g.parents)
+        children = np.bincount(g.parents[1:], minlength=g.n)[None]
+        _assert_counts_equal(_count_leaves_and_parents(children),
+                             count_leaves_and_parents_reference(g.parents[None, 1:], g.n))
+    for n, rows in by_n.items():
+        parents = np.stack(rows)
+        children = np.stack([np.bincount(p[1:], minlength=n) for p in rows])
+        _assert_counts_equal(_count_leaves_and_parents(children),
+                             count_leaves_and_parents_reference(parents[:, 1:], n))
+
+
+@pytest.mark.parametrize("s", [1075, 1e308])
+def test_sft_refuses_an_s_whose_weights_underflow(s):
+    # 2^-s is 0 above s = 1074: the CDF would be 0 / 0
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        generate_sft(10, s)
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        _sft_cdf(10, s, 9)
+
+
+def test_sft_at_s_1074_draws_as_before():
+    # 2^-1074 is the smallest subnormal, so every node takes functionality 2: two arms
+    for seed in (0, 7):
+        g = generate_sft(50, 1074, seed=seed)
+        assert np.array_equal(g.parents[1:], _reference_sft_parents(50, 1074, 49, seed))
+        assert g.parents.tolist() == [-1, 0, *range(48)]
 
 
 # --- edge-list parser properties ---------------------------------------------
