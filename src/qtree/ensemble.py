@@ -42,6 +42,7 @@ from .errors import (
 from .graphs import (
     FORMAT_HEADER,
     TreeGraph,
+    _check_pcg64_layout,
     _check_sft_size,
     _count_leaves_and_parents,
     _grow_sft_children,
@@ -156,6 +157,16 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def _python_square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 of each element by Python's float `** 2`, computed once per distinct value.
+
+    np.square can differ from it in the last bit; the realizations of an
+    ensemble repeat few distinct values.
+    """
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return np.array([v ** 2 for v in distinct.tolist()])[inverse]
+
+
 def run_ensemble(
     cfg: EnsembleConfig,
     workers: int | None = None,
@@ -178,11 +189,12 @@ def run_ensemble(
                               chunksize=max(1, len(tasks) // (workers * 8)))
     else:
         blocks = [_realize_block(t) for t in tasks]
-    values = np.concatenate([v for v, _ in blocks]).tolist()
+    values_array = np.concatenate([v for v, _ in blocks])
+    values = values_array.tolist()
     avg_fs = np.concatenate([a for _, a in blocks]).tolist()
     mean = math.fsum(values) / cfg.r  # fsum: exactly rounded, order independent
     if cfg.r > 1:
-        variance = math.fsum((v - mean) ** 2 for v in values) / (cfg.r - 1)
+        variance = math.fsum(_python_square(values_array - mean).tolist()) / (cfg.r - 1)
         std_error = math.sqrt(variance / cfg.r)
     else:
         std_error = 0.0
@@ -223,9 +235,14 @@ def _error_name(exc: Exception) -> str:
 
 
 def sweep(cfgs: list[EnsembleConfig], workers: int | None = None) -> list[SweepRow]:
-    """Run one ensemble per config; errors flag the row, never abort the sweep."""
+    """Run one ensemble per config; errors flag the row, never abort the sweep.
+
+    A NumPy whose generator state qtree cannot write is no row's error:
+    it raises GeneratorLayoutError before the first row.
+    """
     if not cfgs:
         raise InvalidParameterError("sweep needs at least one config")
+    _check_pcg64_layout()
     rows = []
     for cfg in cfgs:
         status = "ok"

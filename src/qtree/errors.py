@@ -36,3 +36,7 @@ class DegenerateAverageError(QtreeError):
 
 class OutOfDomainError(QtreeError, ValueError):
     """Argument outside the mathematical domain of the operation."""
+
+
+class GeneratorLayoutError(QtreeError):
+    """The installed NumPy keeps a generator's state in a memory layout qtree does not write."""

@@ -21,6 +21,8 @@ counts drive the structural transport-efficiency bounds.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import re
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoParentsError, SizeLimitError
+from .errors import GeneratorLayoutError, InvalidParameterError, NoParentsError, SizeLimitError
 
 MAX_NODES_DEFAULT = 2_000_000
 
@@ -259,8 +261,8 @@ def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
 # fixed by numpy/random/bit_generator.pyx and pcg64.h, hashed for a whole
 # array of seeds at once.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_LOW, _PCG64_MULT_HIGH = _PCG64_MULT & _MASK64, _PCG64_MULT >> 64
 
 
 def _hash_keys(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
@@ -303,23 +305,77 @@ def _seed_state_words(seeds: np.ndarray) -> list[np.ndarray]:
     return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
 
 
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """The state of `PCG64(seed)` for each uint64 seed, one row of four uint64 words per seed.
+
+    The words are state low, state high, inc low and inc high.  With the
+    SeedSequence words (a, b, c, d), pcg64_set_seed sets inc = 2 (c 2^64
+    + d) + 1 and state = (a 2^64 + b + inc) M + inc mod 2^128; here in
+    wrapping uint64 arithmetic over all seeds at once.
+    """
+    a, b, c, d = _seed_state_words(seeds)
+    states = np.empty((len(seeds), 4), dtype=np.uint64)
+    inc_low, inc_high = states[:, 2], states[:, 3]
+    inc_low[:] = d << 1 | 1
+    inc_high[:] = c << 1 | d >> 63
+    x_low = b + inc_low
+    x_high = a + inc_high + (x_low < b)
+    # x M mod 2^128: the full product of the low words from their 32-bit halves,
+    # and the cross terms, which only reach the high word, wrapped
+    x0, x1 = x_low & _MASK32, x_low >> 32
+    m0, m1 = _PCG64_MULT_LOW & _MASK32, _PCG64_MULT_LOW >> 32
+    x0_m1, x1_m0 = x0 * m1, x1 * m0
+    middle = (x0 * m0 >> 32) + (x0_m1 & _MASK32) + (x1_m0 & _MASK32)
+    product_high = (x1 * m1 + (x0_m1 >> 32) + (x1_m0 >> 32) + (middle >> 32)
+                    + x_high * _PCG64_MULT_LOW + x_low * _PCG64_MULT_HIGH)
+    product_low = x_low * _PCG64_MULT_LOW
+    states[:, 0] = product_low + inc_low
+    states[:, 1] = product_high + inc_high + (states[:, 0] < product_low)
+    return states
+
+
+def _pcg64_state_words(bits: np.random.PCG64) -> ctypes.Array:
+    """A view of the four uint64 words of `bits`' state: state low, state high, inc low, inc high.
+
+    `bits.ctypes.state_address` is the address of NumPy's pcg64_state,
+    whose first field points to the 128-bit state and increment (pcg64.h,
+    native 128-bit integers on a little-endian machine).  That layout is
+    not NumPy API; `_check_pcg64_layout` verifies it.  The caller keeps
+    `bits` alive while it uses the view.
+    """
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    return (ctypes.c_uint64 * 4).from_address(address)
+
+
+@functools.cache
+def _check_pcg64_layout() -> None:
+    """Refuse a NumPy whose PCG64 state does not read, through the view, as its `state` dict."""
+    bits = np.random.PCG64(0)
+    expected = bits.state["state"]
+    state, inc = expected["state"], expected["inc"]
+    if list(_pcg64_state_words(bits)) != [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]:
+        raise GeneratorLayoutError(
+            f"NumPy {np.__version__} does not lay out the PCG64 state as four little-endian "
+            "uint64 words behind its state pointer; qtree cannot seed scale-free trees on it")
+
+
 def _uniform_rows(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     """Row i is the first n uniform draws of NumPy's default generator seeded with seeds[i].
 
     That generator is PCG64 seeded through SeedSequence(seeds[i]); the
-    seed hashing runs on the whole array, and one reused PCG64 is set to
-    each row's state and draws the row in one call.
+    seeding runs on the whole array (`_pcg64_states`), and each row's
+    state is written through the state pointer of one reused PCG64,
+    which then draws the row in one call.
     """
-    w0, w1, w2, w3 = (w.tolist() for w in _seed_state_words(np.asarray(seeds, dtype=np.uint64)))
-    draws = np.empty((len(w0), n))
+    _check_pcg64_layout()
+    states = _pcg64_states(np.asarray(seeds, dtype=np.uint64)).tolist()
+    draws = np.empty((len(states), n))
     bits = np.random.PCG64(0)
     generator = np.random.Generator(bits)
-    for row, a, b, c, d in zip(draws, w0, w1, w2, w3):
-        # pcg64_set_seed: inc = 2 (c 2^64 + d) + 1 and state = (a 2^64 + b + inc) M + inc
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        state = ((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+    state = _pcg64_state_words(bits)
+    # random() draws whole 64-bit words, so the buffered 32-bit half behind the state stays unset
+    for row, words in zip(draws, states):
+        state[:] = words
         generator.random(out=row)
     return draws
 

@@ -9,12 +9,13 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtree import Potential, QtreeError, build_hamiltonian, read_edge_list, time_series
-from qtree import cli, errors, spectral
+from qtree import cli, errors, graphs, spectral
 
 
 def run_cli(*args):
@@ -99,6 +100,34 @@ def test_sweep_rows_whose_weights_underflow_are_invalid_exit_5(tmp_path):
     assert "Traceback" not in res.stderr
     rows = (tmp_path / "s.csv").read_text().splitlines()[2:]
     assert [row.split(",")[-1] for row in rows] == ["invalid-parameter"] * 2
+
+
+@pytest.fixture
+def pcg64_words_swapped(monkeypatch):
+    """The layout guard reads each 128-bit word's halves swapped, as under emulated 128-bit math."""
+    words = graphs._pcg64_state_words
+
+    def swapped(bits):
+        state_low, state_high, inc_low, inc_high = words(bits)
+        return [state_high, state_low, inc_high, inc_low]
+
+    monkeypatch.setattr(graphs, "_pcg64_state_words", swapped)
+    graphs._check_pcg64_layout.cache_clear()
+    yield
+    graphs._check_pcg64_layout.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "50", "--s-grid", "2.5,3.0", "--r", "4"],
+    ["gen", "--family", "sft", "--n", "50", "--s", "2.5"],
+], ids=lambda argv: argv[0])
+def test_generator_layout_mismatch_exits_2_before_any_output(argv, pcg64_words_swapped, tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"NumPy {np.__version__}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 def test_chi_star4(tmp_path):
@@ -811,6 +840,7 @@ def test_rerun_manifest_reader_accepts_or_refuses_cleanly(text):
     (errors.NoParentsError, 2),
     (errors.IncompletePotentialError, 2),
     (errors.UnsupportedExactModeError, 2),
+    (errors.GeneratorLayoutError, 2),
     (errors.QtreeError, 2),
     (errors.SizeLimitError, 4),
 ], ids=lambda x: getattr(x, "__name__", str(x)))
@@ -830,7 +860,8 @@ def test_every_error_class_has_a_mapping_test():
     assert declared == {
         errors.InvalidParameterError, errors.OutOfDomainError, errors.DegenerateAverageError,
         errors.NoParentsError, errors.IncompletePotentialError,
-        errors.UnsupportedExactModeError, errors.QtreeError, errors.SizeLimitError,
+        errors.UnsupportedExactModeError, errors.GeneratorLayoutError, errors.QtreeError,
+        errors.SizeLimitError,
     }
 
 

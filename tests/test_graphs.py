@@ -30,6 +30,7 @@ from qtree.graphs import (
     _draw_functionalities,
     _grow_sft_children,
     _parent_arrays,
+    _pcg64_states,
     _sft_cdf,
     _uniform_rows,
     write_text_atomic,
@@ -518,6 +519,15 @@ def test_uniform_rows_equal_default_rng_in_any_grouping(seeds, n, cuts):
     assert block.shape == (len(seeds), n)
     for row, seed in zip(block, seeds):
         assert np.array_equal(row, np.random.default_rng(seed).random(n)), seed
+
+
+def test_pcg64_states_equal_numpy_seeding():
+    # random seeds take both carries of the 128-bit additions about half the time each
+    seeds = np.random.default_rng(16).integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)
+    for seed, words in zip(seeds.tolist(), _pcg64_states(seeds).tolist()):
+        state = np.random.PCG64(seed).state["state"]
+        assert words == [state["state"] % 2**64, state["state"] >> 64,
+                         state["inc"] % 2**64, state["inc"] >> 64], seed
 
 
 def test_structural_stats_matches_loop_reference():
