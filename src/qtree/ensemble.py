@@ -10,10 +10,12 @@ one SplitMix64 pass over the index array, and its trees are grown
 together: row i draws exactly what NumPy's default generator seeded
 with seed i draws, `np.random.Generator(np.random.PCG64(seed)).random(n)`
 on the installed NumPy, with the seeding hashed in NumPy for the whole
-block (`graphs._uniform_rows`).  A grown block is the child count of
-every node of every tree; the structural estimators count leaves and
-parents from it directly, and only the spectral-exact estimator builds
-the trees' parent arrays.
+block (`graphs._uniform_rows`).  A grown block is the slot prefix sums
+of its trees (`graphs._grow_sft_ends`).  Every estimator takes each
+tree's leaf and parent counts and functionality averages from them in
+closed form (`graphs._count_sft_trees`), with no per-node leaf or
+parent array; only the spectral-exact estimator builds the trees'
+parent arrays.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import numpy as np
 from .efficiency import (
     _chi_sft_at_mean,
     _flat_bound_truncated,
+    _python_square,
     avg_f_sft,
     chi_lower_from_density,
     chi_sft_infinite,
@@ -44,8 +47,8 @@ from .graphs import (
     TreeGraph,
     _check_pcg64_layout,
     _check_sft_size,
-    _count_leaves_and_parents,
-    _grow_sft_children,
+    _count_sft_trees,
+    _grow_sft_ends,
     _parent_arrays,
     _sft_cdf,
 )
@@ -113,7 +116,7 @@ def _check_config(cfg: EnsembleConfig) -> None:
 
 def _block_size(n: int) -> int:
     """Realizations per block: about 65 536 nodes, so each per-node array of a block
-    (draws, child counts, leaf flags) stays within about 0.5 MB."""
+    (draws, slot prefix sums) stays within about 0.5 MB."""
     return -(-65_536 // n)
 
 
@@ -128,12 +131,12 @@ def _realize_block(
     """
     cfg, cdf, start, stop = task
     seeds = _realization_seeds(cfg.master_seed, np.arange(start, stop, dtype=np.uint64))
-    children = _grow_sft_children(cdf, cfg.n, seeds)
-    counts = _count_leaves_and_parents(children)
+    ends = _grow_sft_ends(cdf, cfg.n, seeds)
+    counts = _count_sft_trees(ends)
     if cfg.estimator == SPECTRAL_EXACT:
         # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
         trees = (build_hamiltonian(TreeGraph(row), CONNECTIVITY, size_limit=None)
-                 for row in _parent_arrays(children))
+                 for row in _parent_arrays(ends))
         value = np.array([chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
                           for h in trees])
     else:
@@ -155,16 +158,6 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 1:
         raise InvalidParameterError(f"worker count must be >= 1, got {workers}")
     return workers
-
-
-def _python_square(x: np.ndarray) -> np.ndarray:
-    """x ** 2 of each element by Python's float `** 2`, computed once per distinct value.
-
-    np.square can differ from it in the last bit; the realizations of an
-    ensemble repeat few distinct values.
-    """
-    distinct, inverse = np.unique(x, return_inverse=True)
-    return np.array([v ** 2 for v in distinct.tolist()])[inverse]
 
 
 def run_ensemble(

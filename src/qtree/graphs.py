@@ -400,38 +400,39 @@ def _draw_functionalities(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _grow_sft_children(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Child counts of len(seeds) scale-free trees on n nodes, one int32 row per seed.
+def _grow_sft_ends(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Slot prefix sums of len(seeds) scale-free trees on n nodes, one int64 row per seed.
 
-    Row i holds the child counts of nodes 0..n-1 of the tree grown from
-    seeds[i]: node j's target functionality comes from the j-th uniform
-    draw of `np.random.Generator(np.random.PCG64(seeds[i]))`, NumPy's
-    default generator, on the installed NumPy; the SeedSequence hashing
-    and PCG64 seeding run in NumPy over all seeds at once
-    (`_uniform_rows`).  The open slots are numbered in node order, and
-    node c fills slot c - 1, so node k's children are the consecutive
-    nodes ends[k - 1] + 1..ends[k], where ends is the row's prefix sum
-    (`_parent_arrays`).  A row does not depend on the other seeds of the
-    call.
+    Node j's target functionality is 2 + d_j, with d_j from the j-th
+    uniform draw of `np.random.Generator(np.random.PCG64(seeds[i]))`,
+    NumPy's default generator, on the installed NumPy; the SeedSequence
+    hashing and PCG64 seeding run in NumPy over all seeds at once
+    (`_uniform_rows`).  The root opens 2 + d_0 slots and every other
+    node, less the bond to its parent, 1 + d_j; entry k of a row is
+    E_k, the slots opened by nodes 0..k, unclipped, so E_k >= k + 2 and
+    each row strictly increases.  Node c fills slot c - 1, first in
+    first out, so node k's children are the nodes E_{k-1} + 1..E_k
+    below n, with E_{-1} = 0.  A row does not depend on the other
+    seeds of the call.
     """
-    # functionality 2 + the draw, less the bond to the parent that every node but the root has
-    capacity = 1 + _draw_functionalities(cdf, _uniform_rows(seeds, n))
-    capacity[:, 0] += 1
-    # node k owns slots ends[k - 1]..ends[k] - 1; only the first n - 1 slots are filled.
-    # int32 holds any count below the node limit and halves what the counting reads
-    ends = np.minimum(np.cumsum(capacity, axis=1), n - 1).astype(np.int32)
-    children = ends.copy()
-    children[:, 1:] -= ends[:, :-1]
-    return children
+    ends = _draw_functionalities(cdf, _uniform_rows(seeds, n))
+    # in place, in int64: E_k < n f_max <= n^2, which int32 does not hold above n = 46 341
+    np.cumsum(ends, axis=1, out=ends)
+    ends += np.arange(2, n + 2)
+    return ends
 
 
-def _parent_arrays(children: np.ndarray) -> np.ndarray:
-    """Breadth-first parent arrays of trees given by child counts, one row per tree.
+def _parent_arrays(ends: np.ndarray) -> np.ndarray:
+    """Breadth-first parent arrays of trees given by their slot prefix sums, one row per tree.
 
-    Node k is the parent of the next children[k] nodes after those of
+    Node k's child count is min(E_k, n - 1) - min(E_{k-1}, n - 1), and
+    node k is the parent of the next that many nodes after those of
     nodes 0..k-1; each row starts with the root's -1.
     """
-    trees, n = children.shape
+    trees, n = ends.shape
+    clipped = np.minimum(ends, n - 1)
+    children = clipped.copy()
+    children[:, 1:] -= clipped[:, :-1]
     parents = np.full((trees, n), -1)
     nodes = np.broadcast_to(np.arange(n), children.shape)
     parents[:, 1:] = np.repeat(nodes.ravel(), children.ravel()).reshape(trees, n - 1)
@@ -455,16 +456,37 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
         f_max = n - 1
     cdf = _sft_cdf(n, s, f_max)
     seed = int(seed) & _MASK64
-    parents = _parent_arrays(_grow_sft_children(cdf, n, [seed]))[0]
+    parents = _parent_arrays(_grow_sft_ends(cdf, n, [seed]))[0]
     return TreeGraph(parents, f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
 
-class _TreeCounts(NamedTuple):
-    """Leaf/parent counts of a block of trees on n nodes each.
+class _TreeTotals(NamedTuple):
+    """Leaf/parent counts and functionality averages of a block of trees, each of shape (trees,).
 
-    Per-node fields have shape (trees, n); per-tree fields have shape
-    (trees,).  Averages of a tree without parents are not numbers.
+    Averages of a tree without parents are not numbers.
     """
+
+    n_leaves: np.ndarray
+    n_parents: np.ndarray
+    avg_f_nonleaf: np.ndarray
+    avg_f_minus_delta_parents: np.ndarray
+    avg_f_parents: np.ndarray
+
+
+def _tree_totals(n: int, n_leaves, n_parents, sum_f_parents, sum_delta) -> _TreeTotals:
+    """The averages of trees on n nodes from their integer counts and sums over the parents."""
+    return _TreeTotals(
+        n_leaves=n_leaves,
+        n_parents=n_parents,
+        avg_f_nonleaf=(2 * (n - 1) - n_leaves) / (n - n_leaves),
+        avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
+        avg_f_parents=sum_f_parents / n_parents,
+    )
+
+
+class _TreeCounts(NamedTuple):
+    """Leaf/parent flags of a block of trees on n nodes each, shape (trees, n), then the
+    per-tree fields of `_TreeTotals`."""
 
     is_leaf: np.ndarray
     is_parent: np.ndarray
@@ -476,6 +498,31 @@ class _TreeCounts(NamedTuple):
     avg_f_parents: np.ndarray
 
 
+def _count_sft_trees(ends: np.ndarray) -> _TreeTotals:
+    """Leaf/parent counts and averages of scale-free trees given by their slot prefix sums.
+
+    Every node opens at least one slot, so E strictly increases and the
+    nodes with children form a prefix: node k has children exactly when
+    E_{k-1} < n - 1.  With L = #{k : E_k < n - 1}, nodes 0..L are the
+    non-leaves and L + 1..n - 1 the leaves.  A non-leaf k has a leaf
+    child exactly when E_k > L, so with P = #{k : E_k <= L} the parents
+    are P..L.  Their children are nodes E_{P-1} + 1..n - 1, so their
+    functionalities sum to (n - 1 - E_{P-1}) + (L - P + 1) - [P = 0],
+    the last terms counting the bonds to their parents.  Only node P
+    can have non-leaf children, nodes E_{P-1} + 1..L; every other parent
+    has delta = 0, so delta sums to (L - E_{P-1}) - [P = 0].  An SFT
+    has n >= 3 nodes, so P <= L and every tree has a parent.
+    """
+    trees, n = ends.shape
+    last = np.count_nonzero(ends < n - 1, axis=1)
+    first = np.count_nonzero(ends <= last[:, None], axis=1)
+    root = first == 0
+    before = np.where(root, 0, ends[np.arange(trees), first - 1])  # E_{P-1}, with E_{-1} = 0
+    n_parents = last - first + 1
+    return _tree_totals(n, n - 1 - last, n_parents,
+                        n - 1 - before + n_parents - root, last - before - root)
+
+
 def _count_leaves_and_parents(children: np.ndarray) -> _TreeCounts:
     """Leaves, parents and functionality averages of breadth-first trees given by child counts.
 
@@ -484,7 +531,8 @@ def _count_leaves_and_parents(children: np.ndarray) -> _TreeCounts:
     ends[k - 1] + 1..ends[k], with ends the row's prefix sum, so its
     leaf children are a difference of one prefix sum of the leaf flags
     gathered at ends.  Leaves have functionality 1; parents are
-    non-leaves with at least one leaf neighbor.
+    non-leaves with at least one leaf neighbor.  Scale-free trees grown
+    here are counted in closed form instead (`_count_sft_trees`).
     """
     trees, n = children.shape
     degrees = children + 1  # the bond to the parent
@@ -499,21 +547,11 @@ def _count_leaves_and_parents(children: np.ndarray) -> _TreeCounts:
     leaf_nbrs[:, 1:2] += is_leaf[:, :1]  # a root of functionality 1 is node 1's leaf neighbor
     is_parent = ~is_leaf & (leaf_nbrs > 0)
     delta = degrees - leaf_nbrs - 1
-    n_leaves = is_leaf.sum(axis=1)
-    n_parents = is_parent.sum(axis=1)
-    sum_f_parents = degrees.sum(axis=1, where=is_parent)
-    sum_delta = delta.sum(axis=1, where=is_parent)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _TreeCounts(
-            is_leaf=is_leaf,
-            is_parent=is_parent,
-            delta=delta,
-            n_leaves=n_leaves,
-            n_parents=n_parents,
-            avg_f_nonleaf=(2 * (n - 1) - n_leaves) / (n - n_leaves),
-            avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
-            avg_f_parents=sum_f_parents / n_parents,
-        )
+        totals = _tree_totals(n, is_leaf.sum(axis=1), is_parent.sum(axis=1),
+                              degrees.sum(axis=1, where=is_parent),
+                              delta.sum(axis=1, where=is_parent))
+    return _TreeCounts(is_leaf, is_parent, delta, *totals)
 
 
 def structural_stats(g: TreeGraph) -> StructuralStats:

@@ -19,7 +19,7 @@ from qtree import (
     sweep,
     sweep_csv_text,
 )
-from qtree import ensemble
+from qtree import ensemble, graphs
 from qtree.ensemble import _realization_seeds, _realize_block
 from qtree.graphs import _BUCKETS, MAX_NODES_DEFAULT, _sft_cdf, _uniform_rows
 from qtree.spectral import _bin
@@ -71,8 +71,10 @@ def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r
 
 
 def test_structural_block_counts_from_draws_and_child_counts_alone(monkeypatch):
-    # no parent array is built and no degree is counted by bincount; beside the bucket
-    # edges, only the draws in a bucket (b, b + 1] / K that holds a CDF entry are searched
+    # the trees are counted in closed form from their slot prefix sums: no parent array is
+    # built, no degree is counted by bincount and no per-node leaf flags are summed by the
+    # child-count counting; beside the bucket edges, only the draws in a bucket
+    # (b, b + 1] / K that holds a CDF entry are searched
     searched = []
     real_searchsorted = np.searchsorted
 
@@ -81,7 +83,7 @@ def test_structural_block_counts_from_draws_and_child_counts_alone(monkeypatch):
         return real_searchsorted(a, v, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a structural block built or counted parent arrays")
+        raise AssertionError("a structural block built parent arrays or counted per node")
 
     n, r = 100, 656
     cdf = _sft_cdf(n, 2.5, n - 1)
@@ -97,6 +99,8 @@ def test_structural_block_counts_from_draws_and_child_counts_alone(monkeypatch):
             m.setattr(np, "searchsorted", searchsorted)
             m.setattr(np, "repeat", refuse)
             m.setattr(np, "bincount", refuse)
+            m.setattr(graphs, "_count_leaves_and_parents", refuse)
+            m.setattr(ensemble, "_count_leaves_and_parents", refuse, raising=False)
             got = _realize_block(task)
         assert searched == [_BUCKETS + 1, ambiguous]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))

@@ -27,8 +27,9 @@ from qtree.graphs import (
     _BUCKETS,
     _bfs_parents,
     _count_leaves_and_parents,
+    _count_sft_trees,
     _draw_functionalities,
-    _grow_sft_children,
+    _grow_sft_ends,
     _parent_arrays,
     _pcg64_states,
     _sft_cdf,
@@ -497,7 +498,7 @@ def test_sft_matches_reference_growth(n, s, f_max):
 @pytest.mark.parametrize("n, s, f_max", SFT_CASES)
 def test_sft_block_rows_do_not_depend_on_grouping(n, s, f_max):
     seeds = [3, 1, 4, 1, 5, 9, 2, 6]
-    block = _grow_sft_children(_sft_cdf(n, s, f_max), n, seeds)
+    block = _grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds)
     assert block.shape == (len(seeds), n)
     for row, seed in zip(_parent_arrays(block), seeds):
         assert row[0] == -1
@@ -580,14 +581,20 @@ def _assert_counts_equal(got, expected):
         assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), field
 
 
+def _child_counts(parents):
+    """Child counts of trees given by parent arrays, one row per tree, by bincount."""
+    n = parents.shape[1]
+    return np.stack([np.bincount(row[1:], minlength=n) for row in parents])
+
+
 @pytest.mark.parametrize("n, s, f_max", SFT_CASES)
 def test_counts_from_child_counts_match_parent_array_reference(n, s, f_max):
     cdf = _sft_cdf(n, s, f_max)
     for seeds in ([0], [3, 1, 4, 1, 5, 9, 2, 6], list(range(100, 100 + max(2, 6000 // n))),
                   [2**64 - 1, 2**32, 17]):
-        children = _grow_sft_children(cdf, n, seeds)
-        _assert_counts_equal(_count_leaves_and_parents(children),
-                             count_leaves_and_parents_reference(_parent_arrays(children)[:, 1:], n))
+        parents = _parent_arrays(_grow_sft_ends(cdf, n, seeds))
+        _assert_counts_equal(_count_leaves_and_parents(_child_counts(parents)),
+                             count_leaves_and_parents_reference(parents[:, 1:], n))
 
 
 def test_counts_from_child_counts_match_parent_array_reference_on_every_family():
@@ -605,9 +612,53 @@ def test_counts_from_child_counts_match_parent_array_reference_on_every_family()
                              count_leaves_and_parents_reference(g.parents[None, 1:], g.n))
     for n, rows in by_n.items():
         parents = np.stack(rows)
-        children = np.stack([np.bincount(p[1:], minlength=n) for p in rows])
-        _assert_counts_equal(_count_leaves_and_parents(children),
+        _assert_counts_equal(_count_leaves_and_parents(_child_counts(parents)),
                              count_leaves_and_parents_reference(parents[:, 1:], n))
+
+
+SEED_ENDS = [0, 2**32, 2**64 - 1]
+
+
+def _assert_closed_form_counts(n, s, f_max, seeds):
+    # the closed form against the prefix-sum counting of the same trees, field by field
+    ends = _grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds)
+    got = _count_sft_trees(ends)
+    expected = _count_leaves_and_parents(_child_counts(_parent_arrays(ends)))
+    assert got._fields == expected._fields[3:]
+    for field, a in zip(got._fields, got):
+        b = getattr(expected, field)
+        assert a.shape == b.shape == (len(seeds),) and np.array_equal(a, b), (n, s, f_max, field)
+    assert np.all(got.n_parents >= 1)
+
+
+COUNT_N = (3, 4, 5, 7, 10, 100, 1000)
+COUNT_S = (1.4, 2.2, 2.6, 3.0, 6.0, 40.0, 1074)  # 1074: every node has functionality 2
+
+
+@pytest.mark.parametrize("n", COUNT_N)
+@pytest.mark.parametrize("s", COUNT_S)
+def test_sft_counts_in_closed_form_equal_the_child_count_counts(n, s):
+    seeds = SEED_ENDS + list(range(1, 2001))
+    for f_max in sorted({2, min(3, n - 1), n - 1}):
+        _assert_closed_form_counts(n, s, f_max, seeds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(3, 400), s=st.floats(1.01, 60.0),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_sft_counts_in_closed_form_equal_the_child_count_counts_on_random_trees(data, n, s, seeds):
+    f_max = data.draw(st.integers(2, n - 1), label="f_max")
+    _assert_closed_form_counts(n, s, f_max, SEED_ENDS + seeds)
+
+
+@pytest.mark.parametrize("n, s, f_max", SFT_CASES)
+def test_structural_stats_of_an_sft_equal_its_closed_form_counts(n, s, f_max):
+    seeds = SEED_ENDS + [1, 7, 12345]
+    counts = _count_sft_trees(_grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds))
+    for i, seed in enumerate(seeds):
+        st_ = structural_stats(generate_sft(n, s, f_max, seed))
+        for field, values in zip(counts._fields, counts):
+            assert getattr(st_, field) == values[i], (seed, field)
 
 
 @pytest.mark.parametrize("s", [1075, 1e308])
