@@ -71,10 +71,10 @@ def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r
 
 
 def test_structural_block_counts_from_draws_and_child_counts_alone(monkeypatch):
-    # the trees are counted in closed form from their slot prefix sums: no parent array is
-    # built, no degree is counted by bincount and no per-node leaf flags are summed by the
-    # child-count counting; beside the bucket edges, only the draws in a bucket
-    # (b, b + 1] / K that holds a CDF entry are searched
+    # the trees are counted in closed form from their slot prefix sums, so no parent array
+    # is built and neither bincount nor the per-node counting (_count_leaves_and_parents)
+    # runs; beside the bucket edges, only the draws in a bucket (b, b + 1] / K that holds a
+    # CDF entry are searched
     searched = []
     real_searchsorted = np.searchsorted
 
