@@ -276,10 +276,10 @@ def run_fit_kappa(params: dict) -> int:
     started = time.monotonic()
     x_col = params.get("x_column", "s")
     y_col = params["y_column"]
-    offset = float(params.get("offset") or 0.0)
+    offset, x_min, x_max = (
+        _option(params, key, default, lambda v: v is None or -math.inf < v < math.inf, "finite")
+        for key, default in (("offset", 0.0), ("x_min", None), ("x_max", None)))
     invert = bool(params.get("invert_x"))
-    x_min = params.get("x_min")
-    x_max = params.get("x_max")
 
     text = Path(params["in"]).read_text(encoding="utf-8")
     data_lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]

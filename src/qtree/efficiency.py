@@ -324,12 +324,18 @@ def time_series(h: Hamiltonian, t_max: float | None = None, samples: int = 10_00
     of the first block are evaluated once, each block evaluates only its
     own base phase directly and combines the two by angle addition, so
     no rounding accumulates from block to block.  The real and imaginary
-    parts of amp are then two real products with W^T.
+    parts of amp are then two real products with W^T.  A grid on which
+    some phase t * lambda_j is not finite is refused.
     """
     rw = return_weights(h)
     t = (default_time_grid(rw.spectrum, samples) if t_max is None
          else np.linspace(0.0, t_max, samples))
     lam = rw.eigenvalues
+    t_end, lam_max = float(t[-1]), float(np.abs(lam).max())
+    if not math.isfinite(t_end * lam_max):  # on Python floats, an overflow is inf, not a warning
+        raise InvalidParameterError(
+            f"time grid to t={t_end!r} overflows the phases t * lambda (max |lambda| = {lam_max!r})"
+        )
     weights_t = np.ascontiguousarray(rw.weights.T)
     share = rw.nodes / rw.nodes.sum()
     abs_alpha_sq, pi_bar = np.empty(len(t)), np.empty(len(t))

@@ -461,16 +461,14 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
 
 
 class _TreeTotals(NamedTuple):
-    """Leaf/parent counts and functionality averages of a block of trees, each of shape (trees,).
+    """Leaf/parent counts and functionality averages: one tree's scalars, or a block's
+    arrays of shape (trees,)."""
 
-    Averages of a tree without parents are not numbers.
-    """
-
-    n_leaves: np.ndarray
-    n_parents: np.ndarray
-    avg_f_nonleaf: np.ndarray
-    avg_f_minus_delta_parents: np.ndarray
-    avg_f_parents: np.ndarray
+    n_leaves: int | np.ndarray
+    n_parents: int | np.ndarray
+    avg_f_nonleaf: float | np.ndarray
+    avg_f_minus_delta_parents: float | np.ndarray
+    avg_f_parents: float | np.ndarray
 
 
 def _tree_totals(n: int, n_leaves, n_parents, sum_f_parents, sum_delta) -> _TreeTotals:
@@ -482,20 +480,6 @@ def _tree_totals(n: int, n_leaves, n_parents, sum_f_parents, sum_delta) -> _Tree
         avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
         avg_f_parents=sum_f_parents / n_parents,
     )
-
-
-class _TreeCounts(NamedTuple):
-    """Leaf/parent flags of a block of trees on n nodes each, shape (trees, n), then the
-    per-tree fields of `_TreeTotals`."""
-
-    is_leaf: np.ndarray
-    is_parent: np.ndarray
-    delta: np.ndarray  # non-leaf neighbors minus one
-    n_leaves: np.ndarray
-    n_parents: np.ndarray
-    avg_f_nonleaf: np.ndarray
-    avg_f_minus_delta_parents: np.ndarray
-    avg_f_parents: np.ndarray
 
 
 def _count_sft_trees(ends: np.ndarray) -> _TreeTotals:
@@ -523,53 +507,28 @@ def _count_sft_trees(ends: np.ndarray) -> _TreeTotals:
                         n - 1 - before + n_parents - root, last - before - root)
 
 
-def _count_leaves_and_parents(children: np.ndarray) -> _TreeCounts:
-    """Leaves, parents and functionality averages of breadth-first trees given by child counts.
-
-    Row i of the (trees, n) array holds the child counts of nodes 0..n-1
-    of tree i.  Node k's children are the consecutive nodes
-    ends[k - 1] + 1..ends[k], with ends the row's prefix sum, so its
-    leaf children are a difference of one prefix sum of the leaf flags
-    gathered at ends.  Leaves have functionality 1; parents are
-    non-leaves with at least one leaf neighbor.  Scale-free trees grown
-    here are counted in closed form instead (`_count_sft_trees`).
-    """
-    trees, n = children.shape
-    degrees = children + 1  # the bond to the parent
-    degrees[:, 0] -= 1
-    is_leaf = degrees == 1
-    # summed over the whole block, whose trees' differences cancel; int32 here and in
-    # the ends, as a block has far fewer than 2^31 nodes
-    leaves_through = np.cumsum(is_leaf.view(np.int8), dtype=np.int32)
-    first = np.arange(0, trees * n, n)
-    at_ends = leaves_through[np.cumsum(children, axis=1, dtype=np.int32) + first[:, None]]
-    leaf_nbrs = np.diff(at_ends, axis=1, prepend=leaves_through[first, None])
-    leaf_nbrs[:, 1:2] += is_leaf[:, :1]  # a root of functionality 1 is node 1's leaf neighbor
-    is_parent = ~is_leaf & (leaf_nbrs > 0)
-    delta = degrees - leaf_nbrs - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        totals = _tree_totals(n, is_leaf.sum(axis=1), is_parent.sum(axis=1),
-                              degrees.sum(axis=1, where=is_parent),
-                              delta.sum(axis=1, where=is_parent))
-    return _TreeCounts(is_leaf, is_parent, delta, *totals)
-
-
 def structural_stats(g: TreeGraph) -> StructuralStats:
     """Exact leaf/parent counts and restricted functionality averages."""
-    c = _count_leaves_and_parents(np.bincount(g.parents[1:], minlength=g.n)[None])
-    if not c.n_parents[0]:
+    below = g.parents[1:]
+    degrees = np.bincount(below, minlength=g.n)
+    degrees[1:] += 1  # the bond to the parent
+    is_leaf = degrees == 1
+    leaf_nbrs = np.bincount(below[is_leaf[1:]], minlength=g.n)
+    leaf_nbrs[1:] += is_leaf[below]  # a root of functionality 1 is node 1's leaf neighbor
+    parent_ids = np.flatnonzero(~is_leaf & (leaf_nbrs > 0))
+    if not len(parent_ids):
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"
         )
-    parent_ids = np.flatnonzero(c.is_parent[0])
+    leaf_ids = np.flatnonzero(is_leaf)
+    f_parents = degrees[parent_ids]
+    delta = f_parents - leaf_nbrs[parent_ids] - 1
+    totals = _tree_totals(g.n, len(leaf_ids), len(parent_ids),
+                          int(f_parents.sum()), int(delta.sum()))
     return StructuralStats(
-        n_leaves=int(c.n_leaves[0]),
-        n_parents=int(c.n_parents[0]),
-        avg_f_nonleaf=float(c.avg_f_nonleaf[0]),
-        avg_f_minus_delta_parents=float(c.avg_f_minus_delta_parents[0]),
-        avg_f_parents=float(c.avg_f_parents[0]),
-        per_node_delta=tuple(c.delta[0, parent_ids].tolist()),
-        leaf_ids=tuple(np.flatnonzero(c.is_leaf[0]).tolist()),
+        **totals._asdict(),
+        per_node_delta=tuple(delta.tolist()),
+        leaf_ids=tuple(leaf_ids.tolist()),
         parent_ids=tuple(parent_ids.tolist()),
     )
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from qtree.errors import InvalidParameterError, SizeLimitError
-from qtree.graphs import TreeGraph, _bfs_parents, _TreeCounts
+from qtree.graphs import TreeGraph, _bfs_parents, _TreeTotals
 from qtree.spectral import Spectrum, _as_fraction, _bin, _quotient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -232,7 +232,7 @@ def multiplicity_exact_reference(h, e) -> int:
     return d.count(0)
 
 
-def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> _TreeCounts:
+def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> _TreeTotals:
     """Leaves, parents and functionality averages of trees given by parent arrays.
 
     Row i of the (trees, n - 1) array holds the parents of nodes 1..n-1
@@ -253,10 +253,7 @@ def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> _TreeCoun
     sum_f_parents = np.where(is_parent, degrees, 0).sum(axis=1)
     sum_delta = np.where(is_parent, delta, 0).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _TreeCounts(
-            is_leaf=is_leaf,
-            is_parent=is_parent,
-            delta=delta,
+        return _TreeTotals(
             n_leaves=n_leaves,
             n_parents=n_parents,
             avg_f_nonleaf=(2 * (n - 1) - n_leaves) / (n - n_leaves),

@@ -526,11 +526,18 @@ def _option_case(command, key, value, rerun):
     flag = "--" + key.replace("_", "-")
 
     def make_case(tmp_path):
+        params = {key: value}
+        if command == "fit-kappa":
+            points = tmp_path / "points.csv"
+            points.write_text("s,y\n1,1\n2,2\n3,3\n")
+            params.update({"in": str(points), "y_column": "y"})
         if rerun:
-            return _rerun_of(tmp_path, command, {key: value}), flag
+            return _rerun_of(tmp_path, command, params), flag
         edges = tmp_path / "s5.edges"
         run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges))
-        return [command, "--in", str(edges), flag, str(value)], flag
+        params = {"in": str(edges), **params}
+        return [command, *(a for k, v in params.items()
+                           for a in ("--" + k.replace("_", "-"), str(v)))], flag
 
     make_case.__name__ = f"{'rerun_' if rerun else ''}{command}_{key}_{value}"
     return make_case
@@ -544,8 +551,17 @@ _OUT_OF_RANGE_OPTIONS = [
         ("timeseries", "samples", 1), ("chi", "size_limit", 0),
         ("timeseries", "t_max", 0.0), ("timeseries", "t_max", float("nan")),
         ("timeseries", "t_max", float("inf")), ("chi", "tol_abs", float("inf")),
+        ("fit-kappa", "x_min", float("nan")), ("fit-kappa", "x_max", float("nan")),
+        ("fit-kappa", "offset", float("nan")), ("fit-kappa", "x_max", float("inf")),
     ]
 ]
+
+
+def _overflowing_t_max(tmp_path):
+    # finite, but t_max * max |lambda| is not
+    edges = tmp_path / "s5.edges"
+    run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges))
+    return ["timeseries", "--in", str(edges), "--t-max", "1e308"], "overflows the phases"
 
 
 def _non_utf8_edge_list(tmp_path):
@@ -579,7 +595,7 @@ def _infinite_sft_exponent(tmp_path):
      _rerun_chi_numeric_in,
      _rerun_timeseries_text_samples, _rerun_chi_text_tol_abs,
      _non_utf8_edge_list, _non_utf8_fit_kappa_csv, _non_numeric_s_grid,
-     _infinite_s_grid, _infinite_sft_exponent, *_OUT_OF_RANGE_OPTIONS],
+     _infinite_s_grid, _infinite_sft_exponent, _overflowing_t_max, *_OUT_OF_RANGE_OPTIONS],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_malformed_input_exit_2(tmp_path, make_case):

@@ -542,6 +542,13 @@ def test_time_series_bundle():
     assert np.array_equal(ts.times, default_time_grid(ts.weights.spectrum, samples=50))
 
 
+@pytest.mark.parametrize("t_max", [1e308, float("nan")])
+def test_time_series_refuses_a_grid_whose_phases_overflow(t_max):
+    # max |lambda| of the star is above 1, so 1e308 * lambda is inf
+    with pytest.raises(InvalidParameterError, match="overflows the phases"):
+        time_series(build_hamiltonian(generate_star(4)), t_max, 50)
+
+
 def _reference_flat_bound(a, b, n):
     # the bound's formula on Python floats, as the scalar code evaluates it
     big_a = (a - 2.0) / (a - 1.0)

@@ -19,7 +19,7 @@ from qtree import (
     sweep,
     sweep_csv_text,
 )
-from qtree import ensemble, graphs
+from qtree import ensemble
 from qtree.ensemble import _realization_seeds, _realize_block
 from qtree.graphs import _BUCKETS, MAX_NODES_DEFAULT, _sft_cdf, _uniform_rows
 from qtree.spectral import _bin
@@ -59,8 +59,8 @@ def test_deterministic_across_worker_counts():
     ("spectral-exact", 60, 40),
 ])
 def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r):
-    # a block's leaf flags are summed over the whole block: a slip at a tree
-    # boundary would leak counts into the next tree of the block
+    # a block's trees share its arrays of draws and slot prefix sums: a slip at a
+    # tree boundary would leak into the next tree of the block
     cfg = EnsembleConfig(n=n, s=2.3, r=r, master_seed=9, estimator=estimator)
     expected = run_ensemble(cfg, keep_per_realization=True)
     for size in (1, 7, 656):
@@ -70,11 +70,11 @@ def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r
                 (size, workers)
 
 
-def test_structural_block_counts_from_draws_and_child_counts_alone(monkeypatch):
+def test_structural_block_counts_from_draws_alone(monkeypatch):
     # the trees are counted in closed form from their slot prefix sums, so no parent array
-    # is built and neither bincount nor the per-node counting (_count_leaves_and_parents)
-    # runs; beside the bucket edges, only the draws in a bucket (b, b + 1] / K that holds a
-    # CDF entry are searched
+    # is built and neither bincount nor the per-tree counting of structural_stats runs;
+    # beside the bucket edges, only the draws in a bucket (b, b + 1] / K that holds a CDF
+    # entry are searched
     searched = []
     real_searchsorted = np.searchsorted
 
@@ -99,8 +99,6 @@ def test_structural_block_counts_from_draws_and_child_counts_alone(monkeypatch):
             m.setattr(np, "searchsorted", searchsorted)
             m.setattr(np, "repeat", refuse)
             m.setattr(np, "bincount", refuse)
-            m.setattr(graphs, "_count_leaves_and_parents", refuse)
-            m.setattr(ensemble, "_count_leaves_and_parents", refuse, raising=False)
             got = _realize_block(task)
         assert searched == [_BUCKETS + 1, ambiguous]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))

@@ -26,7 +26,6 @@ from qtree.graphs import (
     MAX_NODES_DEFAULT,
     _BUCKETS,
     _bfs_parents,
-    _count_leaves_and_parents,
     _count_sft_trees,
     _draw_functionalities,
     _grow_sft_ends,
@@ -531,17 +530,43 @@ def test_pcg64_states_equal_numpy_seeding():
                          state["inc"] % 2**64, state["inc"] >> 64], seed
 
 
+def _assert_stats_equal(got, expected, label=""):
+    # field by field, with the reference's Python types
+    got = (got.n_leaves, got.n_parents, got.avg_f_nonleaf, got.avg_f_minus_delta_parents,
+           got.avg_f_parents, got.per_node_delta, got.leaf_ids, got.parent_ids)
+    assert got == expected and list(map(type, got)) == list(map(type, expected)), label
+
+
 def test_structural_stats_matches_loop_reference():
+    # chain(3) has a root of functionality 1
     graphs = [generate_chain(3), generate_chain(40), generate_star(3), generate_star(30),
               generate_dendrimer(3, 4), generate_dendrimer(5, 2), generate_vicsek(3, 3),
               generate_vicsek(4, 2)]
+    graphs += [generate_sft(g.n, 2.5, seed=seed) for g in graphs for seed in (3, 4)]
     graphs += [generate_sft(n, s, seed=seed) for n, s, _ in SFT_CASES for seed in (1, 2)]
     for g in graphs:
-        got = structural_stats(g)
-        assert (
-            got.n_leaves, got.n_parents, got.avg_f_nonleaf, got.avg_f_minus_delta_parents,
-            got.avg_f_parents, got.per_node_delta, got.leaf_ids, got.parent_ids,
-        ) == _reference_stats(g), g.label
+        _assert_stats_equal(structural_stats(g), _reference_stats(g), g.label)
+
+
+@st.composite
+def _breadth_first_trees(draw):
+    """Any tree on 1..80 nodes as a breadth-first parent array: parents[v] < v, nondecreasing."""
+    parents = [-1]
+    for v in range(1, draw(st.integers(1, 80))):
+        parents.append(draw(st.integers(max(parents[-1], 0), v - 1)))
+    return TreeGraph(parents)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_breadth_first_trees())
+def test_structural_stats_matches_loop_reference_on_any_tree(g):
+    try:
+        expected = _reference_stats(g)
+    except ZeroDivisionError:  # no parents
+        with pytest.raises(NoParentsError):
+            structural_stats(g)
+        return
+    _assert_stats_equal(structural_stats(g), expected)
 
 
 DRAW_S = (1.4, 2.2, 2.6, 9.0, 1074)  # 1074: the CDF is 1.0 throughout
@@ -576,54 +601,12 @@ def test_draw_functionalities_equals_searchsorted(s, f_max, u):
     assert np.array_equal(_draw_functionalities(cdf, u), np.searchsorted(cdf, u, side="right"))
 
 
-def _assert_counts_equal(got, expected):
-    for field, a, b in zip(expected._fields, got, expected):
-        assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), field
-
-
-def _child_counts(parents):
-    """Child counts of trees given by parent arrays, one row per tree, by bincount."""
-    n = parents.shape[1]
-    return np.stack([np.bincount(row[1:], minlength=n) for row in parents])
-
-
-@pytest.mark.parametrize("n, s, f_max", SFT_CASES)
-def test_counts_from_child_counts_match_parent_array_reference(n, s, f_max):
-    cdf = _sft_cdf(n, s, f_max)
-    for seeds in ([0], [3, 1, 4, 1, 5, 9, 2, 6], list(range(100, 100 + max(2, 6000 // n))),
-                  [2**64 - 1, 2**32, 17]):
-        parents = _parent_arrays(_grow_sft_ends(cdf, n, seeds))
-        _assert_counts_equal(_count_leaves_and_parents(_child_counts(parents)),
-                             count_leaves_and_parents_reference(parents[:, 1:], n))
-
-
-def test_counts_from_child_counts_match_parent_array_reference_on_every_family():
-    # chain(2) and chain(3) have roots of functionality 1; blocks mix the trees of each n
-    graphs = [generate_chain(2), generate_chain(3), generate_chain(40), generate_star(3),
-              generate_star(30), generate_dendrimer(3, 4), generate_dendrimer(5, 2),
-              generate_vicsek(3, 3), generate_vicsek(4, 2)]
-    graphs += [generate_sft(n, s, seed=seed) for n, s, _ in SFT_CASES for seed in (1, 2)]
-    graphs += [generate_sft(g.n, 2.5, seed=seed) for g in graphs[:9] if g.n > 2 for seed in (3, 4)]
-    by_n = {}
-    for g in graphs:
-        by_n.setdefault(g.n, []).append(g.parents)
-        children = np.bincount(g.parents[1:], minlength=g.n)[None]
-        _assert_counts_equal(_count_leaves_and_parents(children),
-                             count_leaves_and_parents_reference(g.parents[None, 1:], g.n))
-    for n, rows in by_n.items():
-        parents = np.stack(rows)
-        _assert_counts_equal(_count_leaves_and_parents(_child_counts(parents)),
-                             count_leaves_and_parents_reference(parents[:, 1:], n))
-
-
 def _assert_closed_form_counts(n, s, f_max, seeds):
-    # the closed form against the prefix-sum counting of the same trees, field by field
+    # the closed form against bincount counting of the same trees' parent arrays, field by field
     ends = _grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds)
     got = _count_sft_trees(ends)
-    expected = _count_leaves_and_parents(_child_counts(_parent_arrays(ends)))
-    assert got._fields == expected._fields[3:]
-    for field, a in zip(got._fields, got):
-        b = getattr(expected, field)
+    expected = count_leaves_and_parents_reference(_parent_arrays(ends)[:, 1:], n)
+    for field, a, b in zip(got._fields, got, expected):
         assert a.shape == b.shape == (len(seeds),) and np.array_equal(a, b), (n, s, f_max, field)
     assert np.all(got.n_parents >= 1)
 
