@@ -40,6 +40,7 @@ from .ensemble import (
     EnsembleConfig,
     _block_size,
     _check_config,
+    _task_ranges,
     resolve_workers,
     sweep,
     sweep_csv_text,
@@ -135,6 +136,11 @@ def _option(params: dict, key: str, default, valid, requirement: str):
     return value
 
 
+def _seed(params: dict) -> int:
+    """The --seed, refused outside [0, 2^64), where it would alias a seed in that range."""
+    return _option(params, "seed", 0, lambda v: 0 <= v < 1 << 64, "in [0, 2^64)")
+
+
 # --- runners (shared by the subcommands and `rerun`) -------------------------
 
 _FAMILY_FLAGS = {
@@ -157,6 +163,7 @@ def run_gen(params: dict) -> int:
         raise InvalidParameterError(
             f"family {family!r} needs --" + " --".join(missing)
         )
+    seed = None
     if family == "chain":
         g = generate_chain(int(params["n"]))
     elif family == "star":
@@ -166,21 +173,20 @@ def run_gen(params: dict) -> int:
     elif family == "vicsek":
         g = generate_vicsek(int(params["f"]), int(params["g"]))
     elif family == "sft":
+        seed = _seed(params)
         g = generate_sft(
             int(params["n"]),
             float(params["s"]),
             None if params.get("f_max") is None else int(params["f_max"]),
-            int(params.get("seed") or 0),
+            seed,
         )
     generated = time.monotonic()
     out = params["out"]
     write_text_atomic(out, edge_list_text(g))
-    _write_manifest("gen", params, [out],
-                    int(params.get("seed") or 0) if family == "sft" else None, started, {
-                        "timings": {"generate_s": generated - started,
-                                    "write_s": time.monotonic() - generated},
-                        "counters": {"n": g.n},
-                    })
+    _write_manifest("gen", params, [out], seed, started, {
+        "timings": {"generate_s": generated - started, "write_s": time.monotonic() - generated},
+        "counters": {"n": g.n},
+    })
     return 0
 
 
@@ -240,13 +246,14 @@ def run_sweep(params: dict) -> int:
     else:
         raise InvalidParameterError("sweep needs --r or --paper-r")
     f_max = None if params.get("f_max") is None else int(params["f_max"])
+    seed = _seed(params)
     cfgs = [
         EnsembleConfig(
             n=n,
             s=s,
             f_max=f_max,
             r=r,
-            master_seed=int(params.get("seed") or 0),
+            master_seed=seed,
             estimator=params.get("estimator", STRUCTURAL_DELTA0),
         )
         for s in s_grid
@@ -262,9 +269,11 @@ def run_sweep(params: dict) -> int:
     ran = sum(row.one_minus_chi_mc_mean is not None for row in rows)
     out = params["out"]
     write_text_atomic(out, sweep_csv_text(rows))
-    _write_manifest("sweep", params, [out], int(params.get("seed") or 0), started, {
+    block = _block_size(n)
+    _write_manifest("sweep", params, [out], seed, started, {
         "timings": {"row_s": row_s},
-        "counters": {"realizations": ran * r, "blocks": ran * -(-r // _block_size(n))},
+        "counters": {"realizations": ran * r, "blocks": ran * -(-r // block),
+                     "seed_passes": ran * len(_task_ranges(r, block, workers))},
     })
     if all(row.status != "ok" for row in rows):
         print("qtree: every sweep row failed", file=sys.stderr)
@@ -401,6 +410,8 @@ def run_rerun(params: dict) -> int:
 def _check_stored_params(subparser: argparse.ArgumentParser, stored: dict) -> None:
     """Refuse a stored param whose JSON value does not fit its declared option.
 
+    A JSON integer given for a float option is replaced by its float, as
+    argparse gives the option; one too large for a float is refused.
     Keys the subcommand does not declare are left to the runner, which
     ignores them.
     """
@@ -417,6 +428,13 @@ def _check_stored_params(subparser: argparse.ArgumentParser, stored: dict) -> No
             fits, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
         elif action.type is float:
             fits, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+            if fits and isinstance(value, int):  # as argparse would give it: numpy refuses big ints
+                try:
+                    stored[key] = float(value)
+                except OverflowError:
+                    raise InvalidParameterError(
+                        f"manifest param {key!r} must be a number within the float range, "
+                        f"got an integer of {len(str(abs(value)))} digits") from None
         else:
             fits, kind = isinstance(value, str), "a string"
         if fits and action.choices is not None and value not in action.choices:

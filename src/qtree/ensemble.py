@@ -5,17 +5,22 @@ seed and the realization index, so results are bit-identical no matter
 how the work is distributed across processes.  Aggregation always runs
 in index order.
 
-Realizations run in blocks of consecutive indices.  A block's seeds are
-one SplitMix64 pass over the index array, and its trees are grown
-together: row i draws exactly what NumPy's default generator seeded
-with seed i draws, `np.random.Generator(np.random.PCG64(seed)).random(n)`
-on the installed NumPy, with the seeding hashed in NumPy for the whole
-block (`graphs._uniform_rows`).  A grown block is the slot prefix sums
-of its trees (`graphs._grow_sft_ends`).  Every estimator takes each
-tree's leaf and parent counts and functionality averages from them in
-closed form (`graphs._count_sft_trees`), with no per-node leaf or
-parent array; only the spectral-exact estimator builds the trees'
-parent arrays.
+Realizations run in tasks of consecutive indices, each a range of whole
+blocks of at most 2^14 realizations; serial and pooled runs map the
+same task function.  What does not depend on the block runs once per
+task: the SplitMix64 pass over the index array, NumPy's SeedSequence
+hash and PCG64 seeding of all the task's seeds, the one reused
+generator (`graphs._uniform_rows`), the guide table of the functionality
+draw and, for the structural estimators, the bound over all the task's
+trees.  Only the per-node arrays are made block by block: row i draws
+exactly what NumPy's default generator seeded with seed i draws,
+`np.random.Generator(np.random.PCG64(seed)).random(n)` on the installed
+NumPy, and a grown block is the slot prefix sums of its trees
+(`graphs._grow_sft_ends`).  Every estimator takes each tree's leaf and
+parent counts and functionality averages from them in closed form
+(`graphs._sft_slot_counts`, `graphs._count_sft_trees`), with no
+per-node leaf or parent array; only the spectral-exact estimator builds
+the trees' parent arrays.
 """
 from __future__ import annotations
 
@@ -51,6 +56,7 @@ from .graphs import (
     _grow_sft_ends,
     _parent_arrays,
     _sft_cdf,
+    _sft_slot_counts,
 )
 from .spectral import CONNECTIVITY, build_hamiltonian, multiplicity_exact
 
@@ -114,31 +120,55 @@ def _check_config(cfg: EnsembleConfig) -> None:
         )
 
 
+_TASK_REALIZATIONS = 1 << 14  # a task's PCG64 states, four uint64 words each, fill 512 KiB
+_TASKS_PER_WORKER = 4  # so that a worker that finishes early finds more work
+
+
 def _block_size(n: int) -> int:
     """Realizations per block: about 65 536 nodes, so each per-node array of a block
-    (draws, slot prefix sums) stays within about 0.5 MB."""
-    return -(-65_536 // n)
+    (draws, slot prefix sums) stays within about 0.5 MB; at most a task's."""
+    return min(-(-65_536 // n), _TASK_REALIZATIONS)
 
 
-def _realize_block(
-    task: tuple[EnsembleConfig, np.ndarray, int, int],
+def _task_ranges(r: int, block: int, workers: int) -> list[tuple[int, int]]:
+    """Realizations 0..r-1 cut into tasks: consecutive ranges of whole blocks.
+
+    A task holds at most _TASK_REALIZATIONS realizations.  One worker
+    takes as few tasks as that allows; more workers get about
+    _TASKS_PER_WORKER tasks each.  Each task hashes its seeds once.
+    """
+    blocks = -(-r // block)
+    spread = 1 if workers == 1 else workers * _TASKS_PER_WORKER
+    size = block * min(_TASK_REALIZATIONS // block, -(-blocks // spread))
+    return [(start, min(start + size, r)) for start in range(0, r, size)]
+
+
+def _realize_task(
+    task: tuple[EnsembleConfig, np.ndarray, int, int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Realizations start..stop-1: (1 - chi lower bound, realized mean non-leaf functionality).
 
-    Each tree is grown from its own realization seed, so a value does not
-    depend on which block computes it.  An SFT has n >= 3 nodes and so
-    at least one parent.
+    The seeds and the generator are set up once for the whole task
+    (`graphs._grow_sft_ends`); only the per-node arrays are made block
+    by block, and the structural bound is evaluated once over all of
+    the task's trees.  Each tree is grown from its own realization seed,
+    so a value does not depend on the task or block that computes it.
+    An SFT has n >= 3 nodes and so at least one parent.
     """
-    cfg, cdf, start, stop = task
+    cfg, cdf, start, stop, block = task
     seeds = _realization_seeds(cfg.master_seed, np.arange(start, stop, dtype=np.uint64))
-    ends = _grow_sft_ends(cdf, cfg.n, seeds)
-    counts = _count_sft_trees(ends)
+    slot_counts, exact = [], []
+    for ends in _grow_sft_ends(cdf, cfg.n, seeds, block):
+        slot_counts.append(_sft_slot_counts(ends))
+        if cfg.estimator == SPECTRAL_EXACT:
+            # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
+            trees = (build_hamiltonian(TreeGraph(row), CONNECTIVITY, size_limit=None)
+                     for row in _parent_arrays(ends))
+            exact += [chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
+                      for h in trees]
+    counts = _count_sft_trees(cfg.n, np.concatenate(slot_counts, axis=1))
     if cfg.estimator == SPECTRAL_EXACT:
-        # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
-        trees = (build_hamiltonian(TreeGraph(row), CONNECTIVITY, size_limit=None)
-                 for row in _parent_arrays(ends))
-        value = np.array([chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
-                          for h in trees])
+        value = np.array(exact)
     else:
         b = (counts.avg_f_parents if cfg.estimator == STRUCTURAL_DELTA0
              else counts.avg_f_minus_delta_parents)
@@ -174,17 +204,17 @@ def run_ensemble(
     _check_config(cfg)
     workers = resolve_workers(workers)
     cdf = _sft_cdf(cfg.n, cfg.s, cfg.resolved_f_max())
-    size = _block_size(cfg.n)
-    tasks = [(cfg, cdf, start, min(start + size, cfg.r)) for start in range(0, cfg.r, size)]
+    block = _block_size(cfg.n)
+    tasks = [(cfg, cdf, start, stop, block)
+             for start, stop in _task_ranges(cfg.r, block, workers)]
     if workers > 1 and len(tasks) > 1:
         with Pool(min(workers, len(tasks))) as pool:
-            blocks = pool.map(_realize_block, tasks,
-                              chunksize=max(1, len(tasks) // (workers * 8)))
+            done = pool.map(_realize_task, tasks, chunksize=1)
     else:
-        blocks = [_realize_block(t) for t in tasks]
-    values_array = np.concatenate([v for v, _ in blocks])
+        done = list(map(_realize_task, tasks))
+    values_array = np.concatenate([v for v, _ in done])
     values = values_array.tolist()
-    avg_fs = np.concatenate([a for _, a in blocks]).tolist()
+    avg_fs = np.concatenate([a for _, a in done]).tolist()
     mean = math.fsum(values) / cfg.r  # fsum: exactly rounded, order independent
     if cfg.r > 1:
         variance = math.fsum(_python_square(values_array - mean).tolist()) / (cfg.r - 1)

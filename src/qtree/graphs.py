@@ -359,40 +359,47 @@ def _check_pcg64_layout() -> None:
             "uint64 words behind its state pointer; qtree cannot seed scale-free trees on it")
 
 
-def _uniform_rows(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    """Row i is the first n uniform draws of NumPy's default generator seeded with seeds[i].
+def _uniform_rows(seeds: Sequence[int] | np.ndarray, n: int, block: int) -> Iterator[np.ndarray]:
+    """The first n uniform draws of NumPy's default generator seeded with each seed, one
+    row per seed, in arrays of `block` consecutive rows (the last may hold fewer).
 
-    That generator is PCG64 seeded through SeedSequence(seeds[i]); the
-    seeding runs on the whole array (`_pcg64_states`), and each row's
-    state is written through the state pointer of one reused PCG64,
-    which then draws the row in one call.
+    That generator is PCG64 seeded through SeedSequence(seed); the
+    seeding runs once, on the whole seed array (`_pcg64_states`), and
+    each row's state is written through the state pointer of one reused
+    PCG64, which then draws the row in one call.
     """
     _check_pcg64_layout()
-    states = _pcg64_states(np.asarray(seeds, dtype=np.uint64)).tolist()
-    draws = np.empty((len(states), n))
+    states = _pcg64_states(np.asarray(seeds, dtype=np.uint64))
     bits = np.random.PCG64(0)
     generator = np.random.Generator(bits)
     state = _pcg64_state_words(bits)
-    # random() draws whole 64-bit words, so the buffered 32-bit half behind the state stays unset
-    for row, words in zip(draws, states):
-        state[:] = words
-        generator.random(out=row)
-    return draws
+    for start in range(0, len(states), block):
+        rows = states[start:start + block].tolist()
+        draws = np.empty((len(rows), n))
+        # random() draws whole 64-bit words, so the buffered 32-bit half behind the state
+        # stays unset
+        for row, words in zip(draws, rows):
+            state[:] = words
+            generator.random(out=row)
+        yield draws
 
 
 _BUCKETS = 4096  # a power of two, so u * _BUCKETS and every bucket edge b / _BUCKETS are exact
 
 
-def _draw_functionalities(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u, side="right") of each draw u in [0, 1), by a guide table.
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen & Asau's guide table (AIIE Trans. 6 (1974) 163) of a CDF: entry b is
+    np.searchsorted(cdf, b / _BUCKETS, side="right"), for b = 0.._BUCKETS."""
+    return np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
 
-    Chen & Asau's table (AIIE Trans. 6 (1974) 163): entry b is the count
-    at the bucket edge b / _BUCKETS.  The count does not decrease in u,
-    so a draw in [b, b + 1) / _BUCKETS whose bucket holds no CDF entry
-    (entries b and b + 1 agree) takes entry b; only draws in the other
-    buckets are searched.
+
+def _draw_functionalities(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") of each draw u in [0, 1), by the guide table of cdf.
+
+    The count does not decrease in u, so a draw in [b, b + 1) / _BUCKETS
+    whose bucket holds no CDF entry (table entries b and b + 1 agree)
+    takes entry b; only draws in the other buckets are searched.
     """
-    table = np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
     bucket = (u * _BUCKETS).astype(np.intp)
     counts = table[bucket]
     searched = np.flatnonzero((table[1:] != table[:-1])[bucket])
@@ -400,26 +407,33 @@ def _draw_functionalities(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _grow_sft_ends(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Slot prefix sums of len(seeds) scale-free trees on n nodes, one int64 row per seed.
+def _grow_sft_ends(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray,
+                   block: int) -> Iterator[np.ndarray]:
+    """Slot prefix sums of len(seeds) scale-free trees on n nodes, one int64 row per seed,
+    in arrays of `block` consecutive rows (the last may hold fewer).
 
     Node j's target functionality is 2 + d_j, with d_j from the j-th
     uniform draw of `np.random.Generator(np.random.PCG64(seeds[i]))`,
-    NumPy's default generator, on the installed NumPy; the SeedSequence
-    hashing and PCG64 seeding run in NumPy over all seeds at once
-    (`_uniform_rows`).  The root opens 2 + d_0 slots and every other
-    node, less the bond to its parent, 1 + d_j; entry k of a row is
-    E_k, the slots opened by nodes 0..k, unclipped, so E_k >= k + 2 and
-    each row strictly increases.  Node c fills slot c - 1, first in
-    first out, so node k's children are the nodes E_{k-1} + 1..E_k
-    below n, with E_{-1} = 0.  A row does not depend on the other
-    seeds of the call.
+    NumPy's default generator, on the installed NumPy.  What does not
+    depend on the rows runs once per call: the SeedSequence hashing and
+    PCG64 seeding of all seeds, the one reused generator
+    (`_uniform_rows`) and the guide table of cdf; only the per-node
+    arrays, the draws and the sums, are made per block.  The root opens
+    2 + d_0 slots and every other node, less the bond to its parent,
+    1 + d_j; entry k of a row is E_k, the slots opened by nodes 0..k,
+    unclipped, so E_k >= k + 2 and each row strictly increases.  Node c
+    fills slot c - 1, first in first out, so node k's children are the
+    nodes E_{k-1} + 1..E_k below n, with E_{-1} = 0.  A row does not
+    depend on the other seeds of the call or on the block size.
     """
-    ends = _draw_functionalities(cdf, _uniform_rows(seeds, n))
-    # in place, in int64: E_k < n f_max <= n^2, which int32 does not hold above n = 46 341
-    np.cumsum(ends, axis=1, out=ends)
-    ends += np.arange(2, n + 2)
-    return ends
+    table = _guide_table(cdf)
+    slots = np.arange(2, n + 2)
+    for draws in _uniform_rows(seeds, n, block):
+        ends = _draw_functionalities(cdf, table, draws)
+        # in place, in int64: E_k < n f_max <= n^2, which int32 does not hold above n = 46 341
+        np.cumsum(ends, axis=1, out=ends)
+        ends += slots
+        yield ends
 
 
 def _parent_arrays(ends: np.ndarray) -> np.ndarray:
@@ -456,7 +470,8 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
         f_max = n - 1
     cdf = _sft_cdf(n, s, f_max)
     seed = int(seed) & _MASK64
-    parents = _parent_arrays(_grow_sft_ends(cdf, n, [seed]))[0]
+    (ends,) = _grow_sft_ends(cdf, n, [seed], 1)
+    parents = _parent_arrays(ends)[0]
     return TreeGraph(parents, f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
 
@@ -482,8 +497,26 @@ def _tree_totals(n: int, n_leaves, n_parents, sum_f_parents, sum_delta) -> _Tree
     )
 
 
-def _count_sft_trees(ends: np.ndarray) -> _TreeTotals:
-    """Leaf/parent counts and averages of scale-free trees given by their slot prefix sums.
+def _sft_slot_counts(ends: np.ndarray) -> np.ndarray:
+    """L, P and E_{P-1} of scale-free trees given by their slot prefix sums, one column per tree.
+
+    L = #{k : E_k < n - 1} and P = #{k : E_k <= L}; `_count_sft_trees`
+    gives every count and average from them.  Where P = 0, the third
+    row holds E_{n-1}, which `_count_sft_trees` replaces by E_{-1} = 0.
+    The columns of several blocks' calls can be joined and counted at once.
+    """
+    trees, n = ends.shape
+    counts = np.empty((3, trees), dtype=np.int64)
+    last, first, before = counts
+    last[:] = np.count_nonzero(ends < n - 1, axis=1)
+    first[:] = np.count_nonzero(ends <= last[:, None], axis=1)
+    before[:] = ends[np.arange(trees), first - 1]
+    return counts
+
+
+def _count_sft_trees(n: int, slot_counts: np.ndarray) -> _TreeTotals:
+    """Leaf/parent counts and averages of scale-free trees on n nodes from their
+    `_sft_slot_counts`.
 
     Every node opens at least one slot, so E strictly increases and the
     nodes with children form a prefix: node k has children exactly when
@@ -497,11 +530,9 @@ def _count_sft_trees(ends: np.ndarray) -> _TreeTotals:
     has delta = 0, so delta sums to (L - E_{P-1}) - [P = 0].  An SFT
     has n >= 3 nodes, so P <= L and every tree has a parent.
     """
-    trees, n = ends.shape
-    last = np.count_nonzero(ends < n - 1, axis=1)
-    first = np.count_nonzero(ends <= last[:, None], axis=1)
+    last, first, before = slot_counts
     root = first == 0
-    before = np.where(root, 0, ends[np.arange(trees), first - 1])  # E_{P-1}, with E_{-1} = 0
+    before = np.where(root, 0, before)  # E_{P-1}, with E_{-1} = 0
     n_parents = last - first + 1
     return _tree_totals(n, n - 1 - last, n_parents,
                         n - 1 - before + n_parents - root, last - before - root)

@@ -251,8 +251,22 @@ def test_sweep_rerun_is_byte_identical_across_workers(tmp_path):
         manifest = json.loads(Path(manifest_path).read_text())
         assert len(manifest["timings"]["row_s"]) == 2
         assert all(v >= 0 for v in manifest["timings"]["row_s"])
-        # n = 60 takes blocks of 1093 realizations, so each row's 400 are one block
-        assert manifest["counters"] == {"realizations": 800, "blocks": 2}
+        # n = 60 takes blocks of 1093 realizations, so each row's 400 are one block and one
+        # task, whose seeds are hashed in one pass
+        assert manifest["counters"] == {"realizations": 800, "blocks": 2, "seed_passes": 2}
+
+
+@pytest.mark.parametrize("workers, seed_passes", [(1, 1), (2, 8)])
+def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_passes):
+    # n = 100 takes blocks of 656, so the --paper-r row's 10 000 realizations are 16 blocks:
+    # one task for one worker, and tasks of two blocks for two workers
+    out = tmp_path / "sweep.csv"
+    res = run_cli("sweep", "--n", "100", "--s-grid", "2.5", "--paper-r",
+                  "--workers", str(workers), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["counters"] == {"realizations": 10_000, "blocks": 16,
+                                    "seed_passes": seed_passes}
 
 
 def test_fit_kappa_synthetic_power_law(tmp_path):
@@ -431,6 +445,52 @@ def test_gen_rerun_identical(tmp_path):
         assert sorted(manifest["timings"]) == ["generate_s", "write_s"]
         assert all(v >= 0 for v in manifest["timings"].values())
         assert manifest["counters"] == {"n": 300}
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["cli", "rerun"])
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+def test_seed_outside_64_bits_exit_2_without_output(tmp_path, command, seed, rerun):
+    # such a seed would alias the seed it equals mod 2^64
+    params = ({"family": "sft", "n": 30, "s": 2.5} if command == "gen"
+              else {"n": 30, "s_grid": "2.5", "r": 3})
+    out = tmp_path / "out.txt"
+    if rerun:
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"format": "qtree-manifest-1", "command": command,
+                                        "params": {**params, "seed": seed}}))
+        args = ["rerun", str(manifest)]
+    else:
+        args = [command, "--seed", str(seed)]
+        args += [a for k, v in params.items() for a in ("--" + k.replace("_", "-"), str(v))]
+    res = run_cli(*args, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("qtree: ") and "--seed must be in [0, 2^64)" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("timeseries", "t_max"), ("fit-kappa", "offset")])
+def test_rerun_refuses_an_integer_no_float_holds(tmp_path, command, key):
+    args, _ = _option_case(command, key, 10**400, rerun=True)(tmp_path)
+    out = tmp_path / "out.txt"
+    res = run_cli(*args, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("qtree: ") and f"{key!r}" in res.stderr
+    assert "float range" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_rerun_reads_an_integer_float_option_as_its_float(tmp_path):
+    # numpy refuses 2^64 as an integer; the command line gives it as a float
+    args = _rerun_of(tmp_path, "timeseries", {"t_max": 2**64, "samples": 5})
+    out = tmp_path / "rerun.csv"
+    res = run_cli(*args, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    direct = tmp_path / "direct.csv"
+    assert run_cli("timeseries", "--in", str(tmp_path / "s5.edges"), "--t-max", str(2**64),
+                   "--samples", "5", "--out", str(direct)).returncode == 0
+    assert out.read_bytes() == direct.read_bytes()
 
 
 def test_manifest_records_blas_thread_environment(tmp_path):

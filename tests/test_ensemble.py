@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtree import (
     CONNECTIVITY,
@@ -19,8 +21,8 @@ from qtree import (
     sweep,
     sweep_csv_text,
 )
-from qtree import ensemble
-from qtree.ensemble import _realization_seeds, _realize_block
+from qtree import ensemble, graphs
+from qtree.ensemble import _realization_seeds, _realize_task, _task_ranges
 from qtree.graphs import _BUCKETS, MAX_NODES_DEFAULT, _sft_cdf, _uniform_rows
 from qtree.spectral import _bin
 
@@ -59,48 +61,97 @@ def test_deterministic_across_worker_counts():
     ("spectral-exact", 60, 40),
 ])
 def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r):
-    # a block's trees share its arrays of draws and slot prefix sums: a slip at a
-    # tree boundary would leak into the next tree of the block
+    # a block's trees share its arrays of draws and slot prefix sums, and a task's trees
+    # its seeds, generator and bound: a slip at a tree, block or task boundary would leak
+    # into the next tree
     cfg = EnsembleConfig(n=n, s=2.3, r=r, master_seed=9, estimator=estimator)
     expected = run_ensemble(cfg, keep_per_realization=True)
     for size in (1, 7, 656):
         monkeypatch.setattr(ensemble, "_block_size", lambda n, size=size: size)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             assert run_ensemble(cfg, workers=workers, keep_per_realization=True) == expected, \
                 (size, workers)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(r=st.integers(1, 10**6), n=st.integers(3, MAX_NODES_DEFAULT),
+       workers=st.integers(1, 64))
+def test_tasks_are_whole_blocks_of_at_most_2_14_realizations(r, n, workers):
+    block = ensemble._block_size(n)
+    ranges = _task_ranges(r, block, workers)
+    assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])]
+    assert ranges[-1][1] == r
+    assert all(0 < stop - start <= 2**14 for start, stop in ranges)
+    assert all((stop - start) % block == 0 for start, stop in ranges[:-1])
+    if workers == 1:  # as few tasks as the cap allows
+        assert len(ranges) == -(-r // (2**14 // block * block))
+
+
+def test_each_task_hashes_its_seeds_once(monkeypatch):
+    # n = 10 takes blocks of 6554 and tasks of two blocks, so r = 30 000 is three tasks
+    hashed = []
+    real_pcg64_states = graphs._pcg64_states
+
+    def pcg64_states(seeds):
+        hashed.append(len(seeds))
+        return real_pcg64_states(seeds)
+
+    cfg = EnsembleConfig(n=10, s=2.5, r=30_000, master_seed=4)
+    expected = run_ensemble(cfg, keep_per_realization=True)
+    monkeypatch.setattr(graphs, "_pcg64_states", pcg64_states)
+    assert run_ensemble(cfg, workers=1, keep_per_realization=True) == expected
+    assert hashed == [13_108, 13_108, 3784]
+    assert len(hashed) == len(_task_ranges(cfg.r, ensemble._block_size(cfg.n), 1))
+
+
 def test_structural_block_counts_from_draws_alone(monkeypatch):
     # the trees are counted in closed form from their slot prefix sums, so no parent array
-    # is built and neither bincount nor the per-tree counting of structural_stats runs;
-    # beside the bucket edges, only the draws in a bucket (b, b + 1] / K that holds a CDF
-    # entry are searched
-    searched = []
+    # is built and neither bincount nor the per-tree counting of structural_stats runs; a
+    # task hashes its seeds and builds its guide table once, and then, block by block,
+    # searches only the draws in a bucket (b, b + 1] / K that holds a CDF entry
+    searched, hashed = [], []
     real_searchsorted = np.searchsorted
+    real_realization_seeds = ensemble._realization_seeds
+    real_pcg64_states = graphs._pcg64_states
 
     def searchsorted(a, v, *args, **kwargs):
         searched.append(np.size(v))
         return real_searchsorted(a, v, *args, **kwargs)
 
+    def realization_seeds(*args):
+        hashed.append("splitmix64")
+        return real_realization_seeds(*args)
+
+    def pcg64_states(seeds):
+        hashed.append("seed sequence")
+        return real_pcg64_states(seeds)
+
     def refuse(*args, **kwargs):
         raise AssertionError("a structural block built parent arrays or counted per node")
 
-    n, r = 100, 656
+    n, block = 100, 656
+    r = 3 * block + 5  # three full blocks and a partial one
     cdf = _sft_cdf(n, 2.5, n - 1)
     held = np.unique(np.ceil(cdf * _BUCKETS) - 1)  # c * K is exact: K is a power of two
-    draws = _uniform_rows(_realization_seeds(0, np.arange(r, dtype=np.uint64)), n)
-    ambiguous = int(np.isin(np.floor(draws * _BUCKETS), held).sum())
-    assert 0 < ambiguous < 0.05 * draws.size
+    seeds = _realization_seeds(0, np.arange(r, dtype=np.uint64))
+    ambiguous = [int(np.isin(np.floor(draws * _BUCKETS), held).sum())
+                 for draws in _uniform_rows(seeds, n, block)]
+    assert len(ambiguous) == 4
+    assert all(0 < count < 0.05 * block * n for count in ambiguous)
     for estimator in ("structural-delta0", "structural-measured"):
-        task = (EnsembleConfig(n=n, s=2.5, r=r, estimator=estimator), cdf, 0, r)
-        expected = _realize_block(task)
+        task = (EnsembleConfig(n=n, s=2.5, r=r, estimator=estimator), cdf, 0, r, block)
+        expected = _realize_task(task)
         searched.clear()
+        hashed.clear()
         with monkeypatch.context() as m:
             m.setattr(np, "searchsorted", searchsorted)
             m.setattr(np, "repeat", refuse)
             m.setattr(np, "bincount", refuse)
-            got = _realize_block(task)
-        assert searched == [_BUCKETS + 1, ambiguous]
+            m.setattr(ensemble, "_realization_seeds", realization_seeds)
+            m.setattr(graphs, "_pcg64_states", pcg64_states)
+            got = _realize_task(task)
+        assert hashed == ["splitmix64", "seed sequence"]
+        assert searched == [_BUCKETS + 1, *ambiguous]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 

@@ -29,9 +29,11 @@ from qtree.graphs import (
     _count_sft_trees,
     _draw_functionalities,
     _grow_sft_ends,
+    _guide_table,
     _parent_arrays,
     _pcg64_states,
     _sft_cdf,
+    _sft_slot_counts,
     _uniform_rows,
     write_text_atomic,
 )
@@ -494,14 +496,24 @@ def test_sft_matches_reference_growth(n, s, f_max):
         assert validate_tree(g) is None
 
 
+def _grown_at_once(cdf, n, seeds):
+    """The slot prefix sums of the trees of all seeds, grown as one block."""
+    (ends,) = _grow_sft_ends(cdf, n, seeds, len(seeds))
+    return ends
+
+
 @pytest.mark.parametrize("n, s, f_max", SFT_CASES)
 def test_sft_block_rows_do_not_depend_on_grouping(n, s, f_max):
     seeds = [3, 1, 4, 1, 5, 9, 2, 6]
-    block = _grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds)
-    assert block.shape == (len(seeds), n)
-    for row, seed in zip(_parent_arrays(block), seeds):
-        assert row[0] == -1
-        assert np.array_equal(row[1:], _reference_sft_parents(n, s, f_max, seed))
+    expected = [_reference_sft_parents(n, s, f_max, seed) for seed in seeds]
+    for size in (1, 3, 8, 20):
+        blocks = list(_grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds, size))
+        assert [len(b) for b in blocks] == [min(size, 8 - k) for k in range(0, 8, size)]
+        block = np.concatenate(blocks)
+        assert block.shape == (len(seeds), n)
+        for row, parents in zip(_parent_arrays(block), expected):
+            assert row[0] == -1
+            assert np.array_equal(row[1:], parents), size
 
 
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -510,12 +522,16 @@ SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=12),
        n=st.integers(3, 300),
-       cuts=st.lists(st.integers(0, 17), max_size=4))
-def test_uniform_rows_equal_default_rng_in_any_grouping(seeds, n, cuts):
-    # the block hashes NumPy's seeding itself; the reference is NumPy's own generator
+       cuts=st.lists(st.integers(0, 17), max_size=4),
+       size=st.integers(1, 18))
+def test_uniform_rows_equal_default_rng_in_any_grouping(seeds, n, cuts, size):
+    # each call hashes NumPy's seeding itself; the reference is NumPy's own generator
     seeds = SEED_EDGES + seeds
     bounds = sorted({0, len(seeds), *(min(c, len(seeds)) for c in cuts)})
-    block = np.concatenate([_uniform_rows(seeds[a:b], n) for a, b in zip(bounds, bounds[1:])])
+    blocks = [rows for a, b in zip(bounds, bounds[1:])
+              for rows in _uniform_rows(seeds[a:b], n, size)]
+    assert all(1 <= len(rows) <= size for rows in blocks)
+    block = np.concatenate(blocks)
     assert block.shape == (len(seeds), n)
     for row, seed in zip(block, seeds):
         assert np.array_equal(row, np.random.default_rng(seed).random(n)), seed
@@ -586,10 +602,12 @@ def test_draw_functionalities_equals_searchsorted_at_every_edge(s, f_max):
     u = np.concatenate((cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
                         edges, np.nextafter(edges, 0), [0.0, 1 - 2.0**-53]))
     u = u[(u >= 0) & (u < 1)]
-    got = _draw_functionalities(cdf, u)
+    table = _guide_table(cdf)
+    got = _draw_functionalities(cdf, table, u)
     assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
     block = u[: len(u) // 4 * 4].reshape(4, -1)  # a block of rows draws as its flat draws do
-    assert np.array_equal(_draw_functionalities(cdf, block), got[: block.size].reshape(4, -1))
+    assert np.array_equal(_draw_functionalities(cdf, table, block),
+                          got[: block.size].reshape(4, -1))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -598,13 +616,14 @@ def test_draw_functionalities_equals_searchsorted_at_every_edge(s, f_max):
 def test_draw_functionalities_equals_searchsorted(s, f_max, u):
     cdf = _draw_cdf(s, f_max)
     u = np.array(u)
-    assert np.array_equal(_draw_functionalities(cdf, u), np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(_draw_functionalities(cdf, _guide_table(cdf), u),
+                          np.searchsorted(cdf, u, side="right"))
 
 
 def _assert_closed_form_counts(n, s, f_max, seeds):
     # the closed form against bincount counting of the same trees' parent arrays, field by field
-    ends = _grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds)
-    got = _count_sft_trees(ends)
+    ends = _grown_at_once(_sft_cdf(n, s, f_max), n, seeds)
+    got = _count_sft_trees(n, _sft_slot_counts(ends))
     expected = count_leaves_and_parents_reference(_parent_arrays(ends)[:, 1:], n)
     for field, a, b in zip(got._fields, got, expected):
         assert a.shape == b.shape == (len(seeds),) and np.array_equal(a, b), (n, s, f_max, field)
@@ -634,7 +653,7 @@ def test_sft_counts_in_closed_form_equal_the_child_count_counts_on_random_trees(
 @pytest.mark.parametrize("n, s, f_max", SFT_CASES)
 def test_structural_stats_of_an_sft_equal_its_closed_form_counts(n, s, f_max):
     seeds = SEED_EDGES + [7, 12345]
-    counts = _count_sft_trees(_grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds))
+    counts = _count_sft_trees(n, _sft_slot_counts(_grown_at_once(_sft_cdf(n, s, f_max), n, seeds)))
     for i, seed in enumerate(seeds):
         stats = structural_stats(generate_sft(n, s, f_max, seed))
         for field, values in zip(counts._fields, counts):
