@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 from dataclasses import fields
@@ -102,7 +103,7 @@ def _parse_potential(choice: str):
     if choice == "adjacency":
         return ADJACENCY
     if choice.startswith("custom="):
-        table = {}
+        table, line_of = {}, {}
         text = Path(choice.removeprefix("custom=")).read_text(encoding="utf-8")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -121,16 +122,20 @@ def _parse_potential(choice: str):
                 raise InvalidParameterError(
                     f"potential table line {lineno}: value {parts[1]!r} is not finite"
                 )
-            table[f] = value
+            if f in line_of:
+                raise InvalidParameterError(
+                    f"potential table lines {line_of[f]} and {lineno} both give functionality {f}"
+                )
+            table[f], line_of[f] = value, lineno
         return custom_potential(table)
     raise InvalidParameterError(
         f"unknown potential {choice!r}; use connectivity, adjacency or custom=<path>"
     )
 
 
-def _option(params: dict, key: str, default, valid, requirement: str):
-    """params[key], or default when unset; refused unless valid(value)."""
-    value = default if params.get(key) is None else params[key]
+def _option(params: dict, key: str, valid, requirement: str):
+    """params[key], refused unless valid(value)."""
+    value = params[key]
     if not valid(value):
         raise InvalidParameterError(f"--{key.replace('_', '-')} must be {requirement}, got {value}")
     return value
@@ -138,7 +143,7 @@ def _option(params: dict, key: str, default, valid, requirement: str):
 
 def _seed(params: dict) -> int:
     """The --seed, refused outside [0, 2^64), where it would alias a seed in that range."""
-    return _option(params, "seed", 0, lambda v: 0 <= v < 1 << 64, "in [0, 2^64)")
+    return _option(params, "seed", lambda v: 0 <= v < 1 << 64, "in [0, 2^64)")
 
 
 # --- runners (shared by the subcommands and `rerun`) -------------------------
@@ -155,31 +160,23 @@ _FAMILY_FLAGS = {
 def run_gen(params: dict) -> int:
     started = time.monotonic()
     family = params["family"]
-    required = _FAMILY_FLAGS.get(family)
-    if required is None:
-        raise InvalidParameterError(f"unknown family {family!r}")
-    missing = [flag for flag in required if params.get(flag) is None]
+    missing = [flag for flag in _FAMILY_FLAGS[family] if params[flag] is None]
     if missing:
         raise InvalidParameterError(
             f"family {family!r} needs --" + " --".join(missing)
         )
     seed = None
     if family == "chain":
-        g = generate_chain(int(params["n"]))
+        g = generate_chain(params["n"])
     elif family == "star":
-        g = generate_star(int(params["n"]))
+        g = generate_star(params["n"])
     elif family == "dendrimer":
-        g = generate_dendrimer(int(params["f"]), int(params["g"]))
+        g = generate_dendrimer(params["f"], params["g"])
     elif family == "vicsek":
-        g = generate_vicsek(int(params["f"]), int(params["g"]))
+        g = generate_vicsek(params["f"], params["g"])
     elif family == "sft":
         seed = _seed(params)
-        g = generate_sft(
-            int(params["n"]),
-            float(params["s"]),
-            None if params.get("f_max") is None else int(params["f_max"]),
-            seed,
-        )
+        g = generate_sft(params["n"], params["s"], params["f_max"], seed)
     generated = time.monotonic()
     out = params["out"]
     write_text_atomic(out, edge_list_text(g))
@@ -192,23 +189,25 @@ def run_gen(params: dict) -> int:
 
 def run_chi(params: dict) -> int:
     started = time.monotonic()
+    out, spectrum_out = params["out"], params["spectrum_out"]
+    if spectrum_out and Path(spectrum_out).resolve() in (
+            Path(out).resolve(), Path(out + ".manifest.json").resolve()):
+        raise InvalidParameterError(
+            f"--spectrum-out {spectrum_out} would overwrite the report or its manifest")
     g = read_edge_list(params["in"])
-    potential = _parse_potential(params.get("potential", "connectivity"))
+    potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
     report = efficiency_report(
         g,
         potential,
-        tol_abs=_option(params, "tol_abs", None, lambda v: v is None or 0 < v < math.inf,
+        tol_abs=_option(params, "tol_abs", lambda v: v is None or 0 < v < math.inf,
                         "finite and positive"),
-        size_limit=_option(params, "size_limit", DENSE_SOLVER_LIMIT, lambda v: v >= 1,
-                           "at least 1"),
+        size_limit=_option(params, "size_limit", lambda v: v >= 1, "at least 1"),
     )
     report_done = time.monotonic()
-    out = params["out"]
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "spectrum"}
     write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     outputs = [out]
-    spectrum_out = params.get("spectrum_out")
     if spectrum_out:
         write_text_atomic(spectrum_out, spectrum_csv_text(report.spectrum))
         outputs.append(spectrum_out)
@@ -235,31 +234,26 @@ def _parse_s(text: str) -> float:
 
 def run_sweep(params: dict) -> int:
     started = time.monotonic()
-    n = int(params["n"])
-    s_grid = [_parse_s(v) for v in str(params["s_grid"]).split(",") if v.strip()]
+    n = params["n"]
+    s_grid = [_parse_s(v) for v in params["s_grid"].split(",") if v.strip()]
     if not s_grid:
         raise InvalidParameterError("empty s grid")
-    if params.get("paper_r"):
-        r = max(1, round(1_000_000 / max(n, 1)))  # n < 3 is refused below; max() only avoids / 0
-    elif params.get("r") is not None:
-        r = int(params["r"])
-    else:
-        raise InvalidParameterError("sweep needs --r or --paper-r")
-    f_max = None if params.get("f_max") is None else int(params["f_max"])
+    # n < 3 is refused below; max() only avoids / 0
+    r = max(1, round(1_000_000 / max(n, 1))) if params["paper_r"] else params["r"]
     seed = _seed(params)
     cfgs = [
         EnsembleConfig(
             n=n,
             s=s,
-            f_max=f_max,
+            f_max=params["f_max"],
             r=r,
             master_seed=seed,
-            estimator=params.get("estimator", STRUCTURAL_DELTA0),
+            estimator=params["estimator"],
         )
         for s in s_grid
     ]
     # before any row: what the rows share, including n, whose analytic mean loops over n - 1 values
-    workers = resolve_workers(params.get("workers"))
+    workers = resolve_workers(params["workers"])
     _check_config(cfgs[0])
     rows, row_s = [], []
     for cfg in cfgs:
@@ -283,12 +277,10 @@ def run_sweep(params: dict) -> int:
 
 def run_fit_kappa(params: dict) -> int:
     started = time.monotonic()
-    x_col = params.get("x_column", "s")
-    y_col = params["y_column"]
+    x_col, y_col = params["x_column"], params["y_column"]
     offset, x_min, x_max = (
-        _option(params, key, default, lambda v: v is None or -math.inf < v < math.inf, "finite")
-        for key, default in (("offset", 0.0), ("x_min", None), ("x_max", None)))
-    invert = bool(params.get("invert_x"))
+        _option(params, key, lambda v: v is None or -math.inf < v < math.inf, "finite")
+        for key in ("offset", "x_min", "x_max"))
 
     text = Path(params["in"]).read_text(encoding="utf-8")
     data_lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
@@ -304,15 +296,15 @@ def run_fit_kappa(params: dict) -> int:
         except (KeyError, TypeError, ValueError):
             continue
         x -= offset
-        if invert:
+        if params["invert_x"]:
             if x == 0:
                 continue
             x = 1.0 / x
         if x <= 0 or y <= 0:
             continue
-        if x_min is not None and x < float(x_min):
+        if x_min is not None and x < x_min:
             continue
-        if x_max is not None and x > float(x_max):
+        if x_max is not None and x > x_max:
             continue
         points.append((x, y))
     if len(points) < 3:
@@ -342,13 +334,13 @@ def run_fit_kappa(params: dict) -> int:
 
 def run_timeseries(params: dict) -> int:
     started = time.monotonic()
-    samples = _option(params, "samples", 10_000, lambda v: v >= 2, "at least 2")
+    samples = _option(params, "samples", lambda v: v >= 2, "at least 2")
     if samples > MAX_NODES_DEFAULT:
         raise SizeLimitError(f"--samples {samples} is above the limit {MAX_NODES_DEFAULT}")
-    t_max = _option(params, "t_max", None, lambda v: v is None or 0 < v < math.inf,
+    t_max = _option(params, "t_max", lambda v: v is None or 0 < v < math.inf,
                     "finite and positive")
     g = read_edge_list(params["in"])
-    potential = _parse_potential(params.get("potential", "connectivity"))
+    potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
     ts = time_series(build_hamiltonian(g, potential), t_max, samples)
     series_done = time.monotonic()
@@ -383,6 +375,7 @@ _RUNNERS = {
 
 
 def run_rerun(params: dict) -> int:
+    """Run a manifest's command on its stored params, parsed as its command line would be."""
     try:
         manifest = json.loads(Path(params["manifest"]).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -395,55 +388,40 @@ def run_rerun(params: dict) -> int:
     if not isinstance(manifest.get("params"), dict):
         raise InvalidParameterError("manifest has no params object")
     stored = dict(manifest["params"])
-    if params.get("out") is not None:
-        stored["out"] = params["out"]
-    if params.get("workers") is not None:
-        stored["workers"] = params["workers"]
-    _, subcommands = _build_parser()
-    _check_stored_params(subcommands[command], stored)
-    try:
-        return _RUNNERS[command](stored)
-    except KeyError as exc:
-        raise InvalidParameterError(f"manifest params lack {exc}") from None
-
-
-def _check_stored_params(subparser: argparse.ArgumentParser, stored: dict) -> None:
-    """Refuse a stored param whose JSON value does not fit its declared option.
-
-    A JSON integer given for a float option is replaced by its float, as
-    argparse gives the option; one too large for a float is refused.
-    Keys the subcommand does not declare are left to the runner, which
-    ignores them.
-    """
-    for action in subparser._actions:
-        key = _param_key(action.dest)
-        value = stored.get(key)
-        if value is None:
-            if action.required:
-                raise InvalidParameterError(f"manifest params lack {key!r}")
-            continue
-        if action.nargs == 0:  # a flag
-            fits, kind = isinstance(value, bool), "true or false"
-        elif action.type is int:
-            fits, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-        elif action.type is float:
-            fits, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-            if fits and isinstance(value, int):  # as argparse would give it: numpy refuses big ints
-                try:
-                    stored[key] = float(value)
-                except OverflowError:
-                    raise InvalidParameterError(
-                        f"manifest param {key!r} must be a number within the float range, "
-                        f"got an integer of {len(str(abs(value)))} digits") from None
-        else:
-            fits, kind = isinstance(value, str), "a string"
-        if fits and action.choices is not None and value not in action.choices:
-            fits, kind = False, "one of " + ", ".join(map(str, action.choices))
-        if not fits:
-            raise InvalidParameterError(f"manifest param {key!r} must be {kind}, got {value!r}")
+    for key in ("out", "workers"):
+        if params[key] is not None:
+            stored[key] = params[key]
+    parser, subcommands = _build_parser()
+    actions = [a for a in subcommands[command]._actions if a.dest != "help"]
+    argv = [command]
+    for action in actions:
+        value = stored.get(action.dest)
+        if value is True:
+            argv.append(action.option_strings[0])
+        elif value is not None and value is not False:
+            text = value if isinstance(value, str) else repr(value)
+            argv.append(f"{action.option_strings[0]}={text}")  # '=' keeps '-1' a value
+    parsed = _params_from_args(parser.parse_args(argv))
+    for action in actions:
+        value, read = stored.get(action.dest), parsed[action.dest]
+        # NaN reads back as NaN; false reads back as false, not as a 0 default
+        same = (value is read if isinstance(value, bool)
+                else value == read or value != value and read != read)
+        if value is not None and not same:
+            raise InvalidParameterError(
+                f"manifest param {action.dest!r} is {reprlib.repr(value)}, "
+                f"which reads back as {read!r}")
+    return _RUNNERS[command](parsed)
 
 
 # --- argument parsing ---------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage with InvalidParameterError, so main reports it as one line."""
+
+    def error(self, message: str):
+        raise InvalidParameterError(message)
+
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -452,7 +430,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     Parsing leaves a parser unchanged: each call gets a new namespace
     filled from the declared defaults.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtree",
         description="Quantum-walk transport efficiency on tree networks",
     )
@@ -460,8 +438,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a tree and write its edge list")
-    p.add_argument("--family", required=True,
-                   choices=["chain", "star", "dendrimer", "vicsek", "sft"])
+    p.add_argument("--family", required=True, choices=list(_FAMILY_FLAGS))
     p.add_argument("--n", type=int, help="node count (chain, star, sft)")
     p.add_argument("--f", type=int, help="functionality (dendrimer, vicsek)")
     p.add_argument("--g", type=int, help="generation (dendrimer, vicsek)")
@@ -471,7 +448,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("chi", help="efficiency report for one edge-list file")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--potential", default="connectivity",
                    help="connectivity | adjacency | custom=<table file>")
     p.add_argument("--tol-abs", type=float, help="degeneracy binning tolerance")
@@ -494,7 +471,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit-kappa", help="power-law exponent fit on a sweep CSV")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--y-column", required=True)
     p.add_argument("--x-column", default="s")
     p.add_argument("--offset", type=float, default=0.0,
@@ -506,7 +483,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("timeseries", help="return-probability time series to CSV")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--potential", default="connectivity")
     p.add_argument("--t-max", type=float)
     p.add_argument("--samples", type=int, default=10_000)
@@ -519,28 +496,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _param_key(dest: str) -> str:
-    return dest.replace("in_path", "in")
-
-
 def _params_from_args(args: argparse.Namespace) -> dict:
-    params = {}
-    for key, value in vars(args).items():
-        if key in ("command",):
-            continue
-        params[_param_key(key)] = value
-    return params
+    return {key: value for key, value in vars(args).items() if key != "command"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, _ = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    params = _params_from_args(args)
     try:
-        if command == "rerun":
-            return run_rerun(params)
-        return _RUNNERS[command](params)
+        args = _build_parser()[0].parse_args(argv)
+        runner = run_rerun if args.command == "rerun" else _RUNNERS[args.command]
+        return runner(_params_from_args(args))
     except SizeLimitError as exc:
         print(f"qtree: {exc}", file=sys.stderr)
         return 4

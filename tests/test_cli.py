@@ -477,7 +477,7 @@ def test_rerun_refuses_an_integer_no_float_holds(tmp_path, command, key):
     res = run_cli(*args, "--out", str(out))
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("qtree: ") and f"{key!r}" in res.stderr
-    assert "float range" in res.stderr and "Traceback" not in res.stderr
+    assert "reads back as inf" in res.stderr and "Traceback" not in res.stderr
     assert not out.exists()
 
 
@@ -491,6 +491,115 @@ def test_rerun_reads_an_integer_float_option_as_its_float(tmp_path):
     assert run_cli("timeseries", "--in", str(tmp_path / "s5.edges"), "--t-max", str(2**64),
                    "--samples", "5", "--out", str(direct)).returncode == 0
     assert out.read_bytes() == direct.read_bytes()
+
+
+def _round_trip_argv(command, tmp_path):
+    edges = str(tmp_path / "d33.edges")
+    if command != "gen":
+        assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "3",
+                         "--out", edges]) == 0
+    points = tmp_path / "points.csv"
+    points.write_text("s,y\n" + "".join(f"{x},{x ** 1.5}\n" for x in (0.5, 1, 2, 4, 8)))
+    return {
+        "gen": ["gen", "--family", "sft", "--n", "40", "--s", "2.3", "--f-max", "9",
+                "--seed", "7"],
+        "chi": ["chi", "--in", edges, "--potential", "adjacency", "--tol-abs", "3e-9",
+                "--spectrum-out", str(tmp_path / "spectrum.csv")],
+        "sweep": ["sweep", "--n", "1000", "--s-grid", "2.5,3", "--paper-r",
+                  "--estimator", "structural-measured"],
+        "fit-kappa": ["fit-kappa", "--in", str(points), "--y-column", "y", "--offset", "-0.25",
+                      "--invert-x", "--x-max", "1e3"],
+        "timeseries": ["timeseries", "--in", edges, "--t-max", "0.7", "--samples", "20"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+def test_rerun_stores_the_params_it_was_given(tmp_path, command):
+    out = tmp_path / "out"
+    assert cli.main([*_round_trip_argv(command, tmp_path), "--out", str(out)]) == 0
+    manifest = Path(str(out) + ".manifest.json")
+    first, written = json.loads(manifest.read_text()), out.read_bytes()
+    assert cli.main(["rerun", str(manifest)]) == 0
+    assert json.loads(manifest.read_text())["params"] == first["params"]
+    assert out.read_bytes() == written
+
+
+@pytest.mark.parametrize("command, params, hint", [
+    ("sweep", {"n": 30, "s_grid": "2.5", "paper_r": 1}, "--paper-r"),
+    ("sweep", {"n": 30, "s_grid": "2.5", "r": 5, "paper_r": True}, "--paper-r"),
+    ("chi", {"in": 5}, "'in'"),
+], ids=["paper_r_1", "r_and_paper_r", "in_5"])
+def test_rerun_refuses_what_the_command_line_refuses(tmp_path, capsys, command, params, hint):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"format": cli.MANIFEST_FORMAT, "command": command,
+                                    "params": params}))
+    assert cli.main(["rerun", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtree: ") and err.count("\n") == 1 and hint in err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+@pytest.mark.parametrize("command, params, workers", [
+    ("sweep", {"n": 30, "s_grid": "2.5", "r": 5, "seed": 0}, 2),
+    ("chi", {"potential": "custom={dir}/a=b/pot.txt"}, None),
+    ("chi", {"tol_abs": 0.1 + 0.2}, None),
+], ids=["seed_0_workers_2", "custom_path_with_equals", "tol_abs_0.1+0.2"])
+def test_rerun_hands_each_stored_value_to_the_runner(tmp_path, command, params, workers):
+    edges = tmp_path / "s5.edges"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", str(edges)]) == 0
+    (tmp_path / "a=b").mkdir()
+    (tmp_path / "a=b" / "pot.txt").write_text("1 2.5\n4 -1\n")
+    params = {key: value.format(dir=tmp_path) if isinstance(value, str) else value
+              for key, value in params.items()}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"format": cli.MANIFEST_FORMAT, "command": command,
+                                    "params": {"in": str(edges), **params}}))
+    out = tmp_path / "out"
+    argv = ["rerun", str(manifest), "--out", str(out)]
+    assert cli.main(argv + ([] if workers is None else ["--workers", str(workers)])) == 0
+    # the manifest records the params the runner ran with
+    ran = json.loads(Path(str(out) + ".manifest.json").read_text())["params"]
+    assert {key: ran[key] for key in params} == params
+    assert ran.get("workers") == workers
+
+
+def test_rerun_of_a_stored_help_runs_the_command(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"format": cli.MANIFEST_FORMAT, "command": "gen", "params": {
+        "family": "star", "n": 5, "help": True, "out": str(tmp_path / "s5.edges")}}))
+    assert cli.main(["rerun", str(manifest)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "s5.edges").exists()
+
+
+def test_usage_error_prints_one_line(capsys):
+    assert cli.main(["gen", "--family", "nope", "--out", "unused"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtree: ") and err.count("\n") == 1 and "--family" in err
+
+
+@pytest.mark.parametrize("spectrum_name", ["r.json", "r.json.manifest.json", "sub/../r.json"])
+def test_chi_refuses_a_spectrum_out_that_overwrites_the_report(tmp_path, capsys, spectrum_name):
+    edges = tmp_path / "s5.edges"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", str(edges)]) == 0
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(["chi", "--in", str(edges), "--out", str(tmp_path / "r.json"),
+                     "--spectrum-out", str(tmp_path / spectrum_name)]) == 2
+    assert "--spectrum-out" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_rerun_refuses_an_out_that_overwrites_the_stored_spectrum(tmp_path, capsys):
+    edges = tmp_path / "s5.edges"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", str(edges)]) == 0
+    spectrum = tmp_path / "r.csv"
+    assert cli.main(["chi", "--in", str(edges), "--out", str(tmp_path / "r.json"),
+                     "--spectrum-out", str(spectrum)]) == 0
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(["rerun", str(tmp_path / "r.json.manifest.json"),
+                     "--out", str(spectrum)]) == 2
+    assert "--spectrum-out" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_manifest_records_blas_thread_environment(tmp_path):
@@ -546,6 +655,14 @@ def _non_finite_potential_value(tmp_path):
     return ["chi", "--in", str(edges), "--potential", f"custom={table}"], "line 1"
 
 
+def _duplicate_potential_functionality(tmp_path):
+    edges = tmp_path / "c3.edges"
+    run_cli("gen", "--family", "chain", "--n", "3", "--out", str(edges))
+    table = tmp_path / "pot.txt"
+    table.write_text("1 5.0\n2 7.0\n1 9.0\n")
+    return ["chi", "--in", str(edges), "--potential", f"custom={table}"], "lines 1 and 3"
+
+
 def _manifest_without_params(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"format": "qtree-manifest-1", "command": "chi"}))
@@ -562,7 +679,7 @@ def _rerun_of(tmp_path, command, params):
 
 
 def _rerun_sweep_text_n(tmp_path):
-    return _rerun_of(tmp_path, "sweep", {"n": "abc", "s_grid": "2.5", "r": 2}), "'n'"
+    return _rerun_of(tmp_path, "sweep", {"n": "abc", "s_grid": "2.5", "r": 2}), "--n"
 
 
 def _rerun_sweep_without_r(tmp_path):
@@ -574,11 +691,11 @@ def _rerun_chi_numeric_in(tmp_path):
 
 
 def _rerun_timeseries_text_samples(tmp_path):
-    return _rerun_of(tmp_path, "timeseries", {"samples": "x"}), "'samples'"
+    return _rerun_of(tmp_path, "timeseries", {"samples": "x"}), "--samples"
 
 
 def _rerun_chi_text_tol_abs(tmp_path):
-    return _rerun_of(tmp_path, "chi", {"tol_abs": "x"}), "'tol_abs'"
+    return _rerun_of(tmp_path, "chi", {"tol_abs": "x"}), "--tol-abs"
 
 
 def _option_case(command, key, value, rerun):
@@ -651,8 +768,8 @@ def _infinite_sft_exponent(tmp_path):
 @pytest.mark.parametrize(
     "make_case",
     [_bad_token_edge_list, _bad_potential_value, _non_finite_potential_value,
-     _manifest_without_params, _rerun_sweep_text_n, _rerun_sweep_without_r,
-     _rerun_chi_numeric_in,
+     _duplicate_potential_functionality, _manifest_without_params, _rerun_sweep_text_n,
+     _rerun_sweep_without_r, _rerun_chi_numeric_in,
      _rerun_timeseries_text_samples, _rerun_chi_text_tol_abs,
      _non_utf8_edge_list, _non_utf8_fit_kappa_csv, _non_numeric_s_grid,
      _infinite_s_grid, _infinite_sft_exponent, _overflowing_t_max, *_OUT_OF_RANGE_OPTIONS],
@@ -883,9 +1000,9 @@ JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=6,
 )
-PARAM_KEYS = st.sampled_from(["in", "out", "n", "s", "s_grid", "r", "paper_r", "samples",
-                              "t_max", "size_limit", "tol_abs", "potential", "estimator",
-                              "family", "y_column", "workers", "help", "other"])
+# every declared option of every subcommand, help among them, and one key none declares
+PARAM_KEYS = st.sampled_from(sorted({action.dest for subparser in cli._build_parser()[1].values()
+                                     for action in subparser._actions} | {"other"}))
 MANIFEST_LIKE = st.fixed_dictionaries(
     {"format": st.sampled_from([cli.MANIFEST_FORMAT, "qtree-manifest-0"]),
      "command": st.sampled_from([*cli._RUNNERS, "rerun", "nope"]) | JSON_VALUES},
