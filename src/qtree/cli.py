@@ -37,12 +37,10 @@ from .efficiency import (
 from .ensemble import (
     ESTIMATORS,
     STRUCTURAL_DELTA0,
-    WORKERS_ENV_VAR,
     EnsembleConfig,
     _block_size,
     _check_config,
     _task_ranges,
-    resolve_workers,
     sweep,
     sweep_csv_text,
 )
@@ -148,35 +146,31 @@ def _seed(params: dict) -> int:
 
 # --- runners (shared by the subcommands and `rerun`) -------------------------
 
-_FAMILY_FLAGS = {
-    "chain": ("n",),
-    "star": ("n",),
-    "dendrimer": ("f", "g"),
-    "vicsek": ("f", "g"),
-    "sft": ("n", "s"),
+# each family's generator and the flags it needs, in argument order
+_FAMILIES = {
+    "chain": (generate_chain, ("n",)),
+    "star": (generate_star, ("n",)),
+    "dendrimer": (generate_dendrimer, ("f", "g")),
+    "vicsek": (generate_vicsek, ("f", "g")),
+    "sft": (generate_sft, ("n", "s")),
 }
 
 
 def run_gen(params: dict) -> int:
     started = time.monotonic()
     family = params["family"]
-    missing = [flag for flag in _FAMILY_FLAGS[family] if params[flag] is None]
+    generate, flags = _FAMILIES[family]
+    missing = [flag for flag in flags if params[flag] is None]
     if missing:
         raise InvalidParameterError(
             f"family {family!r} needs --" + " --".join(missing)
         )
+    args = [params[flag] for flag in flags]
     seed = None
-    if family == "chain":
-        g = generate_chain(params["n"])
-    elif family == "star":
-        g = generate_star(params["n"])
-    elif family == "dendrimer":
-        g = generate_dendrimer(params["f"], params["g"])
-    elif family == "vicsek":
-        g = generate_vicsek(params["f"], params["g"])
-    elif family == "sft":
+    if family == "sft":
         seed = _seed(params)
-        g = generate_sft(params["n"], params["s"], params["f_max"], seed)
+        args += [params["f_max"], seed]
+    g = generate(*args)
     generated = time.monotonic()
     out = params["out"]
     write_text_atomic(out, edge_list_text(g))
@@ -253,12 +247,11 @@ def run_sweep(params: dict) -> int:
         for s in s_grid
     ]
     # before any row: what the rows share, including n, whose analytic mean loops over n - 1 values
-    workers = resolve_workers(params["workers"])
     _check_config(cfgs[0])
     rows, row_s = [], []
     for cfg in cfgs:
         row_started = time.monotonic()
-        rows += sweep([cfg], workers=workers)
+        rows += sweep([cfg], workers=params["workers"])
         row_s.append(time.monotonic() - row_started)
     ran = sum(row.one_minus_chi_mc_mean is not None for row in rows)
     out = params["out"]
@@ -267,7 +260,7 @@ def run_sweep(params: dict) -> int:
     _write_manifest("sweep", params, [out], seed, started, {
         "timings": {"row_s": row_s},
         "counters": {"realizations": ran * r, "blocks": ran * -(-r // block),
-                     "seed_passes": ran * len(_task_ranges(r, block, workers))},
+                     "seed_passes": ran * len(_task_ranges(r, block, params["workers"]))},
     })
     if all(row.status != "ok" for row in rows):
         print("qtree: every sweep row failed", file=sys.stderr)
@@ -388,6 +381,9 @@ def run_rerun(params: dict) -> int:
     if not isinstance(manifest.get("params"), dict):
         raise InvalidParameterError("manifest has no params object")
     stored = dict(manifest["params"])
+    for key, value in stored.items():
+        if isinstance(value, str) and "\0" in value:  # no command line can carry a NUL
+            raise InvalidParameterError(f"manifest param {key!r} holds a NUL character")
     for key in ("out", "workers"):
         if params[key] is not None:
             stored[key] = params[key]
@@ -438,7 +434,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a tree and write its edge list")
-    p.add_argument("--family", required=True, choices=list(_FAMILY_FLAGS))
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--n", type=int, help="node count (chain, star, sft)")
     p.add_argument("--f", type=int, help="functionality (dendrimer, vicsek)")
     p.add_argument("--g", type=int, help="generation (dendrimer, vicsek)")
@@ -467,7 +463,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="use r = 10^6 / n realizations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimator", default=STRUCTURAL_DELTA0, choices=list(ESTIMATORS))
-    p.add_argument("--workers", type=int, help=f"default ${WORKERS_ENV_VAR} or 1")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default %(default)s); below 1 is refused before any row")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit-kappa", help="power-law exponent fit on a sweep CSV")

@@ -288,10 +288,11 @@ class TimeSeries:
     weights: ReturnWeights = field(repr=False, compare=False)
 
 
-def default_time_grid(sp: Spectrum, samples: int = 10_000, horizon: float = 50.0) -> np.ndarray:
+def default_time_grid(sp: Spectrum, samples: int = 10_000) -> np.ndarray:
     """Uniform grid long enough to resolve the slowest spectral beat."""
     spread = sp.classes[-1][0] - sp.classes[0][0]
-    t_max = horizon * sp.n / spread if spread > 0 else horizon * sp.n
+    horizon = 50.0 * sp.n
+    t_max = horizon / spread if spread > 0 else horizon
     return np.linspace(0.0, t_max, samples)
 
 

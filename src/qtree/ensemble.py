@@ -25,8 +25,7 @@ the trees' parent arrays.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -65,8 +64,6 @@ STRUCTURAL_DELTA0 = "structural-delta0"
 STRUCTURAL_MEASURED = "structural-measured"
 ESTIMATORS = (SPECTRAL_EXACT, STRUCTURAL_DELTA0, STRUCTURAL_MEASURED)
 
-WORKERS_ENV_VAR = "QTREE_WORKERS"
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -97,7 +94,7 @@ class EnsembleResult:
     std_error: float
     realized_avg_f_mean: float
     config: EnsembleConfig
-    per_realization: tuple[float, ...] | None = None
+    per_realization: tuple[float, ...]
 
 
 def _realization_seeds(master_seed: int, indices: np.ndarray) -> np.ndarray:
@@ -176,25 +173,12 @@ def _realize_task(
     return 1.0 - value, counts.avg_f_nonleaf
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InvalidParameterError(
-                f"{WORKERS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise InvalidParameterError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
-def run_ensemble(
-    cfg: EnsembleConfig,
-    workers: int | None = None,
-    keep_per_realization: bool = False,
-) -> EnsembleResult:
+def run_ensemble(cfg: EnsembleConfig, workers: int = 1) -> EnsembleResult:
     """Average 1 - chi_lb over r seeded realizations.
 
     The per-realization values depend only on the config, never on the
@@ -202,7 +186,7 @@ def run_ensemble(
     bit for bit.
     """
     _check_config(cfg)
-    workers = resolve_workers(workers)
+    _check_workers(workers)
     cdf = _sft_cdf(cfg.n, cfg.s, cfg.resolved_f_max())
     block = _block_size(cfg.n)
     tasks = [(cfg, cdf, start, stop, block)
@@ -226,7 +210,7 @@ def run_ensemble(
         std_error=std_error,
         realized_avg_f_mean=math.fsum(avg_fs) / cfg.r,
         config=cfg,
-        per_realization=tuple(values) if keep_per_realization else None,
+        per_realization=tuple(values),
     )
 
 
@@ -257,14 +241,15 @@ def _error_name(exc: Exception) -> str:
     return _ERROR_NAMES.get(type(exc), type(exc).__name__)
 
 
-def sweep(cfgs: list[EnsembleConfig], workers: int | None = None) -> list[SweepRow]:
+def sweep(cfgs: list[EnsembleConfig], workers: int = 1) -> list[SweepRow]:
     """Run one ensemble per config; errors flag the row, never abort the sweep.
 
-    A NumPy whose generator state qtree cannot write is no row's error:
-    it raises GeneratorLayoutError before the first row.
+    A worker count below 1 and a NumPy whose generator state qtree cannot
+    write are no row's error: they raise before the first row.
     """
     if not cfgs:
         raise InvalidParameterError("sweep needs at least one config")
+    _check_workers(workers)
     _check_pcg64_layout()
     rows = []
     for cfg in cfgs:
@@ -302,12 +287,6 @@ def sweep(cfgs: list[EnsembleConfig], workers: int | None = None) -> list[SweepR
     return rows
 
 
-SWEEP_COLUMNS = (
-    "s,n,f_max,r,avg_f_analytic,one_minus_chi_mc_mean,one_minus_chi_mc_stderr,"
-    "one_minus_chi_analytic_finite,one_minus_chi_analytic_infinite,status"
-)
-
-
 def _cell(x) -> str:
     if x is None:
         return ""
@@ -317,23 +296,6 @@ def _cell(x) -> str:
 
 
 def sweep_csv_text(rows: list[SweepRow]) -> str:
-    lines = [FORMAT_HEADER, SWEEP_COLUMNS]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    row.s,
-                    row.n,
-                    row.f_max,
-                    row.r,
-                    row.avg_f_analytic,
-                    row.one_minus_chi_mc_mean,
-                    row.one_minus_chi_mc_stderr,
-                    row.one_minus_chi_analytic_finite,
-                    row.one_minus_chi_analytic_infinite,
-                    row.status,
-                )
-            )
-        )
+    lines = [FORMAT_HEADER, ",".join(f.name for f in fields(SweepRow))]
+    lines += [",".join(map(_cell, astuple(row))) for row in rows]
     return "\n".join(lines) + "\n"

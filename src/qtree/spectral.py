@@ -150,15 +150,14 @@ class Spectrum:
     def densities(self) -> list[float]:
         return [m / self.n for _, m in self.classes]
 
-    def multiplicity_at(self, e: float, atol: float | None = None) -> int:
-        atol = self.tol_abs if atol is None else atol
+    def multiplicity_at(self, e: float) -> int:
         best = min(self.classes, key=lambda c: abs(c[0] - e), default=None)
-        if best is not None and abs(best[0] - e) <= atol:
+        if best is not None and abs(best[0] - e) <= self.tol_abs:
             return best[1]
         return 0
 
-    def density_at(self, e: float, atol: float | None = None) -> float:
-        return self.multiplicity_at(e, atol) / self.n
+    def density_at(self, e: float) -> float:
+        return self.multiplicity_at(e) / self.n
 
 
 def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,

@@ -256,17 +256,37 @@ def test_sweep_rerun_is_byte_identical_across_workers(tmp_path):
         assert manifest["counters"] == {"realizations": 800, "blocks": 2, "seed_passes": 2}
 
 
-@pytest.mark.parametrize("workers, seed_passes", [(1, 1), (2, 8)])
+@pytest.mark.parametrize("workers, seed_passes", [(None, 1), (1, 1), (2, 8)])
 def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_passes):
     # n = 100 takes blocks of 656, so the --paper-r row's 10 000 realizations are 16 blocks:
-    # one task for one worker, and tasks of two blocks for two workers
+    # one task for one worker, and tasks of two blocks for two workers; without --workers
+    # the sweep runs, and records, one worker
     out = tmp_path / "sweep.csv"
-    res = run_cli("sweep", "--n", "100", "--s-grid", "2.5", "--paper-r",
-                  "--workers", str(workers), "--out", str(out))
+    flags = [] if workers is None else ["--workers", str(workers)]
+    res = run_cli("sweep", "--n", "100", "--s-grid", "2.5", "--paper-r", *flags,
+                  "--out", str(out))
     assert res.returncode == 0, res.stderr
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["params"]["workers"] == (workers or 1)
     assert manifest["counters"] == {"realizations": 10_000, "blocks": 16,
                                     "seed_passes": seed_passes}
+
+
+def test_sweep_manifest_with_a_null_worker_count_reruns_on_one_worker(tmp_path):
+    # manifests written while --workers had no default store "workers": null
+    out = tmp_path / "sweep.csv"
+    res = run_cli("sweep", "--n", "100", "--s-grid", "2.5", "--paper-r", "--workers", "2",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    manifest["params"]["workers"] = None
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    rerun_out = tmp_path / "rerun.csv"
+    assert cli.main(["rerun", str(old), "--out", str(rerun_out)]) == 0
+    assert rerun_out.read_bytes() == out.read_bytes()
+    ran = json.loads(Path(str(rerun_out) + ".manifest.json").read_text())
+    assert ran["params"]["workers"] == 1 and ran["counters"]["seed_passes"] == 1
 
 
 def test_fit_kappa_synthetic_power_law(tmp_path):
@@ -528,7 +548,10 @@ def test_rerun_stores_the_params_it_was_given(tmp_path, command):
     ("sweep", {"n": 30, "s_grid": "2.5", "paper_r": 1}, "--paper-r"),
     ("sweep", {"n": 30, "s_grid": "2.5", "r": 5, "paper_r": True}, "--paper-r"),
     ("chi", {"in": 5}, "'in'"),
-], ids=["paper_r_1", "r_and_paper_r", "in_5"])
+    ("chi", {"in": "a\u0000b"}, "'in' holds a NUL"),
+    ("chi", {"out": "a\u0000b"}, "'out' holds a NUL"),
+    ("chi", {"potential": "custom=a\u0000b"}, "'potential' holds a NUL"),
+], ids=["paper_r_1", "r_and_paper_r", "in_5", "nul_in", "nul_out", "nul_potential"])
 def test_rerun_refuses_what_the_command_line_refuses(tmp_path, capsys, command, params, hint):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"format": cli.MANIFEST_FORMAT, "command": command,
@@ -841,14 +864,13 @@ def test_oversize_sweep_exit_4_before_any_row(tmp_path):
 
 
 _SHARED_SWEEP_PARAMS = {
-    # name: (params over n = 50, s = 2.5,3.0, r = 2; environment; exit code; message part)
-    "workers_0": ({"workers": 0}, {}, 2, "worker count"),
-    "env_workers_abc": ({}, {"QTREE_WORKERS": "abc"}, 2, "QTREE_WORKERS"),
-    "r_0": ({"r": 0}, {}, 2, "realization count"),
-    "n_2": ({"n": 2}, {}, 2, "n >= 3"),
-    "n_0_paper_r": ({"n": 0, "r": None, "paper_r": True}, {}, 2, "n >= 3"),
-    "f_max_1": ({"f_max": 1}, {}, 2, "f_max"),
-    "n_above_node_limit": ({"n": 3_000_000}, {}, 4, "above the limit"),
+    # name: (params over n = 50, s = 2.5,3.0, r = 2; exit code; message part)
+    "workers_0": ({"workers": 0}, 2, "worker count"),
+    "r_0": ({"r": 0}, 2, "realization count"),
+    "n_2": ({"n": 2}, 2, "n >= 3"),
+    "n_0_paper_r": ({"n": 0, "r": None, "paper_r": True}, 2, "n >= 3"),
+    "f_max_1": ({"f_max": 1}, 2, "f_max"),
+    "n_above_node_limit": ({"n": 3_000_000}, 4, "above the limit"),
 }
 
 
@@ -856,7 +878,7 @@ _SHARED_SWEEP_PARAMS = {
 @pytest.mark.parametrize("case", _SHARED_SWEEP_PARAMS)
 def test_sweep_refuses_shared_params_before_any_row(tmp_path, case, rerun):
     # every row would fail alike, so nothing is written and the exit is 2 or 4, not 5
-    overrides, env, code, hint = _SHARED_SWEEP_PARAMS[case]
+    overrides, code, hint = _SHARED_SWEEP_PARAMS[case]
     params = {"n": 50, "s_grid": "2.5,3.0", "r": 2, **overrides}
     params = {key: value for key, value in params.items() if value is not None}
     out = tmp_path / "s.csv"
@@ -874,7 +896,7 @@ def test_sweep_refuses_shared_params_before_any_row(tmp_path, case, rerun):
             flag = "--" + key.replace("_", "-")
             args += [flag] if value is True else [flag, str(value)]
     res = subprocess.run([sys.executable, "-m", "qtree", *args], capture_output=True,
-                         text=True, env={**os.environ, **env})
+                         text=True)
     assert res.returncode == code, res.stderr
     assert res.stderr.startswith("qtree: ") and hint in res.stderr
     assert "Traceback" not in res.stderr

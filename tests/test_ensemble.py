@@ -42,14 +42,14 @@ def test_three_node_ensemble_is_forced():
 def test_single_realization_has_zero_stderr():
     res = run_ensemble(EnsembleConfig(n=50, s=2.5, r=1, master_seed=1))
     assert res.std_error == 0.0
-    assert res.per_realization is None
+    assert res.per_realization == (res.mean_one_minus_chi_lb,)
 
 
 def test_deterministic_across_worker_counts():
     # r = 2000 at n = 80 spans three realization blocks of 820
     cfg = EnsembleConfig(n=80, s=2.4, r=2000, master_seed=77)
-    serial = run_ensemble(cfg, workers=1, keep_per_realization=True)
-    parallel = run_ensemble(cfg, workers=4, keep_per_realization=True)
+    serial = run_ensemble(cfg, workers=1)
+    parallel = run_ensemble(cfg, workers=4)
     assert serial.per_realization == parallel.per_realization
     assert serial.mean_one_minus_chi_lb == parallel.mean_one_minus_chi_lb
     assert serial.std_error == parallel.std_error
@@ -65,12 +65,11 @@ def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r
     # its seeds, generator and bound: a slip at a tree, block or task boundary would leak
     # into the next tree
     cfg = EnsembleConfig(n=n, s=2.3, r=r, master_seed=9, estimator=estimator)
-    expected = run_ensemble(cfg, keep_per_realization=True)
+    expected = run_ensemble(cfg)
     for size in (1, 7, 656):
         monkeypatch.setattr(ensemble, "_block_size", lambda n, size=size: size)
         for workers in (1, 2, 3):
-            assert run_ensemble(cfg, workers=workers, keep_per_realization=True) == expected, \
-                (size, workers)
+            assert run_ensemble(cfg, workers=workers) == expected, (size, workers)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -97,9 +96,9 @@ def test_each_task_hashes_its_seeds_once(monkeypatch):
         return real_pcg64_states(seeds)
 
     cfg = EnsembleConfig(n=10, s=2.5, r=30_000, master_seed=4)
-    expected = run_ensemble(cfg, keep_per_realization=True)
+    expected = run_ensemble(cfg)
     monkeypatch.setattr(graphs, "_pcg64_states", pcg64_states)
-    assert run_ensemble(cfg, workers=1, keep_per_realization=True) == expected
+    assert run_ensemble(cfg, workers=1) == expected
     assert hashed == [13_108, 13_108, 3784]
     assert len(hashed) == len(_task_ranges(cfg.r, ensemble._block_size(cfg.n), 1))
 
@@ -194,7 +193,7 @@ def test_structural_values_match_efficiency_module():
     for estimator, mode in (("structural-delta0", "force-zero"),
                             ("structural-measured", "use-measured")):
         cfg = EnsembleConfig(n=100, s=2.5, r=1000, master_seed=3, estimator=estimator)
-        res = run_ensemble(cfg, keep_per_realization=True)
+        res = run_ensemble(cfg)
         for index, st in enumerate(stats):
             assert res.per_realization[index] == 1.0 - chi_structural(st, 100, mode), index
         assert res.realized_avg_f_mean == math.fsum(st.avg_f_nonleaf for st in stats) / cfg.r
@@ -203,8 +202,8 @@ def test_structural_values_match_efficiency_module():
 def test_measured_mode_uses_measured_delta():
     cfg0 = EnsembleConfig(n=100, s=2.3, r=50, master_seed=9, estimator="structural-delta0")
     cfg1 = EnsembleConfig(n=100, s=2.3, r=50, master_seed=9, estimator="structural-measured")
-    r0 = run_ensemble(cfg0, keep_per_realization=True)
-    r1 = run_ensemble(cfg1, keep_per_realization=True)
+    r0 = run_ensemble(cfg0)
+    r1 = run_ensemble(cfg1)
     assert r0.per_realization != r1.per_realization
     g = generate_sft(100, 2.3, 99, realization_seed(9, 0))
     st = structural_stats(g)
@@ -213,7 +212,7 @@ def test_measured_mode_uses_measured_delta():
 
 def test_spectral_exact_estimator_matches_direct_path():
     cfg = EnsembleConfig(n=40, s=2.5, r=8, master_seed=21, estimator="spectral-exact")
-    res = run_ensemble(cfg, keep_per_realization=True)
+    res = run_ensemble(cfg)
     g = generate_sft(40, 2.5, 39, realization_seed(21, 2))
     h = build_hamiltonian(g, CONNECTIVITY)
     sp = dense_reference(h).spectrum()
@@ -223,16 +222,15 @@ def test_spectral_exact_estimator_matches_direct_path():
 
 def test_spectral_exact_deterministic_across_workers():
     cfg = EnsembleConfig(n=30, s=2.5, r=24, master_seed=6, estimator="spectral-exact")
-    serial = run_ensemble(cfg, workers=1, keep_per_realization=True)
-    parallel = run_ensemble(cfg, workers=3, keep_per_realization=True)
+    serial = run_ensemble(cfg, workers=1)
+    parallel = run_ensemble(cfg, workers=3)
     assert serial.per_realization == parallel.per_realization
 
 
 def test_spectral_exact_runs_above_the_dense_solver_limit():
     # the estimator reads the exact E* multiplicity and solves nothing, so
     # n = 5000 runs; the reference is the binned spectrum of the dense matrix
-    res = run_ensemble(EnsembleConfig(n=5000, s=2.5, r=1, estimator="spectral-exact"),
-                       keep_per_realization=True)
+    res = run_ensemble(EnsembleConfig(n=5000, s=2.5, r=1, estimator="spectral-exact"))
     h = build_hamiltonian(generate_sft(5000, 2.5, 4999, realization_seed(0, 0)), CONNECTIVITY)
     density = _bin([(np.linalg.eigvalsh(dense_matrix(h)), 1)], None).density_at(h.e_star)
     assert res.per_realization[0] == 1.0 - chi_lower_from_density(density, 5000)
@@ -261,6 +259,9 @@ def test_config_validation():
         run_ensemble(EnsembleConfig(n=50, s=2.5, r=1, estimator="exact"))
     with pytest.raises(InvalidParameterError):
         run_ensemble(EnsembleConfig(n=50, s=2.5, r=4), workers=0)
+    # a bad worker count is no row's error: sweep raises before its first row
+    with pytest.raises(InvalidParameterError, match="worker count must be >= 1, got 0"):
+        sweep([EnsembleConfig(n=50, s=2.5, r=4)], workers=0)
 
 
 def test_sweep_preserves_order_and_monotonicity():
