@@ -28,16 +28,19 @@ import numpy as np
 
 from . import __version__
 from .efficiency import (
+    _block_rows,
+    _check_time_grid,
+    _series,
     chi_exact,
     efficiency_report,
     kappa_fit,
     time_average,
-    time_series,
 )
 from .ensemble import (
     ESTIMATORS,
     STRUCTURAL_DELTA0,
     EnsembleConfig,
+    WorkerPool,
     _block_size,
     _check_config,
     _task_ranges,
@@ -63,6 +66,7 @@ from .spectral import (
     DENSE_SOLVER_LIMIT,
     build_hamiltonian,
     custom_potential,
+    return_weights,
     spectrum_csv_text,
 )
 
@@ -249,10 +253,11 @@ def run_sweep(params: dict) -> int:
     # before any row: what the rows share, including n, whose analytic mean loops over n - 1 values
     _check_config(cfgs[0])
     rows, row_s = [], []
-    for cfg in cfgs:
-        row_started = time.monotonic()
-        rows += sweep([cfg], workers=params["workers"])
-        row_s.append(time.monotonic() - row_started)
+    with WorkerPool(params["workers"]) as pool:
+        for cfg in cfgs:
+            row_started = time.monotonic()
+            rows += sweep([cfg], workers=pool)
+            row_s.append(time.monotonic() - row_started)
     ran = sum(row.one_minus_chi_mc_mean is not None for row in rows)
     out = params["out"]
     write_text_atomic(out, sweep_csv_text(rows))
@@ -260,7 +265,8 @@ def run_sweep(params: dict) -> int:
     _write_manifest("sweep", params, [out], seed, started, {
         "timings": {"row_s": row_s},
         "counters": {"realizations": ran * r, "blocks": ran * -(-r // block),
-                     "seed_passes": ran * len(_task_ranges(r, block, params["workers"]))},
+                     "seed_passes": ran * len(_task_ranges(r, block, params["workers"])),
+                     "pool_starts": pool.starts},
     })
     if all(row.status != "ok" for row in rows):
         print("qtree: every sweep row failed", file=sys.stderr)
@@ -332,14 +338,17 @@ def run_timeseries(params: dict) -> int:
         raise SizeLimitError(f"--samples {samples} is above the limit {MAX_NODES_DEFAULT}")
     t_max = _option(params, "t_max", lambda v: v is None or 0 < v < math.inf,
                     "finite and positive")
+    _check_time_grid(t_max, samples)
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
-    ts = time_series(build_hamiltonian(g, potential), t_max, samples)
+    rw = return_weights(build_hamiltonian(g, potential))
+    weights_done = time.monotonic()
+    ts = _series(rw, t_max, samples)
     series_done = time.monotonic()
     # one formatting call for the body; "%.17g" writes the digits f"{x:.17g}" does
     rows = np.column_stack((ts.times, ts.abs_alpha_sq, ts.pi_bar)).ravel().tolist()
-    sp = ts.weights.spectrum
+    sp = rw.spectrum
     footer = "# time_average_abs_alpha_sq={} time_average_pi_bar={} chi_exact={}\n".format(
         _fmt(time_average(ts.abs_alpha_sq, ts.times)),
         _fmt(time_average(ts.pi_bar, ts.times)),
@@ -349,11 +358,13 @@ def run_timeseries(params: dict) -> int:
     write_text_atomic(out, f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"
                       + "%.17g,%.17g,%.17g\n" * len(ts.times) % tuple(rows) + footer)
     _write_manifest("timeseries", params, [out], None, started, {
-        "timings": {"read_s": read_done - started, "series_s": series_done - read_done,
+        "timings": {"read_s": read_done - started, "weights_s": weights_done - read_done,
+                    "series_s": series_done - weights_done,
                     "write_s": time.monotonic() - series_done},
         "counters": {"n": g.n, "eigh_calls": len(sp.solve_dims),
                      "largest_solve_dim": max(sp.solve_dims),
-                     "weight_columns": ts.weights.weights.shape[1]},
+                     "weight_columns": len(rw.eigenvalues),
+                     "series_blocks": -(-samples // _block_rows(len(rw.eigenvalues)))},
     })
     return 0
 

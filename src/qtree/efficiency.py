@@ -296,6 +296,11 @@ def default_time_grid(sp: Spectrum, samples: int = 10_000) -> np.ndarray:
     return np.linspace(0.0, t_max, samples)
 
 
+def _uniform_increasing(steps: np.ndarray) -> bool:
+    """Whether the steps of a time grid are positive and equal to within 1e-6."""
+    return not np.any(steps <= 0) and np.allclose(steps, steps[0], rtol=1e-6, atol=0.0)
+
+
 def time_average(values: Sequence[float], times: Sequence[float]) -> float:
     """Trapezoidal mean of a sampled series over its uniform time window."""
     v = np.asarray(values, dtype=float)
@@ -304,10 +309,33 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
         raise InvalidParameterError("values and times must have equal length")
     if len(t) < 2:
         raise OutOfDomainError("time average needs at least two samples")
-    steps = np.diff(t)
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
+    if not _uniform_increasing(np.diff(t)):
         raise InvalidParameterError("time grid must be uniform and increasing")
     return float(np.trapezoid(v, t) / (t[-1] - t[0]))
+
+
+def _check_time_grid(t_max: float | None, samples: int) -> None:
+    """Refuses linspace(0, t_max, samples) where it repeats a time, as a subnormal t_max can.
+
+    None, the default grid, is known only after the solves and is not
+    checked here; a t_max that is not finite is left to the phase
+    overflow check.
+    """
+    if (samples > 1 and t_max is not None and math.isfinite(t_max)
+            and not _uniform_increasing(np.diff(np.linspace(0.0, t_max, samples)))):
+        raise InvalidParameterError(
+            f"--t-max {t_max!r} is too small for --samples {samples}: "
+            "the time grid would repeat a time"
+        )
+
+
+def _block_rows(columns: int) -> int:
+    """Times per block of the series: at most 2^16 complex phases (1 MiB) over all columns.
+
+    Each block array stays under the 4 MiB from which numpy asks for
+    transparent huge pages, so peak memory does not depend on free huge pages.
+    """
+    return max(1, (1 << 16) // columns)
 
 
 def time_series(h: Hamiltonian, t_max: float | None = None, samples: int = 10_000) -> TimeSeries:
@@ -318,17 +346,30 @@ def time_series(h: Hamiltonian, t_max: float | None = None, samples: int = 10_00
     amp_q = sum_j W[q, j] exp(-i lambda_j t) is the return amplitude of
     every node at root-quotient position q, pbar = sum_q (Pi_q/n) |amp_q|^2
     and alpha = sum_q (Pi_q/n) amp_q, so |alpha|^2 <= pbar is Jensen's
-    inequality on the same numbers.
-
-    The grid is uniform, so the phases of a block of times starting at
-    t_b are those of the first block rotated by t_b lambda_j: cos and sin
-    of the first block are evaluated once, each block evaluates only its
-    own base phase directly and combines the two by angle addition, so
-    no rounding accumulates from block to block.  The real and imaginary
-    parts of amp are then two real products with W^T.  A grid on which
-    some phase t * lambda_j is not finite is refused.
+    inequality on the same numbers.  A t_max that makes the grid repeat
+    a time is refused before the eigensolves, and a grid on which some
+    phase t * lambda_j is not finite after them.
     """
-    rw = return_weights(h)
+    _check_time_grid(t_max, samples)
+    return _series(return_weights(h), t_max, samples)
+
+
+def _series(rw: ReturnWeights, t_max: float | None, samples: int) -> TimeSeries:
+    """The series of `time_series` from the quotient weights.
+
+    The grid is uniform, so phases are rotated rather than evaluated.
+    The first block of S times is an (m x S) complex array, one row per
+    weight column j, built by doubling: its times [k, 2k) are its times
+    [0, k) times exp(-i t_k lambda), so only about log2(S) vectors of
+    phases are evaluated directly.  Each block starting at t_b is the
+    first block times exp(-i t_b lambda), evaluated directly, so no
+    rounding carries from block to block; that is one complex multiply
+    into a reused buffer, whose float view (m x 2S) holds re and im of
+    each time side by side.  One real product with W, its rows scaled by
+    sqrt(Pi_q/n), gives re and im of every scaled amplitude; pbar is each
+    time's sum of squares over its two output columns, and alpha one
+    product with sqrt(Pi_q/n).
+    """
     t = (default_time_grid(rw.spectrum, samples) if t_max is None
          else np.linspace(0.0, t_max, samples))
     lam = rw.eigenvalues
@@ -337,24 +378,29 @@ def time_series(h: Hamiltonian, t_max: float | None = None, samples: int = 10_00
         raise InvalidParameterError(
             f"time grid to t={t_end!r} overflows the phases t * lambda (max |lambda| = {lam_max!r})"
         )
-    weights_t = np.ascontiguousarray(rw.weights.T)
-    share = rw.nodes / rw.nodes.sum()
+    root_share = np.sqrt(rw.nodes / rw.nodes.sum())
+    scaled = np.ascontiguousarray(rw.weights * root_share[:, None])
+    step = min(_block_rows(len(lam)), len(t))
+    first = np.empty((len(lam), step), dtype=complex)
+    first[:, 0] = 1.0
+    k = 1
+    while k < step:
+        rows = min(k, step - k)
+        np.multiply(first[:, :rows], np.exp(-1j * (t[k] * lam))[:, None], out=first[:, k:k + rows])
+        k *= 2
+    phases = np.empty_like(first)
+    parts = phases.view(np.float64)  # column j: re, im of each time in turn
+    amp = np.empty((len(scaled), 2 * step))
     abs_alpha_sq, pi_bar = np.empty(len(t)), np.empty(len(t))
-    # Blocks of at most 2^16 phases (512 KiB per real array) stay under the 4 MiB from
-    # which numpy asks for transparent huge pages, so peak memory does not depend on free
-    # huge pages; re and im have at most as many positions as there are columns.
-    step = max(1, (1 << 16) // len(lam))
-    phase = np.outer(t[:step], lam)
-    cos0, sin0 = np.cos(phase), np.sin(phase)
     for start in range(0, len(t), step):
         rows = min(step, len(t) - start)
-        cos_b, sin_b = np.cos(t[start] * lam), np.sin(t[start] * lam)
-        # exp(-i(t_b + t_k) lambda) = cos - i sin; the sign of im drops out of every square
-        re = (cos0[:rows] * cos_b - sin0[:rows] * sin_b) @ weights_t
-        im = (sin0[:rows] * cos_b + cos0[:rows] * sin_b) @ weights_t
+        np.multiply(first[:, :rows], np.exp(-1j * (t[start] * lam))[:, None], out=phases[:, :rows])
+        out = np.matmul(scaled, parts[:, :2 * rows], out=amp[:, :2 * rows])
+        alpha = root_share @ out
+        squares = np.einsum("qj,qj->j", out, out)
         block = slice(start, start + rows)
-        abs_alpha_sq[block] = (re @ share) ** 2 + (im @ share) ** 2
-        pi_bar[block] = (re * re + im * im) @ share
+        abs_alpha_sq[block] = alpha[0::2] ** 2 + alpha[1::2] ** 2
+        pi_bar[block] = squares[0::2] + squares[1::2]
     return TimeSeries(t, abs_alpha_sq, pi_bar, rw)
 
 

@@ -7,7 +7,8 @@ in index order.
 
 Realizations run in tasks of consecutive indices, each a range of whole
 blocks of at most 2^14 realizations; serial and pooled runs map the
-same task function.  What does not depend on the block runs once per
+same task function, and a sweep starts at most one pool for all of its
+rows (`WorkerPool`).  What does not depend on the block runs once per
 task: the SplitMix64 pass over the index array, NumPy's SeedSequence
 hash and PCG64 seeding of all the task's seeds, the one reused
 generator (`graphs._uniform_rows`), the guide table of the functionality
@@ -25,6 +26,7 @@ the trees' parent arrays.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from multiprocessing import Pool
 
@@ -173,29 +175,58 @@ def _realize_task(
     return 1.0 - value, counts.avg_f_nonleaf
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise InvalidParameterError(f"worker count must be >= 1, got {workers}")
+class WorkerPool:
+    """Maps tasks in order, in this process at one worker, else in one process pool.
+
+    The pool starts at the first map of more than one task, with as many
+    processes as that map has tasks, up to the worker count, and serves
+    every later map until the context exits; `starts` counts its starts
+    (0 or 1).  A worker count below 1 is refused here.
+    """
+
+    def __init__(self, workers: int = 1) -> None:
+        if workers < 1:
+            raise InvalidParameterError(f"worker count must be >= 1, got {workers}")
+        self.workers = workers
+        self.starts = 0
+        self._pool = None
+
+    def map(self, fn, tasks: list) -> list:
+        if self.workers == 1 or len(tasks) == 1:
+            return list(map(fn, tasks))
+        if self._pool is None:
+            self._pool = Pool(min(self.workers, len(tasks)))
+            self.starts += 1
+        return self._pool.map(fn, tasks, chunksize=1)
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool = None
 
 
-def run_ensemble(cfg: EnsembleConfig, workers: int = 1) -> EnsembleResult:
+def _pool_of(workers: int | WorkerPool):
+    """A context holding workers if it is a pool (left open on exit), else a new pool."""
+    return nullcontext(workers) if isinstance(workers, WorkerPool) else WorkerPool(workers)
+
+
+def run_ensemble(cfg: EnsembleConfig, workers: int | WorkerPool = 1) -> EnsembleResult:
     """Average 1 - chi_lb over r seeded realizations.
 
     The per-realization values depend only on the config, never on the
     worker count; rerunning with any parallelism reproduces the result
-    bit for bit.
+    bit for bit.  workers is a count or an open `WorkerPool` to reuse.
     """
     _check_config(cfg)
-    _check_workers(workers)
-    cdf = _sft_cdf(cfg.n, cfg.s, cfg.resolved_f_max())
-    block = _block_size(cfg.n)
-    tasks = [(cfg, cdf, start, stop, block)
-             for start, stop in _task_ranges(cfg.r, block, workers)]
-    if workers > 1 and len(tasks) > 1:
-        with Pool(min(workers, len(tasks))) as pool:
-            done = pool.map(_realize_task, tasks, chunksize=1)
-    else:
-        done = list(map(_realize_task, tasks))
+    with _pool_of(workers) as pool:
+        cdf = _sft_cdf(cfg.n, cfg.s, cfg.resolved_f_max())
+        block = _block_size(cfg.n)
+        tasks = [(cfg, cdf, start, stop, block)
+                 for start, stop in _task_ranges(cfg.r, block, pool.workers)]
+        done = pool.map(_realize_task, tasks)
     values_array = np.concatenate([v for v, _ in done])
     values = values_array.tolist()
     avg_fs = np.concatenate([a for _, a in done]).tolist()
@@ -241,50 +272,51 @@ def _error_name(exc: Exception) -> str:
     return _ERROR_NAMES.get(type(exc), type(exc).__name__)
 
 
-def sweep(cfgs: list[EnsembleConfig], workers: int = 1) -> list[SweepRow]:
+def sweep(cfgs: list[EnsembleConfig], workers: int | WorkerPool = 1) -> list[SweepRow]:
     """Run one ensemble per config; errors flag the row, never abort the sweep.
 
     A worker count below 1 and a NumPy whose generator state qtree cannot
-    write are no row's error: they raise before the first row.
+    write are no row's error: they raise before the first row.  Every
+    row maps its tasks in one pool, workers itself if it is an open
+    `WorkerPool`.
     """
     if not cfgs:
         raise InvalidParameterError("sweep needs at least one config")
-    _check_workers(workers)
-    _check_pcg64_layout()
-    rows = []
-    for cfg in cfgs:
-        status = "ok"
-        f_max = cfg.resolved_f_max()
-        avg_f = mc_mean = mc_err = finite = infinite = None
-        try:
-            _check_config(cfg)
-            if cfg.s > 2:
-                infinite = 1.0 - chi_sft_infinite(cfg.s)
-            avg_f = avg_f_sft(cfg.s, f_max)
-            finite = 1.0 - _chi_sft_at_mean(avg_f, f_max, cfg.n)
-        except QtreeError as exc:
-            status = _error_name(exc)
-        try:
-            result = run_ensemble(cfg, workers=workers)
-            mc_mean = result.mean_one_minus_chi_lb
-            mc_err = result.std_error
-        except QtreeError as exc:
-            status = _error_name(exc) if status == "ok" else status
-        rows.append(
-            SweepRow(
-                s=cfg.s,
-                n=cfg.n,
-                f_max=f_max,
-                r=cfg.r,
-                avg_f_analytic=avg_f,
-                one_minus_chi_mc_mean=mc_mean,
-                one_minus_chi_mc_stderr=mc_err,
-                one_minus_chi_analytic_finite=finite,
-                one_minus_chi_analytic_infinite=infinite,
-                status=status,
-            )
-        )
-    return rows
+    with _pool_of(workers) as pool:
+        _check_pcg64_layout()
+        return [_sweep_row(cfg, pool) for cfg in cfgs]
+
+
+def _sweep_row(cfg: EnsembleConfig, pool: WorkerPool) -> SweepRow:
+    status = "ok"
+    f_max = cfg.resolved_f_max()
+    avg_f = mc_mean = mc_err = finite = infinite = None
+    try:
+        _check_config(cfg)
+        if cfg.s > 2:
+            infinite = 1.0 - chi_sft_infinite(cfg.s)
+        avg_f = avg_f_sft(cfg.s, f_max)
+        finite = 1.0 - _chi_sft_at_mean(avg_f, f_max, cfg.n)
+    except QtreeError as exc:
+        status = _error_name(exc)
+    try:
+        result = run_ensemble(cfg, workers=pool)
+        mc_mean = result.mean_one_minus_chi_lb
+        mc_err = result.std_error
+    except QtreeError as exc:
+        status = _error_name(exc) if status == "ok" else status
+    return SweepRow(
+        s=cfg.s,
+        n=cfg.n,
+        f_max=f_max,
+        r=cfg.r,
+        avg_f_analytic=avg_f,
+        one_minus_chi_mc_mean=mc_mean,
+        one_minus_chi_mc_stderr=mc_err,
+        one_minus_chi_analytic_finite=finite,
+        one_minus_chi_analytic_infinite=infinite,
+        status=status,
+    )
 
 
 def _cell(x) -> str:

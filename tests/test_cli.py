@@ -252,15 +252,18 @@ def test_sweep_rerun_is_byte_identical_across_workers(tmp_path):
         assert len(manifest["timings"]["row_s"]) == 2
         assert all(v >= 0 for v in manifest["timings"]["row_s"])
         # n = 60 takes blocks of 1093 realizations, so each row's 400 are one block and one
-        # task, whose seeds are hashed in one pass
-        assert manifest["counters"] == {"realizations": 800, "blocks": 2, "seed_passes": 2}
+        # task, whose seeds are hashed in one pass; a single task runs in process, so even
+        # eight workers start no pool
+        assert manifest["counters"] == {"realizations": 800, "blocks": 2, "seed_passes": 2,
+                                        "pool_starts": 0}
 
 
-@pytest.mark.parametrize("workers, seed_passes", [(None, 1), (1, 1), (2, 8)])
-def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_passes):
+@pytest.mark.parametrize("workers, seed_passes, pool_starts", [(None, 1, 0), (1, 1, 0), (2, 8, 1)])
+def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_passes,
+                                                      pool_starts):
     # n = 100 takes blocks of 656, so the --paper-r row's 10 000 realizations are 16 blocks:
     # one task for one worker, and tasks of two blocks for two workers; without --workers
-    # the sweep runs, and records, one worker
+    # the sweep runs, and records, one worker, in process
     out = tmp_path / "sweep.csv"
     flags = [] if workers is None else ["--workers", str(workers)]
     res = run_cli("sweep", "--n", "100", "--s-grid", "2.5", "--paper-r", *flags,
@@ -269,7 +272,7 @@ def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_pa
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["params"]["workers"] == (workers or 1)
     assert manifest["counters"] == {"realizations": 10_000, "blocks": 16,
-                                    "seed_passes": seed_passes}
+                                    "seed_passes": seed_passes, "pool_starts": pool_starts}
 
 
 def test_sweep_manifest_with_a_null_worker_count_reruns_on_one_worker(tmp_path):
@@ -410,6 +413,29 @@ def test_timeseries_body_is_each_value_at_17_digits(tmp_path, t_max):
                            for t, a, p in zip(ts.times, ts.abs_alpha_sq, ts.pi_bar)]
 
 
+@pytest.mark.parametrize("samples, t_max", [(4, "5e-324"), (7, "1e-320")])
+def test_timeseries_refuses_a_grid_that_repeats_a_time_before_reading(tmp_path, capsys,
+                                                                       samples, t_max):
+    # linspace(0, t_max, samples) rounds some subnormal times onto their neighbours; the
+    # grid is checked with the other options, so the missing input is never opened
+    out = tmp_path / "ts.csv"
+    assert cli.main(["timeseries", "--in", str(tmp_path / "missing.edges"), "--t-max", t_max,
+                     "--samples", str(samples), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtree: ") and "--t-max" in err and "--samples" in err
+    assert "repeat a time" in err
+    assert not out.exists()
+
+
+def test_timeseries_runs_on_a_subnormal_grid_that_does_not_repeat(tmp_path):
+    edges, out = str(tmp_path / "s5.edges"), tmp_path / "ts.csv"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", edges]) == 0
+    assert cli.main(["timeseries", "--in", edges, "--t-max", "1e-320", "--samples", "3",
+                     "--out", str(out)]) == 0
+    body = out.read_text().splitlines()[2:-1]
+    assert [float(line.split(",")[0]) for line in body] == [0.0, 5e-321, 1e-320]
+
+
 def test_timeseries_rerun_identical(tmp_path):
     edges = tmp_path / "s5.edges"
     run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges))
@@ -422,11 +448,23 @@ def test_timeseries_rerun_identical(tmp_path):
     assert second.read_bytes() == out.read_bytes()
     for manifest_path in (str(out) + ".manifest.json", str(second) + ".manifest.json"):
         manifest = json.loads(Path(manifest_path).read_text())
-        assert sorted(manifest["timings"]) == ["read_s", "series_s", "write_s"]
+        assert sorted(manifest["timings"]) == ["read_s", "series_s", "weights_s", "write_s"]
         assert all(v >= 0 for v in manifest["timings"].values())
-        # star(5): a 2-position quotient at the root and the 1-node leaf shape
+        # star(5): a 2-position quotient at the root and the 1-node leaf shape; 3 columns
+        # make blocks of 2^16 // 3 times, so the 500 samples are one block
         assert manifest["counters"] == {"n": 5, "eigh_calls": 2, "largest_solve_dim": 2,
-                                        "weight_columns": 3}
+                                        "weight_columns": 3, "series_blocks": 1}
+
+
+def test_timeseries_manifest_counts_series_blocks(tmp_path):
+    # chain(301) has no branch symmetry: 301 weight columns, so blocks of 2^16 // 301 = 217
+    # times, and 1000 samples take five blocks
+    edges, out = str(tmp_path / "c.edges"), str(tmp_path / "ts.csv")
+    assert cli.main(["gen", "--family", "chain", "--n", "301", "--out", edges]) == 0
+    assert cli.main(["timeseries", "--in", edges, "--samples", "1000", "--out", out]) == 0
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["counters"]["weight_columns"] == 301
+    assert manifest["counters"]["series_blocks"] == 5
 
 
 def test_chi_rerun_identical(tmp_path):

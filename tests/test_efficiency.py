@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -39,6 +40,7 @@ from qtree import (
     time_series,
     zeta,
 )
+from qtree import efficiency
 from qtree.efficiency import _flat_bound_truncated
 
 from conftest import dense_reference
@@ -547,6 +549,16 @@ def test_time_series_refuses_a_grid_whose_phases_overflow(t_max):
     # max |lambda| of the star is above 1, so 1e308 * lambda is inf
     with pytest.raises(InvalidParameterError, match="overflows the phases"):
         time_series(build_hamiltonian(generate_star(4)), t_max, 50)
+
+
+@pytest.mark.parametrize("samples, t_max", [(4, 5e-324), (7, 1e-320)])
+def test_time_series_refuses_a_grid_that_repeats_a_time_before_solving(samples, t_max):
+    h = build_hamiltonian(generate_star(4))
+    with mock.patch.object(efficiency, "return_weights", side_effect=AssertionError("solved")):
+        with pytest.raises(InvalidParameterError, match="repeat a time"):
+            time_series(h, t_max, samples)
+    ts = time_series(h, 1e-320, 3)  # 0, 5e-321 and 1e-320 are evenly spaced
+    assert ts.times.tolist() == [0.0, 5e-321, 1e-320]
 
 
 def _reference_flat_bound(a, b, n):

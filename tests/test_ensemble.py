@@ -264,6 +264,28 @@ def test_config_validation():
         sweep([EnsembleConfig(n=50, s=2.5, r=4)], workers=0)
 
 
+def test_sweep_rows_share_one_pool_and_match_one_worker(monkeypatch):
+    # count the pools the sweep starts; each row still maps its own tasks, in order
+    started, start_pool = [], ensemble.Pool
+
+    def counting_pool(processes):
+        started.append(processes)
+        return start_pool(processes)
+
+    monkeypatch.setattr(ensemble, "Pool", counting_pool)
+    cfgs = [EnsembleConfig(n=80, s=s, r=2000, master_seed=77) for s in (2.2, 3.0, 4.0)]
+    expected = sweep_csv_text(sweep(cfgs))
+    assert started == []  # one worker runs every row in the process
+    for workers in (2, 3):
+        started.clear()
+        with ensemble.WorkerPool(workers) as pool:
+            assert sweep_csv_text(sweep(cfgs, workers=pool)) == expected
+            assert sweep_csv_text(sweep(cfgs[:1], workers=pool)) == sweep_csv_text(
+                sweep(cfgs[:1]))
+        assert pool.starts == 1 and started == [workers]
+        assert sweep_csv_text(sweep(cfgs, workers=workers)) == expected
+
+
 def test_sweep_preserves_order_and_monotonicity():
     cfgs = [
         EnsembleConfig(n=100, s=s, r=2000, master_seed=11) for s in (2.2, 2.6, 3.0, 4.0)

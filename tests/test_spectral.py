@@ -35,6 +35,7 @@ from qtree import (
     time_series,
     TreeGraph,
 )
+from qtree import efficiency
 from qtree.spectral import _bin, _matrix, _plan
 
 from conftest import (
@@ -481,6 +482,26 @@ def test_time_series_matches_direct_phases_at_long_times():
     abs_alpha_sq, pi_bar = direct_time_series(ts.weights, ts.times)
     assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11
     assert np.max(np.abs(ts.pi_bar - pi_bar)) <= 1e-11
+
+
+KERNEL_GRAPHS = [generate_chain(7), generate_dendrimer(3, 4), generate_vicsek(3, 2),
+                 generate_sft(200, 2.4, seed=3)]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("g", KERNEL_GRAPHS, ids=lambda g: g.label)
+def test_time_series_blocks_of_any_size_match_direct_phases(monkeypatch, g, rows):
+    # blocks of 3 and 7 times end the first block's doubling with a partial step; the
+    # sample counts put the grid's end just inside, at and just past a block's end
+    monkeypatch.setattr(efficiency, "_block_rows", lambda columns: rows)
+    rw = return_weights(build_hamiltonian(g))
+    for samples in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0}):
+        for t_max in (None, 37.0):
+            ts = efficiency._series(rw, t_max, samples)
+            abs_alpha_sq, pi_bar = direct_time_series(rw, ts.times)
+            assert len(ts.times) == samples
+            assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11, (samples, t_max)
+            assert np.max(np.abs(ts.pi_bar - pi_bar)) <= 1e-11, (samples, t_max)
 
 
 # --- the slice-based plan and binning from counts against their references -----
