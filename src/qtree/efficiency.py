@@ -315,13 +315,16 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
 
 
 def _check_time_grid(t_max: float | None, samples: int) -> None:
-    """Refuses linspace(0, t_max, samples) where it repeats a time, as a subnormal t_max can.
+    """Refuses fewer than 2 samples, and linspace(0, t_max, samples) where it repeats a
+    time, as a subnormal t_max can.
 
     None, the default grid, is known only after the solves and is not
     checked here; a t_max that is not finite is left to the phase
     overflow check.
     """
-    if (samples > 1 and t_max is not None and math.isfinite(t_max)
+    if samples < 2:
+        raise InvalidParameterError(f"a time series needs at least 2 samples, got {samples}")
+    if (t_max is not None and math.isfinite(t_max)
             and not _uniform_increasing(np.diff(np.linspace(0.0, t_max, samples)))):
         raise InvalidParameterError(
             f"--t-max {t_max!r} is too small for --samples {samples}: "

@@ -16,12 +16,13 @@ draw and, for the structural estimators, the bound over all the task's
 trees.  Only the per-node arrays are made block by block: row i draws
 exactly what NumPy's default generator seeded with seed i draws,
 `np.random.Generator(np.random.PCG64(seed)).random(n)` on the installed
-NumPy, and a grown block is the slot prefix sums of its trees
-(`graphs._grow_sft_ends`).  Every estimator takes each tree's leaf and
-parent counts and functionality averages from them in closed form
+NumPy, and a grown block is one running sum of the slots its nodes
+open, row after row (`graphs._grow_sft_ends`).  Every estimator takes
+each tree's leaf and parent counts and functionality averages from it
+in closed form, by two binary searches per tree
 (`graphs._sft_slot_counts`, `graphs._count_sft_trees`), with no
-per-node leaf or parent array; only the spectral-exact estimator builds
-the trees' parent arrays.
+per-node leaf or parent array and no pass over the nodes after the
+sum; only the spectral-exact estimator builds the trees' parent arrays.
 """
 from __future__ import annotations
 
@@ -157,12 +158,12 @@ def _realize_task(
     cfg, cdf, start, stop, block = task
     seeds = _realization_seeds(cfg.master_seed, np.arange(start, stop, dtype=np.uint64))
     slot_counts, exact = [], []
-    for ends in _grow_sft_ends(cdf, cfg.n, seeds, block):
-        slot_counts.append(_sft_slot_counts(ends))
+    for sums in _grow_sft_ends(cdf, cfg.n, seeds, block):
+        slot_counts.append(_sft_slot_counts(sums))
         if cfg.estimator == SPECTRAL_EXACT:
             # the exact multiplicity of E* = 1, the connectivity matrix's leaf value
             trees = (build_hamiltonian(TreeGraph(row), CONNECTIVITY, size_limit=None)
-                     for row in _parent_arrays(ends))
+                     for row in _parent_arrays(sums))
             exact += [chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
                       for h in trees]
     counts = _count_sft_trees(cfg.n, np.concatenate(slot_counts, axis=1))

@@ -371,7 +371,7 @@ def _uniform_rows(seeds: Sequence[int] | np.ndarray, n: int, block: int) -> Iter
     _check_pcg64_layout()
     states = _pcg64_states(np.asarray(seeds, dtype=np.uint64))
     bits = np.random.PCG64(0)
-    generator = np.random.Generator(bits)
+    random = np.random.Generator(bits).random
     state = _pcg64_state_words(bits)
     for start in range(0, len(states), block):
         rows = states[start:start + block].tolist()
@@ -380,7 +380,7 @@ def _uniform_rows(seeds: Sequence[int] | np.ndarray, n: int, block: int) -> Iter
         # stays unset
         for row, words in zip(draws, rows):
             state[:] = words
-            generator.random(out=row)
+            random(out=row)
         yield draws
 
 
@@ -388,29 +388,37 @@ _BUCKETS = 4096  # a power of two, so u * _BUCKETS and every bucket edge b / _BU
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Chen & Asau's guide table (AIIE Trans. 6 (1974) 163) of a CDF: entry b is
-    np.searchsorted(cdf, b / _BUCKETS, side="right"), for b = 0.._BUCKETS."""
-    return np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+    """Chen & Asau's guide table (AIIE Trans. 6 (1974) 163) of a CDF, as slot counts.
+
+    With c_b = np.searchsorted(cdf, b / _BUCKETS, side="right"), entry b,
+    for b = 0.._BUCKETS - 1, is 1 + c_b when bucket [b, b + 1) / _BUCKETS
+    holds no CDF entry (c_b = c_{b+1}), and 0 when it holds one.
+    """
+    counts = np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+    return np.where(counts[1:] == counts[:-1], counts[:-1] + 1, 0)
 
 
 def _draw_functionalities(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u, side="right") of each draw u in [0, 1), by the guide table of cdf.
+    """np.searchsorted(cdf, u, side="right") + 1 of each draw u in [0, 1), by the guide
+    table of cdf; u is scaled by _BUCKETS in place.
 
-    The count does not decrease in u, so a draw in [b, b + 1) / _BUCKETS
-    whose bucket holds no CDF entry (table entries b and b + 1 agree)
-    takes entry b; only draws in the other buckets are searched.
+    That is 1 + d_j, the slots a node other than the root opens.  The
+    count does not decrease in u, so a draw in a bucket that holds no
+    CDF entry takes the bucket's table entry; only the draws whose entry
+    is 0 are searched, each divided back by _BUCKETS (exact, as it is a
+    power of two).
     """
-    bucket = (u * _BUCKETS).astype(np.intp)
-    counts = table[bucket]
-    searched = np.flatnonzero((table[1:] != table[:-1])[bucket])
-    counts.flat[searched] = np.searchsorted(cdf, u.flat[searched], side="right")
-    return counts
+    u *= _BUCKETS
+    slots = table[u.astype(np.intp)]
+    searched = np.flatnonzero(slots == 0)
+    slots.flat[searched] = np.searchsorted(cdf, u.flat[searched] / _BUCKETS, side="right") + 1
+    return slots
 
 
 def _grow_sft_ends(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray,
                    block: int) -> Iterator[np.ndarray]:
-    """Slot prefix sums of len(seeds) scale-free trees on n nodes, one int64 row per seed,
-    in arrays of `block` consecutive rows (the last may hold fewer).
+    """The running slot sums of len(seeds) scale-free trees on n nodes, one int64 row per
+    seed, in arrays of `block` consecutive rows (the last may hold fewer).
 
     Node j's target functionality is 2 + d_j, with d_j from the j-th
     uniform draw of `np.random.Generator(np.random.PCG64(seeds[i]))`,
@@ -418,33 +426,44 @@ def _grow_sft_ends(cdf: np.ndarray, n: int, seeds: Sequence[int] | np.ndarray,
     depend on the rows runs once per call: the SeedSequence hashing and
     PCG64 seeding of all seeds, the one reused generator
     (`_uniform_rows`) and the guide table of cdf; only the per-node
-    arrays, the draws and the sums, are made per block.  The root opens
-    2 + d_0 slots and every other node, less the bond to its parent,
-    1 + d_j; entry k of a row is E_k, the slots opened by nodes 0..k,
-    unclipped, so E_k >= k + 2 and each row strictly increases.  Node c
-    fills slot c - 1, first in first out, so node k's children are the
-    nodes E_{k-1} + 1..E_k below n, with E_{-1} = 0.  A row does not
-    depend on the other seeds of the call or on the block size.
+    arrays, the draws and the sums, are made per block.
+
+    The root opens 2 + d_0 slots and every other node, less the bond to
+    its parent, 1 + d_j.  A block is one cumulative sum C of the 1 + d_j
+    over the whole block, flat in row order, so it strictly increases
+    across rows.  Row r's slot prefix sums are E_k = C[r n + k] -
+    C[r n - 1] + 1, with C[-1] = 0: E_k is the slots opened by nodes
+    0..k, unclipped, so E_k >= k + 2.  Node c fills slot c - 1, first in
+    first out, so node k's children are the nodes E_{k-1} + 1..E_k
+    below n, with E_{-1} = 0.  E does not depend on the other seeds of
+    the call or on the block size; C restarts at each block.
     """
     table = _guide_table(cdf)
-    slots = np.arange(2, n + 2)
     for draws in _uniform_rows(seeds, n, block):
-        ends = _draw_functionalities(cdf, table, draws)
-        # in place, in int64: E_k < n f_max <= n^2, which int32 does not hold above n = 46 341
-        np.cumsum(ends, axis=1, out=ends)
-        ends += slots
-        yield ends
+        sums = _draw_functionalities(cdf, table, draws)
+        # in place, in int64: C < block n f_max, which passes 2^31 for large n
+        np.cumsum(sums, out=sums.reshape(-1))
+        yield sums
 
 
-def _parent_arrays(ends: np.ndarray) -> np.ndarray:
-    """Breadth-first parent arrays of trees given by their slot prefix sums, one row per tree.
+def _row_bases(sums: np.ndarray) -> np.ndarray:
+    """C[r n - 1] of each row r of a block's running slot sums, with C[-1] = 0."""
+    bases = np.zeros(len(sums), dtype=sums.dtype)
+    bases[1:] = sums[:-1, -1]
+    return bases
+
+
+def _parent_arrays(sums: np.ndarray) -> np.ndarray:
+    """Breadth-first parent arrays of trees given by a block's running slot sums
+    (`_grow_sft_ends`), one row per tree.
 
     Node k's child count is min(E_k, n - 1) - min(E_{k-1}, n - 1), and
     node k is the parent of the next that many nodes after those of
     nodes 0..k-1; each row starts with the root's -1.
     """
-    trees, n = ends.shape
-    clipped = np.minimum(ends, n - 1)
+    trees, n = sums.shape
+    clipped = sums - (_row_bases(sums) - 1)[:, None]
+    np.minimum(clipped, n - 1, out=clipped)
     children = clipped.copy()
     children[:, 1:] -= clipped[:, :-1]
     parents = np.full((trees, n), -1)
@@ -470,8 +489,8 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
         f_max = n - 1
     cdf = _sft_cdf(n, s, f_max)
     seed = int(seed) & _MASK64
-    (ends,) = _grow_sft_ends(cdf, n, [seed], 1)
-    parents = _parent_arrays(ends)[0]
+    (sums,) = _grow_sft_ends(cdf, n, [seed], 1)
+    parents = _parent_arrays(sums)[0]
     return TreeGraph(parents, f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
 
@@ -497,20 +516,31 @@ def _tree_totals(n: int, n_leaves, n_parents, sum_f_parents, sum_delta) -> _Tree
     )
 
 
-def _sft_slot_counts(ends: np.ndarray) -> np.ndarray:
-    """L, P and E_{P-1} of scale-free trees given by their slot prefix sums, one column per tree.
+def _sft_slot_counts(sums: np.ndarray) -> np.ndarray:
+    """L, P and E_{P-1} of scale-free trees given by a block's running slot sums
+    (`_grow_sft_ends`), one column per tree.
 
     L = #{k : E_k < n - 1} and P = #{k : E_k <= L}; `_count_sft_trees`
-    gives every count and average from them.  Where P = 0, the third
-    row holds E_{n-1}, which `_count_sft_trees` replaces by E_{-1} = 0.
-    The columns of several blocks' calls can be joined and counted at once.
+    gives every count and average from them.  C increases strictly, so
+    with row r's base C[r n - 1] = B, L is where B + n - 2 sorts into C,
+    side left, less r n: the row holds every entry below it (E_{n-1} >=
+    n + 1), and every earlier entry is at most B.  P is likewise where
+    B + L - 1 sorts, side right, less r n, which is negative when L = 0
+    (B - 1 sorts before C[r n - 1] = B) and then clamped at 0.  Where
+    P = 0, the third row holds no E_{P-1}; `_count_sft_trees` replaces
+    it by E_{-1} = 0.  The columns of several blocks' calls can be
+    joined and counted at once.
     """
-    trees, n = ends.shape
+    trees, n = sums.shape
+    flat = sums.reshape(-1)
+    bases = _row_bases(sums)
+    starts = np.arange(0, trees * n, n)
     counts = np.empty((3, trees), dtype=np.int64)
     last, first, before = counts
-    last[:] = np.count_nonzero(ends < n - 1, axis=1)
-    first[:] = np.count_nonzero(ends <= last[:, None], axis=1)
-    before[:] = ends[np.arange(trees), first - 1]
+    last[:] = np.searchsorted(flat, bases + (n - 2)) - starts
+    found = np.maximum(np.searchsorted(flat, bases + (last - 1), side="right"), starts)
+    first[:] = found - starts
+    before[:] = flat[found - 1] - bases + 1
     return counts
 
 

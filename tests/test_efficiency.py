@@ -356,7 +356,8 @@ def test_kappa_fit_vicsek_against_mean_functionality():
 # --- time-domain quantities -------------------------------------------------------
 
 def test_return_amplitude_at_t0():
-    ts = time_series(build_hamiltonian(generate_chain(3)), samples=1)
+    ts = time_series(build_hamiltonian(generate_chain(3)), samples=2)
+    assert ts.times[0] == 0.0
     assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -559,6 +560,17 @@ def test_time_series_refuses_a_grid_that_repeats_a_time_before_solving(samples, 
             time_series(h, t_max, samples)
     ts = time_series(h, 1e-320, 3)  # 0, 5e-321 and 1e-320 are evenly spaced
     assert ts.times.tolist() == [0.0, 5e-321, 1e-320]
+
+
+@pytest.mark.parametrize("t_max", [None, 100.0])
+@pytest.mark.parametrize("samples", [0, -3, 1])
+def test_time_series_refuses_fewer_than_two_samples_before_solving(samples, t_max):
+    # as `qtree timeseries --samples` does: an empty grid has no last time, and np.linspace
+    # refuses a negative count
+    h = build_hamiltonian(generate_star(4))
+    with mock.patch.object(efficiency, "return_weights", side_effect=AssertionError("solved")):
+        with pytest.raises(InvalidParameterError, match=f"at least 2 samples, got {samples}$"):
+            time_series(h, t_max, samples)
 
 
 def _reference_flat_bound(a, b, n):

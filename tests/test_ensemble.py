@@ -104,17 +104,17 @@ def test_each_task_hashes_its_seeds_once(monkeypatch):
 
 
 def test_structural_block_counts_from_draws_alone(monkeypatch):
-    # the trees are counted in closed form from their slot prefix sums, so no parent array
-    # is built and neither bincount nor the per-tree counting of structural_stats runs; a
-    # task hashes its seeds and builds its guide table once, and then, block by block,
-    # searches only the draws in a bucket (b, b + 1] / K that holds a CDF entry
+    # the trees are counted in closed form from their running slot sums, so no parent array
+    # is built and neither bincount nor a per-node count runs; a task hashes its seeds and
+    # builds its guide table once, and then, block by block, searches only the draws in a
+    # bucket (b, b + 1] / K that holds a CDF entry, and its running sum twice, once per tree
     searched, hashed = [], []
     real_searchsorted = np.searchsorted
     real_realization_seeds = ensemble._realization_seeds
     real_pcg64_states = graphs._pcg64_states
 
     def searchsorted(a, v, *args, **kwargs):
-        searched.append(np.size(v))
+        searched.append((a is cdf, np.size(v)))
         return real_searchsorted(a, v, *args, **kwargs)
 
     def realization_seeds(*args):
@@ -146,11 +146,15 @@ def test_structural_block_counts_from_draws_alone(monkeypatch):
             m.setattr(np, "searchsorted", searchsorted)
             m.setattr(np, "repeat", refuse)
             m.setattr(np, "bincount", refuse)
+            m.setattr(np, "count_nonzero", refuse)
             m.setattr(ensemble, "_realization_seeds", realization_seeds)
             m.setattr(graphs, "_pcg64_states", pcg64_states)
             got = _realize_task(task)
         assert hashed == ["splitmix64", "seed sequence"]
-        assert searched == [_BUCKETS + 1, *ambiguous]
+        assert [size for of_cdf, size in searched if of_cdf] == [_BUCKETS + 1, *ambiguous]
+        # L and P: two searches of the running sum per block, one target per tree each
+        sums_searched = [size for of_cdf, size in searched if not of_cdf]
+        assert sums_searched == [trees for trees in (block,) * 3 + (5,) for _ in range(2)]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 

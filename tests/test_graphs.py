@@ -497,9 +497,9 @@ def test_sft_matches_reference_growth(n, s, f_max):
 
 
 def _grown_at_once(cdf, n, seeds):
-    """The slot prefix sums of the trees of all seeds, grown as one block."""
-    (ends,) = _grow_sft_ends(cdf, n, seeds, len(seeds))
-    return ends
+    """The running slot sums of the trees of all seeds, grown as one block."""
+    (sums,) = _grow_sft_ends(cdf, n, seeds, len(seeds))
+    return sums
 
 
 @pytest.mark.parametrize("n, s, f_max", SFT_CASES)
@@ -508,10 +508,9 @@ def test_sft_block_rows_do_not_depend_on_grouping(n, s, f_max):
     expected = [_reference_sft_parents(n, s, f_max, seed) for seed in seeds]
     for size in (1, 3, 8, 20):
         blocks = list(_grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds, size))
-        assert [len(b) for b in blocks] == [min(size, 8 - k) for k in range(0, 8, size)]
-        block = np.concatenate(blocks)
-        assert block.shape == (len(seeds), n)
-        for row, parents in zip(_parent_arrays(block), expected):
+        assert [b.shape for b in blocks] == [(min(size, 8 - k), n) for k in range(0, 8, size)]
+        # a running sum restarts at each block, so each block is read on its own
+        for row, parents in zip(np.concatenate([_parent_arrays(b) for b in blocks]), expected):
             assert row[0] == -1
             assert np.array_equal(row[1:], parents), size
 
@@ -603,10 +602,10 @@ def test_draw_functionalities_equals_searchsorted_at_every_edge(s, f_max):
                         edges, np.nextafter(edges, 0), [0.0, 1 - 2.0**-53]))
     u = u[(u >= 0) & (u < 1)]
     table = _guide_table(cdf)
-    got = _draw_functionalities(cdf, table, u)
-    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+    got = _draw_functionalities(cdf, table, u.copy())  # the draws are scaled in place
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right") + 1)
     block = u[: len(u) // 4 * 4].reshape(4, -1)  # a block of rows draws as its flat draws do
-    assert np.array_equal(_draw_functionalities(cdf, table, block),
+    assert np.array_equal(_draw_functionalities(cdf, table, block.copy()),
                           got[: block.size].reshape(4, -1))
 
 
@@ -616,15 +615,17 @@ def test_draw_functionalities_equals_searchsorted_at_every_edge(s, f_max):
 def test_draw_functionalities_equals_searchsorted(s, f_max, u):
     cdf = _draw_cdf(s, f_max)
     u = np.array(u)
-    assert np.array_equal(_draw_functionalities(cdf, _guide_table(cdf), u),
-                          np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(_draw_functionalities(cdf, _guide_table(cdf), u.copy()),
+                          np.searchsorted(cdf, u, side="right") + 1)
 
 
-def _assert_closed_form_counts(n, s, f_max, seeds):
-    # the closed form against bincount counting of the same trees' parent arrays, field by field
-    ends = _grown_at_once(_sft_cdf(n, s, f_max), n, seeds)
-    got = _count_sft_trees(n, _sft_slot_counts(ends))
-    expected = count_leaves_and_parents_reference(_parent_arrays(ends)[:, 1:], n)
+def _assert_closed_form_counts(n, s, f_max, seeds, block=None):
+    # the closed form against bincount counting of the same trees' parent arrays, field by
+    # field; each block's running sum is read on its own
+    blocks = list(_grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds, block or len(seeds)))
+    got = _count_sft_trees(n, np.concatenate([_sft_slot_counts(b) for b in blocks], axis=1))
+    parents = np.concatenate([_parent_arrays(b) for b in blocks])
+    expected = count_leaves_and_parents_reference(parents[:, 1:], n)
     for field, a, b in zip(got._fields, got, expected):
         assert a.shape == b.shape == (len(seeds),) and np.array_equal(a, b), (n, s, f_max, field)
     assert np.all(got.n_parents >= 1)
@@ -640,6 +641,21 @@ def test_sft_counts_in_closed_form_equal_the_child_count_counts(n, s):
     seeds = SEED_EDGES + list(range(2, 2001))
     for f_max in sorted({2, min(3, n - 1), n - 1}):
         _assert_closed_form_counts(n, s, f_max, seeds)
+
+
+@pytest.mark.parametrize("block", (1, 3, 700))
+@pytest.mark.parametrize("n", (3, 4, 10))
+def test_sft_counts_where_only_the_root_has_children(n, block):
+    # L = 0 where the root opens n - 1 or more slots, as every root does at n = 3: the search
+    # for P then lands on the row before, or before the block, and P is clamped at 0
+    seeds = SEED_EDGES + list(range(2, 2001))
+    cdf = _sft_cdf(n, 1.4, n - 1)
+    # the rows, within their block, of the trees with L = 0
+    stars = np.concatenate([np.flatnonzero(_sft_slot_counts(b)[0] == 0)
+                            for b in _grow_sft_ends(cdf, n, seeds, block)])
+    assert (len(stars) == len(seeds)) if n == 3 else (len(stars) > 20)
+    assert block == 1 or np.sum(stars > 0) > 10  # away from a block's first row
+    _assert_closed_form_counts(n, 1.4, n - 1, seeds, block)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
