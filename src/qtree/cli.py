@@ -40,7 +40,6 @@ from .ensemble import (
     ESTIMATORS,
     STRUCTURAL_DELTA0,
     EnsembleConfig,
-    WorkerPool,
     _block_size,
     _check_config,
     _task_ranges,
@@ -252,21 +251,17 @@ def run_sweep(params: dict) -> int:
     ]
     # before any row: what the rows share, including n, whose analytic mean loops over n - 1 values
     _check_config(cfgs[0])
-    rows, row_s = [], []
-    with WorkerPool(params["workers"]) as pool:
-        for cfg in cfgs:
-            row_started = time.monotonic()
-            rows += sweep([cfg], workers=pool)
-            row_s.append(time.monotonic() - row_started)
+    rows = sweep(cfgs, params["workers"])
+    swept = time.monotonic()
     ran = sum(row.one_minus_chi_mc_mean is not None for row in rows)
     out = params["out"]
     write_text_atomic(out, sweep_csv_text(rows))
     block = _block_size(n)
+    tasks = _task_ranges([(r, block)] * ran, params["workers"])
     _write_manifest("sweep", params, [out], seed, started, {
-        "timings": {"row_s": row_s},
+        "timings": {"sweep_s": swept - started, "write_s": time.monotonic() - swept},
         "counters": {"realizations": ran * r, "blocks": ran * -(-r // block),
-                     "seed_passes": ran * len(_task_ranges(r, block, params["workers"])),
-                     "pool_starts": pool.starts},
+                     "seed_passes": sum(map(len, tasks))},
     })
     if all(row.status != "ok" for row in rows):
         print("qtree: every sweep row failed", file=sys.stderr)

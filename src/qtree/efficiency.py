@@ -24,7 +24,7 @@ from .errors import (
     NoParentsError,
     OutOfDomainError,
 )
-from .graphs import StructuralStats, TreeGraph, structural_stats
+from .graphs import StructuralStats, TreeGraph, _check_power_law, structural_stats
 from .spectral import (
     CONNECTIVITY,
     DENSE_SOLVER_LIMIT,
@@ -111,15 +111,11 @@ def chi_structural(st: StructuralStats, n: int, delta_mode: str = USE_MEASURED) 
 
 def avg_f_sft(s: float, f_max: int) -> float:
     """Mean functionality of the truncated power law on {2, ..., f_max}."""
-    if not (s > 1 and math.isfinite(s)):
-        raise InvalidParameterError(f"scaling exponent must be finite and exceed 1, got {s}")
+    _check_power_law(s)
     if f_max < 2:
         raise InvalidParameterError(f"f_max must be at least 2, got {f_max}")
     num = math.fsum(f ** (1.0 - s) for f in range(2, f_max + 1))
     den = math.fsum(f ** (-s) for f in range(2, f_max + 1))
-    if not den:
-        raise InvalidParameterError(
-            f"weights f^(-s) underflow to zero for s={s}; the largest usable s is about 1074")
     return num / den
 
 

@@ -6,29 +6,30 @@ how the work is distributed across processes.  Aggregation always runs
 in index order.
 
 Realizations run in tasks of consecutive indices, each a range of whole
-blocks of at most 2^14 realizations; serial and pooled runs map the
-same task function, and a sweep starts at most one pool for all of its
-rows (`WorkerPool`).  What does not depend on the block runs once per
-task: the SplitMix64 pass over the index array, NumPy's SeedSequence
-hash and PCG64 seeding of all the task's seeds, the one reused
-generator (`graphs._uniform_rows`), the guide table of the functionality
-draw and, for the structural estimators, the bound over all the task's
-trees.  Only the per-node arrays are made block by block: row i draws
-exactly what NumPy's default generator seeded with seed i draws,
+blocks of at most 2^14 realizations; a sweep runs the tasks of all its
+rows in one ordered map, and `run_ensemble` is the one-config case.
+What does not depend on the block runs once per task: the SplitMix64
+pass over the index array, NumPy's SeedSequence hash and PCG64 seeding
+of all the task's seeds, the one reused generator
+(`graphs._uniform_rows`), the guide table of the functionality draw and,
+for the structural estimators, the bound over all the task's trees.
+Only the per-node arrays are made block by block: row i draws exactly
+what NumPy's default generator seeded with seed i draws,
 `np.random.Generator(np.random.PCG64(seed)).random(n)` on the installed
-NumPy, and a grown block is one running sum of the slots its nodes
-open, row after row (`graphs._grow_sft_ends`).  Every estimator takes
-each tree's leaf and parent counts and functionality averages from it
-in closed form, by two binary searches per tree
-(`graphs._sft_slot_counts`, `graphs._count_sft_trees`), with no
-per-node leaf or parent array and no pass over the nodes after the
-sum; only the spectral-exact estimator builds the trees' parent arrays.
+NumPy, and a grown block is one running sum of the slots its nodes open,
+row after row (`graphs._grow_sft_ends`).  Every estimator takes each
+tree's leaf and parent counts and functionality averages from it in
+closed form, by two binary searches per tree (`graphs._sft_slot_counts`,
+`graphs._count_sft_trees`), with no per-node leaf or parent array and no
+pass over the nodes after the sum; only the spectral-exact estimator
+builds the trees' parent arrays.
 """
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-from dataclasses import astuple, dataclass, fields
+import os
+from dataclasses import astuple, dataclass, fields, replace
+from itertools import islice
 from multiprocessing import Pool
 
 import numpy as np
@@ -130,17 +131,19 @@ def _block_size(n: int) -> int:
     return min(-(-65_536 // n), _TASK_REALIZATIONS)
 
 
-def _task_ranges(r: int, block: int, workers: int) -> list[tuple[int, int]]:
-    """Realizations 0..r-1 cut into tasks: consecutive ranges of whole blocks.
+def _task_ranges(rows: list[tuple[int, int]], workers: int) -> list[list[tuple[int, int]]]:
+    """Realizations 0..r-1 of each (r, block) row cut into tasks of consecutive whole blocks.
 
     A task holds at most _TASK_REALIZATIONS realizations.  One worker
     takes as few tasks as that allows; more workers get about
-    _TASKS_PER_WORKER tasks each.  Each task hashes its seeds once.
+    _TASKS_PER_WORKER tasks each over all the rows, and every row at
+    least one.  Each task hashes its seeds once.
     """
-    blocks = -(-r // block)
     spread = 1 if workers == 1 else workers * _TASKS_PER_WORKER
-    size = block * min(_TASK_REALIZATIONS // block, -(-blocks // spread))
-    return [(start, min(start + size, r)) for start in range(0, r, size)]
+    per_task = -(-sum(-(-r // block) for r, block in rows) // spread)  # in blocks
+    sizes = [block * min(_TASK_REALIZATIONS // block, per_task) for _, block in rows]
+    return [[(start, min(start + size, r)) for start in range(0, r, size)]
+            for (r, _), size in zip(rows, sizes)]
 
 
 def _realize_task(
@@ -176,58 +179,32 @@ def _realize_task(
     return 1.0 - value, counts.avg_f_nonleaf
 
 
-class WorkerPool:
-    """Maps tasks in order, in this process at one worker, else in one process pool.
-
-    The pool starts at the first map of more than one task, with as many
-    processes as that map has tasks, up to the worker count, and serves
-    every later map until the context exits; `starts` counts its starts
-    (0 or 1).  A worker count below 1 is refused here.
-    """
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise InvalidParameterError(f"worker count must be >= 1, got {workers}")
-        self.workers = workers
-        self.starts = 0
-        self._pool = None
-
-    def map(self, fn, tasks: list) -> list:
-        if self.workers == 1 or len(tasks) == 1:
-            return list(map(fn, tasks))
-        if self._pool is None:
-            self._pool = Pool(min(self.workers, len(tasks)))
-            self.starts += 1
-        return self._pool.map(fn, tasks, chunksize=1)
-
-    def __enter__(self) -> WorkerPool:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool = None
+def _check_workers(workers: int) -> None:
+    """Refuse a worker count below 1, and a NumPy whose generator state qtree cannot write."""
+    if workers < 1:
+        raise InvalidParameterError(f"worker count must be >= 1, got {workers}")
+    _check_pcg64_layout()
 
 
-def _pool_of(workers: int | WorkerPool):
-    """A context holding workers if it is a pool (left open on exit), else a new pool."""
-    return nullcontext(workers) if isinstance(workers, WorkerPool) else WorkerPool(workers)
+def _ensembles(runs: list[tuple[EnsembleConfig, np.ndarray]],
+               workers: int) -> list[EnsembleResult]:
+    """The ensemble of each checked config and the CDF it draws from, all tasks in one ordered
+    map: in this process at one worker or one task, else in one process pool with no more
+    processes than tasks, workers or CPUs this process may use."""
+    blocks = [_block_size(cfg.n) for cfg, _ in runs]
+    ranges = _task_ranges([(cfg.r, block) for (cfg, _), block in zip(runs, blocks)], workers)
+    tasks = [(cfg, cdf, start, stop, block)
+             for (cfg, cdf), block, row in zip(runs, blocks, ranges) for start, stop in row]
+    if workers == 1 or len(tasks) <= 1:
+        done = map(_realize_task, tasks)
+    else:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with Pool(min(workers, len(tasks), cpus or 1)) as pool:
+            done = iter(pool.map(_realize_task, tasks, chunksize=1))
+    return [_result(cfg, list(islice(done, len(row)))) for (cfg, _), row in zip(runs, ranges)]
 
 
-def run_ensemble(cfg: EnsembleConfig, workers: int | WorkerPool = 1) -> EnsembleResult:
-    """Average 1 - chi_lb over r seeded realizations.
-
-    The per-realization values depend only on the config, never on the
-    worker count; rerunning with any parallelism reproduces the result
-    bit for bit.  workers is a count or an open `WorkerPool` to reuse.
-    """
-    _check_config(cfg)
-    with _pool_of(workers) as pool:
-        cdf = _sft_cdf(cfg.n, cfg.s, cfg.resolved_f_max())
-        block = _block_size(cfg.n)
-        tasks = [(cfg, cdf, start, stop, block)
-                 for start, stop in _task_ranges(cfg.r, block, pool.workers)]
-        done = pool.map(_realize_task, tasks)
+def _result(cfg: EnsembleConfig, done: list[tuple[np.ndarray, np.ndarray]]) -> EnsembleResult:
     values_array = np.concatenate([v for v, _ in done])
     values = values_array.tolist()
     avg_fs = np.concatenate([a for _, a in done]).tolist()
@@ -244,6 +221,19 @@ def run_ensemble(cfg: EnsembleConfig, workers: int | WorkerPool = 1) -> Ensemble
         config=cfg,
         per_realization=tuple(values),
     )
+
+
+def run_ensemble(cfg: EnsembleConfig, workers: int = 1) -> EnsembleResult:
+    """Average 1 - chi_lb over r seeded realizations.
+
+    The per-realization values depend only on the config, never on the
+    worker count; rerunning with any parallelism reproduces the result
+    bit for bit.
+    """
+    _check_config(cfg)
+    _check_workers(workers)
+    (result,) = _ensembles([(cfg, _sft_cdf(cfg.s, cfg.resolved_f_max()))], workers)
+    return result
 
 
 @dataclass(frozen=True)
@@ -273,51 +263,60 @@ def _error_name(exc: Exception) -> str:
     return _ERROR_NAMES.get(type(exc), type(exc).__name__)
 
 
-def sweep(cfgs: list[EnsembleConfig], workers: int | WorkerPool = 1) -> list[SweepRow]:
+def sweep(cfgs: list[EnsembleConfig], workers: int = 1) -> list[SweepRow]:
     """Run one ensemble per config; errors flag the row, never abort the sweep.
 
-    A worker count below 1 and a NumPy whose generator state qtree cannot
-    write are no row's error: they raise before the first row.  Every
-    row maps its tasks in one pool, workers itself if it is an open
-    `WorkerPool`.
+    A row that fails a check of its config, made once, gets its status
+    and no tasks; the tasks of all other rows run in one ordered map.  No
+    realization flags a row: on a checked config every tree has
+    a - 1 = (n - 2)/(n - L) > 0 and every parent f - delta = leaf
+    neighbours + 1 >= 2.  A worker count below 1 and a NumPy whose
+    generator state qtree cannot write raise before the first row.
     """
     if not cfgs:
         raise InvalidParameterError("sweep needs at least one config")
-    with _pool_of(workers) as pool:
-        _check_pcg64_layout()
-        return [_sweep_row(cfg, pool) for cfg in cfgs]
+    _check_workers(workers)
+    rows = [_sweep_row(cfg) for cfg in cfgs]
+    results = iter(_ensembles([(cfg, cdf) for cfg, (_, cdf) in zip(cfgs, rows) if cdf is not None],
+                              workers))
+    swept = []
+    for row, cdf in rows:
+        if cdf is not None:
+            result = next(results)
+            row = replace(row, one_minus_chi_mc_mean=result.mean_one_minus_chi_lb,
+                          one_minus_chi_mc_stderr=result.std_error)
+        swept.append(row)
+    return swept
 
 
-def _sweep_row(cfg: EnsembleConfig, pool: WorkerPool) -> SweepRow:
+def _sweep_row(cfg: EnsembleConfig) -> tuple[SweepRow, np.ndarray | None]:
+    """cfg's row without Monte Carlo columns, and its CDF, or None if a check failed; as
+    `avg_f_sft` refuses every s that `_sft_cdf` refuses, the row's first error is its status."""
     status = "ok"
     f_max = cfg.resolved_f_max()
-    avg_f = mc_mean = mc_err = finite = infinite = None
+    avg_f = finite = infinite = cdf = None
     try:
         _check_config(cfg)
         if cfg.s > 2:
             infinite = 1.0 - chi_sft_infinite(cfg.s)
         avg_f = avg_f_sft(cfg.s, f_max)
+        cdf = _sft_cdf(cfg.s, f_max)
         finite = 1.0 - _chi_sft_at_mean(avg_f, f_max, cfg.n)
     except QtreeError as exc:
         status = _error_name(exc)
-    try:
-        result = run_ensemble(cfg, workers=pool)
-        mc_mean = result.mean_one_minus_chi_lb
-        mc_err = result.std_error
-    except QtreeError as exc:
-        status = _error_name(exc) if status == "ok" else status
-    return SweepRow(
+    row = SweepRow(
         s=cfg.s,
         n=cfg.n,
         f_max=f_max,
         r=cfg.r,
         avg_f_analytic=avg_f,
-        one_minus_chi_mc_mean=mc_mean,
-        one_minus_chi_mc_stderr=mc_err,
+        one_minus_chi_mc_mean=None,
+        one_minus_chi_mc_stderr=None,
         one_minus_chi_analytic_finite=finite,
         one_minus_chi_analytic_infinite=infinite,
         status=status,
     )
+    return row, cdf
 
 
 def _cell(x) -> str:

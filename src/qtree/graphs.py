@@ -241,17 +241,22 @@ def _check_sft_size(n: int, f_max: int) -> None:
         raise InvalidParameterError(f"sft needs 2 <= f_max <= n-1, got f_max={f_max}")
 
 
-def _sft_cdf(n: int, s: float, f_max: int) -> np.ndarray:
-    """Checked CDF of P(f) ~ f^(-s) on {2, ..., f_max}; entry k is P(f <= k + 2)."""
-    _check_sft_size(n, f_max)
+def _check_power_law(s: float) -> None:
+    """Refuse an exponent s of the power law f^(-s) on f >= 2 that is not finite and above 1,
+    or whose largest weight, 2^(-s), underflows to zero, as then does every sum of weights."""
     if not (s > 1 and math.isfinite(s)):
-        raise InvalidParameterError(f"sft needs a finite scaling exponent s > 1, got {s}")
+        raise InvalidParameterError(f"scaling exponent s must be finite and exceed 1, got {s}")
+    if not 2.0 ** -s > 0:
+        raise InvalidParameterError(
+            f"weights f^(-s) underflow to zero for s={s}; the largest usable s is about 1074")
+
+
+def _sft_cdf(s: float, f_max: int) -> np.ndarray:
+    """CDF of P(f) ~ f^(-s) on {2, ..., f_max}, with f_max >= 2; entry k is P(f <= k + 2)."""
+    _check_power_law(s)
     support = np.arange(2, f_max + 1, dtype=np.float64)
     weights = support ** (-float(s))
     cdf = np.cumsum(weights)
-    if not cdf[-1] > 0:
-        raise InvalidParameterError(
-            f"sft weights f^(-s) underflow to zero for s={s}; the largest usable s is about 1074")
     cdf /= cdf[-1]
     cdf[-1] = 1.0
     return cdf
@@ -487,7 +492,8 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
     """
     if f_max is None:
         f_max = n - 1
-    cdf = _sft_cdf(n, s, f_max)
+    _check_sft_size(n, f_max)
+    cdf = _sft_cdf(s, f_max)
     seed = int(seed) & _MASK64
     (sums,) = _grow_sft_ends(cdf, n, [seed], 1)
     parents = _parent_arrays(sums)[0]

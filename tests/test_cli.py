@@ -249,18 +249,15 @@ def test_sweep_rerun_is_byte_identical_across_workers(tmp_path):
     assert rerun_out.read_bytes() == out.read_bytes()
     for manifest_path in (str(out) + ".manifest.json", str(rerun_out) + ".manifest.json"):
         manifest = json.loads(Path(manifest_path).read_text())
-        assert len(manifest["timings"]["row_s"]) == 2
-        assert all(v >= 0 for v in manifest["timings"]["row_s"])
+        assert set(manifest["timings"]) == {"sweep_s", "write_s"}
+        assert all(v >= 0 for v in manifest["timings"].values())
         # n = 60 takes blocks of 1093 realizations, so each row's 400 are one block and one
-        # task, whose seeds are hashed in one pass; a single task runs in process, so even
-        # eight workers start no pool
-        assert manifest["counters"] == {"realizations": 800, "blocks": 2, "seed_passes": 2,
-                                        "pool_starts": 0}
+        # task, whose seeds are hashed in one pass; eight workers map the two tasks in one pool
+        assert manifest["counters"] == {"realizations": 800, "blocks": 2, "seed_passes": 2}
 
 
-@pytest.mark.parametrize("workers, seed_passes, pool_starts", [(None, 1, 0), (1, 1, 0), (2, 8, 1)])
-def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_passes,
-                                                      pool_starts):
+@pytest.mark.parametrize("workers, seed_passes", [(None, 1), (1, 1), (2, 8)])
+def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_passes):
     # n = 100 takes blocks of 656, so the --paper-r row's 10 000 realizations are 16 blocks:
     # one task for one worker, and tasks of two blocks for two workers; without --workers
     # the sweep runs, and records, one worker, in process
@@ -272,7 +269,21 @@ def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_pa
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["params"]["workers"] == (workers or 1)
     assert manifest["counters"] == {"realizations": 10_000, "blocks": 16,
-                                    "seed_passes": seed_passes, "pool_starts": pool_starts}
+                                    "seed_passes": seed_passes}
+
+
+def test_paper_r_sweep_writes_the_same_csv_at_two_workers(tmp_path):
+    # five rows of 16 blocks: one task per row for one worker; two workers ask for about
+    # eight tasks over the whole sweep, so each row is two tasks, not eight
+    counters = {}
+    for workers in (1, 2):
+        out = tmp_path / f"sweep-{workers}.csv"
+        assert cli.main(["sweep", "--n", "100", "--s-grid", "2.2,2.6,3.0,4.0,6.0", "--paper-r",
+                         "--workers", str(workers), "--out", str(out)]) == 0
+        counters[workers] = json.loads(Path(str(out) + ".manifest.json").read_text())["counters"]
+    assert (tmp_path / "sweep-2.csv").read_bytes() == (tmp_path / "sweep-1.csv").read_bytes()
+    assert counters == {workers: {"realizations": 50_000, "blocks": 80, "seed_passes": passes}
+                        for workers, passes in ((1, 5), (2, 10))}
 
 
 def test_sweep_manifest_with_a_null_worker_count_reruns_on_one_worker(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -73,17 +74,24 @@ def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(r=st.integers(1, 10**6), n=st.integers(3, MAX_NODES_DEFAULT),
+@given(rows=st.lists(st.tuples(st.integers(1, 10**6), st.integers(3, MAX_NODES_DEFAULT)),
+                     min_size=1, max_size=6),
        workers=st.integers(1, 64))
-def test_tasks_are_whole_blocks_of_at_most_2_14_realizations(r, n, workers):
-    block = ensemble._block_size(n)
-    ranges = _task_ranges(r, block, workers)
-    assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])]
-    assert ranges[-1][1] == r
-    assert all(0 < stop - start <= 2**14 for start, stop in ranges)
-    assert all((stop - start) % block == 0 for start, stop in ranges[:-1])
-    if workers == 1:  # as few tasks as the cap allows
-        assert len(ranges) == -(-r // (2**14 // block * block))
+def test_tasks_are_whole_blocks_of_at_most_2_14_realizations(rows, workers):
+    sizes = [(r, ensemble._block_size(n)) for r, n in rows]
+    tasks = _task_ranges(sizes, workers)
+    assert len(tasks) == len(rows)
+    for (r, block), ranges in zip(sizes, tasks):
+        assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])]
+        assert ranges[-1][1] == r
+        assert all(0 < stop - start <= 2**14 for start, stop in ranges)
+        assert all((stop - start) % block == 0 for start, stop in ranges[:-1])
+        if workers == 1:  # as few tasks as the cap allows
+            assert len(ranges) == -(-r // (2**14 // block * block))
+    # more workers get about four tasks each over the whole sweep, unless the cap cuts a row
+    if workers > 1 and all(len(ranges) == 1 or ranges[0][1] < 2**14 // block * block
+                           for (_, block), ranges in zip(sizes, tasks)):
+        assert sum(map(len, tasks)) < 4 * workers + len(rows)
 
 
 def test_each_task_hashes_its_seeds_once(monkeypatch):
@@ -100,7 +108,7 @@ def test_each_task_hashes_its_seeds_once(monkeypatch):
     monkeypatch.setattr(graphs, "_pcg64_states", pcg64_states)
     assert run_ensemble(cfg, workers=1) == expected
     assert hashed == [13_108, 13_108, 3784]
-    assert len(hashed) == len(_task_ranges(cfg.r, ensemble._block_size(cfg.n), 1))
+    assert len(hashed) == len(_task_ranges([(cfg.r, ensemble._block_size(cfg.n))], 1)[0])
 
 
 def test_structural_block_counts_from_draws_alone(monkeypatch):
@@ -130,7 +138,7 @@ def test_structural_block_counts_from_draws_alone(monkeypatch):
 
     n, block = 100, 656
     r = 3 * block + 5  # three full blocks and a partial one
-    cdf = _sft_cdf(n, 2.5, n - 1)
+    cdf = _sft_cdf(2.5, n - 1)
     held = np.unique(np.ceil(cdf * _BUCKETS) - 1)  # c * K is exact: K is a power of two
     seeds = _realization_seeds(0, np.arange(r, dtype=np.uint64))
     ambiguous = [int(np.isin(np.floor(draws * _BUCKETS), held).sum())
@@ -269,7 +277,7 @@ def test_config_validation():
 
 
 def test_sweep_rows_share_one_pool_and_match_one_worker(monkeypatch):
-    # count the pools the sweep starts; each row still maps its own tasks, in order
+    # count the pools the sweep starts: one for all its rows, whose tasks map in order
     started, start_pool = [], ensemble.Pool
 
     def counting_pool(processes):
@@ -278,16 +286,70 @@ def test_sweep_rows_share_one_pool_and_match_one_worker(monkeypatch):
 
     monkeypatch.setattr(ensemble, "Pool", counting_pool)
     cfgs = [EnsembleConfig(n=80, s=s, r=2000, master_seed=77) for s in (2.2, 3.0, 4.0)]
-    expected = sweep_csv_text(sweep(cfgs))
+    one_task = [EnsembleConfig(n=80, s=2.2, r=500, master_seed=77)]  # one block of 820
+    expected, expected_one = sweep_csv_text(sweep(cfgs)), sweep_csv_text(sweep(one_task))
     assert started == []  # one worker runs every row in the process
     for workers in (2, 3):
         started.clear()
-        with ensemble.WorkerPool(workers) as pool:
-            assert sweep_csv_text(sweep(cfgs, workers=pool)) == expected
-            assert sweep_csv_text(sweep(cfgs[:1], workers=pool)) == sweep_csv_text(
-                sweep(cfgs[:1]))
-        assert pool.starts == 1 and started == [workers]
         assert sweep_csv_text(sweep(cfgs, workers=workers)) == expected
+        assert len(started) == 1 and started[0] <= workers
+        started.clear()
+        assert sweep_csv_text(sweep(one_task, workers=workers)) == expected_one
+        assert started == []  # a single task runs in the process
+
+
+def test_sweep_of_mixed_rows_equals_one_row_sweeps_at_any_worker_count():
+    # a row that fails a check gets no tasks; the tasks of the others, of several n, follow
+    # each other in one map, and each row reads as the sweep of its config alone
+    cfgs = [
+        EnsembleConfig(n=80, s=2.4, r=2000, master_seed=3),
+        EnsembleConfig(n=50, s=1075, r=10),  # weights underflow
+        EnsembleConfig(n=120, s=3.0, r=1500, master_seed=5),
+        EnsembleConfig(n=50, s=2.5, r=0),
+        EnsembleConfig(n=60, s=2.5, f_max=2, r=700, master_seed=1),  # chains: no analytic value
+        EnsembleConfig(n=50, s=2.5, r=4, estimator="exact"),
+        EnsembleConfig(n=30, s=2.2, r=40, master_seed=2, estimator="spectral-exact"),
+    ]
+    expected = [row for cfg in cfgs for row in sweep([cfg])]
+    assert [row.status for row in expected] == [
+        "ok", "invalid-parameter", "ok", "invalid-parameter", "degenerate-average",
+        "invalid-parameter", "ok"]
+    assert [row.one_minus_chi_mc_mean is None for row in expected] == [
+        False, True, False, True, False, True, False]
+    for workers in (1, 2, 3):
+        assert sweep(cfgs, workers=workers) == expected, workers
+
+
+def test_pool_processes_are_capped_at_the_usable_cpus(monkeypatch):
+    # 5000 workers lay out a task per block, and the pool still starts a process per CPU
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, fn, tasks, chunksize):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(ensemble, "Pool", InProcessPool)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cfg = EnsembleConfig(n=100, s=2.5, r=20_000, master_seed=8)
+    expected = run_ensemble(cfg)
+    assert len(_task_ranges([(cfg.r, ensemble._block_size(cfg.n))], 5000)[0]) == 31
+    assert run_ensemble(cfg, workers=5000) == expected
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert run_ensemble(cfg, workers=5000) == expected
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert run_ensemble(cfg, workers=5000) == expected
+    assert run_ensemble(cfg, workers=4) == expected
+    assert started == [min(31, cpus), 3, 5, 4]
 
 
 def test_sweep_preserves_order_and_monotonicity():

@@ -507,7 +507,7 @@ def test_sft_block_rows_do_not_depend_on_grouping(n, s, f_max):
     seeds = [3, 1, 4, 1, 5, 9, 2, 6]
     expected = [_reference_sft_parents(n, s, f_max, seed) for seed in seeds]
     for size in (1, 3, 8, 20):
-        blocks = list(_grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds, size))
+        blocks = list(_grow_sft_ends(_sft_cdf(s, f_max), n, seeds, size))
         assert [b.shape for b in blocks] == [(min(size, 8 - k), n) for k in range(0, 8, size)]
         # a running sum restarts at each block, so each block is read on its own
         for row, parents in zip(np.concatenate([_parent_arrays(b) for b in blocks]), expected):
@@ -590,7 +590,7 @@ DRAW_F_MAX = (2, 4, 99, 4999, 200_000)  # 200 000: thousands of entries in the t
 
 @functools.cache
 def _draw_cdf(s, f_max):
-    return _sft_cdf(f_max + 1, s, f_max)
+    return _sft_cdf(s, f_max)
 
 
 @pytest.mark.parametrize("f_max", DRAW_F_MAX)
@@ -622,7 +622,7 @@ def test_draw_functionalities_equals_searchsorted(s, f_max, u):
 def _assert_closed_form_counts(n, s, f_max, seeds, block=None):
     # the closed form against bincount counting of the same trees' parent arrays, field by
     # field; each block's running sum is read on its own
-    blocks = list(_grow_sft_ends(_sft_cdf(n, s, f_max), n, seeds, block or len(seeds)))
+    blocks = list(_grow_sft_ends(_sft_cdf(s, f_max), n, seeds, block or len(seeds)))
     got = _count_sft_trees(n, np.concatenate([_sft_slot_counts(b) for b in blocks], axis=1))
     parents = np.concatenate([_parent_arrays(b) for b in blocks])
     expected = count_leaves_and_parents_reference(parents[:, 1:], n)
@@ -649,7 +649,7 @@ def test_sft_counts_where_only_the_root_has_children(n, block):
     # L = 0 where the root opens n - 1 or more slots, as every root does at n = 3: the search
     # for P then lands on the row before, or before the block, and P is clamped at 0
     seeds = SEED_EDGES + list(range(2, 2001))
-    cdf = _sft_cdf(n, 1.4, n - 1)
+    cdf = _sft_cdf(1.4, n - 1)
     # the rows, within their block, of the trees with L = 0
     stars = np.concatenate([np.flatnonzero(_sft_slot_counts(b)[0] == 0)
                             for b in _grow_sft_ends(cdf, n, seeds, block)])
@@ -669,7 +669,7 @@ def test_sft_counts_in_closed_form_equal_the_child_count_counts_on_random_trees(
 @pytest.mark.parametrize("n, s, f_max", SFT_CASES)
 def test_structural_stats_of_an_sft_equal_its_closed_form_counts(n, s, f_max):
     seeds = SEED_EDGES + [7, 12345]
-    counts = _count_sft_trees(n, _sft_slot_counts(_grown_at_once(_sft_cdf(n, s, f_max), n, seeds)))
+    counts = _count_sft_trees(n, _sft_slot_counts(_grown_at_once(_sft_cdf(s, f_max), n, seeds)))
     for i, seed in enumerate(seeds):
         stats = structural_stats(generate_sft(n, s, f_max, seed))
         for field, values in zip(counts._fields, counts):
@@ -682,7 +682,7 @@ def test_sft_refuses_an_s_whose_weights_underflow(s):
     with pytest.raises(InvalidParameterError, match="underflow"):
         generate_sft(10, s)
     with pytest.raises(InvalidParameterError, match="underflow"):
-        _sft_cdf(10, s, 9)
+        _sft_cdf(s, 9)
 
 
 def test_sft_at_s_1074_draws_as_before():
