@@ -184,6 +184,12 @@ def run_gen(params: dict) -> int:
     return 0
 
 
+def _solve_counters(h, calls: str) -> dict:
+    """The count of eigensolves, one per quotient in h's plan, and the largest one's size."""
+    return {calls: len(h.quotients),
+            "largest_solve_dim": max(len(q[0]) for q, _ in h.quotients.values())}
+
+
 def run_chi(params: dict) -> int:
     started = time.monotonic()
     out, spectrum_out = params["out"], params["spectrum_out"]
@@ -194,13 +200,12 @@ def run_chi(params: dict) -> int:
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
-    report = efficiency_report(
-        g,
-        potential,
-        tol_abs=_option(params, "tol_abs", lambda v: v is None or 0 < v < math.inf,
-                        "finite and positive"),
-        size_limit=_option(params, "size_limit", lambda v: v >= 1, "at least 1"),
-    )
+    tol_abs = _option(params, "tol_abs", lambda v: v is None or 0 < v < math.inf,
+                      "finite and positive")
+    # the plan refuses an oversize tree before the report's structural pass
+    h = build_hamiltonian(g, potential,
+                          _option(params, "size_limit", lambda v: v >= 1, "at least 1"))
+    report = efficiency_report(h, tol_abs)
     report_done = time.monotonic()
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "spectrum"}
     write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -208,13 +213,11 @@ def run_chi(params: dict) -> int:
     if spectrum_out:
         write_text_atomic(spectrum_out, spectrum_csv_text(report.spectrum))
         outputs.append(spectrum_out)
-    sp = report.spectrum
     _write_manifest("chi", params, outputs, None, started, {
         "timings": {"read_s": read_done - started, "report_s": report_done - read_done,
                     "write_s": time.monotonic() - report_done},
-        "counters": {"n": report.n, "degeneracy_classes": len(sp.classes),
-                     "eigvalsh_calls": len(sp.solve_dims),
-                     "largest_solve_dim": max(sp.solve_dims)},
+        "counters": {"n": report.n, "degeneracy_classes": len(report.spectrum.classes),
+                     **_solve_counters(h, "eigvalsh_calls")},
     })
     return 0
 
@@ -279,9 +282,17 @@ def run_fit_kappa(params: dict) -> int:
     text = Path(params["in"]).read_text(encoding="utf-8")
     data_lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(data_lines)))
-    points, rows = [], 0
-    for row in reader:
-        rows += 1
+    rows = None  # until the header is read
+    try:
+        reader.fieldnames  # reads the header
+        rows = []
+        for row in reader:
+            rows.append(row)
+    except csv.Error as exc:  # such as a cell above csv.field_size_limit()
+        where = "the header" if rows is None else f"data row {len(rows) + 1}"
+        raise InvalidParameterError(f"{params['in']}: {where} is not readable CSV: {exc}") from None
+    points = []
+    for row in rows:
         if row.get("status") not in (None, "", "ok"):
             continue
         try:
@@ -321,7 +332,7 @@ def run_fit_kappa(params: dict) -> int:
     _write_manifest("fit-kappa", params, [out], None, started, {
         "timings": {"read_s": read_done - started, "fit_s": fit_done - read_done,
                     "write_s": time.monotonic() - fit_done},
-        "counters": {"rows": rows, "points_used": len(points)},
+        "counters": {"rows": len(rows), "points_used": len(points)},
     })
     return 0
 
@@ -337,17 +348,17 @@ def run_timeseries(params: dict) -> int:
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
-    rw = return_weights(build_hamiltonian(g, potential))
+    h = build_hamiltonian(g, potential)
+    rw = return_weights(h)
     weights_done = time.monotonic()
     ts = _series(rw, t_max, samples)
     series_done = time.monotonic()
     # one formatting call for the body; "%.17g" writes the digits f"{x:.17g}" does
     rows = np.column_stack((ts.times, ts.abs_alpha_sq, ts.pi_bar)).ravel().tolist()
-    sp = rw.spectrum
     footer = "# time_average_abs_alpha_sq={} time_average_pi_bar={} chi_exact={}\n".format(
         _fmt(time_average(ts.abs_alpha_sq, ts.times)),
         _fmt(time_average(ts.pi_bar, ts.times)),
-        _fmt(chi_exact(sp)),
+        _fmt(chi_exact(rw.spectrum)),
     )
     out = params["out"]
     write_text_atomic(out, f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"
@@ -356,8 +367,7 @@ def run_timeseries(params: dict) -> int:
         "timings": {"read_s": read_done - started, "weights_s": weights_done - read_done,
                     "series_s": series_done - weights_done,
                     "write_s": time.monotonic() - series_done},
-        "counters": {"n": g.n, "eigh_calls": len(sp.solve_dims),
-                     "largest_solve_dim": max(sp.solve_dims),
+        "counters": {"n": g.n, **_solve_counters(h, "eigh_calls"),
                      "weight_columns": len(rw.eigenvalues),
                      "series_blocks": -(-samples // _block_rows(len(rw.eigenvalues)))},
     })
@@ -377,7 +387,7 @@ def run_rerun(params: dict) -> int:
     """Run a manifest's command on its stored params, parsed as its command line would be."""
     try:
         manifest = json.loads(Path(params["manifest"]).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InvalidParameterError(f"unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise InvalidParameterError(f"not a {MANIFEST_FORMAT} manifest")

@@ -24,15 +24,11 @@ from .errors import (
     NoParentsError,
     OutOfDomainError,
 )
-from .graphs import StructuralStats, TreeGraph, _check_power_law, structural_stats
+from .graphs import StructuralStats, _check_power_law, structural_stats
 from .spectral import (
-    CONNECTIVITY,
-    DENSE_SOLVER_LIMIT,
     Hamiltonian,
-    Potential,
     ReturnWeights,
     Spectrum,
-    build_hamiltonian,
     multiplicity_exact,
     return_weights,
     spectrum,
@@ -56,11 +52,11 @@ def chi_lower_from_density(rho_star: float, n: int) -> float:
     return rho_star * rho_star + (1.0 - rho_star) / n
 
 
-def rho_star_structural(st: StructuralStats, n: int) -> float:
+def rho_star_structural(st: StructuralStats) -> float:
     """Leaf-pair count bound (N_L - N_P)/n on the density at E*."""
     if st.n_parents < 1:
         raise NoParentsError("structural density bound needs at least one parent")
-    return (st.n_leaves - st.n_parents) / n
+    return (st.n_leaves - st.n_parents) / st.n
 
 
 def _python_square(x: np.ndarray) -> np.ndarray:
@@ -93,7 +89,7 @@ def _flat_bound_truncated(a, b, n: int) -> np.ndarray:
     return leading + correction / n
 
 
-def chi_structural(st: StructuralStats, n: int, delta_mode: str = USE_MEASURED) -> float:
+def chi_structural(st: StructuralStats, delta_mode: str = USE_MEASURED) -> float:
     """Structural lower-bound value from functionality averages, to order 1/n.
 
     delta_mode selects the parent average: "use-measured" takes
@@ -106,7 +102,7 @@ def chi_structural(st: StructuralStats, n: int, delta_mode: str = USE_MEASURED) 
         b = st.avg_f_parents
     else:
         raise InvalidParameterError(f"unknown delta_mode {delta_mode!r}")
-    return float(_flat_bound_truncated([st.avg_f_nonleaf], [b], n)[0])
+    return float(_flat_bound_truncated([st.avg_f_nonleaf], [b], st.n)[0])
 
 
 def avg_f_sft(s: float, f_max: int) -> float:
@@ -430,15 +426,9 @@ class EfficiencyReport:
     spectrum: Spectrum = field(repr=False, compare=False)
 
 
-def efficiency_report(
-    g: TreeGraph,
-    potential: Potential = CONNECTIVITY,
-    *,
-    tol_abs: float | None = None,
-    size_limit: int = DENSE_SOLVER_LIMIT,
-) -> EfficiencyReport:
-    """Diagonalize one tree and assemble chi with all of its bounds."""
-    h = build_hamiltonian(g, potential, size_limit)  # refuses before the structural pass
+def efficiency_report(h: Hamiltonian, tol_abs: float | None = None) -> EfficiencyReport:
+    """Diagonalize one tree's Hamiltonian and assemble chi with all of its bounds."""
+    g = h.graph
     st = structural_stats(g)  # raises NoParentsError for n = 2
     sp = spectrum(h, tol_abs)
     rho_exact = sp.density_at(h.e_star)
@@ -450,10 +440,10 @@ def efficiency_report(
         e_star=h.e_star,
         chi_exact=chi_exact(sp),
         chi_spectral_lb=chi_lower_from_density(rho_exact, g.n),
-        chi_structural=chi_structural(st, g.n, USE_MEASURED),
-        chi_structural_delta0=chi_structural(st, g.n, FORCE_ZERO),
+        chi_structural=chi_structural(st, USE_MEASURED),
+        chi_structural_delta0=chi_structural(st, FORCE_ZERO),
         rho_star_exact=rho_exact,
-        rho_star_structural=rho_star_structural(st, g.n),
+        rho_star_structural=rho_star_structural(st),
         leaf_pair_state_count=leaf_pairs,
         multiplicity_e_star_exact=mult_exact,
         extra_e_star_states=mult_exact - leaf_pairs,

@@ -11,13 +11,14 @@ identical edge lists.
 Reading an edge list renumbers its nodes breadth-first from node 0,
 visiting neighbours in ascending order.  A file whose edges are
 (parents[v], v) of a breadth-first parent array, as in every file qtree
-writes, is already so numbered and is read as it is; for any other
-file, node indices in the results (such as `StructuralStats.leaf_ids`
-and `parent_ids`) refer to the new numbering.
+writes, is already so numbered and is read as it is.
 
 Structural statistics split the nodes into leaves (functionality 1),
-parents (non-leaves adjacent to at least one leaf) and the rest; these
-counts drive the structural transport-efficiency bounds.
+parents (non-leaves adjacent to at least one leaf) and the rest.  The
+structural transport-efficiency bounds need five totals of a tree: the
+leaf and parent counts and three functionality averages.  One record,
+`StructuralStats`, holds them with n, for one tree (`structural_stats`)
+or for a block of scale-free trees at once (`_count_sft_trees`).
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,21 +90,20 @@ class TreeGraph:
 
 @dataclass(frozen=True)
 class StructuralStats:
-    """Leaf/parent counts and restricted functionality averages.
+    """Leaf/parent counts and restricted functionality averages of trees on n nodes.
 
-    ``per_node_delta[i]`` is delta for ``parent_ids[i]``: the number of
-    non-leaf neighbors of that parent minus one (a star center has
-    delta = -1).
+    The fields after n are one tree's Python scalars, or a block's
+    arrays of shape (trees,).  A parent's delta is its number of non-leaf
+    neighbors minus one (a star center has delta = -1);
+    avg_f_minus_delta_parents averages f - delta over the parents.
     """
 
-    n_leaves: int
-    n_parents: int
-    avg_f_nonleaf: float
-    avg_f_minus_delta_parents: float
-    avg_f_parents: float
-    per_node_delta: tuple[int, ...]
-    leaf_ids: tuple[int, ...]
-    parent_ids: tuple[int, ...]
+    n: int
+    n_leaves: int | np.ndarray
+    n_parents: int | np.ndarray
+    avg_f_nonleaf: float | np.ndarray
+    avg_f_minus_delta_parents: float | np.ndarray
+    avg_f_parents: float | np.ndarray
 
 
 def _check_size(label: str, n: int) -> None:
@@ -500,20 +499,10 @@ def generate_sft(n: int, s: float, f_max: int | None = None, seed: int = 0) -> T
     return TreeGraph(parents, f"sft(n={n},s={float(s)!r},f_max={f_max},seed={seed})")
 
 
-class _TreeTotals(NamedTuple):
-    """Leaf/parent counts and functionality averages: one tree's scalars, or a block's
-    arrays of shape (trees,)."""
-
-    n_leaves: int | np.ndarray
-    n_parents: int | np.ndarray
-    avg_f_nonleaf: float | np.ndarray
-    avg_f_minus_delta_parents: float | np.ndarray
-    avg_f_parents: float | np.ndarray
-
-
-def _tree_totals(n: int, n_leaves, n_parents, sum_f_parents, sum_delta) -> _TreeTotals:
+def _tree_totals(n: int, n_leaves, n_parents, sum_f_parents, sum_delta) -> StructuralStats:
     """The averages of trees on n nodes from their integer counts and sums over the parents."""
-    return _TreeTotals(
+    return StructuralStats(
+        n=n,
         n_leaves=n_leaves,
         n_parents=n_parents,
         avg_f_nonleaf=(2 * (n - 1) - n_leaves) / (n - n_leaves),
@@ -550,7 +539,7 @@ def _sft_slot_counts(sums: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _count_sft_trees(n: int, slot_counts: np.ndarray) -> _TreeTotals:
+def _count_sft_trees(n: int, slot_counts: np.ndarray) -> StructuralStats:
     """Leaf/parent counts and averages of scale-free trees on n nodes from their
     `_sft_slot_counts`.
 
@@ -587,17 +576,10 @@ def structural_stats(g: TreeGraph) -> StructuralStats:
         raise NoParentsError(
             f"graph {g.label or '<unlabeled>'} with n={g.n} has no parent nodes"
         )
-    leaf_ids = np.flatnonzero(is_leaf)
     f_parents = degrees[parent_ids]
     delta = f_parents - leaf_nbrs[parent_ids] - 1
-    totals = _tree_totals(g.n, len(leaf_ids), len(parent_ids),
-                          int(f_parents.sum()), int(delta.sum()))
-    return StructuralStats(
-        **totals._asdict(),
-        per_node_delta=tuple(delta.tolist()),
-        leaf_ids=tuple(leaf_ids.tolist()),
-        parent_ids=tuple(parent_ids.tolist()),
-    )
+    return _tree_totals(g.n, int(np.count_nonzero(is_leaf)), len(parent_ids),
+                        int(f_parents.sum()), int(delta.sum()))
 
 
 # --- edge-list text format -------------------------------------------------

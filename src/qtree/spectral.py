@@ -137,15 +137,12 @@ class Spectrum:
 
     Each class is (representative, multiplicity); representatives are
     strictly increasing and multiplicities sum to n.  The spectral
-    density of a class is multiplicity / n.  solve_dims holds the
-    dimension of each eigenvalue solve behind the classes, when known;
-    it is left out of comparisons.
+    density of a class is multiplicity / n.
     """
 
     classes: tuple[tuple[float, int], ...]
     n: int
     tol_abs: float
-    solve_dims: tuple[int, ...] = field(default=(), compare=False)
 
     def densities(self) -> list[float]:
         return [m / self.n for _, m in self.classes]
@@ -338,7 +335,7 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
         members = slice(starts[i], stops[i])
         reps[i] = np.mean(np.repeat(w[members], counts[members]))
     return Spectrum(classes=tuple(zip(reps.tolist(), sizes.tolist())), n=int(counts.sum()),
-                    tol_abs=tol_abs, solve_dims=tuple(len(values) for values, _ in solved))
+                    tol_abs=tol_abs)
 
 
 def multiplicity_exact(h: Hamiltonian, e) -> int:

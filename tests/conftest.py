@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from qtree.errors import InvalidParameterError, SizeLimitError
-from qtree.graphs import TreeGraph, _bfs_parents, _TreeTotals
+from qtree.graphs import StructuralStats, TreeGraph, _bfs_parents
 from qtree.spectral import Spectrum, _as_fraction, _bin, _quotient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -124,8 +124,7 @@ def tiled_spectrum_reference(solved, tol_abs=None) -> Spectrum:
     w = np.sort(np.concatenate([np.tile(values, count) for values, count in solved]))
     if tol_abs is None:
         tol_abs = 1e-8 * (float(w[-1] - w[0]) + 1.0)
-    return Spectrum(bin_reference(w, tol_abs), len(w), tol_abs,
-                    tuple(len(values) for values, _ in solved))
+    return Spectrum(bin_reference(w, tol_abs), len(w), tol_abs)
 
 
 def parse_edge_list_text_reference(text: str) -> TreeGraph:
@@ -232,7 +231,7 @@ def multiplicity_exact_reference(h, e) -> int:
     return d.count(0)
 
 
-def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> _TreeTotals:
+def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> StructuralStats:
     """Leaves, parents and functionality averages of trees given by parent arrays.
 
     Row i of the (trees, n - 1) array holds the parents of nodes 1..n-1
@@ -253,7 +252,8 @@ def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> _TreeTota
     sum_f_parents = np.where(is_parent, degrees, 0).sum(axis=1)
     sum_delta = np.where(is_parent, delta, 0).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _TreeTotals(
+        return StructuralStats(
+            n=n,
             n_leaves=n_leaves,
             n_parents=n_parents,
             avg_f_nonleaf=(2 * (n - 1) - n_leaves) / (n - n_leaves),

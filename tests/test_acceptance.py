@@ -286,8 +286,8 @@ def test_criterion_11_truncation_bound():
     for g in graphs:
         st = structural_stats(g)
         gap = abs(
-            chi_structural(st, g.n)
-            - chi_lower_from_density(rho_star_structural(st, g.n), g.n)
+            chi_structural(st)
+            - chi_lower_from_density(rho_star_structural(st), g.n)
         )
         worst_scaled = max(worst_scaled, gap * g.n**2)
         if g.label == "star(n=5)":

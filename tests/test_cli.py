@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtree import Potential, QtreeError, build_hamiltonian, read_edge_list, time_series
@@ -825,6 +825,21 @@ def _non_utf8_fit_kappa_csv(tmp_path):
     return ["fit-kappa", "--in", str(csv_path), "--x-column", "x", "--y-column", "y"], "UTF-8"
 
 
+def _oversized_fit_kappa_cell(tmp_path):
+    # above csv.field_size_limit(), 131 072 characters by default
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("# comment\nx,y\n1,1\n2," + "2" * 140_000 + "\n3,3\n4,4\n")
+    return ["fit-kappa", "--in", str(csv_path), "--x-column", "x", "--y-column", "y"], \
+        "data row 2 is not readable CSV: field larger than field limit"
+
+
+def _oversized_fit_kappa_header(tmp_path):
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("x" * 140_000 + ",y\n1,1\n2,2\n3,3\n")
+    return ["fit-kappa", "--in", str(csv_path), "--x-column", "x", "--y-column", "y"], \
+        "the header is not readable CSV"
+
+
 def _non_numeric_s_grid(tmp_path):
     return ["sweep", "--n", "50", "--s-grid", "2.5,abc", "--r", "2"], "'abc'"
 
@@ -843,17 +858,20 @@ def _infinite_sft_exponent(tmp_path):
      _duplicate_potential_functionality, _manifest_without_params, _rerun_sweep_text_n,
      _rerun_sweep_without_r, _rerun_chi_numeric_in,
      _rerun_timeseries_text_samples, _rerun_chi_text_tol_abs,
-     _non_utf8_edge_list, _non_utf8_fit_kappa_csv, _non_numeric_s_grid,
+     _non_utf8_edge_list, _non_utf8_fit_kappa_csv, _oversized_fit_kappa_cell,
+     _oversized_fit_kappa_header, _non_numeric_s_grid,
      _infinite_s_grid, _infinite_sft_exponent, _overflowing_t_max, *_OUT_OF_RANGE_OPTIONS],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_malformed_input_exit_2(tmp_path, make_case):
     args, hint = make_case(tmp_path)
-    res = run_cli(*args, "--out", str(tmp_path / "out.json"))
+    out = tmp_path / "out.json"
+    res = run_cli(*args, "--out", str(out))
     assert res.returncode == 2
     assert res.stderr.startswith("qtree: ")
     assert hint in res.stderr
     assert "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def _run_cli_capped(address_space_bytes, *args):
@@ -1083,6 +1101,7 @@ MANIFEST_LIKE = st.fixed_dictionaries(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.text(), MANIFEST_LIKE.map(json.dumps), JSON_VALUES.map(json.dumps)))
+@example("[" * 2000 + "]" * 2000)  # nested too deep for json.loads
 def test_rerun_manifest_reader_accepts_or_refuses_cleanly(text):
     # the runners are replaced, so an accepted manifest runs nothing
     ran = []

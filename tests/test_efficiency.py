@@ -13,7 +13,6 @@ from qtree import (
     InvalidParameterError,
     NoParentsError,
     OutOfDomainError,
-    SizeLimitError,
     Spectrum,
     avg_f_sft,
     build_hamiltonian,
@@ -27,6 +26,7 @@ from qtree import (
     chi_structural,
     chi_vicsek_inf,
     default_time_grid,
+    edge_list_text,
     efficiency_report,
     generate_chain,
     generate_dendrimer,
@@ -40,7 +40,7 @@ from qtree import (
     time_series,
     zeta,
 )
-from qtree import efficiency
+from qtree import cli, efficiency
 from qtree.efficiency import _flat_bound_truncated
 
 from conftest import dense_reference
@@ -102,9 +102,9 @@ def test_chi_lower_rejects_bad_density():
 
 
 def test_rho_star_structural_values():
-    assert rho_star_structural(structural_stats(generate_star(5)), 5) == 0.6
-    assert rho_star_structural(structural_stats(generate_dendrimer(3, 2)), 10) == 0.3
-    assert rho_star_structural(structural_stats(generate_chain(4)), 4) == 0.0
+    assert rho_star_structural(structural_stats(generate_star(5))) == 0.6
+    assert rho_star_structural(structural_stats(generate_dendrimer(3, 2))) == 0.3
+    assert rho_star_structural(structural_stats(generate_chain(4))) == 0.0
 
 
 # --- structural bound ---------------------------------------------------------
@@ -112,7 +112,7 @@ def test_rho_star_structural_values():
 def test_chi_structural_star5():
     # a = 4, b = 5: 0.25 + (1/5)(1 - 1/2 + 1/2) = 0.45
     st = structural_stats(generate_star(5))
-    value = chi_structural(st, 5)
+    value = chi_structural(st)
     assert value == pytest.approx(0.45, abs=1e-14)
     assert value == pytest.approx(float(eq8_fraction_oracle(Fraction(4), Fraction(5), 5)))
 
@@ -120,7 +120,7 @@ def test_chi_structural_star5():
 def test_chi_structural_dendrimer32():
     # a = b = 3: (1/2)^2 (1/2)^2 + (1/10)(1 - 1/4 + 1/4) = 0.1625
     st = structural_stats(generate_dendrimer(3, 2))
-    value = chi_structural(st, 10)
+    value = chi_structural(st)
     assert value == pytest.approx(0.1625, abs=1e-14)
     assert value == pytest.approx(float(eq8_fraction_oracle(Fraction(3), Fraction(3), 10)))
 
@@ -130,13 +130,13 @@ def test_chi_structural_chain_limit():
     st = structural_stats(generate_chain(10))
     assert st.avg_f_nonleaf == 2.0
     assert st.avg_f_minus_delta_parents == 2.0
-    assert chi_structural(st, 10) == pytest.approx(0.1, abs=1e-15)
+    assert chi_structural(st) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_chi_structural_delta_modes_differ_on_star():
     st = structural_stats(generate_star(5))
-    measured = chi_structural(st, 5, "use-measured")
-    forced = chi_structural(st, 5, "force-zero")
+    measured = chi_structural(st, "use-measured")
+    forced = chi_structural(st, "force-zero")
     assert forced == pytest.approx(float(eq8_fraction_oracle(Fraction(4), Fraction(4), 5)))
     assert measured != forced
 
@@ -144,7 +144,7 @@ def test_chi_structural_delta_modes_differ_on_star():
 def test_chi_structural_rejects_unknown_mode():
     st = structural_stats(generate_star(5))
     with pytest.raises(InvalidParameterError):
-        chi_structural(st, 5, "delta")
+        chi_structural(st, "delta")
 
 
 # --- power-law average and zeta ------------------------------------------------
@@ -452,7 +452,7 @@ def test_time_average_convergence_schedule():
 def test_bound_chain_ordering(g):
     h, es, sp = spectrum_of(g)
     st = structural_stats(g)
-    rho_struct = rho_star_structural(st, g.n)
+    rho_struct = rho_star_structural(st)
     rho_exact = sp.density_at(h.e_star)
     chi = chi_exact(sp)
     assert rho_struct <= rho_exact + 1e-12
@@ -477,8 +477,8 @@ def test_bound_chain_ordering(g):
 def test_structural_bound_truncation_error(g):
     # the order-1/n truncation stays within a small multiple of 1/n^2
     st = structural_stats(g)
-    truncated = chi_structural(st, g.n)
-    full = chi_lower_from_density(rho_star_structural(st, g.n), g.n)
+    truncated = chi_structural(st)
+    full = chi_lower_from_density(rho_star_structural(st), g.n)
     assert abs(truncated - full) <= 2.0 / g.n**2 + 1e-15
 
 
@@ -488,14 +488,14 @@ def test_star5_truncation_overshoots_exact():
     _, _, sp = spectrum_of(g)
     st = structural_stats(g)
     assert chi_exact(sp) == pytest.approx(0.44, abs=1e-12)
-    assert chi_structural(st, 5) == pytest.approx(0.45, abs=1e-12)
-    assert chi_structural(st, 5) > chi_exact(sp)
+    assert chi_structural(st) == pytest.approx(0.45, abs=1e-12)
+    assert chi_structural(st) > chi_exact(sp)
 
 
 # --- per-graph report --------------------------------------------------------------
 
 def test_efficiency_report_star4():
-    rep = efficiency_report(generate_star(4))
+    rep = efficiency_report(build_hamiltonian(generate_star(4)))
     assert rep.n == 4
     assert rep.e_star == 1.0
     assert rep.chi_exact == pytest.approx(0.375, abs=1e-12)
@@ -509,7 +509,7 @@ def test_efficiency_report_star4():
 
 def test_efficiency_report_invariants_on_families():
     for g in [generate_chain(20), generate_dendrimer(3, 3), generate_sft(100, 2.8, seed=4)]:
-        rep = efficiency_report(g)
+        rep = efficiency_report(build_hamiltonian(g))
         assert 1.0 / rep.n <= rep.chi_exact <= 1.0
         assert rep.rho_star_structural <= rep.rho_star_exact + 1e-12
         assert rep.chi_spectral_lb <= rep.chi_exact + 1e-12
@@ -518,16 +518,20 @@ def test_efficiency_report_invariants_on_families():
 
 def test_efficiency_report_rejects_two_node_tree():
     with pytest.raises(NoParentsError):
-        efficiency_report(generate_chain(2))
+        efficiency_report(build_hamiltonian(generate_chain(2)))
 
 
-def test_efficiency_report_refuses_an_oversize_plan_before_the_structural_pass(monkeypatch):
+def test_efficiency_report_refuses_an_oversize_plan_before_the_structural_pass(monkeypatch,
+                                                                             tmp_path):
+    # the report takes a Hamiltonian, whose plan has already refused an oversize tree
     reached = []
     monkeypatch.setattr("qtree.efficiency.structural_stats", reached.append)
-    with pytest.raises(SizeLimitError):
-        efficiency_report(generate_chain(5000))
-    with pytest.raises(SizeLimitError):
-        efficiency_report(generate_chain(2), size_limit=1)
+    for g, size_limit in ((generate_chain(5000), []), (generate_chain(2), ["--size-limit", "1"])):
+        edges = tmp_path / "g.edges"
+        edges.write_text(edge_list_text(g), encoding="utf-8")
+        out = tmp_path / "chi.json"
+        assert cli.main(["chi", "--in", str(edges), "--out", str(out), *size_limit]) == 4
+        assert not out.exists()
     assert reached == []
 
 

@@ -207,7 +207,7 @@ def test_structural_values_match_efficiency_module():
         cfg = EnsembleConfig(n=100, s=2.5, r=1000, master_seed=3, estimator=estimator)
         res = run_ensemble(cfg)
         for index, st in enumerate(stats):
-            assert res.per_realization[index] == 1.0 - chi_structural(st, 100, mode), index
+            assert res.per_realization[index] == 1.0 - chi_structural(st, mode), index
         assert res.realized_avg_f_mean == math.fsum(st.avg_f_nonleaf for st in stats) / cfg.r
 
 
@@ -219,7 +219,7 @@ def test_measured_mode_uses_measured_delta():
     assert r0.per_realization != r1.per_realization
     g = generate_sft(100, 2.3, 99, realization_seed(9, 0))
     st = structural_stats(g)
-    assert r1.per_realization[0] == 1.0 - chi_structural(st, 100, "use-measured")
+    assert r1.per_realization[0] == 1.0 - chi_structural(st, "use-measured")
 
 
 def test_spectral_exact_estimator_matches_direct_path():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import pickle
@@ -11,6 +12,7 @@ from qtree import (
     InvalidParameterError,
     NoParentsError,
     SizeLimitError,
+    StructuralStats,
     TreeGraph,
     edge_list_text,
     generate_chain,
@@ -83,8 +85,8 @@ def test_star5_stats_hand_count():
     st = structural_stats(generate_star(5))
     assert st.n_leaves == 4
     assert st.n_parents == 1
-    assert st.per_node_delta == (-1,)
-    assert st.avg_f_minus_delta_parents == 5.0
+    assert st.avg_f_parents == 4.0
+    assert st.avg_f_minus_delta_parents == 5.0  # the center's delta is -1
     assert st.avg_f_nonleaf == 4.0
 
 
@@ -108,9 +110,8 @@ def test_dendrimer_f3_g2_hand_count():
     st = structural_stats(g)
     assert st.n_leaves == 6
     assert st.n_parents == 3
-    assert st.per_node_delta == (0, 0, 0)
     assert st.avg_f_nonleaf == 3.0
-    assert st.avg_f_minus_delta_parents == 3.0
+    assert st.avg_f_parents == st.avg_f_minus_delta_parents == 3.0  # every delta is 0
 
 
 def test_dendrimer_node_count_closed_form():
@@ -314,9 +315,10 @@ def test_stats_rejects_no_parents():
 
 
 def test_delta_is_at_least_minus_one():
+    # the record keeps delta's mean over the parents, avg f - avg (f - delta)
     for g in [generate_star(9), generate_chain(9), generate_sft(300, 2.3, seed=5)]:
         st = structural_stats(g)
-        assert all(d >= -1 for d in st.per_node_delta)
+        assert st.avg_f_parents - st.avg_f_minus_delta_parents >= -1 - 1e-12
 
 
 def test_validate_tree_ok():
@@ -361,7 +363,7 @@ def test_parse_renumbers_breadth_first_from_node_zero():
     g = parse_edge_list_text("5\n3 4\n1 3\n0 3\n3 2\n")
     assert g.parents.tolist() == [-1, 0, 1, 1, 1]
     assert validate_tree(g) is None
-    assert structural_stats(g).parent_ids == (1,)
+    assert structural_stats(g).n_parents == 1
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -465,21 +467,18 @@ def _reference_stats(g):
         nbrs[v].append(u)
     deg = [len(a) for a in nbrs]
     is_leaf = [d == 1 for d in deg]
-    leaf_ids = tuple(j for j in range(g.n) if is_leaf[j])
-    parent_ids = tuple(
-        j for j in range(g.n) if not is_leaf[j] and any(is_leaf[v] for v in nbrs[j])
-    )
-    deltas = tuple(sum(1 for v in nbrs[j] if not is_leaf[v]) - 1 for j in parent_ids)
+    leaf_ids = [j for j in range(g.n) if is_leaf[j]]
+    parent_ids = [j for j in range(g.n) if not is_leaf[j] and any(is_leaf[v] for v in nbrs[j])]
+    deltas = [sum(1 for v in nbrs[j] if not is_leaf[v]) - 1 for j in parent_ids]
+    assert all(d >= -1 for d in deltas)
     sum_f_parents = sum(deg[j] for j in parent_ids)
-    return (
-        len(leaf_ids),
-        len(parent_ids),
-        (2 * (g.n - 1) - len(leaf_ids)) / (g.n - len(leaf_ids)),
-        (sum_f_parents - sum(deltas)) / len(parent_ids),
-        sum_f_parents / len(parent_ids),
-        deltas,
-        leaf_ids,
-        parent_ids,
+    return StructuralStats(
+        n=g.n,
+        n_leaves=len(leaf_ids),
+        n_parents=len(parent_ids),
+        avg_f_nonleaf=(2 * (g.n - 1) - len(leaf_ids)) / (g.n - len(leaf_ids)),
+        avg_f_minus_delta_parents=(sum_f_parents - sum(deltas)) / len(parent_ids),
+        avg_f_parents=sum_f_parents / len(parent_ids),
     )
 
 
@@ -547,9 +546,9 @@ def test_pcg64_states_equal_numpy_seeding():
 
 def _assert_stats_equal(got, expected, label=""):
     # field by field, with the reference's Python types
-    got = (got.n_leaves, got.n_parents, got.avg_f_nonleaf, got.avg_f_minus_delta_parents,
-           got.avg_f_parents, got.per_node_delta, got.leaf_ids, got.parent_ids)
-    assert got == expected and list(map(type, got)) == list(map(type, expected)), label
+    for field in dataclasses.fields(expected):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert a == b and type(a) is type(b), (label, field.name)
 
 
 def test_structural_stats_matches_loop_reference():
@@ -626,8 +625,11 @@ def _assert_closed_form_counts(n, s, f_max, seeds, block=None):
     got = _count_sft_trees(n, np.concatenate([_sft_slot_counts(b) for b in blocks], axis=1))
     parents = np.concatenate([_parent_arrays(b) for b in blocks])
     expected = count_leaves_and_parents_reference(parents[:, 1:], n)
-    for field, a, b in zip(got._fields, got, expected):
-        assert a.shape == b.shape == (len(seeds),) and np.array_equal(a, b), (n, s, f_max, field)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        shape = () if field.name == "n" else (len(seeds),)  # the block's trees share n
+        assert np.shape(a) == np.shape(b) == shape, (n, s, f_max, field.name)
+        assert np.array_equal(a, b), (n, s, f_max, field.name)
     assert np.all(got.n_parents >= 1)
 
 
@@ -672,8 +674,10 @@ def test_structural_stats_of_an_sft_equal_its_closed_form_counts(n, s, f_max):
     counts = _count_sft_trees(n, _sft_slot_counts(_grown_at_once(_sft_cdf(s, f_max), n, seeds)))
     for i, seed in enumerate(seeds):
         stats = structural_stats(generate_sft(n, s, f_max, seed))
-        for field, values in zip(counts._fields, counts):
-            assert getattr(stats, field) == values[i], (seed, field)
+        for field in dataclasses.fields(stats):
+            values = getattr(counts, field.name)
+            expected = values if field.name == "n" else values[i]
+            assert getattr(stats, field.name) == expected, (seed, field.name)
 
 
 @pytest.mark.parametrize("s", [1075, 1e308])

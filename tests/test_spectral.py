@@ -129,14 +129,23 @@ def test_eigensystem_invariants(g):
         )
 
 
+def _quotient_sizes(h):
+    """The size of each quotient in h's plan: one eigensolve each."""
+    return [len(q[0]) for q, _ in h.quotients.values()]
+
+
 def test_quotient_solvers_size_limit():
     chain = generate_chain(40)
     with pytest.raises(SizeLimitError):
         build_hamiltonian(chain, size_limit=39)
-    assert max(return_weights(build_hamiltonian(chain, size_limit=40)).spectrum.solve_dims) == 40
+    h = build_hamiltonian(chain, size_limit=40)
+    assert _quotient_sizes(h) == [40]
+    assert len(return_weights(h).eigenvalues) == 40
     # the limit bounds the largest solve, the root's quotient, not n
     d = generate_dendrimer(3, 4)  # 46 nodes, a root quotient of 5 positions
-    assert max(spectrum(build_hamiltonian(d, size_limit=5)).solve_dims) == 5
+    h = build_hamiltonian(d, size_limit=5)
+    assert max(_quotient_sizes(h)) == 5
+    assert spectrum(h).n == 46
     with pytest.raises(SizeLimitError, match="n=46: a quotient of 5 positions"):
         build_hamiltonian(d, size_limit=4)
     # a chain is its own quotient; interning stops at the first branch above the limit
@@ -310,8 +319,8 @@ def relabelled(g, seed):
 def test_report_does_not_depend_on_node_labels(g):
     # reading renumbers from a different root; every measure stays the same
     for potential in (CONNECTIVITY, ADJACENCY):
-        report = efficiency_report(g, potential)
-        other = efficiency_report(relabelled(g, seed=g.n), potential)
+        report = efficiency_report(build_hamiltonian(g, potential))
+        other = efficiency_report(build_hamiltonian(relabelled(g, seed=g.n), potential))
         assert other.label == f"relabelled-{g.label}"
         assert dataclasses.replace(other, label=g.label) == report
 
@@ -357,7 +366,7 @@ def test_spectrum_matches_eigendecomposition_binning(g, potential):
     assert not hasattr(h, "matrix")  # no dense matrix exists in the program
     reference = dense_reference(h).spectrum()
     assert sum(m for _, m in sp.classes) == g.n
-    assert sum(sp.solve_dims) <= g.n
+    assert sum(_quotient_sizes(h)) <= g.n
     assert [m for _, m in sp.classes] == [m for _, m in reference.classes]
     assert np.allclose([r for r, _ in sp.classes], [r for r, _ in reference.classes],
                        rtol=0.0, atol=1e-11)
@@ -380,7 +389,7 @@ def test_return_weights_match_dense_reference(g, potential):
     copies = rw.nodes @ rw.weights
     assert np.allclose(copies, np.rint(copies), rtol=0.0, atol=1e-9)
     assert np.all(np.rint(copies) >= 1) and np.rint(copies).sum() == g.n
-    assert rw.weights.shape[1] == len(rw.eigenvalues) == sum(rw.spectrum.solve_dims) <= g.n
+    assert rw.weights.shape[1] == len(rw.eigenvalues) == sum(_quotient_sizes(h)) <= g.n
     sp = spectrum(h)
     assert [m for _, m in rw.spectrum.classes] == [m for _, m in sp.classes]
     assert np.allclose([r for r, _ in rw.spectrum.classes], [r for r, _ in sp.classes],
@@ -551,7 +560,7 @@ def test_plan_refuses_as_the_queue_reference_does(g, size_limit, message):
 
 
 def _bits(sp):
-    return [(rep.hex(), m) for rep, m in sp.classes], sp.n, sp.tol_abs, sp.solve_dims
+    return [(rep.hex(), m) for rep, m in sp.classes], sp.n, sp.tol_abs
 
 
 # eigenvalues on a coarse grid plus offsets below, near and above a 1e-8 tolerance,
@@ -580,9 +589,13 @@ def test_spectrum_and_return_weights_bin_as_tiled_copies(g, potential):
     h = build_hamiltonian(g, potential)
     on_site = [potential.value(f) for f in h.functionality]
     solved = [(np.linalg.eigvalsh(_matrix(q, on_site)), count) for q, count in h.quotients.values()]
-    assert _bits(spectrum(h)) == _bits(tiled_spectrum_reference(solved))
     with mock.patch("qtree.spectral._bin", wraps=_bin) as binner:
+        sp = spectrum(h)
         rw = return_weights(h)
+    # each solves every quotient of the plan once, as the manifest counters say
+    for (binned, _), _ in binner.call_args_list:
+        assert sorted(len(values) for values, _ in binned) == sorted(_quotient_sizes(h))
+    assert _bits(sp) == _bits(tiled_spectrum_reference(solved))
     (solved, tol_abs), _ = binner.call_args
     assert np.array_equal(np.concatenate([values for values, _ in solved]), rw.eigenvalues)
     assert _bits(rw.spectrum) == _bits(tiled_spectrum_reference(solved, tol_abs))
