@@ -28,22 +28,20 @@ import numpy as np
 
 from . import __version__
 from .efficiency import (
-    _block_rows,
     _check_time_grid,
-    _series,
     chi_exact,
     efficiency_report,
     kappa_fit,
     time_average,
+    time_series,
 )
 from .ensemble import (
     ESTIMATORS,
     STRUCTURAL_DELTA0,
     EnsembleConfig,
-    _block_size,
     _check_config,
-    _task_ranges,
     sweep,
+    sweep_counters,
     sweep_csv_text,
 )
 from .errors import InvalidParameterError, QtreeError, SizeLimitError
@@ -193,10 +191,6 @@ def _solve_counters(h, calls: str) -> dict:
 def run_chi(params: dict) -> int:
     started = time.monotonic()
     out, spectrum_out = params["out"], params["spectrum_out"]
-    if spectrum_out and Path(spectrum_out).resolve() in (
-            Path(out).resolve(), Path(out + ".manifest.json").resolve()):
-        raise InvalidParameterError(
-            f"--spectrum-out {spectrum_out} would overwrite the report or its manifest")
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
@@ -256,15 +250,11 @@ def run_sweep(params: dict) -> int:
     _check_config(cfgs[0])
     rows = sweep(cfgs, params["workers"])
     swept = time.monotonic()
-    ran = sum(row.one_minus_chi_mc_mean is not None for row in rows)
     out = params["out"]
     write_text_atomic(out, sweep_csv_text(rows))
-    block = _block_size(n)
-    tasks = _task_ranges([(r, block)] * ran, params["workers"])
     _write_manifest("sweep", params, [out], seed, started, {
         "timings": {"sweep_s": swept - started, "write_s": time.monotonic() - swept},
-        "counters": {"realizations": ran * r, "blocks": ran * -(-r // block),
-                     "seed_passes": sum(map(len, tasks))},
+        "counters": sweep_counters(rows, params["workers"]),
     })
     if all(row.status != "ok" for row in rows):
         print("qtree: every sweep row failed", file=sys.stderr)
@@ -351,7 +341,7 @@ def run_timeseries(params: dict) -> int:
     h = build_hamiltonian(g, potential)
     rw = return_weights(h)
     weights_done = time.monotonic()
-    ts = _series(rw, t_max, samples)
+    ts = time_series(rw, t_max, samples)
     series_done = time.monotonic()
     # one formatting call for the body; "%.17g" writes the digits f"{x:.17g}" does
     rows = np.column_stack((ts.times, ts.abs_alpha_sq, ts.pi_bar)).ravel().tolist()
@@ -369,7 +359,7 @@ def run_timeseries(params: dict) -> int:
                     "write_s": time.monotonic() - series_done},
         "counters": {"n": g.n, **_solve_counters(h, "eigh_calls"),
                      "weight_columns": len(rw.eigenvalues),
-                     "series_blocks": -(-samples // _block_rows(len(rw.eigenvalues)))},
+                     "series_blocks": ts.blocks},
     })
     return 0
 
@@ -381,6 +371,30 @@ _RUNNERS = {
     "fit-kappa": run_fit_kappa,
     "timeseries": run_timeseries,
 }
+
+
+def _check_paths(params: dict) -> None:
+    """Refuse an output path that resolves to another output or to an input of the command."""
+    out, potential = params["out"], params.get("potential") or ""
+    table = potential.removeprefix("custom=") if potential.startswith("custom=") else None
+    outputs = {"--out": out, "the manifest of --out": out + ".manifest.json",
+               "--spectrum-out": params.get("spectrum_out")}
+    inputs = {"--in": params.get("in"), "the potential table": table}
+    resolved = {}
+    for name, path in {**outputs, **inputs}.items():
+        if path is None:
+            continue
+        path = os.path.realpath(path)
+        for other, known in resolved.items():
+            if known == path and (name in outputs or other in outputs):
+                raise InvalidParameterError(f"{other} and {name} are the same file, {path}")
+        resolved[name] = path
+
+
+def _run(command: str, params: dict) -> int:
+    """Run a command on its params once no output of it would overwrite another or an input."""
+    _check_paths(params)
+    return _RUNNERS[command](params)
 
 
 def run_rerun(params: dict) -> int:
@@ -423,7 +437,7 @@ def run_rerun(params: dict) -> int:
             raise InvalidParameterError(
                 f"manifest param {action.dest!r} is {reprlib.repr(value)}, "
                 f"which reads back as {read!r}")
-    return _RUNNERS[command](parsed)
+    return _run(command, parsed)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -516,8 +530,8 @@ def _params_from_args(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser()[0].parse_args(argv)
-        runner = run_rerun if args.command == "rerun" else _RUNNERS[args.command]
-        return runner(_params_from_args(args))
+        params = _params_from_args(args)
+        return run_rerun(params) if args.command == "rerun" else _run(args.command, params)
     except SizeLimitError as exc:
         print(f"qtree: {exc}", file=sys.stderr)
         return 4

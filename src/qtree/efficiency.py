@@ -7,7 +7,10 @@ single eigenvalue's density, and admits a structural bound in terms of
 leaf/parent counts that survives the infinite-size limit.  Closed-form
 limits for dendrimers, Vicsek fractals and scale-free trees, the zeta
 function they need, and the critical-exponent fit at the breakdown of
-transport live here as pure functions.
+transport live here as pure functions.  So does the time series whose
+average chi is, `time_series(rw)`, summed from the quotient weights that
+`spectral.return_weights` gives: it alone checks the time grid, cuts the
+series into blocks of times, and records in `TimeSeries` how many ran.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from .spectral import (
     ReturnWeights,
     Spectrum,
     multiplicity_exact,
-    return_weights,
     spectrum,
 )
 
@@ -272,12 +274,12 @@ def kappa_fit(points: Iterable[tuple[float, float]]) -> KappaFit:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled node-averaged return quantities, and the quotient weights behind them."""
+    """Sampled node-averaged return quantities, and the number of time blocks they took."""
 
     times: np.ndarray
     abs_alpha_sq: np.ndarray
     pi_bar: np.ndarray
-    weights: ReturnWeights = field(repr=False, compare=False)
+    blocks: int
 
 
 def default_time_grid(sp: Spectrum, samples: int = 10_000) -> np.ndarray:
@@ -307,13 +309,14 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
 
 
 def _check_time_grid(t_max: float | None, samples: int) -> None:
-    """Refuses fewer than 2 samples, and linspace(0, t_max, samples) where it repeats a
-    time, as a subnormal t_max can.
+    """Refuses a t_max that is not positive, fewer than 2 samples, and
+    linspace(0, t_max, samples) where it repeats a time, as a subnormal t_max can.
 
     None, the default grid, is known only after the solves and is not
-    checked here; a t_max that is not finite is left to the phase
-    overflow check.
+    checked here; a NaN or infinite t_max is left to the phase overflow check.
     """
+    if t_max is not None and t_max <= 0:
+        raise InvalidParameterError(f"t_max must be positive, got {t_max!r}")
     if samples < 2:
         raise InvalidParameterError(f"a time series needs at least 2 samples, got {samples}")
     if (t_max is not None and math.isfinite(t_max)
@@ -333,24 +336,16 @@ def _block_rows(columns: int) -> int:
     return max(1, (1 << 16) // columns)
 
 
-def time_series(h: Hamiltonian, t_max: float | None = None, samples: int = 10_000) -> TimeSeries:
-    """|averaged return amplitude|^2 and pbar on linspace(0, t_max, samples).
+def time_series(rw: ReturnWeights, t_max: float | None = None, samples: int = 10_000) -> TimeSeries:
+    """|averaged return amplitude|^2 and pbar on linspace(0, t_max, samples), from the
+    quotient weights of `return_weights`; t_max=None takes `default_time_grid`'s horizon.
 
-    t_max=None takes the horizon of `default_time_grid`.  One pass over
-    the quotient weights (spectral module docstring): at each time,
-    amp_q = sum_j W[q, j] exp(-i lambda_j t) is the return amplitude of
-    every node at root-quotient position q, pbar = sum_q (Pi_q/n) |amp_q|^2
-    and alpha = sum_q (Pi_q/n) amp_q, so |alpha|^2 <= pbar is Jensen's
-    inequality on the same numbers.  A t_max that makes the grid repeat
-    a time is refused before the eigensolves, and a grid on which some
-    phase t * lambda_j is not finite after them.
-    """
-    _check_time_grid(t_max, samples)
-    return _series(return_weights(h), t_max, samples)
-
-
-def _series(rw: ReturnWeights, t_max: float | None, samples: int) -> TimeSeries:
-    """The series of `time_series` from the quotient weights.
+    At each time, amp_q = sum_j W[q, j] exp(-i lambda_j t) is the return
+    amplitude of every node at root-quotient position q (spectral module
+    docstring), pbar = sum_q (Pi_q/n) |amp_q|^2 and alpha = sum_q (Pi_q/n)
+    amp_q, so |alpha|^2 <= pbar is Jensen's inequality on the same numbers.
+    A grid `_check_time_grid` refuses, or on which some phase t * lambda_j
+    is not finite, is refused before the first block.
 
     The grid is uniform, so phases are rotated rather than evaluated.
     The first block of S times is an (m x S) complex array, one row per
@@ -365,6 +360,7 @@ def _series(rw: ReturnWeights, t_max: float | None, samples: int) -> TimeSeries:
     time's sum of squares over its two output columns, and alpha one
     product with sqrt(Pi_q/n).
     """
+    _check_time_grid(t_max, samples)
     t = (default_time_grid(rw.spectrum, samples) if t_max is None
          else np.linspace(0.0, t_max, samples))
     lam = rw.eigenvalues
@@ -396,7 +392,7 @@ def _series(rw: ReturnWeights, t_max: float | None, samples: int) -> TimeSeries:
         block = slice(start, start + rows)
         abs_alpha_sq[block] = alpha[0::2] ** 2 + alpha[1::2] ** 2
         pi_bar[block] = squares[0::2] + squares[1::2]
-    return TimeSeries(t, abs_alpha_sq, pi_bar, rw)
+    return TimeSeries(t, abs_alpha_sq, pi_bar, blocks=-(-len(t) // step))
 
 
 # --- per-graph report --------------------------------------------------------

@@ -8,6 +8,9 @@ in index order.
 Realizations run in tasks of consecutive indices, each a range of whole
 blocks of at most 2^14 realizations; a sweep runs the tasks of all its
 rows in one ordered map, and `run_ensemble` is the one-config case.
+`_tasks` alone lays the tasks out: `_ensembles` maps what it gives, and
+`sweep_counters` reads a sweep's realizations, blocks and seed passes
+from it for the rows that ran.
 What does not depend on the block runs once per task: the SplitMix64
 pass over the index array, NumPy's SeedSequence hash and PCG64 seeding
 of all the task's seeds, the one reused generator
@@ -186,22 +189,27 @@ def _check_workers(workers: int) -> None:
     _check_pcg64_layout()
 
 
+def _tasks(sizes: list[tuple[int, int]], workers: int) -> list[list[tuple[int, int, int]]]:
+    """Each (n, r) row's tasks (start, stop, block), in blocks of `_block_size(n)`."""
+    blocks = [_block_size(n) for n, _ in sizes]
+    ranges = _task_ranges([(r, block) for (_, r), block in zip(sizes, blocks)], workers)
+    return [[(start, stop, block) for start, stop in row] for block, row in zip(blocks, ranges)]
+
+
 def _ensembles(runs: list[tuple[EnsembleConfig, np.ndarray]],
                workers: int) -> list[EnsembleResult]:
     """The ensemble of each checked config and the CDF it draws from, all tasks in one ordered
     map: in this process at one worker or one task, else in one process pool with no more
     processes than tasks, workers or CPUs this process may use."""
-    blocks = [_block_size(cfg.n) for cfg, _ in runs]
-    ranges = _task_ranges([(cfg.r, block) for (cfg, _), block in zip(runs, blocks)], workers)
-    tasks = [(cfg, cdf, start, stop, block)
-             for (cfg, cdf), block, row in zip(runs, blocks, ranges) for start, stop in row]
+    rows = _tasks([(cfg.n, cfg.r) for cfg, _ in runs], workers)
+    tasks = [(cfg, cdf, *task) for (cfg, cdf), row in zip(runs, rows) for task in row]
     if workers == 1 or len(tasks) <= 1:
         done = map(_realize_task, tasks)
     else:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with Pool(min(workers, len(tasks), cpus or 1)) as pool:
             done = iter(pool.map(_realize_task, tasks, chunksize=1))
-    return [_result(cfg, list(islice(done, len(row)))) for (cfg, _), row in zip(runs, ranges)]
+    return [_result(cfg, list(islice(done, len(row)))) for (cfg, _), row in zip(runs, rows)]
 
 
 def _result(cfg: EnsembleConfig, done: list[tuple[np.ndarray, np.ndarray]]) -> EnsembleResult:
@@ -287,6 +295,14 @@ def sweep(cfgs: list[EnsembleConfig], workers: int = 1) -> list[SweepRow]:
                           one_minus_chi_mc_stderr=result.std_error)
         swept.append(row)
     return swept
+
+
+def sweep_counters(rows: list[SweepRow], workers: int = 1) -> dict[str, int]:
+    """The realizations, blocks and seed passes (tasks) `sweep` ran for rows, from `_tasks`."""
+    ran = _tasks([(row.n, row.r) for row in rows if row.one_minus_chi_mc_mean is not None], workers)
+    sizes = [(stop - start, block) for row in ran for start, stop, block in row]
+    return {"realizations": sum(size for size, _ in sizes), "seed_passes": len(sizes),
+            "blocks": sum(-(-size // block) for size, block in sizes)}
 
 
 def _sweep_row(cfg: EnsembleConfig) -> tuple[SweepRow, np.ndarray | None]:

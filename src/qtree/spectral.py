@@ -46,6 +46,7 @@ states.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -110,12 +111,15 @@ def custom_potential(table: Mapping[int, float]) -> Potential:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
+    """x exactly: any `numbers.Rational` (NumPy integers too) as itself, and any other
+    finite `numbers.Real` (NumPy floats too) at its binary value."""
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, numbers.Real):
         if not math.isfinite(x):
             raise UnsupportedExactModeError(f"non-finite potential entry {x!r}")
-        return Fraction(x)
+        ratio = getattr(x, "as_integer_ratio", float(x).as_integer_ratio)
+        return Fraction(*ratio())
     raise UnsupportedExactModeError(f"cannot treat {x!r} as an exact rational")
 
 
@@ -347,8 +351,8 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
     quotient Q, where a bond sqrt(k) enters only squared, as the integer
     k, and the counts of zeros add up as the quotients' spectra do.
     Requires every entry (potential values and e) to be representable
-    as an exact rational: ints, Fractions, or finite floats taken at
-    their binary value.
+    as an exact rational: any rational, NumPy integers included, or a
+    finite real, a float or NumPy float, taken at its binary value.
     """
     x = _as_fraction(e)
     on_site = [h.potential.value_exact(f) - x for f in h.functionality]

@@ -14,7 +14,9 @@ count times, the edge-list reader that scans line by line, and the
 quotient plan that joins branches through a queue, and the leaf and
 parent counts taken from parent arrays by `np.bincount`.  It also holds
 two checks the program itself does not need: the breadth-first
-parent-array invariant and the explicit leaf-pair eigenvectors at E*.
+parent-array invariant and the explicit leaf-pair eigenvectors at E*;
+and the `in_process_pool` fixture, which runs the sweep's process pool
+in the test's own process and records what it mapped.
 """
 import math
 import os
@@ -22,8 +24,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from qtree.errors import InvalidParameterError, SizeLimitError
 from qtree.graphs import StructuralStats, TreeGraph, _bfs_parents
@@ -36,6 +40,33 @@ def pytest_configure(config):
     # the CLI tests start `python -m qtree` in child interpreters: they
     # import the package from this checkout, as the tests themselves do
     os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace `ensemble.Pool` by a pool that maps in this process, so patched functions
+    and counters reach its tasks; returns the record of the processes each pool was asked
+    for (`started`) and of every task it mapped, in order (`mapped`)."""
+    from qtree import ensemble
+
+    record = SimpleNamespace(started=[], mapped=[])
+
+    class InProcessPool:
+        def __init__(self, processes):
+            record.started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, fn, tasks, chunksize):
+            record.mapped.extend(tasks)
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(ensemble, "Pool", InProcessPool)
+    return record
 
 
 @dataclass(frozen=True)

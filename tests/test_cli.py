@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtree import Potential, QtreeError, build_hamiltonian, read_edge_list, time_series
-from qtree import cli, errors, graphs, spectral
+from qtree import (Potential, QtreeError, build_hamiltonian, read_edge_list, return_weights,
+                   time_series)
+from qtree import cli, efficiency, ensemble, errors, graphs, spectral
 
 
 def run_cli(*args):
@@ -272,6 +273,37 @@ def test_sweep_manifest_counts_one_seed_pass_per_task(tmp_path, workers, seed_pa
                                     "seed_passes": seed_passes}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_manifest_counts_the_tasks_mapped_and_the_blocks_grown(
+        tmp_path, monkeypatch, in_process_pool, workers):
+    # n = 60 takes blocks of 1093, so each ok row's 2500 realizations are three blocks: one
+    # task per row at one worker, and tasks of two blocks through the pool at two; the
+    # row at s = 1075 is refused and runs nothing
+    realized, grown = [], []
+    realize_task, grow_sft_ends = ensemble._realize_task, ensemble._grow_sft_ends
+
+    def counting_realize_task(task):
+        realized.append(task)
+        return realize_task(task)
+
+    def counting_grow_sft_ends(*args):
+        for sums in grow_sft_ends(*args):
+            grown.append(len(sums))
+            yield sums
+
+    monkeypatch.setattr(ensemble, "_realize_task", counting_realize_task)
+    monkeypatch.setattr(ensemble, "_grow_sft_ends", counting_grow_sft_ends)
+    out = tmp_path / "sw.csv"
+    assert cli.main(["sweep", "--n", "60", "--s-grid", "2.2,1075,3.0,4.0", "--r", "2500",
+                     "--workers", str(workers), "--out", str(out)]) == 0
+    counters = json.loads(Path(str(out) + ".manifest.json").read_text())["counters"]
+    assert in_process_pool.mapped == (realized if workers > 1 else [])
+    assert counters == {"realizations": sum(stop - start for _, _, start, stop, _ in realized),
+                        "blocks": len(grown), "seed_passes": len(realized)}
+    assert counters == {"realizations": 7500, "blocks": 9, "seed_passes": 3 * workers}
+    assert sum(grown) == 7500
+
+
 def test_paper_r_sweep_writes_the_same_csv_at_two_workers(tmp_path):
     # five rows of 16 blocks: one task per row for one worker; two workers ask for about
     # eight tasks over the whole sweep, so each row is two tasks, not eight
@@ -418,7 +450,7 @@ def test_timeseries_body_is_each_value_at_17_digits(tmp_path, t_max):
     assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "3", "--out", edges]) == 0
     assert cli.main(["timeseries", "--in", edges, "--samples", "300", "--out", out]
                     + ([] if t_max is None else ["--t-max", str(t_max)])) == 0
-    ts = time_series(build_hamiltonian(read_edge_list(edges)), t_max, 300)
+    ts = time_series(return_weights(build_hamiltonian(read_edge_list(edges))), t_max, 300)
     lines = Path(out).read_text().splitlines()
     assert lines[2:-1] == [f"{t:.17g},{a:.17g},{p:.17g}"
                            for t, a, p in zip(ts.times, ts.abs_alpha_sq, ts.pi_bar)]
@@ -476,6 +508,23 @@ def test_timeseries_manifest_counts_series_blocks(tmp_path):
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["counters"]["weight_columns"] == 301
     assert manifest["counters"]["series_blocks"] == 5
+
+
+def test_timeseries_manifest_counts_the_kernel_blocks_run(tmp_path, monkeypatch):
+    # blocks of 7 times: each runs one einsum over its amplitudes, and 100 samples take 15
+    monkeypatch.setattr(efficiency, "_block_rows", lambda columns: 7)
+    subscripts, einsum = [], np.einsum
+
+    def counting_einsum(spec, *operands, **kwargs):
+        subscripts.append(spec)
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    edges, out = str(tmp_path / "d.edges"), str(tmp_path / "ts.csv")
+    assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "4", "--out", edges]) == 0
+    assert cli.main(["timeseries", "--in", edges, "--samples", "100", "--out", out]) == 0
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["counters"]["series_blocks"] == subscripts.count("qj,qj->j") == 15
 
 
 def test_chi_rerun_identical(tmp_path):
@@ -672,6 +721,46 @@ def test_rerun_refuses_an_out_that_overwrites_the_stored_spectrum(tmp_path, caps
                      "--out", str(spectrum)]) == 2
     assert "--spectrum-out" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--in", "t.edges", "--out", "t.edges"],
+    ["chi", "--in", "t.edges", "--out", "r.json", "--spectrum-out", "t.edges"],
+    ["chi", "--in", "r.manifest.json", "--out", "r"],
+    ["chi", "--in", "t.edges", "--out", "link.edges"],
+    ["chi", "--in", "t.edges", "--potential", "custom=pot.txt", "--out", "pot.txt"],
+    ["chi", "--in", "t.edges", "--potential", "custom=pot.txt", "--out", "r.json",
+     "--spectrum-out", "pot.txt"],
+    ["timeseries", "--in", "t.edges", "--out", "t.edges"],
+    ["timeseries", "--in", "r.manifest.json", "--out", "r"],
+    ["timeseries", "--in", "t.edges", "--potential", "custom=pot.txt", "--out", "pot.txt"],
+    ["fit-kappa", "--in", "p.csv", "--y-column", "s", "--out", "p.csv"],
+    ["fit-kappa", "--in", "r.manifest.json", "--y-column", "s", "--out", "r"],
+    ["rerun", "chi.json.manifest.json", "--out", "t.edges"],
+    ["rerun", "ts.csv.manifest.json", "--out", "t.edges"],
+    ["rerun", "fit.json.manifest.json", "--out", "p.csv"],
+], ids=" ".join)
+def test_an_output_that_would_overwrite_an_input_or_output_exits_2_writing_nothing(
+        tmp_path, monkeypatch, capsys, argv):
+    # every command checks its paths, as they resolve, before it reads or writes anything;
+    # the tests above cover --spectrum-out against the report and its manifest
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", "t.edges"]) == 0
+    (tmp_path / "link.edges").symlink_to(tmp_path / "t.edges")
+    (tmp_path / "r.manifest.json").write_bytes((tmp_path / "t.edges").read_bytes())
+    (tmp_path / "pot.txt").write_text("1 1\n2 2\n4 4\n")
+    assert cli.main(["sweep", "--n", "20", "--s-grid", "2.5,3.0,4.0", "--r", "3",
+                     "--out", "p.csv"]) == 0
+    assert cli.main(["chi", "--in", "t.edges", "--out", "chi.json",
+                     "--spectrum-out", "spectrum.csv"]) == 0
+    assert cli.main(["timeseries", "--in", "t.edges", "--samples", "5", "--out", "ts.csv"]) == 0
+    assert cli.main(["fit-kappa", "--in", "p.csv", "--y-column", "s", "--out", "fit.json"]) == 0
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtree: ") and "are the same file" in err and err.count("\n") == 1
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
 
 def test_manifest_records_blas_thread_environment(tmp_path):

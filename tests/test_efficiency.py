@@ -34,6 +34,7 @@ from qtree import (
     generate_star,
     generate_vicsek,
     kappa_fit,
+    return_weights,
     rho_star_structural,
     structural_stats,
     time_average,
@@ -356,7 +357,7 @@ def test_kappa_fit_vicsek_against_mean_functionality():
 # --- time-domain quantities -------------------------------------------------------
 
 def test_return_amplitude_at_t0():
-    ts = time_series(build_hamiltonian(generate_chain(3)), samples=2)
+    ts = time_series(return_weights(build_hamiltonian(generate_chain(3))), samples=2)
     assert ts.times[0] == 0.0
     assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -377,20 +378,20 @@ def test_time_average_rejects_nonuniform_grid():
 
 
 def test_chain3_long_time_average_reaches_chi():
-    ts = time_series(build_hamiltonian(generate_chain(3)), 200.0, 10_000)
+    ts = time_series(return_weights(build_hamiltonian(generate_chain(3))), 200.0, 10_000)
     avg = time_average(ts.abs_alpha_sq, ts.times)
     assert avg == pytest.approx(1 / 3, abs=0.01)
 
 
 def test_star4_long_time_average_reaches_chi():
-    ts = time_series(build_hamiltonian(generate_star(4)), 200.0, 10_000)
+    ts = time_series(return_weights(build_hamiltonian(generate_star(4))), 200.0, 10_000)
     avg = time_average(ts.abs_alpha_sq, ts.times)
     assert avg == pytest.approx(0.375, abs=0.01)
 
 
 def test_return_probability_dominates_amplitude():
     for g in [generate_star(4), generate_chain(6), generate_dendrimer(3, 2)]:
-        ts = time_series(build_hamiltonian(g), samples=2000)
+        ts = time_series(return_weights(build_hamiltonian(g)), samples=2000)
         alpha2, pibar = ts.abs_alpha_sq, ts.pi_bar
         assert alpha2[0] == pytest.approx(1.0, abs=1e-12)
         assert pibar[0] == pytest.approx(1.0, abs=1e-12)
@@ -401,7 +402,7 @@ def test_return_probability_dominates_amplitude():
 
 def test_chain3_mean_return_probability_average_above_chi():
     h, _, sp = spectrum_of(generate_chain(3))
-    ts = time_series(h, 200.0, 10_000)
+    ts = time_series(return_weights(h), 200.0, 10_000)
     avg = time_average(ts.pi_bar, ts.times)
     assert avg >= chi_exact(sp) - 0.01
 
@@ -409,10 +410,10 @@ def test_chain3_mean_return_probability_average_above_chi():
 def test_series_memory_does_not_grow_with_the_grid():
     # chain(301) has no branch symmetry: 301 columns, so one (time, column)
     # array over 20 000 times would take 96 MB
-    h = build_hamiltonian(generate_chain(301), CONNECTIVITY)
+    rw = return_weights(build_hamiltonian(generate_chain(301), CONNECTIVITY))
     tracemalloc.start()
     try:
-        time_series(h, 400.0, 20_000)
+        time_series(rw, 400.0, 20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,8 +426,9 @@ def test_time_average_convergence_schedule():
     for g in [generate_chain(3), generate_chain(8), generate_star(8)]:
         h, _, sp = spectrum_of(g)
         chi = chi_exact(sp)
+        rw = return_weights(h)
         for t_max, tol in schedule:
-            ts = time_series(h, t_max, 10_000)
+            ts = time_series(rw, t_max, 10_000)
             avg = time_average(ts.abs_alpha_sq, ts.times)
             assert abs(avg - chi) <= tol, (g.label, t_max)
 
@@ -538,43 +540,51 @@ def test_efficiency_report_refuses_an_oversize_plan_before_the_structural_pass(m
 def test_time_series_bundle():
     from qtree import build_hamiltonian, time_series
 
-    h = build_hamiltonian(generate_star(4))
-    ts = time_series(h, 100.0, 2000)
+    rw = return_weights(build_hamiltonian(generate_star(4)))
+    ts = time_series(rw, 100.0, 2000)
     assert np.array_equal(ts.times, np.linspace(0.0, 100.0, 2000))
     assert ts.abs_alpha_sq[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(ts.abs_alpha_sq <= ts.pi_bar + 1e-12)
     assert time_average(ts.abs_alpha_sq, ts.times) == pytest.approx(0.375, abs=0.02)
     # without t_max: the default grid of the requested length, from the weights' spectrum
-    ts = time_series(h, samples=50)
-    assert np.array_equal(ts.times, default_time_grid(ts.weights.spectrum, samples=50))
+    ts = time_series(rw, samples=50)
+    assert np.array_equal(ts.times, default_time_grid(rw.spectrum, samples=50))
 
 
 @pytest.mark.parametrize("t_max", [1e308, float("nan")])
 def test_time_series_refuses_a_grid_whose_phases_overflow(t_max):
     # max |lambda| of the star is above 1, so 1e308 * lambda is inf
     with pytest.raises(InvalidParameterError, match="overflows the phases"):
-        time_series(build_hamiltonian(generate_star(4)), t_max, 50)
+        time_series(return_weights(build_hamiltonian(generate_star(4))), t_max, 50)
 
 
 @pytest.mark.parametrize("samples, t_max", [(4, 5e-324), (7, 1e-320)])
-def test_time_series_refuses_a_grid_that_repeats_a_time_before_solving(samples, t_max):
-    h = build_hamiltonian(generate_star(4))
-    with mock.patch.object(efficiency, "return_weights", side_effect=AssertionError("solved")):
+def test_time_series_refuses_a_grid_that_repeats_a_time_before_any_block(samples, t_max):
+    rw = return_weights(build_hamiltonian(generate_star(4)))
+    with mock.patch.object(efficiency, "_block_rows", side_effect=AssertionError("ran")):
         with pytest.raises(InvalidParameterError, match="repeat a time"):
-            time_series(h, t_max, samples)
-    ts = time_series(h, 1e-320, 3)  # 0, 5e-321 and 1e-320 are evenly spaced
+            time_series(rw, t_max, samples)
+    ts = time_series(rw, 1e-320, 3)  # 0, 5e-321 and 1e-320 are evenly spaced
     assert ts.times.tolist() == [0.0, 5e-321, 1e-320]
 
 
 @pytest.mark.parametrize("t_max", [None, 100.0])
 @pytest.mark.parametrize("samples", [0, -3, 1])
-def test_time_series_refuses_fewer_than_two_samples_before_solving(samples, t_max):
+def test_time_series_refuses_fewer_than_two_samples_before_any_block(samples, t_max):
     # as `qtree timeseries --samples` does: an empty grid has no last time, and np.linspace
     # refuses a negative count
-    h = build_hamiltonian(generate_star(4))
-    with mock.patch.object(efficiency, "return_weights", side_effect=AssertionError("solved")):
+    rw = return_weights(build_hamiltonian(generate_star(4)))
+    with mock.patch.object(efficiency, "_block_rows", side_effect=AssertionError("ran")):
         with pytest.raises(InvalidParameterError, match=f"at least 2 samples, got {samples}$"):
-            time_series(h, t_max, samples)
+            time_series(rw, t_max, samples)
+
+
+@pytest.mark.parametrize("t_max", [-1.0, 0.0, -0.0, -math.inf])
+def test_time_series_refuses_a_t_max_that_is_not_positive(t_max):
+    # the grid would start at 0 and end at or before it; NaN is left to the overflow check
+    rw = return_weights(build_hamiltonian(generate_star(5)))
+    with pytest.raises(InvalidParameterError, match=f"^t_max must be positive, got {t_max!r}$"):
+        time_series(rw, t_max, 4)
 
 
 def _reference_flat_bound(a, b, n):

@@ -320,24 +320,8 @@ def test_sweep_of_mixed_rows_equals_one_row_sweeps_at_any_worker_count():
         assert sweep(cfgs, workers=workers) == expected, workers
 
 
-def test_pool_processes_are_capped_at_the_usable_cpus(monkeypatch):
+def test_pool_processes_are_capped_at_the_usable_cpus(monkeypatch, in_process_pool):
     # 5000 workers lay out a task per block, and the pool still starts a process per CPU
-    started = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            pass
-
-        def map(self, fn, tasks, chunksize):
-            return list(map(fn, tasks))
-
-    monkeypatch.setattr(ensemble, "Pool", InProcessPool)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cfg = EnsembleConfig(n=100, s=2.5, r=20_000, master_seed=8)
     expected = run_ensemble(cfg)
@@ -349,7 +333,7 @@ def test_pool_processes_are_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert run_ensemble(cfg, workers=5000) == expected
     assert run_ensemble(cfg, workers=4) == expected
-    assert started == [min(31, cpus), 3, 5, 4]
+    assert in_process_pool.started == [min(31, cpus), 3, 5, 4]
 
 
 def test_sweep_preserves_order_and_monotonicity():

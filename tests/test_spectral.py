@@ -262,6 +262,31 @@ def test_multiplicity_exact_rejects_non_finite():
         multiplicity_exact(build_hamiltonian(generate_star(4)), float("nan"))
 
 
+@pytest.mark.parametrize("scalar", [np.int64, np.int32, np.uint8, np.float32, np.float64])
+def test_exact_oracle_takes_numpy_scalars_as_their_python_numbers(scalar):
+    # a NumPy integer is a numbers.Rational and a NumPy float a numbers.Real: each is taken
+    # exactly, at its binary value, as the Python number with that value is
+    g = generate_star(5)
+    python_table = {1: float(np.float32(0.1)), 2: 2, 4: 4.0}
+    numpy_table = {1: np.float32(0.1), 2: scalar(2), 4: np.float64(4.0)}
+    h, numpy_h = (build_hamiltonian(g, custom_potential(t)) for t in (python_table, numpy_table))
+    e = float(np.float32(0.1))
+    assert multiplicity_exact(numpy_h, scalar(1)) == multiplicity_exact(h, 1) == 0
+    assert multiplicity_exact(numpy_h, np.float32(0.1)) == multiplicity_exact(h, e) == 3
+    assert efficiency_report(numpy_h) == efficiency_report(h)
+    assert efficiency_report(numpy_h).multiplicity_e_star_exact == 3
+    # as in the connectivity matrix's own exact pass
+    connectivity = build_hamiltonian(g)
+    assert multiplicity_exact(connectivity, scalar(1)) == multiplicity_exact(connectivity, 1) == 3
+
+
+@pytest.mark.parametrize("e", [np.bool_(True), 1 + 0j, "1", None, np.float32("inf")],
+                         ids=repr)
+def test_exact_oracle_refuses_what_is_no_finite_real(e):
+    with pytest.raises(UnsupportedExactModeError):
+        multiplicity_exact(build_hamiltonian(generate_star(5)), e)
+
+
 def test_oracle_equivalence_on_random_sfts():
     # binned solver multiplicity at E* must equal the exact rational nullity
     rng = np.random.default_rng(20260810)
@@ -377,11 +402,11 @@ def test_spectrum_matches_eigendecomposition_binning(g, potential):
 @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
 def test_return_weights_match_dense_reference(g, potential):
     h = build_hamiltonian(g, potential)
-    ts = time_series(h, 400.0, 33)
+    rw = return_weights(h)
+    ts = time_series(rw, 400.0, 33)
     ref = dense_reference(h)
     assert np.max(np.abs(ts.pi_bar - dense_return_probability(ref, ts.times))) <= 1e-10
     assert np.max(np.abs(ts.abs_alpha_sq - dense_abs_alpha_sq(ref, ts.times))) <= 1e-10
-    rw = ts.weights
     # every tree node at a position carries the whole of its norm
     assert np.allclose(rw.weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     assert rw.nodes.sum() == g.n
@@ -479,16 +504,18 @@ def test_spectrum_csv_format():
 def test_time_series_matches_direct_phases(g, potential):
     # phases by block rotation against exp(-i lambda t) at every sample; chain(1001)
     # runs 31 blocks of 65 times over the default horizon
-    ts = time_series(build_hamiltonian(g, potential), samples=2000)
-    abs_alpha_sq, pi_bar = direct_time_series(ts.weights, ts.times)
+    rw = return_weights(build_hamiltonian(g, potential))
+    ts = time_series(rw, samples=2000)
+    abs_alpha_sq, pi_bar = direct_time_series(rw, ts.times)
     assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11
     assert np.max(np.abs(ts.pi_bar - pi_bar)) <= 1e-11
 
 
 def test_time_series_matches_direct_phases_at_long_times():
     # lambda t reaches about 4e7, where the arguments themselves carry rounding error
-    ts = time_series(build_hamiltonian(generate_sft(1000, 2.5, seed=11)), 1e5)
-    abs_alpha_sq, pi_bar = direct_time_series(ts.weights, ts.times)
+    rw = return_weights(build_hamiltonian(generate_sft(1000, 2.5, seed=11)))
+    ts = time_series(rw, 1e5)
+    abs_alpha_sq, pi_bar = direct_time_series(rw, ts.times)
     assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11
     assert np.max(np.abs(ts.pi_bar - pi_bar)) <= 1e-11
 
@@ -501,12 +528,13 @@ KERNEL_GRAPHS = [generate_chain(7), generate_dendrimer(3, 4), generate_vicsek(3,
 @pytest.mark.parametrize("g", KERNEL_GRAPHS, ids=lambda g: g.label)
 def test_time_series_blocks_of_any_size_match_direct_phases(monkeypatch, g, rows):
     # blocks of 3 and 7 times end the first block's doubling with a partial step; the
-    # sample counts put the grid's end just inside, at and just past a block's end
+    # sample counts put the grid's end just inside, at and just past a block's end; a grid
+    # needs 2 samples
     monkeypatch.setattr(efficiency, "_block_rows", lambda columns: rows)
     rw = return_weights(build_hamiltonian(g))
-    for samples in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0}):
+    for samples in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0, 1}):
         for t_max in (None, 37.0):
-            ts = efficiency._series(rw, t_max, samples)
+            ts = time_series(rw, t_max, samples)
             abs_alpha_sq, pi_bar = direct_time_series(rw, ts.times)
             assert len(ts.times) == samples
             assert np.max(np.abs(ts.abs_alpha_sq - abs_alpha_sq)) <= 1e-11, (samples, t_max)
