@@ -47,7 +47,6 @@ from .ensemble import (
 from .errors import InvalidParameterError, QtreeError, SizeLimitError
 from .graphs import (
     FORMAT_HEADER,
-    MAX_NODES_DEFAULT,
     edge_list_text,
     generate_chain,
     generate_dendrimer,
@@ -78,10 +77,10 @@ def _fmt(x: float) -> str:
 
 
 def _write_manifest(command: str, params: dict, outputs: list[str],
-                    master_seed: int | None, started: float, extra: dict | None = None) -> str:
+                    master_seed: int | None, started: float, extra: dict) -> str:
     """Write <first output>.manifest.json; extra adds keys that rerun ignores."""
     manifest = {
-        **(extra or {}),
+        **extra,
         "format": MANIFEST_FORMAT,
         "command": command,
         "version": __version__,
@@ -329,19 +328,16 @@ def run_fit_kappa(params: dict) -> int:
 
 def run_timeseries(params: dict) -> int:
     started = time.monotonic()
-    samples = _option(params, "samples", lambda v: v >= 2, "at least 2")
-    if samples > MAX_NODES_DEFAULT:
-        raise SizeLimitError(f"--samples {samples} is above the limit {MAX_NODES_DEFAULT}")
     t_max = _option(params, "t_max", lambda v: v is None or 0 < v < math.inf,
                     "finite and positive")
-    _check_time_grid(t_max, samples)
+    _check_time_grid(t_max, params["samples"])  # before the input is read
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
     h = build_hamiltonian(g, potential)
     rw = return_weights(h)
     weights_done = time.monotonic()
-    ts = time_series(rw, t_max, samples)
+    ts = time_series(rw, t_max, params["samples"])
     series_done = time.monotonic()
     # one formatting call for the body; "%.17g" writes the digits f"{x:.17g}" does
     rows = np.column_stack((ts.times, ts.abs_alpha_sq, ts.pi_bar)).ravel().tolist()
@@ -384,7 +380,10 @@ def _check_paths(params: dict) -> None:
     for name, path in {**outputs, **inputs}.items():
         if path is None:
             continue
-        path = os.path.realpath(path)
+        try:  # a manifest can hold a lone surrogate that no file name decodes to
+            path = os.path.realpath(path)
+        except UnicodeEncodeError:
+            raise InvalidParameterError(f"{name} {path!r} is not a file name") from None
         for other, known in resolved.items():
             if known == path and (name in outputs or other in outputs):
                 raise InvalidParameterError(f"{other} and {name} are the same file, {path}")

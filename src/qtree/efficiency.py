@@ -26,8 +26,9 @@ from .errors import (
     InvalidParameterError,
     NoParentsError,
     OutOfDomainError,
+    SizeLimitError,
 )
-from .graphs import StructuralStats, _check_power_law, structural_stats
+from .graphs import MAX_NODES_DEFAULT, StructuralStats, _check_power_law, structural_stats
 from .spectral import (
     Hamiltonian,
     ReturnWeights,
@@ -120,8 +121,10 @@ def avg_f_sft(s: float, f_max: int) -> float:
 _ZETA_CUTOFF = 32
 
 
-def _em_tail(sigma: float, m: int = _ZETA_CUTOFF) -> float:
-    """m^sigma * sum_{k >= m} k^-sigma by Euler-Maclaurin: the integral, B2, B4 and B6 terms."""
+def _em_tail(sigma: float) -> float:
+    """m^sigma * sum_{k >= m} k^-sigma for m = _ZETA_CUTOFF by Euler-Maclaurin: the integral,
+    B2, B4 and B6 terms."""
+    m = _ZETA_CUTOFF
     rising3 = sigma * (sigma + 1.0) * (sigma + 2.0)
     return (m / (sigma - 1.0) + 0.5 + sigma / (12.0 * m) - rising3 / (720.0 * m ** 3)
             + rising3 * (sigma + 3.0) * (sigma + 4.0) / (30240.0 * m ** 5))
@@ -282,7 +285,7 @@ class TimeSeries:
     blocks: int
 
 
-def default_time_grid(sp: Spectrum, samples: int = 10_000) -> np.ndarray:
+def default_time_grid(sp: Spectrum, samples: int) -> np.ndarray:
     """Uniform grid long enough to resolve the slowest spectral beat."""
     spread = sp.classes[-1][0] - sp.classes[0][0]
     horizon = 50.0 * sp.n
@@ -308,23 +311,25 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
     return float(np.trapezoid(v, t) / (t[-1] - t[0]))
 
 
-def _check_time_grid(t_max: float | None, samples: int) -> None:
-    """Refuses a t_max that is not positive, fewer than 2 samples, and
-    linspace(0, t_max, samples) where it repeats a time, as a subnormal t_max can.
-
-    None, the default grid, is known only after the solves and is not
-    checked here; a NaN or infinite t_max is left to the phase overflow check.
-    """
+def _check_time_grid(t_max: float | None, samples: int) -> np.ndarray | None:
+    """linspace(0, t_max, samples), or None for t_max=None, whose grid is known only after the
+    solves.  Refuses a t_max that is not positive, fewer than 2 or more than MAX_NODES_DEFAULT
+    samples, and a grid that repeats a time, as a subnormal t_max can; a NaN or infinite
+    t_max is left to the phase overflow check."""
     if t_max is not None and t_max <= 0:
         raise InvalidParameterError(f"t_max must be positive, got {t_max!r}")
     if samples < 2:
-        raise InvalidParameterError(f"a time series needs at least 2 samples, got {samples}")
-    if (t_max is not None and math.isfinite(t_max)
-            and not _uniform_increasing(np.diff(np.linspace(0.0, t_max, samples)))):
         raise InvalidParameterError(
-            f"--t-max {t_max!r} is too small for --samples {samples}: "
-            "the time grid would repeat a time"
-        )
+            f"a time series (--samples) needs at least 2 samples, got {samples}")
+    if samples > MAX_NODES_DEFAULT:
+        raise SizeLimitError(f"--samples {samples} is above the limit {MAX_NODES_DEFAULT}")
+    if t_max is None:
+        return None
+    t = np.linspace(0.0, t_max, samples)
+    if math.isfinite(t_max) and not _uniform_increasing(np.diff(t)):
+        raise InvalidParameterError(f"--t-max {t_max!r} is too small for --samples {samples}: "
+                                    "the time grid would repeat a time")
+    return t
 
 
 def _block_rows(columns: int) -> int:
@@ -360,9 +365,9 @@ def time_series(rw: ReturnWeights, t_max: float | None = None, samples: int = 10
     time's sum of squares over its two output columns, and alpha one
     product with sqrt(Pi_q/n).
     """
-    _check_time_grid(t_max, samples)
-    t = (default_time_grid(rw.spectrum, samples) if t_max is None
-         else np.linspace(0.0, t_max, samples))
+    t = _check_time_grid(t_max, samples)
+    if t is None:
+        t = default_time_grid(rw.spectrum, samples)
     lam = rw.eigenvalues
     t_end, lam_max = float(t[-1]), float(np.abs(lam).max())
     if not math.isfinite(t_end * lam_max):  # on Python floats, an overflow is inf, not a warning

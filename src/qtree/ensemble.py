@@ -54,6 +54,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import (
+    _MASK64,
     FORMAT_HEADER,
     TreeGraph,
     _check_pcg64_layout,
@@ -70,8 +71,6 @@ SPECTRAL_EXACT = "spectral-exact"
 STRUCTURAL_DELTA0 = "structural-delta0"
 STRUCTURAL_MEASURED = "structural-measured"
 ESTIMATORS = (SPECTRAL_EXACT, STRUCTURAL_DELTA0, STRUCTURAL_MEASURED)
-
-_MASK64 = (1 << 64) - 1
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -297,7 +296,7 @@ def sweep(cfgs: list[EnsembleConfig], workers: int = 1) -> list[SweepRow]:
     return swept
 
 
-def sweep_counters(rows: list[SweepRow], workers: int = 1) -> dict[str, int]:
+def sweep_counters(rows: list[SweepRow], workers: int) -> dict[str, int]:
     """The realizations, blocks and seed passes (tasks) `sweep` ran for rows, from `_tasks`."""
     ran = _tasks([(row.n, row.r) for row in rows if row.one_minus_chi_mc_mean is not None], workers)
     sizes = [(stop - start, block) for row in ran for start, stop, block in row]

@@ -604,12 +604,13 @@ def edge_list_text(g: TreeGraph) -> str:
 def parse_edge_list_text(text: str) -> TreeGraph:
     """The tree of an edge list, its nodes renumbered breadth-first from node 0.
 
-    A node count above MAX_NODES_DEFAULT is refused before any edge is
-    read.  The edges of a text in the form qtree writes are tokenized in
-    one call (`_plain_edges`); any other text goes through a line scan,
-    which gives every refusal its message.  When the edges are exactly
-    (parents[v], v) for a breadth-first parent array, that array is the
-    renumbering; any other tree is renumbered by `_bfs_parents`.
+    A node count below 1 or above MAX_NODES_DEFAULT is refused before
+    any edge is read.  The edges of a text in the form qtree writes are
+    tokenized in one call (`_plain_edges`); any other text goes through
+    a line scan, which gives every refusal its message.  When the edges
+    are exactly (parents[v], v) for a breadth-first parent array, that
+    array is the renumbering; any other tree is renumbered by
+    `_bfs_parents`.
     """
     head = _PLAIN_HEAD.match(text)
     ends = None
@@ -657,6 +658,9 @@ def _scan_lines(text: str) -> tuple[str, int, list[tuple[int, int]]]:
             if len(parts) != 1:
                 raise InvalidParameterError(f"line {lineno}: expected node count")
             n = parts[0]
+            if n < 1:
+                raise InvalidParameterError(
+                    f"line {lineno}: node count must be at least 1, got {n}")
             _check_size("edge list", n)
             continue
         if len(parts) != 2:
@@ -671,7 +675,7 @@ def _plain_edges(body: str, n: int) -> np.ndarray | None:
     """The (n - 1) x 2 edge array of body when it is n - 1 lines "u v\n" of decimal
     digits with 0 <= u, v < n; otherwise None, and the line scan reads the text.
     """
-    if n < 1 or not body.isascii():
+    if not body.isascii():
         return None
     # without its digits, the body is " \n" per edge; its last byte ends the last edge
     if body.encode("ascii").translate(None, b"0123456789") != b" \n" * (n - 1) or (

@@ -129,10 +129,13 @@ class Hamiltonian:
 
     graph: TreeGraph
     potential: Potential
-    e_star: float
     # the plan: each shape's functionality by id; by counted shape, its quotient and count
     functionality: tuple[int, ...] = field(repr=False, compare=False)
     quotients: dict[int, tuple[tuple, int]] = field(repr=False, compare=False)
+
+    @property
+    def e_star(self) -> float:  # V(1), the eigenvalue of the leaf-pair states
+        return self.potential.value(1)
 
 
 @dataclass(frozen=True)
@@ -147,9 +150,6 @@ class Spectrum:
     classes: tuple[tuple[float, int], ...]
     n: int
     tol_abs: float
-
-    def densities(self) -> list[float]:
-        return [m / self.n for _, m in self.classes]
 
     def multiplicity_at(self, e: float) -> int:
         best = min(self.classes, key=lambda c: abs(c[0] - e), default=None)
@@ -169,11 +169,13 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,
         if missing:
             raise IncompletePotentialError(
                 f"custom potential table lacks entries for functionalities {missing}")
-    return Hamiltonian(g, potential, potential.value(1), *_plan(g.parents, size_limit))
+    return Hamiltonian(g, potential, *_plan(g.parents, size_limit))
 
 
 def spectrum(h: Hamiltonian, tol_abs: float | None = None) -> Spectrum:
-    """Binned spectrum from the quotients' eigenvalues alone."""
+    """Binned spectrum from the quotients' eigenvalues alone; tol_abs is checked first."""
+    if tol_abs is not None and not 0 < tol_abs < math.inf:
+        raise InvalidParameterError(f"tol_abs must be finite and positive, got {tol_abs}")
     on_site = [h.potential.value(f) for f in h.functionality]
     return _bin([(np.linalg.eigvalsh(_matrix(q, on_site)), count)
                  for q, count in h.quotients.values()], tol_abs)
@@ -215,9 +217,10 @@ def _plan(parents, size_limit: int | None):
     first += 1
     inner = np.flatnonzero(first[1:] > first[:-1])[1:]  # nodes with children but the root
 
-    def last_first(block: int = 4096):
+    def last_first():
         """(v, first child, last child + 1) of each node in inner, from the last, in blocks
-        so that a refusal costs no list of length n."""
+        of 4096 so that a refusal costs no list of length n."""
+        block = 4096
         for stop in range(len(inner), 0, -block):
             nodes = inner[max(stop - block, 0):stop][::-1]
             yield from zip(nodes.tolist(), first[nodes].tolist(), first[nodes + 1].tolist())
@@ -319,17 +322,17 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
     often as it occurs.  Because clusters are separated by raw gaps
     above tol_abs, representatives of distinct classes are more than
     tol_abs apart.  The default tolerance is 1e-8 times (spectral width
-    + 1).
+    + 1), refused when the width overflows; a tol_abs given is checked by `spectrum`.
     """
     w = np.concatenate([values for values, _ in solved])
     order = np.argsort(w)
     w = w[order]
     counts = np.repeat([count for _, count in solved], [len(values) for values, _ in solved])
     counts = counts[order]
-    if tol_abs is None:
-        tol_abs = 1e-8 * (float(w[-1] - w[0]) + 1.0)
-    if not 0 < tol_abs < math.inf:
-        raise InvalidParameterError(f"tol_abs must be finite and positive, got {tol_abs}")
+    if tol_abs is None:  # on Python floats, an overflow is inf, not a warning
+        tol_abs = 1e-8 * (float(w[-1]) - float(w[0]) + 1.0)
+        if tol_abs == math.inf:
+            raise InvalidParameterError(f"spectral width {float(w[0])} to {float(w[-1])} overflows")
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol_abs)
     stops = np.append(starts[1:], len(w))
     sizes = np.add.reduceat(counts, starts)

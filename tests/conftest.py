@@ -183,6 +183,9 @@ def parse_edge_list_text_reference(text: str) -> TreeGraph:
             if len(parts) != 1:
                 raise InvalidParameterError(f"line {lineno}: expected node count")
             n = parts[0]
+            if n < 1:
+                raise InvalidParameterError(
+                    f"line {lineno}: node count must be at least 1, got {n}")
             continue
         if len(parts) != 2:
             raise InvalidParameterError(f"line {lineno}: expected 'u v' edge")

@@ -660,6 +660,91 @@ def test_rerun_refuses_what_the_command_line_refuses(tmp_path, capsys, command, 
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
+@pytest.mark.parametrize("command, params, hint", [
+    ("chi", {"in": "s5\ud800.edges", "out": "o.json"}, "--in 's5\\ud800.edges'"),
+    ("chi", {"in": "s5.edges", "potential": "custom=p\ud800.txt", "out": "o.json"},
+     "the potential table 'p\\ud800.txt'"),
+    ("gen", {"family": "star", "n": 5, "out": "x\ud800.edges"}, "--out 'x\\ud800.edges'"),
+], ids=["chi_in", "chi_potential", "gen_out"])
+def test_rerun_refuses_a_path_with_a_lone_surrogate(tmp_path, monkeypatch, capsys,
+                                                    command, params, hint):
+    # JSON can escape a lone surrogate that no file name decodes to
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps({"format": cli.MANIFEST_FORMAT, "command": command,
+                                          "params": params}))
+    assert cli.main(["rerun", "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"qtree: {hint} is not a file name\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_rerun_takes_a_path_of_undecodable_bytes(tmp_path):
+    # the command line decodes byte 0xFF as the surrogate U+DCFF, which the manifest stores
+    out = os.fsencode(tmp_path) + b"/x\xff.edges"
+    gen = subprocess.run([sys.executable, "-m", "qtree", "gen", "--family", "star", "--n", "5",
+                          "--out", out], capture_output=True)
+    assert gen.returncode == 0, gen.stderr
+    written = Path(os.fsdecode(out)).read_bytes()
+    manifest = out + b".manifest.json"
+    assert json.loads(Path(os.fsdecode(manifest)).read_text())["params"]["out"].endswith(
+        "x\udcff.edges")
+    rerun = subprocess.run([sys.executable, "-m", "qtree", "rerun", manifest], capture_output=True)
+    assert rerun.returncode == 0, rerun.stderr
+    assert Path(os.fsdecode(out)).read_bytes() == written
+    assert sorted(os.listdir(os.fsencode(tmp_path))) == [b"x\xff.edges",
+                                                        b"x\xff.edges.manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["chi", "timeseries"])
+@pytest.mark.parametrize("text, count", [("0\n", 0), ("-5\n", -5)],
+                         ids=["plain_head", "line_scan"])
+def test_a_node_count_below_1_exits_2_naming_the_count_line(tmp_path, capsys, command,
+                                                            text, count):
+    edges, out = tmp_path / "bad.edges", tmp_path / "out"
+    edges.write_text(text)
+    assert cli.main([command, "--in", str(edges), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"qtree: line 1: node count must be at least 1, got {count}\n"
+    assert not out.exists()
+    edges.write_text("1\n")  # one node stays readable
+    assert read_edge_list(edges).n == 1
+
+
+@pytest.mark.parametrize("samples, code", [(1, 2), (graphs.MAX_NODES_DEFAULT + 1, 4)])
+def test_cli_and_library_refuse_a_sample_count_in_the_same_words(tmp_path, capsys,
+                                                                 samples, code):
+    edges = str(tmp_path / "s5.edges")
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", edges]) == 0
+    rw = return_weights(build_hamiltonian(read_edge_list(edges)))
+    out = tmp_path / "ts.csv"
+    with mock.patch.object(efficiency.np, "linspace", side_effect=AssertionError("allocated")):
+        assert cli.main(["timeseries", "--in", edges, "--samples", str(samples),
+                         "--out", str(out)]) == code
+        with pytest.raises(QtreeError) as refused:
+            time_series(rw, None, samples)
+    err = capsys.readouterr().err
+    assert err == f"qtree: {refused.value}\n" and "--samples" in err
+    assert not out.exists()
+
+
+def test_the_names_and_results_the_benchmark_tracer_reads_are_there():
+    # perfbench/tracing.py wraps these names where the modules call them, and reads these
+    # attributes of their results; a name it does not find is skipped, so its layer reads 0
+    for module, names in [(cli, ["read_edge_list", "build_hamiltonian", "efficiency_report",
+                                 "time_average", "chi_exact", "sweep"]),
+                          (efficiency, ["structural_stats", "multiplicity_exact"]),
+                          (ensemble, ["run_ensemble"])]:
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)
+    g = graphs.generate_dendrimer(3, 3)
+    assert g.n == 22
+    report = efficiency.efficiency_report(build_hamiltonian(g))
+    assert (report.n, report.multiplicity_e_star_exact) == (22, 6)  # 12 leaves, 6 parents
+    assert round(report.rho_star_exact * report.n) == 6
+    cfg = ensemble.EnsembleConfig(n=30, s=2.5, r=3)
+    assert ensemble.run_ensemble(cfg).config.r == 3
+    assert [row.status for row in ensemble.sweep([cfg])] == ["ok"]
+
+
 @pytest.mark.parametrize("command, params, workers", [
     ("sweep", {"n": 30, "s_grid": "2.5", "r": 5, "seed": 0}, 2),
     ("chi", {"potential": "custom={dir}/a=b/pot.txt"}, None),

@@ -13,6 +13,7 @@ from qtree import (
     InvalidParameterError,
     NoParentsError,
     OutOfDomainError,
+    SizeLimitError,
     Spectrum,
     avg_f_sft,
     build_hamiltonian,
@@ -43,6 +44,7 @@ from qtree import (
 )
 from qtree import cli, efficiency
 from qtree.efficiency import _flat_bound_truncated
+from qtree.graphs import MAX_NODES_DEFAULT
 
 from conftest import dense_reference
 
@@ -577,6 +579,29 @@ def test_time_series_refuses_fewer_than_two_samples_before_any_block(samples, t_
     with mock.patch.object(efficiency, "_block_rows", side_effect=AssertionError("ran")):
         with pytest.raises(InvalidParameterError, match=f"at least 2 samples, got {samples}$"):
             time_series(rw, t_max, samples)
+
+
+@pytest.mark.parametrize("t_max", [None, 1.0])
+def test_time_series_refuses_more_samples_than_the_limit_before_any_grid(t_max):
+    # refused before np.linspace allocates the grid, which at 10^9 samples would take 8 GB
+    rw = return_weights(build_hamiltonian(generate_star(4)))
+    samples = MAX_NODES_DEFAULT + 1
+    with mock.patch.object(efficiency.np, "linspace", side_effect=AssertionError("allocated")):
+        with pytest.raises(SizeLimitError,
+                           match=f"^--samples {samples} is above the limit {MAX_NODES_DEFAULT}$"):
+            time_series(rw, t_max, samples)
+    ts = time_series(rw, 1.0, 2)  # the fewest samples taken
+    assert ts.times.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("t_max", [None, 3.0])
+def test_time_series_builds_its_grid_once(t_max):
+    rw = return_weights(build_hamiltonian(generate_star(4)))
+    with mock.patch.object(efficiency.np, "linspace", wraps=np.linspace) as linspace:
+        ts = time_series(rw, t_max, 7)
+    assert linspace.call_count == 1
+    expected = default_time_grid(rw.spectrum, 7) if t_max is None else np.linspace(0.0, 3.0, 7)
+    assert np.array_equal(ts.times, expected)
 
 
 @pytest.mark.parametrize("t_max", [-1.0, 0.0, -0.0, -math.inf])

@@ -165,7 +165,7 @@ def test_bin_star4():
     assert reps == [0.0, 1.0, 4.0]
     assert mults == [1, 2, 1]
     assert sum(mults) == sp.n
-    assert math.fsum(sp.densities()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(m / sp.n for _, m in sp.classes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bin_chain3_singletons():
@@ -198,13 +198,39 @@ def test_bin_matches_loop_reference(sizes, seed):
 
 
 def test_bin_rejects_nonpositive_tolerance():
+    h = build_hamiltonian(generate_chain(3))
     with pytest.raises(InvalidParameterError):
-        _bin([(np.array([0.0, 1.0]), 1)], 0.0)
+        spectrum(h, tol_abs=0.0)
     for tol in (math.inf, math.nan):  # inf would bin every eigenvalue into one class
         with pytest.raises(InvalidParameterError, match="finite and positive"):
-            _bin([(np.array([0.0, 1.0]), 1)], tol)
-    with pytest.raises(InvalidParameterError):
-        spectrum(build_hamiltonian(generate_chain(3)), tol_abs=0.0)
+            spectrum(h, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+def test_spectrum_refuses_a_bad_tolerance_before_any_solve(tol):
+    h = build_hamiltonian(generate_dendrimer(3, 3))
+    with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("solved")):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^tol_abs must be finite and positive, got {tol}$"):
+            spectrum(h, tol)
+
+
+def test_default_tolerance_refuses_a_spectral_width_that_overflows():
+    # eigenvalues near -1e308 and 1e308: the width is inf, and so would be 1e-8 (width + 1),
+    # which would bin every eigenvalue into one class
+    h = build_hamiltonian(generate_star(4), custom_potential({1: 1e308, 3: -1e308}))
+    for solve in (spectrum, return_weights):
+        with pytest.raises(InvalidParameterError, match="spectral width .* overflows"):
+            solve(h)
+
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY,
+                                       custom_potential({1: 0.25, 2: -1.5})],
+                         ids=["connectivity", "adjacency", "custom"])
+def test_e_star_is_the_potential_at_functionality_one(potential):
+    h = build_hamiltonian(generate_chain(5), potential)
+    assert h.e_star == h.potential.value(1)
+    assert "e_star" not in {f.name for f in dataclasses.fields(h)}
 
 
 def test_bin_large_chain_keeps_simple_spectrum():
