@@ -7,7 +7,7 @@ recorded command; deterministic commands reproduce their outputs byte
 for byte, and the worker count never changes output bytes.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 I/O failure,
-4 size limit exceeded, 5 every sweep row failed.
+4 size limit exceeded or out of memory, 5 every sweep row failed.
 """
 from __future__ import annotations
 
@@ -74,6 +74,114 @@ BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with a = hi + lo exactly and at most 26 significant bits in each (Dekker 1971)."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k, D for doubles 1e-6 < x < 1e16: x rounded half-to-even to 17 significant digits
+    is D * 10^(k - 16), with 10^16 <= D < 10^17.
+
+    The exact product x * 10^(16 - k) is hi + lo by Dekker's two-product
+    (Numer. Math. 18 (1971) 224-242); 10^(16 - k) <= 10^22 is an exact
+    double.  k is floor(log10 x), corrected where the product falls outside
+    [10^16, 10^17).  hi >= 10^16 > 2^53 is an even integer, so hi + rint(lo)
+    rounds the product half-to-even, as `%.17g` rounds.  A D of 10^17 would
+    carry into k + 1; no double in the range is close enough below a power
+    of ten to round up to one, so that is a guard.
+    """
+    powers = np.array([float(10 ** p) for p in range(23)])
+    powers_hi, powers_lo = _dekker_split(powers)
+    x_hi, x_lo = _dekker_split(x)
+
+    def product(k):
+        p = 16 - k
+        hi = x * powers[p]
+        return hi, (((x_hi * powers_hi[p] - hi) + x_hi * powers_lo[p] + x_lo * powers_hi[p])
+                    + x_lo * powers_lo[p])
+
+    k = np.clip(np.floor(np.log10(x)), -6, 15).astype(np.int64)  # off by one at most
+    hi, lo = product(k)
+    wrong = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).view(np.int8) \
+        - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    if wrong.any():
+        k += wrong
+        hi, lo = product(k)
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10 ** 17
+    return k + carry, np.where(carry, 10 ** 16, d)
+
+
+def _fmt_rows(columns: tuple[np.ndarray, ...]) -> str:
+    """The lines "%.17g,...,%.17g\\n" % row of every row of the columns, byte for byte,
+    from NumPy in blocks of at most 2^14 rows.
+
+    Each double 1e-6 < x < 1e16 gets its 17 digits from `_decimal17`.
+    Trailing zeros are dropped and the rest laid out as %g does: fixed
+    notation for exponents -4..16, d.ddde-0k for k = -5 and -6.  Each
+    string goes into one byte buffer, prefilled with '0', at an offset
+    from the running sum of lengths; one scatter per digit writes digit j
+    of every value, and punctuation comes last.  A value's digits past
+    its last significant one are '0' and may land beyond its string, on
+    punctuation, written later, or on a later value's digit j' < j,
+    written later too, since the digits go from the last to the first.
+    Every other value (0, negatives, x <= 1e-6, whose double 1e-6 lies
+    below 10^-6, x >= 1e16, subnormals, inf and nan) is written by
+    "%.17g" % x itself.
+    """
+    parts = []
+    ranks = np.arange(1, 18, dtype=np.uint8)[:, None]
+    for first in range(0, len(columns[0]), 1 << 14):
+        x = np.column_stack([c[first:first + (1 << 14)] for c in columns]).ravel()
+        fast = (x > 1e-6) & (x < 1e16)
+        k, d = _decimal17(np.where(fast, x, 1.0))
+        digits = np.empty((17, len(x)), np.uint8)  # row j: digit j of each value
+        upper = (d // 10 ** 8).astype(np.int32)
+        q = (d - upper * 10 ** 8).astype(np.int32)
+        for j in range(16, -1, -1):
+            if j == 8:
+                q = upper
+            q10 = q // 10
+            digits[j] = q - 10 * q10
+            q = q10
+        s = ((digits != 0) * ranks).max(axis=0)  # significant digits
+        digits += ord("0")
+        sci = k < -4
+        small = (k < 0) & ~sci  # "0.000ddd"
+        lead = np.where(small, -k, 0)  # characters before the first digit, besides the point
+        point = np.where(sci | small, 1, k + 1)  # place of the point in the string
+        m = point - lead  # digits j >= m come after the point
+        has_point = s > m
+        length = lead + np.maximum(s, m) + has_point + 4 * sci
+        slow = np.flatnonzero(~fast)
+        texts = ["%.17g" % v for v in x[slow].tolist()]
+        text_len = np.array([len(t) for t in texts], dtype=np.int64)
+        length[slow] = text_len
+        ends = np.cumsum(length + 1)
+        sep = ends - 1
+        start = sep - length
+        buf = np.full(ends[-1] + 17, ord("0"), np.uint8)  # a value's digits overrun by < 17
+        base, pos, after = start + lead, np.empty_like(start), np.empty(len(x), bool)
+        for j in range(16, -1, -1):
+            np.greater_equal(j, m, out=after)
+            np.add(base, j, out=pos)
+            pos += after
+            buf[pos] = digits[j]
+        buf[(start + point)[has_point]] = ord(".")
+        exp = sep[sci]
+        buf[exp - 4], buf[exp - 3], buf[exp - 1] = ord("e"), ord("-"), ord("0") - k[sci]
+        buf[sep] = ord(",")
+        buf[sep[len(columns) - 1::len(columns)]] = ord("\n")
+        blob = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
+        buf[np.repeat(start[slow] - np.cumsum(text_len) + text_len, text_len)
+            + np.arange(len(blob))] = blob
+        parts.append(buf[:ends[-1]].tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def _write_manifest(command: str, params: dict, outputs: list[str],
@@ -339,8 +447,6 @@ def run_timeseries(params: dict) -> int:
     weights_done = time.monotonic()
     ts = time_series(rw, t_max, params["samples"])
     series_done = time.monotonic()
-    # one formatting call for the body; "%.17g" writes the digits f"{x:.17g}" does
-    rows = np.column_stack((ts.times, ts.abs_alpha_sq, ts.pi_bar)).ravel().tolist()
     footer = "# time_average_abs_alpha_sq={} time_average_pi_bar={} chi_exact={}\n".format(
         _fmt(time_average(ts.abs_alpha_sq, ts.times)),
         _fmt(time_average(ts.pi_bar, ts.times)),
@@ -348,7 +454,7 @@ def run_timeseries(params: dict) -> int:
     )
     out = params["out"]
     write_text_atomic(out, f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"
-                      + "%.17g,%.17g,%.17g\n" * len(ts.times) % tuple(rows) + footer)
+                      + _fmt_rows((ts.times, ts.abs_alpha_sq, ts.pi_bar)) + footer)
     _write_manifest("timeseries", params, [out], None, started, {
         "timings": {"read_s": read_done - started, "weights_s": weights_done - read_done,
                     "series_s": series_done - weights_done,
@@ -533,6 +639,9 @@ def main(argv: list[str] | None = None) -> int:
         return run_rerun(params) if args.command == "rerun" else _run(args.command, params)
     except SizeLimitError as exc:
         print(f"qtree: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy names the allocation; a bare MemoryError has no text
+        print(f"qtree: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
         return 4
     except QtreeError as exc:
         print(f"qtree: {exc}", file=sys.stderr)

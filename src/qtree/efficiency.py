@@ -15,6 +15,7 @@ series into blocks of times, and records in `TimeSeries` how many ran.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -312,10 +313,17 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
 
 
 def _check_time_grid(t_max: float | None, samples: int) -> np.ndarray | None:
-    """linspace(0, t_max, samples), or None for t_max=None, whose grid is known only after the
-    solves.  Refuses a t_max that is not positive, fewer than 2 or more than MAX_NODES_DEFAULT
-    samples, and a grid that repeats a time, as a subnormal t_max can; a NaN or infinite
-    t_max is left to the phase overflow check."""
+    """Refuses a t_max that is not positive, fewer than 2 or more than MAX_NODES_DEFAULT
+    samples, and a grid linspace(0, t_max, samples) that repeats a time, as a subnormal t_max
+    can; a NaN or infinite t_max is left to the phase overflow check.  Returns the grid if
+    it had to build it, else None.
+
+    It builds the grid only when the step s = t_max / (samples - 1) is below the smallest
+    normal double.  With a normal s, linspace's times are t_i = fl(i * s), each within a
+    relative 2^-53 of i * s, and its last time is t_max, within 2^-53 of (samples - 1) * s.
+    So every step lies within 2 * samples * 2^-53 * s of s, below 2^-31 * s at samples <=
+    2 000 000 < 2^21: positive, and equal far within the 1e-6 that the check allows.
+    """
     if t_max is not None and t_max <= 0:
         raise InvalidParameterError(f"t_max must be positive, got {t_max!r}")
     if samples < 2:
@@ -323,10 +331,10 @@ def _check_time_grid(t_max: float | None, samples: int) -> np.ndarray | None:
             f"a time series (--samples) needs at least 2 samples, got {samples}")
     if samples > MAX_NODES_DEFAULT:
         raise SizeLimitError(f"--samples {samples} is above the limit {MAX_NODES_DEFAULT}")
-    if t_max is None:
+    if t_max is None or not t_max / (samples - 1) < sys.float_info.min:  # NaN is not below
         return None
     t = np.linspace(0.0, t_max, samples)
-    if math.isfinite(t_max) and not _uniform_increasing(np.diff(t)):
+    if not _uniform_increasing(np.diff(t)):
         raise InvalidParameterError(f"--t-max {t_max!r} is too small for --samples {samples}: "
                                     "the time grid would repeat a time")
     return t
@@ -367,7 +375,8 @@ def time_series(rw: ReturnWeights, t_max: float | None = None, samples: int = 10
     """
     t = _check_time_grid(t_max, samples)
     if t is None:
-        t = default_time_grid(rw.spectrum, samples)
+        t = (default_time_grid(rw.spectrum, samples) if t_max is None
+             else np.linspace(0.0, t_max, samples))
     lam = rw.eigenvalues
     t_end, lam_max = float(t[-1]), float(np.abs(lam).max())
     if not math.isfinite(t_end * lam_max):  # on Python floats, an overflow is inf, not a warning

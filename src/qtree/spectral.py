@@ -323,6 +323,7 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
     above tol_abs, representatives of distinct classes are more than
     tol_abs apart.  The default tolerance is 1e-8 times (spectral width
     + 1), refused when the width overflows; a tol_abs given is checked by `spectrum`.
+    A class whose mean overflows is refused too.
     """
     w = np.concatenate([values for values, _ in solved])
     order = np.argsort(w)
@@ -333,14 +334,20 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
         tol_abs = 1e-8 * (float(w[-1]) - float(w[0]) + 1.0)
         if tol_abs == math.inf:
             raise InvalidParameterError(f"spectral width {float(w[0])} to {float(w[-1])} overflows")
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol_abs)
+    with np.errstate(over="ignore"):  # a gap that overflows is inf, above any tol_abs
+        starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol_abs)
     stops = np.append(starts[1:], len(w))
     sizes = np.add.reduceat(counts, starts)
     reps = w[starts]  # a class of one eigenvalue is that eigenvalue
     # np.mean sums pairwise; a sequential np.add.reduceat would differ in the last bit
     for i in np.flatnonzero(sizes > 1).tolist():
         members = slice(starts[i], stops[i])
-        reps[i] = np.mean(np.repeat(w[members], counts[members]))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is nan
+            reps[i] = np.mean(np.repeat(w[members], counts[members]))
+        if not math.isfinite(reps[i]):
+            raise InvalidParameterError(
+                f"the mean of the {int(sizes[i])} eigenvalues from {float(w[starts[i]])} to "
+                f"{float(w[stops[i] - 1])} in one class overflows")
     return Spectrum(classes=tuple(zip(reps.tolist(), sizes.tolist())), n=int(counts.sum()),
                     tol_abs=tol_abs)
 

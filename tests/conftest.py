@@ -10,9 +10,10 @@ multiplicity from one Jacobs-Trevisan pass over every node.  Other
 references replay earlier forms of the program's own steps: the time
 series with every phase evaluated directly, degeneracy binning by a
 loop over the sorted eigenvalues and by tiling each solve's eigenvalues
-count times, the edge-list reader that scans line by line, and the
-quotient plan that joins branches through a queue, and the leaf and
-parent counts taken from parent arrays by `np.bincount`.  It also holds
+count times, the edge-list reader that scans line by line, the
+quotient plan that joins branches through a queue, the leaf and parent
+counts taken from parent arrays by `np.bincount`, and the time-series
+CSV body written as "%.17g" by one `%` formatting call.  It also holds
 two checks the program itself does not need: the breadth-first
 parent-array invariant and the explicit leaf-pair eigenvectors at E*;
 and the `in_process_pool` fixture, which runs the sweep's process pool
@@ -294,6 +295,12 @@ def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> Structura
             avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
             avg_f_parents=sum_f_parents / n_parents,
         )
+
+
+def fmt_rows_reference(columns) -> str:
+    """The lines "%.17g,...,%.17g\\n" % row of every row of the columns, by one `%` call."""
+    rows = np.column_stack(columns).ravel().tolist()
+    return ("%.17g," * (len(columns) - 1) + "%.17g\n") * len(columns[0]) % tuple(rows)
 
 
 def validate_tree(g) -> str | None:

@@ -1,11 +1,13 @@
 """End-to-end CLI checks via subprocess, and the CLI's input parsers in-process."""
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 from qtree import (Potential, QtreeError, build_hamiltonian, read_edge_list, return_weights,
                    time_series)
 from qtree import cli, efficiency, ensemble, errors, graphs, spectral
+
+from conftest import fmt_rows_reference
 
 
 def run_cli(*args):
@@ -444,13 +448,18 @@ def test_timeseries_chain3(tmp_path):
     assert avg == pytest.approx(chi, abs=0.01)
 
 
-@pytest.mark.parametrize("t_max", [None, 50.0])
-def test_timeseries_body_is_each_value_at_17_digits(tmp_path, t_max):
+@pytest.mark.parametrize("t_max, samples", [
+    pytest.param(None, 300, id="None"),
+    pytest.param(50.0, 300, id="50.0"),
+    pytest.param(None, 3 * 2 ** 14 + 5, id="more-samples-than-one-block"),
+    pytest.param(1e17, 300, id="times-past-1e16"),  # "%.17g" writes those as d.ddde+16
+])
+def test_timeseries_body_is_each_value_at_17_digits(tmp_path, t_max, samples):
     edges, out = str(tmp_path / "d33.edges"), str(tmp_path / "ts.csv")
     assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "3", "--out", edges]) == 0
-    assert cli.main(["timeseries", "--in", edges, "--samples", "300", "--out", out]
+    assert cli.main(["timeseries", "--in", edges, "--samples", str(samples), "--out", out]
                     + ([] if t_max is None else ["--t-max", str(t_max)])) == 0
-    ts = time_series(return_weights(build_hamiltonian(read_edge_list(edges))), t_max, 300)
+    ts = time_series(return_weights(build_hamiltonian(read_edge_list(edges))), t_max, samples)
     lines = Path(out).read_text().splitlines()
     assert lines[2:-1] == [f"{t:.17g},{a:.17g},{p:.17g}"
                            for t, a, p in zip(ts.times, ts.abs_alpha_sq, ts.pi_bar)]
@@ -477,6 +486,69 @@ def test_timeseries_runs_on_a_subnormal_grid_that_does_not_repeat(tmp_path):
                      "--out", str(out)]) == 0
     body = out.read_text().splitlines()[2:-1]
     assert [float(line.split(",")[0]) for line in body] == [0.0, 5e-321, 1e-320]
+
+
+@pytest.mark.parametrize("t_max", [None, "50"])
+def test_timeseries_builds_one_time_grid_per_run(tmp_path, t_max):
+    # the early check builds the grid only for a subnormal step, where linspace can
+    # repeat a time; otherwise `time_series` builds it, once
+    edges, out = str(tmp_path / "s5.edges"), str(tmp_path / "ts.csv")
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", edges]) == 0
+    with mock.patch.object(efficiency.np, "linspace", wraps=np.linspace) as linspace:
+        assert cli.main(["timeseries", "--in", edges, "--samples", "400", "--out", out]
+                        + ([] if t_max is None else ["--t-max", t_max])) == 0
+    assert linspace.call_count == 1
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _near_power_of_ten(e: int, toward: float | None) -> float:
+    x = float(f"1e{e}")
+    return x if toward is None else float(np.nextafter(x, toward))
+
+
+def _tie(k: int, m: int) -> float:
+    # an odd multiple of 2^(-1-p), p = 16 - k, in [10^k, 10^(k+1)): 10^p times it is an
+    # odd multiple of 5^p / 2, half-way between two integers, so its 17 digits round to even
+    p = 16 - k
+    low = math.ceil(2 ** (p + 1) * Fraction(10) ** k)
+    high = min(math.ceil(2 ** (p + 1) * Fraction(10) ** (k + 1)), 2 ** 53)
+    return ((low + m % (high - low)) | 1) / 2.0 ** (p + 1)
+
+
+_FORMATTED_DOUBLES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_double),  # raw bit patterns, inf and nan among them
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.integers(1, 2 ** 52 - 1), st.sampled_from([0, 1 << 63])).map(  # subnormals
+        lambda bits: _double(bits[0] | bits[1])),
+    st.tuples(st.integers(-8, 18), st.sampled_from([-np.inf, None, np.inf])).map(
+        lambda e: _near_power_of_ten(*e)),  # the 1e-6 and 1e16 edges among them
+    st.tuples(st.integers(-6, 15), st.integers(0, 2 ** 60)).map(lambda km: _tie(*km)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_FORMATTED_DOUBLES, _FORMATTED_DOUBLES, _FORMATTED_DOUBLES),
+                min_size=1, max_size=30))
+def test_fmt_rows_writes_what_one_percent_call_writes(rows):
+    columns = tuple(np.array(column) for column in zip(*rows))
+    assert cli._fmt_rows(columns) == fmt_rows_reference(columns)
+
+
+def test_fmt_rows_writes_what_one_percent_call_writes_across_blocks():
+    # random bit patterns of the fast range 2^-20 <= x < 2^54 and of every double, and
+    # exact ties, over more rows than one block of 2^14
+    rng = np.random.default_rng(20261020)
+    n = 2 ** 15 + 7
+    fast = (rng.integers(1023 - 20, 1023 + 54, n).astype(np.uint64) << np.uint64(52)) \
+        | rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+    ties = [_tie(int(k), int(m)) for k, m in zip(rng.integers(-6, 16, n),
+                                                 rng.integers(0, 2 ** 60, n))]
+    columns = (fast.view(np.float64), rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(
+        np.float64), np.array(ties))
+    assert cli._fmt_rows(columns) == fmt_rows_reference(columns)
 
 
 def test_timeseries_rerun_identical(tmp_path):
@@ -1186,6 +1258,44 @@ def test_timeseries_star_4000_within_address_space_cap(tmp_path):
     assert float(footer["chi_exact"]) == pytest.approx((3998 / 4000) ** 2 + 2 / 4000 ** 2,
                                                        rel=1e-12)
     assert float(footer["time_average_pi_bar"]) >= float(footer["chi_exact"]) - 0.01
+
+
+def test_timeseries_out_of_memory_exits_4_writing_nothing(tmp_path):
+    # measured: 2 000 000 samples on star(5) run at 512 MiB of address space and not at
+    # 448, and 10 samples run at 128 MiB, so the cap is past the import and short of the run
+    edges = tmp_path / "s5.edges"
+    assert run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges)).returncode == 0
+    res = _run_cli_capped(384 << 20, "timeseries", "--in", str(edges), "--samples", "2000000",
+                          "--out", str(tmp_path / "ts.csv"))
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("qtree: out of memory") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s5.edges", "s5.edges.manifest.json"]
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8 GiB")])
+def test_main_maps_a_memory_error_to_exit_4(tmp_path, capsys, error):
+    edges, out = str(tmp_path / "s5.edges"), tmp_path / "ts.csv"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", edges]) == 0
+    with mock.patch.object(cli, "time_series", side_effect=error):
+        assert cli.main(["timeseries", "--in", edges, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == ("qtree: out of memory"
+                                       + (f" ({error})" if str(error) else "") + "\n")
+    assert not out.exists()
+
+
+def test_chi_refuses_a_class_mean_that_overflows_writing_nothing(tmp_path, capsys):
+    # three eigenvalues of star(4) round to 1e308, and their sum overflows
+    edges, table = str(tmp_path / "s4.edges"), tmp_path / "pot.txt"
+    assert cli.main(["gen", "--family", "star", "--n", "4", "--out", edges]) == 0
+    table.write_text("1 1e308\n3 -1e308\n")
+    out, spectrum_out = tmp_path / "r.json", tmp_path / "r.csv"
+    assert cli.main(["chi", "--in", edges, "--potential", f"custom={table}", "--tol-abs", "1e-8",
+                     "--out", str(out), "--spectrum-out", str(spectrum_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtree: the mean of the 3 eigenvalues") and "overflows" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pot.txt", "s4.edges",
+                                                          "s4.edges.manifest.json"]
 
 
 def test_outputs_leave_no_temporary_files(tmp_path):

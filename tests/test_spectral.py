@@ -224,6 +224,24 @@ def test_default_tolerance_refuses_a_spectral_width_that_overflows():
             solve(h)
 
 
+@pytest.mark.parametrize("tol", [None, 1e-8])
+def test_spectrum_refuses_a_class_mean_that_overflows(tol):
+    # the three eigenvalues near 1e308 bin into one class; their pairwise sum overflows,
+    # and so would the mean written to the spectrum CSV.  (With -1e308 beside them the
+    # default tolerance is refused for the width first.)
+    potential = {1: 1e308, 3: -1e308} if tol is not None else {1: 1e308, 3: 1e308}
+    h = build_hamiltonian(generate_star(4), custom_potential(potential))
+    with pytest.raises(InvalidParameterError, match=r"^the mean of the \d eigenvalues from "
+                       r"1e\+308 to 1e\+308 in one class overflows$"):
+        spectrum(h, tol)
+
+
+def test_bin_keeps_a_class_whose_mean_stays_finite_near_the_float_limit():
+    # a gap that overflows is inf, above any tolerance, and a finite mean is kept
+    w = np.array([-1e308, 8e307, np.nextafter(8e307, np.inf)])  # 8e307 + 1e308 overflows
+    assert _bin([(w, 1)], 1e300).classes == ((-1e308, 1), (float(np.mean(w[1:])), 2))
+
+
 @pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY,
                                        custom_potential({1: 0.25, 2: -1.5})],
                          ids=["connectivity", "adjacency", "custom"])
