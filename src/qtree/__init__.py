@@ -32,7 +32,6 @@ from .ensemble import (
     realization_seed,
     run_ensemble,
     sweep,
-    sweep_csv_text,
 )
 from .errors import (
     DegenerateAverageError,
@@ -71,5 +70,4 @@ from .spectral import (
     multiplicity_exact,
     return_weights,
     spectrum,
-    spectrum_csv_text,
 )

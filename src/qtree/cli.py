@@ -4,7 +4,8 @@ One command produces one data file plus one manifest recording the
 command, its full parameter set, the artifact version, the output paths
 and the wall-clock duration.  `qtree rerun <manifest>` re-executes a
 recorded command; deterministic commands reproduce their outputs byte
-for byte, and the worker count never changes output bytes.
+for byte, and the worker count never changes output bytes.  Every
+output's text is formatted here, each double as %.17g.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 I/O failure,
 4 size limit exceeded or out of memory, 5 every sweep row failed.
@@ -15,13 +16,15 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import reprlib
 import sys
 import time
-from dataclasses import fields
+from collections.abc import Iterator
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +42,10 @@ from .ensemble import (
     ESTIMATORS,
     STRUCTURAL_DELTA0,
     EnsembleConfig,
+    SweepRow,
     _check_config,
     sweep,
     sweep_counters,
-    sweep_csv_text,
 )
 from .errors import InvalidParameterError, QtreeError, SizeLimitError
 from .graphs import (
@@ -60,10 +63,10 @@ from .spectral import (
     ADJACENCY,
     CONNECTIVITY,
     DENSE_SOLVER_LIMIT,
+    Spectrum,
     build_hamiltonian,
     custom_potential,
     return_weights,
-    spectrum_csv_text,
 )
 
 MANIFEST_FORMAT = "qtree-manifest-1"
@@ -72,8 +75,25 @@ MANIFEST_FORMAT = "qtree-manifest-1"
 BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def sweep_csv_text(rows: list[SweepRow]) -> str:
+    lines = [FORMAT_HEADER, ",".join(f.name for f in fields(SweepRow))]
+    lines += [",".join(map(_cell, astuple(row))) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_csv_text(sp: Spectrum) -> str:
+    lines = [FORMAT_HEADER, "eigenvalue,multiplicity,density"]
+    for rep, mult in sp.classes:
+        lines.append(f"{rep:.17g},{mult},{mult / sp.n:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,9 +137,9 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k + carry, np.where(carry, 10 ** 16, d)
 
 
-def _fmt_rows(columns: tuple[np.ndarray, ...]) -> str:
+def _fmt_rows(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
     """The lines "%.17g,...,%.17g\\n" % row of every row of the columns, byte for byte,
-    from NumPy in blocks of at most 2^14 rows.
+    from NumPy, one block of at most 2^14 rows at a time.
 
     Each double 1e-6 < x < 1e16 gets its 17 digits from `_decimal17`.
     Trailing zeros are dropped and the rest laid out as %g does: fixed
@@ -134,7 +154,6 @@ def _fmt_rows(columns: tuple[np.ndarray, ...]) -> str:
     below 10^-6, x >= 1e16, subnormals, inf and nan) is written by
     "%.17g" % x itself.
     """
-    parts = []
     ranks = np.arange(1, 18, dtype=np.uint8)[:, None]
     for first in range(0, len(columns[0]), 1 << 14):
         x = np.column_stack([c[first:first + (1 << 14)] for c in columns]).ravel()
@@ -180,8 +199,7 @@ def _fmt_rows(columns: tuple[np.ndarray, ...]) -> str:
         blob = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
         buf[np.repeat(start[slow] - np.cumsum(text_len) + text_len, text_len)
             + np.arange(len(blob))] = blob
-        parts.append(buf[:ends[-1]].tobytes().decode("ascii"))
-    return "".join(parts)
+        yield buf[:ends[-1]].tobytes().decode("ascii")
 
 
 def _write_manifest(command: str, params: dict, outputs: list[str],
@@ -304,8 +322,7 @@ def run_chi(params: dict) -> int:
     tol_abs = _option(params, "tol_abs", lambda v: v is None or 0 < v < math.inf,
                       "finite and positive")
     # the plan refuses an oversize tree before the report's structural pass
-    h = build_hamiltonian(g, potential,
-                          _option(params, "size_limit", lambda v: v >= 1, "at least 1"))
+    h = build_hamiltonian(g, potential, params["size_limit"])
     report = efficiency_report(h, tol_abs)
     report_done = time.monotonic()
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "spectrum"}
@@ -448,13 +465,14 @@ def run_timeseries(params: dict) -> int:
     ts = time_series(rw, t_max, params["samples"])
     series_done = time.monotonic()
     footer = "# time_average_abs_alpha_sq={} time_average_pi_bar={} chi_exact={}\n".format(
-        _fmt(time_average(ts.abs_alpha_sq, ts.times)),
-        _fmt(time_average(ts.pi_bar, ts.times)),
-        _fmt(chi_exact(rw.spectrum)),
+        _cell(time_average(ts.abs_alpha_sq, ts.times)),
+        _cell(time_average(ts.pi_bar, ts.times)),
+        _cell(chi_exact(rw.spectrum)),
     )
     out = params["out"]
-    write_text_atomic(out, f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"
-                      + _fmt_rows((ts.times, ts.abs_alpha_sq, ts.pi_bar)) + footer)
+    write_text_atomic(out, itertools.chain([f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"],
+                                           _fmt_rows((ts.times, ts.abs_alpha_sq, ts.pi_bar)),
+                                           [footer]))
     _write_manifest("timeseries", params, [out], None, started, {
         "timings": {"read_s": read_done - started, "weights_s": weights_done - read_done,
                     "series_s": series_done - weights_done,

@@ -374,15 +374,17 @@ def time_series(rw: ReturnWeights, t_max: float | None = None, samples: int = 10
     product with sqrt(Pi_q/n).
     """
     t = _check_time_grid(t_max, samples)
-    if t is None:
-        t = (default_time_grid(rw.spectrum, samples) if t_max is None
-             else np.linspace(0.0, t_max, samples))
+    if t_max is None:
+        t = default_time_grid(rw.spectrum, samples)
     lam = rw.eigenvalues
-    t_end, lam_max = float(t[-1]), float(np.abs(lam).max())
+    # linspace ends on t_max; an infinite t_max is refused before linspace warns on it
+    t_end, lam_max = float(t[-1] if t_max is None else t_max), float(np.abs(lam).max())
     if not math.isfinite(t_end * lam_max):  # on Python floats, an overflow is inf, not a warning
         raise InvalidParameterError(
             f"time grid to t={t_end!r} overflows the phases t * lambda (max |lambda| = {lam_max!r})"
         )
+    if t is None:
+        t = np.linspace(0.0, t_max, samples)
     root_share = np.sqrt(rw.nodes / rw.nodes.sum())
     scaled = np.ascontiguousarray(rw.weights * root_share[:, None])
     step = min(_block_rows(len(lam)), len(t))

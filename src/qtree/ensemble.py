@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from multiprocessing import Pool
 
@@ -55,7 +55,6 @@ from .errors import (
 )
 from .graphs import (
     _MASK64,
-    FORMAT_HEADER,
     TreeGraph,
     _check_pcg64_layout,
     _check_sft_size,
@@ -332,17 +331,3 @@ def _sweep_row(cfg: EnsembleConfig) -> tuple[SweepRow, np.ndarray | None]:
         status=status,
     )
     return row, cdf
-
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def sweep_csv_text(rows: list[SweepRow]) -> str:
-    lines = [FORMAT_HEADER, ",".join(f.name for f in fields(SweepRow))]
-    lines += [",".join(map(_cell, astuple(row))) for row in rows]
-    return "\n".join(lines) + "\n"

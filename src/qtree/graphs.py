@@ -27,7 +27,7 @@ import functools
 import math
 import os
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -687,16 +687,20 @@ def _plain_edges(body: str, n: int) -> np.ndarray | None:
     return tokens.reshape(-1, 2)
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text as UTF-8 so that path holds either its old content or all of text.
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, one str or its parts in order, as UTF-8 so that path holds either its
+    old content or all of text.
 
-    The text goes to a temporary file beside path, which then replaces
-    path in one rename; on any failure the temporary file is removed.
+    The text goes to a temporary file beside path, one part at a time,
+    and the file then replaces path in one rename; on any failure, one
+    raised while the parts are made included, the temporary file is
+    removed.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

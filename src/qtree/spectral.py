@@ -60,7 +60,7 @@ from .errors import (
     SizeLimitError,
     UnsupportedExactModeError,
 )
-from .graphs import FORMAT_HEADER, TreeGraph
+from .graphs import TreeGraph
 
 DENSE_SOLVER_LIMIT = 4096
 
@@ -163,7 +163,10 @@ class Spectrum:
 
 def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,
                       size_limit: int | None = DENSE_SOLVER_LIMIT) -> Hamiltonian:
-    """Hamiltonian and plan of g; refuses gaps in the potential, then quotients over size_limit."""
+    """Hamiltonian and plan of g; refuses a size_limit below 1, gaps in the potential, then
+    quotients over size_limit."""
+    if size_limit is not None and size_limit < 1:  # no quotient has fewer than 1 position
+        raise InvalidParameterError(f"--size-limit must be at least 1, got {size_limit}")
     if potential.kind == CUSTOM_KIND:
         missing = sorted({1, *g.degrees()} - potential.table.keys())
         if missing:
@@ -383,12 +386,3 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
                     d[parent[v]] -= ks[v] / d[v]
         total += count * d.count(0)
     return total
-
-
-# --- spectrum export ---------------------------------------------------------
-
-def spectrum_csv_text(sp: Spectrum) -> str:
-    lines = [FORMAT_HEADER, "eigenvalue,multiplicity,density"]
-    for rep, mult in sp.classes:
-        lines.append(f"{rep:.17g},{mult},{mult / sp.n:.17g}")
-    return "\n".join(lines) + "\n"

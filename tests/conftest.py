@@ -12,8 +12,10 @@ series with every phase evaluated directly, degeneracy binning by a
 loop over the sorted eigenvalues and by tiling each solve's eigenvalues
 count times, the edge-list reader that scans line by line, the
 quotient plan that joins branches through a queue, the leaf and parent
-counts taken from parent arrays by `np.bincount`, and the time-series
-CSV body written as "%.17g" by one `%` formatting call.  It also holds
+counts taken from parent arrays by `np.bincount`, the time-series CSV
+body written as "%.17g" by one `%` formatting call, and the spectrum
+and sweep CSVs built as one list of lines each, as the spectral and
+ensemble modules once wrote them.  It also holds
 two checks the program itself does not need: the breadth-first
 parent-array invariant and the explicit leaf-pair eigenvectors at E*;
 and the `in_process_pool` fixture, which runs the sweep's process pool
@@ -22,7 +24,7 @@ in the test's own process and records what it mapped.
 import math
 import os
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,7 +33,8 @@ import numpy as np
 import pytest
 
 from qtree.errors import InvalidParameterError, SizeLimitError
-from qtree.graphs import StructuralStats, TreeGraph, _bfs_parents
+from qtree.ensemble import SweepRow
+from qtree.graphs import FORMAT_HEADER, StructuralStats, TreeGraph, _bfs_parents
 from qtree.spectral import Spectrum, _as_fraction, _bin, _quotient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -301,6 +304,27 @@ def fmt_rows_reference(columns) -> str:
     """The lines "%.17g,...,%.17g\\n" % row of every row of the columns, by one `%` call."""
     rows = np.column_stack(columns).ravel().tolist()
     return ("%.17g," * (len(columns) - 1) + "%.17g\n") * len(columns[0]) % tuple(rows)
+
+
+def spectrum_csv_text_reference(sp: Spectrum) -> str:
+    lines = [FORMAT_HEADER, "eigenvalue,multiplicity,density"]
+    for rep, mult in sp.classes:
+        lines.append(f"{rep:.17g},{mult},{mult / sp.n:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _cell_reference(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def sweep_csv_text_reference(rows: list[SweepRow]) -> str:
+    lines = [FORMAT_HEADER, ",".join(f.name for f in fields(SweepRow))]
+    lines += [",".join(map(_cell_reference, astuple(row))) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def validate_tree(g) -> str | None:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -20,7 +21,7 @@ from qtree import (Potential, QtreeError, build_hamiltonian, read_edge_list, ret
                    time_series)
 from qtree import cli, efficiency, ensemble, errors, graphs, spectral
 
-from conftest import fmt_rows_reference
+from conftest import fmt_rows_reference, spectrum_csv_text_reference, sweep_csv_text_reference
 
 
 def run_cli(*args):
@@ -534,7 +535,7 @@ _FORMATTED_DOUBLES = st.one_of(
                 min_size=1, max_size=30))
 def test_fmt_rows_writes_what_one_percent_call_writes(rows):
     columns = tuple(np.array(column) for column in zip(*rows))
-    assert cli._fmt_rows(columns) == fmt_rows_reference(columns)
+    assert "".join(cli._fmt_rows(columns)) == fmt_rows_reference(columns)
 
 
 def test_fmt_rows_writes_what_one_percent_call_writes_across_blocks():
@@ -548,7 +549,56 @@ def test_fmt_rows_writes_what_one_percent_call_writes_across_blocks():
                                                  rng.integers(0, 2 ** 60, n))]
     columns = (fast.view(np.float64), rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(
         np.float64), np.array(ties))
-    assert cli._fmt_rows(columns) == fmt_rows_reference(columns)
+    assert "".join(cli._fmt_rows(columns)) == fmt_rows_reference(columns)
+
+
+_CSV_POTENTIALS = {
+    "connectivity": spectral.CONNECTIVITY,
+    "adjacency": spectral.ADJACENCY,
+    # V(1) = 0 and V(3) = -1: star(n) has the eigenvalue 0 n - 2 times and one below 0
+    "custom": spectral.custom_potential({f: f % 3 - 1.0 for f in range(1, 1000)}),
+}
+
+
+@pytest.mark.parametrize("potential", _CSV_POTENTIALS.values(), ids=_CSV_POTENTIALS.keys())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.builds(graphs.generate_star, st.integers(2, 40)),
+    st.builds(graphs.generate_sft, st.integers(3, 300), st.floats(2.05, 6.0),
+              seed=st.integers(0, 2 ** 32)),
+))
+def test_spectrum_csv_text_writes_what_its_reference_writes(potential, g):
+    sp = spectral.spectrum(build_hamiltonian(g, potential))
+    assert cli.spectrum_csv_text(sp) == spectrum_csv_text_reference(sp)
+
+
+_SWEEP_CELLS = st.one_of(st.none(), st.floats())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(
+    ensemble.SweepRow, s=st.floats(), n=st.integers(0, 10 ** 6), f_max=st.integers(0, 10 ** 6),
+    r=st.integers(0, 10 ** 6), avg_f_analytic=_SWEEP_CELLS, one_minus_chi_mc_mean=_SWEEP_CELLS,
+    one_minus_chi_mc_stderr=_SWEEP_CELLS, one_minus_chi_analytic_finite=_SWEEP_CELLS,
+    one_minus_chi_analytic_infinite=_SWEEP_CELLS,
+    status=st.sampled_from(["ok", *ensemble._ERROR_NAMES.values()])), max_size=6))
+def test_sweep_csv_text_writes_what_its_reference_writes(rows):
+    assert cli.sweep_csv_text(rows) == sweep_csv_text_reference(rows)
+
+
+def test_timeseries_traces_less_memory_than_its_csv_holds(tmp_path):
+    # the body goes to the file one block at a time, never whole as one string; measured
+    # on a 56.0 MiB file: a traced peak of 39.1 MiB, and 135.2 MiB with the body joined first
+    edges, out = str(tmp_path / "s5.edges"), tmp_path / "ts.csv"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", edges]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["timeseries", "--in", edges, "--samples", "1000000",
+                         "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
 
 
 def test_timeseries_rerun_identical(tmp_path):
@@ -1261,11 +1311,12 @@ def test_timeseries_star_4000_within_address_space_cap(tmp_path):
 
 
 def test_timeseries_out_of_memory_exits_4_writing_nothing(tmp_path):
-    # measured: 2 000 000 samples on star(5) run at 512 MiB of address space and not at
-    # 448, and 10 samples run at 128 MiB, so the cap is past the import and short of the run
+    # measured: 10 samples on star(5) run at 104 MiB of address space and up; 2 000 000
+    # samples exit 4 from 104 to 144 MiB, on the series' output arrays, allocated before the
+    # kernel's first matrix product, whose OpenBLAS buffer aborts the run at 152-176 MiB
     edges = tmp_path / "s5.edges"
     assert run_cli("gen", "--family", "star", "--n", "5", "--out", str(edges)).returncode == 0
-    res = _run_cli_capped(384 << 20, "timeseries", "--in", str(edges), "--samples", "2000000",
+    res = _run_cli_capped(128 << 20, "timeseries", "--in", str(edges), "--samples", "2000000",
                           "--out", str(tmp_path / "ts.csv"))
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith("qtree: out of memory") and res.stderr.count("\n") == 1

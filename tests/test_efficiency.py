@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -558,6 +560,19 @@ def test_time_series_refuses_a_grid_whose_phases_overflow(t_max):
     # max |lambda| of the star is above 1, so 1e308 * lambda is inf
     with pytest.raises(InvalidParameterError, match="overflows the phases"):
         time_series(return_weights(build_hamiltonian(generate_star(4))), t_max, 50)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_time_series_refuses_a_t_max_that_is_not_finite_before_any_grid(t_max):
+    # np.linspace(0.0, inf, samples) warns "invalid value encountered in multiply"
+    rw = return_weights(build_hamiltonian(generate_star(5)))
+    message = (f"time grid to t={t_max!r} overflows the phases t * lambda "
+               f"(max |lambda| = {float(np.abs(rw.eigenvalues).max())!r})")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(efficiency.np, "linspace", side_effect=AssertionError("built")):
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+                time_series(rw, t_max, 10)
 
 
 @pytest.mark.parametrize("samples, t_max", [(4, 5e-324), (7, 1e-320)])

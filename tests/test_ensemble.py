@@ -20,9 +20,9 @@ from qtree import (
     run_ensemble,
     structural_stats,
     sweep,
-    sweep_csv_text,
 )
 from qtree import ensemble, graphs
+from qtree.cli import sweep_csv_text
 from qtree.ensemble import _realization_seeds, _realize_task, _task_ranges
 from qtree.graphs import _BUCKETS, MAX_NODES_DEFAULT, _sft_cdf, _uniform_rows
 from qtree.spectral import _bin

@@ -376,6 +376,52 @@ def test_edge_list_round_trip(tmp_path):
     assert edge_list_text(back) == path.read_text(encoding="utf-8")
 
 
+def test_write_text_atomic_writes_one_str_whole_and_parts_in_order(tmp_path, monkeypatch):
+    written = []
+
+    class RecordingFile:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, part):
+            written.append(part)
+            return self.file.write(part)
+
+        def writelines(self, parts):
+            for part in parts:
+                self.write(part)
+
+    monkeypatch.setattr("qtree.graphs.open", lambda *a, **kw: RecordingFile(open(*a, **kw)),
+                        raising=False)
+    path = tmp_path / "out.txt"
+    write_text_atomic(path, "one\ntext\n")
+    assert written == ["one\ntext\n"]
+    written.clear()
+    write_text_atomic(path, (part for part in ["a,", "b\n", "", "c\n"]))
+    assert written == ["a,", "b\n", "", "c\n"]
+    assert path.read_text(encoding="utf-8") == "a,b\nc\n"
+
+
+def test_write_text_atomic_keeps_the_old_text_when_a_part_fails(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text_atomic(path, "old\n")
+
+    def parts():
+        yield "new\n"
+        raise MemoryError
+
+    with pytest.raises(MemoryError):
+        write_text_atomic(path, parts())
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def _relabelled_text(g):
     """An edge list of g with node v named n - 1 - v, so it is read through `_bfs_parents`."""
     return f"{g.n}\n" + "".join(f"{g.n - 1 - v} {g.n - 1 - u}\n" for u, v in g.edges())

@@ -30,12 +30,12 @@ from qtree import (
     parse_edge_list_text,
     return_weights,
     spectrum,
-    spectrum_csv_text,
     structural_stats,
     time_series,
     TreeGraph,
 )
 from qtree import efficiency
+from qtree.cli import spectrum_csv_text
 from qtree.spectral import _bin, _matrix, _plan
 
 from conftest import (
@@ -151,6 +151,14 @@ def test_quotient_solvers_size_limit():
     # a chain is its own quotient; interning stops at the first branch above the limit
     with pytest.raises(SizeLimitError, match="n=5000: a quotient of 4097 positions exceeds"):
         build_hamiltonian(generate_chain(5000))
+
+
+@pytest.mark.parametrize("size_limit", [0, -3])
+def test_build_hamiltonian_refuses_a_size_limit_below_one(size_limit):
+    # in the words of `qtree chi --size-limit`; not SizeLimitError, the exit-4 class
+    with pytest.raises(InvalidParameterError,
+                       match=f"^--size-limit must be at least 1, got {size_limit}$"):
+        build_hamiltonian(generate_star(5), size_limit=size_limit)
 
 
 def test_exact_oracle_without_size_limit():
