@@ -1,11 +1,14 @@
 """Command-line front end.
 
-One command produces one data file plus one manifest recording the
-command, its full parameter set, the artifact version, the output paths
-and the wall-clock duration.  `qtree rerun <manifest>` re-executes a
-recorded command; deterministic commands reproduce their outputs byte
-for byte, and the worker count never changes output bytes.  Every
-output's text is formatted here, each double as %.17g.
+One command produces its output files plus one manifest recording the
+command, its full parameter set, the artifact version, the output paths,
+the wall-clock duration and per-stage timings.  `qtree rerun <manifest>`
+re-executes a recorded command; deterministic commands reproduce their
+outputs byte for byte, and the worker count never changes output bytes.
+Runners compute and write nothing; `_run` times them and writes every
+output and manifest.  The CSVs are formatted here, each double as %.17g;
+`graphs.edge_list_text` formats the edge list, and `json.dumps` the JSON
+files, each double as the shortest text that reads back (0.1, not 0.10000000000000001).
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 I/O failure,
 4 size limit exceeded or out of memory, 5 every sweep row failed.
@@ -23,9 +26,10 @@ import os
 import reprlib
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import astuple, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,23 +206,8 @@ def _fmt_rows(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
         yield buf[:ends[-1]].tobytes().decode("ascii")
 
 
-def _write_manifest(command: str, params: dict, outputs: list[str],
-                    master_seed: int | None, started: float, extra: dict) -> str:
-    """Write <first output>.manifest.json; extra adds keys that rerun ignores."""
-    manifest = {
-        **extra,
-        "format": MANIFEST_FORMAT,
-        "command": command,
-        "version": __version__,
-        "params": params,
-        "master_seed": master_seed,
-        "outputs": outputs,
-        "duration_seconds": time.monotonic() - started,
-        "blas_env": {var: os.environ.get(var) for var in BLAS_ENV_VARS},
-    }
-    path = outputs[0] + ".manifest.json"
-    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_potential(choice: str):
@@ -272,6 +261,16 @@ def _seed(params: dict) -> int:
 
 # --- runners (shared by the subcommands and `rerun`) -------------------------
 
+class _Made(NamedTuple):
+    """A runner's output texts, one str or its parts, by path, the main one first; the
+    time.monotonic() at which each stage ended, by timing key; counters, seed and exit code."""
+    outputs: dict[str, str | Iterable[str]]
+    stages: dict[str, float]
+    counters: dict
+    master_seed: int | None = None
+    code: int = 0
+
+
 # each family's generator and the flags it needs, in argument order
 _FAMILIES = {
     "chain": (generate_chain, ("n",)),
@@ -282,8 +281,7 @@ _FAMILIES = {
 }
 
 
-def run_gen(params: dict) -> int:
-    started = time.monotonic()
+def run_gen(params: dict) -> _Made:
     family = params["family"]
     generate, flags = _FAMILIES[family]
     missing = [flag for flag in flags if params[flag] is None]
@@ -298,13 +296,7 @@ def run_gen(params: dict) -> int:
         args += [params["f_max"], seed]
     g = generate(*args)
     generated = time.monotonic()
-    out = params["out"]
-    write_text_atomic(out, edge_list_text(g))
-    _write_manifest("gen", params, [out], seed, started, {
-        "timings": {"generate_s": generated - started, "write_s": time.monotonic() - generated},
-        "counters": {"n": g.n},
-    })
-    return 0
+    return _Made({params["out"]: edge_list_text(g)}, {"generate_s": generated}, {"n": g.n}, seed)
 
 
 def _solve_counters(h, calls: str) -> dict:
@@ -313,31 +305,23 @@ def _solve_counters(h, calls: str) -> dict:
             "largest_solve_dim": max(len(q[0]) for q, _ in h.quotients.values())}
 
 
-def run_chi(params: dict) -> int:
-    started = time.monotonic()
-    out, spectrum_out = params["out"], params["spectrum_out"]
+def run_chi(params: dict) -> _Made:
+    tol_abs = _option(params, "tol_abs", lambda v: v is None or 0 < v < math.inf,
+                      "finite and positive")
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
-    tol_abs = _option(params, "tol_abs", lambda v: v is None or 0 < v < math.inf,
-                      "finite and positive")
     # the plan refuses an oversize tree before the report's structural pass
     h = build_hamiltonian(g, potential, params["size_limit"])
     report = efficiency_report(h, tol_abs)
     report_done = time.monotonic()
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "spectrum"}
-    write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    outputs = [out]
-    if spectrum_out:
-        write_text_atomic(spectrum_out, spectrum_csv_text(report.spectrum))
-        outputs.append(spectrum_out)
-    _write_manifest("chi", params, outputs, None, started, {
-        "timings": {"read_s": read_done - started, "report_s": report_done - read_done,
-                    "write_s": time.monotonic() - report_done},
-        "counters": {"n": report.n, "degeneracy_classes": len(report.spectrum.classes),
-                     **_solve_counters(h, "eigvalsh_calls")},
-    })
-    return 0
+    outputs = {params["out"]: _json_text(payload)}
+    if params["spectrum_out"]:
+        outputs[params["spectrum_out"]] = spectrum_csv_text(report.spectrum)
+    return _Made(outputs, {"read_s": read_done, "report_s": report_done},
+                 {"n": report.n, "degeneracy_classes": len(report.spectrum.classes),
+                  **_solve_counters(h, "eigvalsh_calls")})
 
 
 def _parse_s(text: str) -> float:
@@ -350,8 +334,7 @@ def _parse_s(text: str) -> float:
     return s
 
 
-def run_sweep(params: dict) -> int:
-    started = time.monotonic()
+def run_sweep(params: dict) -> _Made:
     n = params["n"]
     s_grid = [_parse_s(v) for v in params["s_grid"].split(",") if v.strip()]
     if not s_grid:
@@ -374,20 +357,12 @@ def run_sweep(params: dict) -> int:
     _check_config(cfgs[0])
     rows = sweep(cfgs, params["workers"])
     swept = time.monotonic()
-    out = params["out"]
-    write_text_atomic(out, sweep_csv_text(rows))
-    _write_manifest("sweep", params, [out], seed, started, {
-        "timings": {"sweep_s": swept - started, "write_s": time.monotonic() - swept},
-        "counters": sweep_counters(rows, params["workers"]),
-    })
-    if all(row.status != "ok" for row in rows):
-        print("qtree: every sweep row failed", file=sys.stderr)
-        return 5
-    return 0
+    failed = all(row.status != "ok" for row in rows)
+    return _Made({params["out"]: sweep_csv_text(rows)}, {"sweep_s": swept},
+                 sweep_counters(rows, params["workers"]), seed, 5 if failed else 0)
 
 
-def run_fit_kappa(params: dict) -> int:
-    started = time.monotonic()
+def run_fit_kappa(params: dict) -> _Made:
     x_col, y_col = params["x_column"], params["y_column"]
     offset, x_min, x_max = (
         _option(params, key, lambda v: v is None or -math.inf < v < math.inf, "finite")
@@ -434,7 +409,6 @@ def run_fit_kappa(params: dict) -> int:
     read_done = time.monotonic()
     fit = kappa_fit(points)
     fit_done = time.monotonic()
-    out = params["out"]
     payload = {
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -442,17 +416,11 @@ def run_fit_kappa(params: dict) -> int:
         "window": [list(p) for p in fit.window],
         "points_used": len(points),
     }
-    write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest("fit-kappa", params, [out], None, started, {
-        "timings": {"read_s": read_done - started, "fit_s": fit_done - read_done,
-                    "write_s": time.monotonic() - fit_done},
-        "counters": {"rows": len(rows), "points_used": len(points)},
-    })
-    return 0
+    return _Made({params["out"]: _json_text(payload)}, {"read_s": read_done, "fit_s": fit_done},
+                 {"rows": len(rows), "points_used": len(points)})
 
 
-def run_timeseries(params: dict) -> int:
-    started = time.monotonic()
+def run_timeseries(params: dict) -> _Made:
     t_max = _option(params, "t_max", lambda v: v is None or 0 < v < math.inf,
                     "finite and positive")
     _check_time_grid(t_max, params["samples"])  # before the input is read
@@ -469,19 +437,13 @@ def run_timeseries(params: dict) -> int:
         _cell(time_average(ts.pi_bar, ts.times)),
         _cell(chi_exact(rw.spectrum)),
     )
-    out = params["out"]
-    write_text_atomic(out, itertools.chain([f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"],
-                                           _fmt_rows((ts.times, ts.abs_alpha_sq, ts.pi_bar)),
-                                           [footer]))
-    _write_manifest("timeseries", params, [out], None, started, {
-        "timings": {"read_s": read_done - started, "weights_s": weights_done - read_done,
-                    "series_s": series_done - weights_done,
-                    "write_s": time.monotonic() - series_done},
-        "counters": {"n": g.n, **_solve_counters(h, "eigh_calls"),
-                     "weight_columns": len(rw.eigenvalues),
-                     "series_blocks": ts.blocks},
-    })
-    return 0
+    # the body's blocks are formatted as they are written
+    text = itertools.chain([f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"],
+                           _fmt_rows((ts.times, ts.abs_alpha_sq, ts.pi_bar)), [footer])
+    return _Made({params["out"]: text},
+                 {"read_s": read_done, "weights_s": weights_done, "series_s": series_done},
+                 {"n": g.n, **_solve_counters(h, "eigh_calls"),
+                  "weight_columns": len(rw.eigenvalues), "series_blocks": ts.blocks})
 
 
 _RUNNERS = {
@@ -515,9 +477,34 @@ def _check_paths(params: dict) -> None:
 
 
 def _run(command: str, params: dict) -> int:
-    """Run a command on its params once no output of it would overwrite another or an input."""
+    """Run a command on its params once no output of it would overwrite another or an input,
+    then write its outputs in order and <first output>.manifest.json.  write_s runs from
+    the end of the last stage, so it covers what the runner formats after that stage."""
     _check_paths(params)
-    return _RUNNERS[command](params)
+    started = time.monotonic()
+    made = _RUNNERS[command](params)
+    timings, stage_start = {}, started
+    for key, end in made.stages.items():
+        timings[key], stage_start = end - stage_start, end
+    for path, text in made.outputs.items():
+        write_text_atomic(path, text)
+    timings["write_s"] = time.monotonic() - stage_start
+    manifest = {
+        "timings": timings,
+        "counters": made.counters,
+        "format": MANIFEST_FORMAT,
+        "command": command,
+        "version": __version__,
+        "params": params,
+        "master_seed": made.master_seed,
+        "outputs": list(made.outputs),
+        "duration_seconds": time.monotonic() - started,
+        "blas_env": {var: os.environ.get(var) for var in BLAS_ENV_VARS},
+    }
+    write_text_atomic(manifest["outputs"][0] + ".manifest.json", _json_text(manifest))
+    if made.code == 5:
+        print("qtree: every sweep row failed", file=sys.stderr)
+    return made.code
 
 
 def run_rerun(params: dict) -> int:

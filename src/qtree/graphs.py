@@ -694,17 +694,20 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     The text goes to a temporary file beside path, one part at a time,
     and the file then replaces path in one rename; on any failure, one
     raised while the parts are made included, the temporary file is
-    removed.
+    removed.  An OSError is raised again with its errno and strerror and
+    with path, not the temporary file, as its file name.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    dest = Path(path)
+    tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             f.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
+        os.replace(tmp, dest)
+    except BaseException as exc:
         with suppress(OSError):
             tmp.unlink()
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

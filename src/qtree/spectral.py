@@ -222,7 +222,7 @@ def _plan(parents, size_limit: int | None):
 
     def last_first():
         """(v, first child, last child + 1) of each node in inner, from the last, in blocks
-        of 4096 so that a refusal costs no list of length n."""
+        of 4096, so that each of the three `.tolist()` lists holds at most 4096 ints."""
         block = 4096
         for stop in range(len(inner), 0, -block):
             nodes = inner[max(stop - block, 0):stop][::-1]

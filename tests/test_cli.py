@@ -1,4 +1,5 @@
 """End-to-end CLI checks via subprocess, and the CLI's input parsers in-process."""
+import hashlib
 import json
 import math
 import os
@@ -87,8 +88,14 @@ def test_sweep_all_rows_failed_exit_5(tmp_path):
     res = run_cli("sweep", "--n", "5000", "--s-grid", "2.5,3.0", "--r", "2", "--f-max", "2",
                   "--estimator", "spectral-exact", "--out", str(tmp_path / "s.csv"))
     assert res.returncode == 5
+    assert res.stderr == "qtree: every sweep row failed\n"
     text = (tmp_path / "s.csv").read_text()
     assert text.count("degenerate-average") == 2
+    # exit 5 still writes the CSV and its manifest
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert (manifest["command"], manifest["outputs"]) == ("sweep", [str(tmp_path / "s.csv")])
+    assert manifest["counters"] == {"blocks": 2, "realizations": 4, "seed_passes": 2}
+    assert sorted(manifest["timings"]) == ["sweep_s", "write_s"]
 
 
 def test_gen_sft_refuses_an_s_whose_weights_underflow_exit_2(tmp_path):
@@ -1362,12 +1369,95 @@ def test_outputs_leave_no_temporary_files(tmp_path):
     ]
 
 
+# what each command writes, run in this order; every quotient has a few positions only,
+# so the outputs do not depend on the BLAS thread count
+_GOLDEN_COMMANDS = [
+    ["gen", "--family", "dendrimer", "--f", "3", "--g", "3", "--out", "d33.edges"],
+    ["chi", "--in", "d33.edges", "--out", "d33.json", "--spectrum-out", "d33.csv"],
+    ["sweep", "--n", "30", "--s-grid", "2.5,3.0", "--r", "50", "--out", "sweep2.csv"],
+    ["sweep", "--n", "30", "--s-grid", "2.5,3.0,4.0", "--r", "50", "--out", "sweep3.csv"],
+    ["fit-kappa", "--in", "sweep3.csv", "--y-column", "one_minus_chi_mc_mean", "--out", "fit.json"],
+    ["gen", "--family", "star", "--n", "5", "--out", "s5.edges"],
+    ["timeseries", "--in", "s5.edges", "--samples", "200", "--t-max", "5", "--out", "ts.csv"],
+]
+_GOLDEN_SHA256 = {
+    "d33.edges": "c6d328499d284acabe79e1aa87f5708e1fdbf782fb2021706fc0528dc2aaee7c",
+    "d33.json": "efc8292fab51773198f1d6c9c6b16024d3d0eefcae42376ec5b70dbff8431053",
+    "d33.csv": "4bbedb0e340a2989982f7370938af7f5d553aa9045309d73cd8a6d9716a38b72",
+    "sweep2.csv": "f7711c223c0c6b6a34cc565a5e4b7a3fa13740213e42cf204b01e8fe9208da0a",
+    "sweep3.csv": "320277ee00e68f7e76de28bfbb1763fff2b147bea72716b8b0e5723ae6b7a3e1",
+    "fit.json": "a6a85f54576ac56641ebda96263d3f7dbda73bd7988d288d8396889ab555bb68",
+    "s5.edges": "6938162a157f18e999953e96d829154b28ba820a688e7234e8d818eb5b438476",
+    "ts.csv": "ab3a80f15e4295ac4e22f6841f78d3a3ad436cb35669a0357f7cd3f46142f946",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    """The folder that the commands of _GOLDEN_COMMANDS wrote, run through cli.main."""
+    folder = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(folder)
+        for argv in _GOLDEN_COMMANDS:
+            assert cli.main(argv) == 0, argv
+    return folder
+
+
+def test_cli_output_files_golden_sha256(golden_outputs):
+    # every byte each command writes stays the same across refactors
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in golden_outputs.iterdir() if not path.name.endswith(".manifest.json")}
+    assert written == _GOLDEN_SHA256
+
+
+def test_manifest_timings_fit_inside_the_run(golden_outputs):
+    commands = set()
+    for path in golden_outputs.glob("*.manifest.json"):
+        manifest = json.loads(path.read_text())
+        timings = manifest["timings"]
+        assert "write_s" in timings and min(timings.values()) >= 0, path.name
+        assert math.fsum(timings.values()) <= manifest["duration_seconds"], path.name
+        commands.add(manifest["command"])
+    assert commands == set(cli._RUNNERS)
+
+
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+def test_an_out_in_a_missing_directory_exits_3_naming_it(golden_outputs, tmp_path, capsys,
+                                                         command):
+    args = {
+        "gen": ["--family", "star", "--n", "5"],
+        "chi": ["--in", str(golden_outputs / "s5.edges")],
+        "sweep": ["--n", "30", "--s-grid", "2.5", "--r", "5"],
+        "fit-kappa": ["--in", str(golden_outputs / "sweep3.csv"),
+                      "--y-column", "one_minus_chi_mc_mean"],
+        "timeseries": ["--in", str(golden_outputs / "s5.edges"), "--samples", "20"],
+    }[command]
+    out = str(tmp_path / "missing" / "out")
+    assert cli.main([command, *args, "--out", out]) == 3
+    # the path given, not the temporary file beside it
+    assert capsys.readouterr().err == f"qtree: [Errno 2] No such file or directory: {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("chi", "--tol-abs", "inf"), ("timeseries", "--t-max", "inf"), ("fit-kappa", "--offset", "nan"),
+])
+def test_an_option_out_of_range_is_refused_before_the_input_is_read(tmp_path, capsys, command,
+                                                                    option, value):
+    y_column = ["--y-column", "s"] if command == "fit-kappa" else []
+    assert cli.main([command, "--in", str(tmp_path / "missing.edges"), *y_column, option, value,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtree: ") and option in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_exit_3_without_partial_file(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # a directory cannot be replaced by the output file
     res = run_cli("sweep", "--n", "40", "--s-grid", "2.5", "--r", "20", "--out", str(target))
     assert res.returncode == 3
-    assert res.stderr.startswith("qtree: ")
+    assert res.stderr == f"qtree: [Errno 21] Is a directory: {str(target)!r}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list(target.iterdir()) == []
     res = run_cli("gen", "--family", "star", "--n", "5",
