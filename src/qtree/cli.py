@@ -300,9 +300,8 @@ def run_gen(params: dict) -> _Made:
 
 
 def _solve_counters(h, calls: str) -> dict:
-    """The count of eigensolves, one per quotient in h's plan, and the largest one's size."""
-    return {calls: len(h.quotients),
-            "largest_solve_dim": max(len(q[0]) for q, _ in h.quotients.values())}
+    """The count of eigensolves, one per block in h's plan, and the largest one's size."""
+    return {calls: len(h.blocks), "largest_solve_dim": max(b - a for a, b, _ in h.blocks)}
 
 
 def run_chi(params: dict) -> _Made:
@@ -313,13 +312,14 @@ def run_chi(params: dict) -> _Made:
     read_done = time.monotonic()
     # the plan refuses an oversize tree before the report's structural pass
     h = build_hamiltonian(g, potential, params["size_limit"])
+    plan_done = time.monotonic()
     report = efficiency_report(h, tol_abs)
     report_done = time.monotonic()
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "spectrum"}
     outputs = {params["out"]: _json_text(payload)}
     if params["spectrum_out"]:
         outputs[params["spectrum_out"]] = spectrum_csv_text(report.spectrum)
-    return _Made(outputs, {"read_s": read_done, "report_s": report_done},
+    return _Made(outputs, {"read_s": read_done, "plan_s": plan_done, "report_s": report_done},
                  {"n": report.n, "degeneracy_classes": len(report.spectrum.classes),
                   **_solve_counters(h, "eigvalsh_calls")})
 
@@ -428,6 +428,7 @@ def run_timeseries(params: dict) -> _Made:
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
     h = build_hamiltonian(g, potential)
+    plan_done = time.monotonic()
     rw = return_weights(h)
     weights_done = time.monotonic()
     ts = time_series(rw, t_max, params["samples"])
@@ -440,8 +441,8 @@ def run_timeseries(params: dict) -> _Made:
     # the body's blocks are formatted as they are written
     text = itertools.chain([f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"],
                            _fmt_rows((ts.times, ts.abs_alpha_sq, ts.pi_bar)), [footer])
-    return _Made({params["out"]: text},
-                 {"read_s": read_done, "weights_s": weights_done, "series_s": series_done},
+    return _Made({params["out"]: text}, {"read_s": read_done, "plan_s": plan_done,
+                                         "weights_s": weights_done, "series_s": series_done},
                  {"n": g.n, **_solve_counters(h, "eigh_calls"),
                   "weight_columns": len(rw.eigenvalues), "series_blocks": ts.blocks})
 
@@ -456,7 +457,8 @@ _RUNNERS = {
 
 
 def _check_paths(params: dict) -> None:
-    """Refuse an output path that resolves to another output or to an input of the command."""
+    """Refuse an output path that resolves to another output or to an input of the command,
+    then, with the OSError its write would raise after the run, one in a missing folder."""
     out, potential = params["out"], params.get("potential") or ""
     table = potential.removeprefix("custom=") if potential.startswith("custom=") else None
     outputs = {"--out": out, "the manifest of --out": out + ".manifest.json",
@@ -474,6 +476,11 @@ def _check_paths(params: dict) -> None:
             if known == path and (name in outputs or other in outputs):
                 raise InvalidParameterError(f"{other} and {name} are the same file, {path}")
         resolved[name] = path
+    for name in (name for name in outputs if name in resolved):
+        try:  # the trailing separator makes a folder that is a file fail too
+            os.stat(os.path.join(os.path.dirname(resolved[name]), ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, outputs[name]) from exc
 
 
 def _run(command: str, params: dict) -> int:

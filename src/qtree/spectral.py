@@ -13,35 +13,35 @@ combinations of the copies give spec(B) k - 1 times, and the symmetric
 one leaves H with the k branches replaced by one copy joined by a
 coupling sqrt(k).  Applied at every node, the spectrum is eig(quotient
 at the root) plus, for every repeated child group, k - 1 copies of that
-branch's spectrum, found the same way.  One plan serves the solves,
-the size check and the oracle: the branch shapes, interned children
-first with their quotient sizes, and counts[s], how often eig(quotient
-of s) occurs: 1 for the root plus k - 1 per group of k branches of
-shape s in each counted quotient.  A branch's path from the root runs
-through one copy of each group it passes, so its quotient is a block of
-the root's: the root's is the largest solve, and interning stops at the
-first branch above the size limit.  `build_hamiltonian` builds the plan
-and checks the limit; the oracle on a tree above it needs size_limit=None.
+branch's spectrum, found the same way.  A branch's path from the root
+runs through one copy of each group it passes, so its quotient is a
+block of the root's, in preorder.  The plan, which serves the solves,
+the size check and the oracle, is the root quotient alone (shape,
+parent, group size k and Pi, the product of the k on the path, of each
+position; shapes interned children first with their quotient sizes)
+and one block (start, stop, count) per solved shape: the root's, of
+count 1, then each repeated shape's at its first group position R
+(k_R > 1) in preorder.  R stands for Pi_parent(R) groups of k_R copies,
+so it adds Pi_R - Pi_parent(R) to its shape's count.  Interning stops
+at the first branch above the size limit, which `build_hamiltonian`
+checks; the oracle on a tree above it needs size_limit=None.
 
-Return probabilities come from the eigenvectors of the same quotients.
+Return probabilities come from the eigenvectors of the same blocks.
 Branch swaps permute the tree nodes at one position q of the root
-quotient, so they share a return probability; q stands for Pi_q nodes,
-the product of the group sizes k on its path.  A normalized quotient
-eigenvector x puts weight x_q^2 / Pi_q on each.  A group of k equal
-branches of shape c under position p passes (1 - 1/k) / Pi_p times c's
-own weights (same recursion, memoized per shape) to the positions of
-the group's copy: 1 - 1/k is the diagonal of the antisymmetric projector
-I - J/k, and 1/Pi_p spreads those sectors over the Pi_p copies of p,
-whose own antisymmetric sectors enter through the enclosing groups.
-With a column j per (solved shape, eigenvector index), of eigenvalue
-lambda_j, pbar(t) = sum_q (Pi_q / n) |sum_j W[q, j] exp(-i lambda_j t)|^2;
-each row of W sums to 1, and sum_q Pi_q W[q, j] counts column j's
-tree eigenvectors.
+quotient, so they share a return probability; q stands for Pi_q nodes.
+A column j per (block, eigenvector x), of eigenvalue lambda_j, puts
+W[q, j] = sum_R m_R x_(q-R)^2 / Pi_q on each, over the root (m = 1) and
+the group positions R of the block's shape whose copy holds q (m_R =
+Pi_R - Pi_parent(R)).  That sums the recursion in which a group of k
+under position p passes (1 - 1/k) / Pi_p, the diagonal of I - J/k
+spread over Pi_p copies: over every subset of R's group ancestors these
+factors add up to m_R (`notes/decisions.md`).  Then pbar(t) =
+sum_q (Pi_q / n) |sum_j W[q, j] exp(-i lambda_j t)|^2; each row of W
+sums to 1, and sum_q Pi_q W[q, j] counts column j's tree eigenvectors.
 
 An exact oracle, the Jacobs-Trevisan tree diagonalization over
-rationals run on the same quotients, guards the multiplicity of the
-distinguished eigenvalue E* = V(1) carried by leaf-pair superposition
-states.
+rationals in one pass over the root quotient, guards the multiplicity
+of the distinguished eigenvalue E* = V(1) carried by leaf-pair states.
 """
 from __future__ import annotations
 
@@ -129,9 +129,11 @@ class Hamiltonian:
 
     graph: TreeGraph
     potential: Potential
-    # the plan: each shape's functionality by id; by counted shape, its quotient and count
+    # the plan: each shape's functionality by id, the root quotient's positions as
+    # `_quotient` lists them, and (start, stop, count) of each solved block, the root's first
     functionality: tuple[int, ...] = field(repr=False, compare=False)
-    quotients: dict[int, tuple[tuple, int]] = field(repr=False, compare=False)
+    root: tuple[list, list, list, list] = field(repr=False, compare=False)
+    blocks: tuple[tuple[int, int, int], ...] = field(repr=False, compare=False)
 
     @property
     def e_star(self) -> float:  # V(1), the eigenvalue of the leaf-pair states
@@ -176,12 +178,17 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,
 
 
 def spectrum(h: Hamiltonian, tol_abs: float | None = None) -> Spectrum:
-    """Binned spectrum from the quotients' eigenvalues alone; tol_abs is checked first."""
+    """Binned spectrum from the blocks' eigenvalues alone; tol_abs is checked first."""
     if tol_abs is not None and not 0 < tol_abs < math.inf:
         raise InvalidParameterError(f"tol_abs must be finite and positive, got {tol_abs}")
-    on_site = [h.potential.value(f) for f in h.functionality]
-    return _bin([(np.linalg.eigvalsh(_matrix(q, on_site)), count)
-                 for q, count in h.quotients.values()], tol_abs)
+    return _bin([(w, count) for w, (_, _, count) in zip(_solve(h, np.linalg.eigvalsh), h.blocks)],
+                tol_abs)
+
+
+def _solve(h: Hamiltonian, solver) -> list:
+    """solver on each block of the root quotient's matrix, in the order of h.blocks."""
+    matrix = _matrix(h.root, [h.potential.value(f) for f in h.functionality])
+    return [solver(matrix[a:b, a:b]) for a, b, _ in h.blocks]
 
 
 @dataclass(frozen=True)
@@ -196,17 +203,26 @@ class ReturnWeights:
 
 def return_weights(h: Hamiltonian) -> ReturnWeights:
     """Weights of the node-averaged return probability."""
-    on_site = [h.potential.value(f) for f in h.functionality]
-    nodes, blocks = _branch_weights(len(h.functionality) - 1, h.quotients, on_site, {})
-    eigenvalues = np.concatenate([w for w, _ in blocks.values()])
-    weights = np.hstack([b for _, b in blocks.values()])
-    return ReturnWeights(eigenvalues, weights, nodes,
-                         _bin([(wd, h.quotients[d][1]) for d, (wd, _) in blocks.items()], None))
+    shape, parent, ks, nodes = h.root
+    solved = _solve(h, np.linalg.eigh)
+    # by solved shape: its eigenvectors squared and its columns of W, times Pi_q until the end
+    columns = {shape[a]: (x * x, np.zeros((len(shape), b - a)))
+               for (a, b, _), (_, x) in zip(h.blocks, solved)}
+    # the root's block once, and each group position's Pi_r - Pi_parent times
+    for r in (r for r, k in enumerate(ks) if k > 1 or r == 0):
+        sq, cols = columns[shape[r]]
+        cols[r:r + len(sq)] += (nodes[r] - nodes[parent[r]] if r else 1) * sq
+    nodes = np.array(nodes)
+    weights = np.hstack([cols for _, cols in columns.values()])
+    weights /= nodes[:, None]
+    return ReturnWeights(np.concatenate([w for w, _ in solved]), weights, nodes,
+                         _bin([(w, count) for (w, _), (_, _, count) in zip(solved, h.blocks)],
+                              None))
 
 
 def _plan(parents, size_limit: int | None):
-    """Functionality of each shape by id, the root's last, and by counted shape its
-    quotient and count, as in the module docstring; refuses a quotient above size_limit.
+    """Functionality of each shape by id, the root's last, the root quotient's positions
+    and its solved blocks, as in the module docstring; refuses a quotient above size_limit.
 
     parents is `TreeGraph.parents`, the tree's breadth-first parent array.
     Shapes are interned children first, from the last node: every leaf
@@ -255,24 +271,23 @@ def _plan(parents, size_limit: int | None):
     # the root's functionality is its child count, one less than a branch's, so its shape is new
     root = sorted(shape_of[first[0]:first[1]])
     new_shape(len(root), root)
-    counts = {len(shapes) - 1: 1}
-    occurrences = [0] * len(shapes)  # of each shape as a position, over all counted quotients
-    for s in range(len(shapes) - 1, -1, -1):
-        occurrences[s] += counts.get(s, 0)
-        for c, k in shapes[s][1]:
-            occurrences[c] += occurrences[s]
-            if k > 1:
-                counts[c] = counts.get(c, 0) + occurrences[s] * (k - 1)
-    return tuple(f for f, _, _ in shapes), {s: (_quotient(s, shapes), counts[s]) for s in counts}
+    shape, parent, ks, nodes = quotient = _quotient(len(shapes) - 1, shapes)
+    starts, counts = {shape[0]: 0}, {shape[0]: 1}
+    for r in (r for r, k in enumerate(ks) if k > 1):
+        t = shape[r]
+        starts.setdefault(t, r)
+        counts[t] = counts.get(t, 0) + nodes[r] - nodes[parent[r]]
+    return (tuple(f for f, _, _ in shapes), quotient,
+            tuple((a, a + shapes[t][2], counts[t]) for t, a in starts.items()))
 
 
 def _quotient(s: int, shapes):
     """Positions of the quotient of a branch of shape s: shape, parent position, k and Pi of each.
 
     Positions are numbered in preorder as they are popped, so each copy
-    is one block of positions ordered as its shape's own quotient;
-    `_branch_weights` relies on this.  The walk is iterative because a
-    chain is n deep.
+    is one block of positions ordered as its shape's own quotient; the
+    plan's blocks rely on this.  The walk is iterative because a chain is
+    n deep.
     """
     shape, parent, ks, nodes = [], [], [], []
     stack = [(s, -1, 1)]
@@ -293,27 +308,6 @@ def _matrix(quotient, on_site) -> np.ndarray:
     rows = np.arange(1, len(shape))
     matrix[rows, parent[1:]] = matrix[parent[1:], rows] = np.sqrt(ks[1:])
     return matrix
-
-
-def _branch_weights(s: int, quotients, on_site, memo: dict):
-    """Pi of each quotient position of shape s, and per shape solved in the branch
-    its quotient's eigenvalues and weights (position x eigenvector); memoized per shape.
-    """
-    if s not in memo:
-        shape, _, ks, nodes = quotient = quotients[s][0]
-        w, x = np.linalg.eigh(_matrix(quotient, on_site))
-        nodes = np.array(nodes)
-        blocks = {s: (w, x * x / nodes[:, None])}
-        for start, (c, k) in enumerate(zip(shape, ks)):
-            if k == 1:
-                continue
-            # nodes[start] = k Pi_p, so this is (1 - 1/k) / Pi_p
-            for d, (wd, block) in _branch_weights(c, quotients, on_site, memo)[1].items():
-                if d not in blocks:
-                    blocks[d] = (wd, np.zeros((len(nodes), len(wd))))
-                blocks[d][1][start:start + len(block)] += (k - 1) / nodes[start] * block
-        memo[s] = nodes, blocks
-    return memo[s]
 
 
 def _bin(solved, tol_abs: float | None) -> Spectrum:
@@ -360,29 +354,27 @@ def multiplicity_exact(h: Hamiltonian, e) -> int:
 
     Jacobs & Trevisan, Linear Algebra Appl. 434 (2011) 81-88: one
     children-first pass makes Q - e*I congruent to a diagonal matrix
-    whose zero entries count the multiplicity.  It runs on each solved
-    quotient Q, where a bond sqrt(k) enters only squared, as the integer
-    k, and the counts of zeros add up as the quotients' spectra do.
+    whose zero entries count the multiplicity.  It runs once over the
+    root quotient Q, where a bond sqrt(k) enters only squared, as the
+    integer k.  A subtree's pivots are those of a pass over it alone, so
+    a block's zeros are those below its start and its start's own, and
+    they add up as the blocks' spectra do.
     Requires every entry (potential values and e) to be representable
     as an exact rational: any rational, NumPy integers included, or a
     finite real, a float or NumPy float, taken at its binary value.
     """
     x = _as_fraction(e)
     on_site = [h.potential.value_exact(f) - x for f in h.functionality]
-    total = 0
-    for (shape, parent, ks, _), count in h.quotients.values():
-        d = [on_site[t] for t in shape]
-        zero_child = [-1] * len(d)
-        for v in range(len(d) - 1, -1, -1):
-            c = zero_child[v]
-            if c >= 0:
-                # the zero child clears v's row and column, cutting v's parent bond
-                d[c] = Fraction(2)
-                d[v] = Fraction(-1, 2)
-            elif v:
-                if d[v] == 0:
-                    zero_child[parent[v]] = v
-                else:
-                    d[parent[v]] -= ks[v] / d[v]
-        total += count * d.count(0)
-    return total
+    shape, parent, ks, _ = h.root
+    d = [on_site[t] for t in shape]  # pivots once done; None when cut by a zero child
+    below = [0] * len(d)  # zeros left below each position once it is done
+    for v in range(len(d) - 1, 0, -1):
+        p = parent[v]
+        below[p] += below[v]
+        if d[v] == 0 and d[p] is None:  # p is cut already, so v's zero stays
+            below[p] += 1
+        elif d[v] == 0:  # v's 0 and p's pivot become 2 and -1/2, cutting p's parent bond
+            d[p] = None
+        elif d[v] is not None and d[p] is not None:  # a cut v's row and column are clear
+            d[p] -= ks[v] / d[v]
+    return sum(count * (below[a] + (d[a] == 0)) for a, _, count in h.blocks)

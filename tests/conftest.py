@@ -11,7 +11,8 @@ references replay earlier forms of the program's own steps: the time
 series with every phase evaluated directly, degeneracy binning by a
 loop over the sorted eigenvalues and by tiling each solve's eigenvalues
 count times, the edge-list reader that scans line by line, the
-quotient plan that joins branches through a queue, the leaf and parent
+quotient plan that joins branches through a queue, the return weights
+that recurse through nested groups of branches, the leaf and parent
 counts taken from parent arrays by `np.bincount`, the time-series CSV
 body written as "%.17g" by one `%` formatting call, and the spectrum
 and sweep CSVs built as one list of lines each, as the spectral and
@@ -35,7 +36,7 @@ import pytest
 from qtree.errors import InvalidParameterError, SizeLimitError
 from qtree.ensemble import SweepRow
 from qtree.graphs import FORMAT_HEADER, StructuralStats, TreeGraph, _bfs_parents
-from qtree.spectral import Spectrum, _as_fraction, _bin, _quotient
+from qtree.spectral import Spectrum, _as_fraction, _bin, _matrix, _quotient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -239,6 +240,37 @@ def plan_reference(parents, size_limit):
             if k > 1:
                 counts[c] = counts.get(c, 0) + occurrences[s] * (k - 1)
     return tuple(f for f, _, _ in shapes), {s: (_quotient(s, shapes), counts[s]) for s in counts}
+
+
+def return_weights_reference(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, W and Pi_q of h's return weights, from the quotients of
+    `plan_reference` by a recursion memoized per shape: the quotient of s gives its
+    positions x^2 / Pi_q, and a group of k branches of shape c under position p passes
+    (1 - 1/k) / Pi_p times c's own weights to the positions of the group's copy."""
+    on_site = [h.potential.value(f) for f in h.functionality]
+    quotients = plan_reference(h.graph.parents, None)[1]
+    memo = {}
+
+    def branch_weights(s):
+        if s not in memo:
+            shape, _, ks, nodes = quotient = quotients[s][0]
+            w, x = np.linalg.eigh(_matrix(quotient, on_site))
+            nodes = np.array(nodes)
+            blocks = {s: (w, x * x / nodes[:, None])}
+            for start, (c, k) in enumerate(zip(shape, ks)):
+                if k == 1:
+                    continue
+                # nodes[start] = k Pi_p, so this is (1 - 1/k) / Pi_p
+                for d, (wd, block) in branch_weights(c)[1].items():
+                    if d not in blocks:
+                        blocks[d] = (wd, np.zeros((len(nodes), len(wd))))
+                    blocks[d][1][start:start + len(block)] += (k - 1) / nodes[start] * block
+            memo[s] = nodes, blocks
+        return memo[s]
+
+    nodes, blocks = branch_weights(len(h.functionality) - 1)
+    return (np.concatenate([w for w, _ in blocks.values()]),
+            np.hstack([b for _, b in blocks.values()]), nodes)
 
 
 def multiplicity_exact_reference(h, e) -> int:

@@ -620,7 +620,8 @@ def test_timeseries_rerun_identical(tmp_path):
     assert second.read_bytes() == out.read_bytes()
     for manifest_path in (str(out) + ".manifest.json", str(second) + ".manifest.json"):
         manifest = json.loads(Path(manifest_path).read_text())
-        assert sorted(manifest["timings"]) == ["read_s", "series_s", "weights_s", "write_s"]
+        assert sorted(manifest["timings"]) == ["plan_s", "read_s", "series_s", "weights_s",
+                                               "write_s"]
         assert all(v >= 0 for v in manifest["timings"].values())
         # star(5): a 2-position quotient at the root and the 1-node leaf shape; 3 columns
         # make blocks of 2^16 // 3 times, so the 500 samples are one block
@@ -669,7 +670,7 @@ def test_chi_rerun_identical(tmp_path):
     report = json.loads(out.read_text())
     for manifest_path in (str(out) + ".manifest.json", str(second) + ".manifest.json"):
         manifest = json.loads(Path(manifest_path).read_text())
-        assert sorted(manifest["timings"]) == ["read_s", "report_s", "write_s"]
+        assert sorted(manifest["timings"]) == ["plan_s", "read_s", "report_s", "write_s"]
         assert all(v >= 0 for v in manifest["timings"].values())
         counters = manifest["counters"]
         assert counters["n"] == report["n"] == 22
@@ -1421,9 +1422,15 @@ def test_manifest_timings_fit_inside_the_run(golden_outputs):
     assert commands == set(cli._RUNNERS)
 
 
+def _refuse_to_run(params):
+    raise AssertionError("the runner started")
+
+
 @pytest.mark.parametrize("command", list(cli._RUNNERS))
 def test_an_out_in_a_missing_directory_exits_3_naming_it(golden_outputs, tmp_path, capsys,
-                                                         command):
+                                                         monkeypatch, command):
+    # refused before the runner starts, as its write would fail after the whole run
+    monkeypatch.setitem(cli._RUNNERS, command, _refuse_to_run)
     args = {
         "gen": ["--family", "star", "--n", "5"],
         "chi": ["--in", str(golden_outputs / "s5.edges")],
@@ -1436,6 +1443,18 @@ def test_an_out_in_a_missing_directory_exits_3_naming_it(golden_outputs, tmp_pat
     assert cli.main([command, *args, "--out", out]) == 3
     # the path given, not the temporary file beside it
     assert capsys.readouterr().err == f"qtree: [Errno 2] No such file or directory: {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_spectrum_out_in_a_missing_directory_exits_3_before_any_output(golden_outputs,
+                                                                          tmp_path, capsys,
+                                                                          monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "chi", _refuse_to_run)
+    spectrum_out = str(tmp_path / "missing" / "x.csv")
+    assert cli.main(["chi", "--in", str(golden_outputs / "s5.edges"), "--out",
+                     str(tmp_path / "x.json"), "--spectrum-out", spectrum_out]) == 3
+    assert (capsys.readouterr().err
+            == f"qtree: [Errno 2] No such file or directory: {spectrum_out!r}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1477,9 +1496,12 @@ def test_one_quotient_plan_per_command(tmp_path, command):
     edges = tmp_path / "d35.edges"
     assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "5",
                      "--out", str(edges)]) == 0
-    with mock.patch("qtree.spectral._plan", wraps=spectral._plan) as plan:
+    with (mock.patch("qtree.spectral._plan", wraps=spectral._plan) as plan,
+          mock.patch("qtree.spectral._quotient", wraps=spectral._quotient) as quotient,
+          mock.patch("qtree.spectral._matrix", wraps=spectral._matrix) as matrix):
         assert cli.main([command, "--in", str(edges), "--out", str(tmp_path / "out")]) == 0
-    assert plan.call_count == 1
+    # one expansion of the root quotient and one matrix, whose blocks are the solves
+    assert plan.call_count == quotient.call_count == matrix.call_count == 1
 
 
 POTENTIAL_TABLE_LIKE = st.lists(

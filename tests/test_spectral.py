@@ -48,6 +48,7 @@ from conftest import (
     leaf_pair_eigenstates,
     multiplicity_exact_reference,
     plan_reference,
+    return_weights_reference,
     tiled_spectrum_reference,
 )
 
@@ -130,8 +131,8 @@ def test_eigensystem_invariants(g):
 
 
 def _quotient_sizes(h):
-    """The size of each quotient in h's plan: one eigensolve each."""
-    return [len(q[0]) for q, _ in h.quotients.values()]
+    """The size of each block in h's plan: one eigensolve each."""
+    return [b - a for a, b, _ in h.blocks]
 
 
 def test_quotient_solvers_size_limit():
@@ -473,6 +474,21 @@ def test_return_weights_match_dense_reference(g, potential):
                        rtol=0.0, atol=1e-11)
 
 
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY, QUADRATIC_POTENTIAL],
+                         ids=lambda p: p.kind)
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.label)
+def test_return_weights_match_the_recursive_reference(g, potential):
+    # one pass over the group positions sums what the recursion nests: the same columns
+    # in the same order, and W within two ulps of 1
+    h = build_hamiltonian(g, potential)
+    rw = return_weights(h)
+    eigenvalues, weights, nodes = return_weights_reference(h)
+    assert np.array_equal(rw.eigenvalues, eigenvalues)
+    assert np.array_equal(rw.nodes, nodes)
+    assert rw.weights.shape == weights.shape
+    assert np.max(np.abs(rw.weights - weights)) <= 4.4e-16
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -595,12 +611,33 @@ def test_time_series_blocks_of_any_size_match_direct_phases(monkeypatch, g, rows
 
 # --- the slice-based plan and binning from counts against their references -----
 
-def _plan_outcome(plan, parents, size_limit):
+def _check_plan(parents, size_limit):
+    """Check _plan against the queue reference and return the refusal both give, if any.
+
+    The functionalities and the counts are the reference's; each block is the
+    reference's quotient of its shape, with its parents offset and k = 1 and Pi = 1 at
+    its start; the root's block comes first and each repeated shape's follows at its
+    first group position in preorder.
+    """
     try:
-        functionality, quotients = plan(parents, size_limit)
+        functionality, quotients = plan_reference(parents, size_limit)
     except SizeLimitError as exc:
+        with pytest.raises(SizeLimitError) as refusal:
+            _plan(parents, size_limit)
+        assert str(refusal.value) == str(exc)
         return str(exc)
-    return functionality, list(quotients.items())  # the order of the solves too
+    plan_functionality, (shape, parent, ks, nodes), blocks = _plan(parents, size_limit)
+    assert plan_functionality == functionality
+    assert {shape[a]: count for a, _, count in blocks} == {s: c for s, (_, c) in quotients.items()}
+    for a, b, _ in blocks:
+        block = (shape[a:b], [-1] + [p - a for p in parent[a + 1:b]], [1] + ks[a + 1:b],
+                 [pi // nodes[a] for pi in nodes[a:b]])
+        assert block == tuple(quotients[shape[a]][0])
+        assert all(pi % nodes[a] == 0 for pi in nodes[a:b])
+    first = {}
+    for r in (r for r, k in enumerate(ks) if k > 1):
+        first.setdefault(shape[r], r)
+    assert [a for a, _, _ in blocks] == [0, *first.values()]
 
 
 PLAN_GRAPHS = [
@@ -616,8 +653,7 @@ PLAN_GRAPHS = [
 @pytest.mark.parametrize("g", PLAN_GRAPHS, ids=lambda g: g.label or f"n={g.n}")
 def test_plan_matches_queue_reference_on_every_family(g):
     for size_limit in (None, DENSE_SOLVER_LIMIT, 1, 0, 5, 12):
-        assert (_plan_outcome(_plan, g.parents, size_limit)
-                == _plan_outcome(plan_reference, g.parents, size_limit))
+        _check_plan(g.parents, size_limit)
 
 
 @settings(max_examples=300, deadline=None)
@@ -625,8 +661,7 @@ def test_plan_matches_queue_reference_on_every_family(g):
 def test_plan_matches_queue_reference_on_random_trees(data):
     g = data.draw(breadth_first_trees())
     size_limit = data.draw(st.one_of(st.none(), st.integers(0, g.n)))
-    assert (_plan_outcome(_plan, g.parents, size_limit)
-            == _plan_outcome(plan_reference, g.parents, size_limit))
+    _check_plan(g.parents, size_limit)
 
 
 @pytest.mark.parametrize("g, size_limit, message", [
@@ -634,9 +669,7 @@ def test_plan_matches_queue_reference_on_random_trees(data):
     (generate_chain(5000), DENSE_SOLVER_LIMIT, "n=5000: a quotient of 4097 positions exceeds"),
 ])
 def test_plan_refuses_as_the_queue_reference_does(g, size_limit, message):
-    refusal = _plan_outcome(_plan, g.parents, size_limit)
-    assert refusal == _plan_outcome(plan_reference, g.parents, size_limit)
-    assert refusal.startswith(message)
+    assert _check_plan(g.parents, size_limit).startswith(message)
 
 
 def _bits(sp):
@@ -668,11 +701,12 @@ def test_binning_from_counts_matches_tiled_binning(solved, tol_abs):
 def test_spectrum_and_return_weights_bin_as_tiled_copies(g, potential):
     h = build_hamiltonian(g, potential)
     on_site = [potential.value(f) for f in h.functionality]
-    solved = [(np.linalg.eigvalsh(_matrix(q, on_site)), count) for q, count in h.quotients.values()]
+    solved = [(np.linalg.eigvalsh(_matrix(q, on_site)), count)
+              for q, count in plan_reference(g.parents, None)[1].values()]
     with mock.patch("qtree.spectral._bin", wraps=_bin) as binner:
         sp = spectrum(h)
         rw = return_weights(h)
-    # each solves every quotient of the plan once, as the manifest counters say
+    # each solves every block of the plan once, as the manifest counters say
     for (binned, _), _ in binner.call_args_list:
         assert sorted(len(values) for values, _ in binned) == sorted(_quotient_sizes(h))
     assert _bits(sp) == _bits(tiled_spectrum_reference(solved))
