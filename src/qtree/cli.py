@@ -7,8 +7,10 @@ re-executes a recorded command; deterministic commands reproduce their
 outputs byte for byte, and the worker count never changes output bytes.
 Runners compute and write nothing; `_run` times them and writes every
 output and manifest.  The CSVs are formatted here, each double as %.17g;
-`graphs.edge_list_text` formats the edge list, and `json.dumps` the JSON
+`graphs._edge_list_parts` formats the edge list, and `json.dumps` the JSON
 files, each double as the shortest text that reads back (0.1, not 0.10000000000000001).
+The time-series body and the edge list are formatted in parts of
+`graphs._BLOCK` values, each written as it is made, so neither is held whole.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 I/O failure,
 4 size limit exceeded or out of memory, 5 every sweep row failed.
@@ -53,8 +55,9 @@ from .ensemble import (
 )
 from .errors import InvalidParameterError, QtreeError, SizeLimitError
 from .graphs import (
+    _BLOCK,
     FORMAT_HEADER,
-    edge_list_text,
+    _edge_list_parts,
     generate_chain,
     generate_dendrimer,
     generate_sft,
@@ -143,7 +146,7 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _fmt_rows(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
     """The lines "%.17g,...,%.17g\\n" % row of every row of the columns, byte for byte,
-    from NumPy, one block of at most 2^14 rows at a time.
+    from NumPy, one block of `graphs._BLOCK` values, _BLOCK // len(columns) rows, at a time.
 
     Each double 1e-6 < x < 1e16 gets its 17 digits from `_decimal17`.
     Trailing zeros are dropped and the rest laid out as %g does: fixed
@@ -159,8 +162,9 @@ def _fmt_rows(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
     "%.17g" % x itself.
     """
     ranks = np.arange(1, 18, dtype=np.uint8)[:, None]
-    for first in range(0, len(columns[0]), 1 << 14):
-        x = np.column_stack([c[first:first + (1 << 14)] for c in columns]).ravel()
+    rows = _BLOCK // len(columns)
+    for first in range(0, len(columns[0]), rows):
+        x = np.column_stack([c[first:first + rows] for c in columns]).ravel()
         fast = (x > 1e-6) & (x < 1e16)
         k, d = _decimal17(np.where(fast, x, 1.0))
         digits = np.empty((17, len(x)), np.uint8)  # row j: digit j of each value
@@ -296,12 +300,15 @@ def run_gen(params: dict) -> _Made:
         args += [params["f_max"], seed]
     g = generate(*args)
     generated = time.monotonic()
-    return _Made({params["out"]: edge_list_text(g)}, {"generate_s": generated}, {"n": g.n}, seed)
+    return _Made({params["out"]: _edge_list_parts(g)}, {"generate_s": generated}, {"n": g.n}, seed)
 
 
-def _solve_counters(h, calls: str) -> dict:
-    """The count of eigensolves, one per block in h's plan, and the largest one's size."""
-    return {calls: len(h.blocks), "largest_solve_dim": max(b - a for a, b, _ in h.blocks)}
+def _solve_counters(h, calls: str, sp: Spectrum) -> dict:
+    """The count of eigensolves, one per block in h's plan, the largest one's size, and the
+    tolerance and binning margins of their spectrum sp."""
+    return {calls: len(h.blocks), "largest_solve_dim": max(b - a for a, b, _ in h.blocks),
+            "tol_abs": sp.tol_abs, "largest_merged_gap": sp.largest_merged_gap,
+            "smallest_separating_gap": sp.smallest_separating_gap}
 
 
 def run_chi(params: dict) -> _Made:
@@ -321,7 +328,7 @@ def run_chi(params: dict) -> _Made:
         outputs[params["spectrum_out"]] = spectrum_csv_text(report.spectrum)
     return _Made(outputs, {"read_s": read_done, "plan_s": plan_done, "report_s": report_done},
                  {"n": report.n, "degeneracy_classes": len(report.spectrum.classes),
-                  **_solve_counters(h, "eigvalsh_calls")})
+                  **_solve_counters(h, "eigvalsh_calls", report.spectrum)})
 
 
 def _parse_s(text: str) -> float:
@@ -441,10 +448,14 @@ def run_timeseries(params: dict) -> _Made:
     # the body's blocks are formatted as they are written
     text = itertools.chain([f"{FORMAT_HEADER}\nt,abs_alpha_sq,pi_bar\n"],
                            _fmt_rows((ts.times, ts.abs_alpha_sq, ts.pi_bar)), [footer])
+    # above 1, the step is too long for the fastest beat of pi_bar, the spectral spread
+    spread = rw.spectrum.classes[-1][0] - rw.spectrum.classes[0][0]
+    step = float(ts.times[-1]) / (len(ts.times) - 1)
     return _Made({params["out"]: text}, {"read_s": read_done, "plan_s": plan_done,
                                          "weights_s": weights_done, "series_s": series_done},
-                 {"n": g.n, **_solve_counters(h, "eigh_calls"),
-                  "weight_columns": len(rw.eigenvalues), "series_blocks": ts.blocks})
+                 {"n": g.n, **_solve_counters(h, "eigh_calls", rw.spectrum),
+                  "weight_columns": len(rw.eigenvalues), "series_blocks": ts.blocks,
+                  "nyquist_ratio": step * spread / math.pi})
 
 
 _RUNNERS = {

@@ -29,7 +29,7 @@ from .errors import (
     OutOfDomainError,
     SizeLimitError,
 )
-from .graphs import MAX_NODES_DEFAULT, StructuralStats, _check_power_law, structural_stats
+from .graphs import _BLOCK, MAX_NODES_DEFAULT, StructuralStats, _check_power_law, structural_stats
 from .spectral import (
     Hamiltonian,
     ReturnWeights,
@@ -341,12 +341,8 @@ def _check_time_grid(t_max: float | None, samples: int) -> np.ndarray | None:
 
 
 def _block_rows(columns: int) -> int:
-    """Times per block of the series: at most 2^16 complex phases (1 MiB) over all columns.
-
-    Each block array stays under the 4 MiB from which numpy asks for
-    transparent huge pages, so peak memory does not depend on free huge pages.
-    """
-    return max(1, (1 << 16) // columns)
+    """Times per block of the series: at most `graphs._BLOCK` complex phases over all columns."""
+    return max(1, _BLOCK // columns)
 
 
 def time_series(rw: ReturnWeights, t_max: float | None = None, samples: int = 10_000) -> TimeSeries:

@@ -6,8 +6,11 @@ how the work is distributed across processes.  Aggregation always runs
 in index order.
 
 Realizations run in tasks of consecutive indices, each a range of whole
-blocks of at most 2^14 realizations; a sweep runs the tasks of all its
-rows in one ordered map, and `run_ensemble` is the one-config case.
+blocks, sized by the one block size `graphs._BLOCK`: a block of n-node
+trees holds ceil(_BLOCK / n) of them, about _BLOCK nodes, and a task at
+most _BLOCK // 4 realizations, whose PCG64 states are four words each.
+A sweep runs the tasks of all its rows in one ordered map, and
+`run_ensemble` is the one-config case.
 `_tasks` alone lays the tasks out: `_ensembles` maps what it gives, and
 `sweep_counters` reads a sweep's realizations, blocks and seed passes
 from it for the rows that ran.
@@ -54,6 +57,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import (
+    _BLOCK,
     _MASK64,
     TreeGraph,
     _check_pcg64_layout,
@@ -122,14 +126,14 @@ def _check_config(cfg: EnsembleConfig) -> None:
         )
 
 
-_TASK_REALIZATIONS = 1 << 14  # a task's PCG64 states, four uint64 words each, fill 512 KiB
+_TASK_REALIZATIONS = _BLOCK // 4  # a task's PCG64 states, four uint64 words each
 _TASKS_PER_WORKER = 4  # so that a worker that finishes early finds more work
 
 
 def _block_size(n: int) -> int:
-    """Realizations per block: about 65 536 nodes, so each per-node array of a block
-    (draws, slot prefix sums) stays within about 0.5 MB; at most a task's."""
-    return min(-(-65_536 // n), _TASK_REALIZATIONS)
+    """Realizations per block: about `graphs._BLOCK` nodes, the values of each per-node
+    array of a block (draws, slot prefix sums); at most a task's."""
+    return min(-(-_BLOCK // n), _TASK_REALIZATIONS)
 
 
 def _task_ranges(rows: list[tuple[int, int]], workers: int) -> list[list[tuple[int, int]]]:

@@ -38,6 +38,13 @@ from .errors import GeneratorLayoutError, InvalidParameterError, NoParentsError,
 
 MAX_NODES_DEFAULT = 2_000_000
 
+# Values per block of every array qtree cuts into blocks: edge ends and CSV cells as
+# they are formatted, the time series' phases, a sweep block's nodes, a task's PCG64
+# state words and the plan's `.tolist()` chunks.  A block's NumPy arrays, of 8 or 16
+# bytes per value, stay well under the 4 MiB from which NumPy asks for transparent huge
+# pages, so peak memory does not depend on free huge pages, and no output is held whole.
+_BLOCK = 1 << 16
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -596,9 +603,18 @@ _PLAIN_HEAD = re.compile(r"(?:#[\t -~]*\n)*[0-9]+\n")
 
 
 def edge_list_text(g: TreeGraph) -> str:
+    return "".join(_edge_list_parts(g))
+
+
+def _edge_list_parts(g: TreeGraph) -> Iterator[str]:
+    """The edge list of g in parts: the header lines, then the lines of _BLOCK // 2 edges
+    at a time."""
     label = f"# label={g.label}\n" if g.label else ""
-    edges = np.column_stack((g.parents[1:], np.arange(1, g.n))).ravel().tolist()
-    return f"{FORMAT_HEADER}\n{label}{g.n}\n" + "%d %d\n" * (g.n - 1) % tuple(edges)
+    yield f"{FORMAT_HEADER}\n{label}{g.n}\n"
+    for start in range(1, g.n, _BLOCK // 2):
+        stop = min(start + _BLOCK // 2, g.n)
+        ends = np.column_stack((g.parents[start:stop], np.arange(start, stop))).ravel().tolist()
+        yield "%d %d\n" * (stop - start) % tuple(ends)
 
 
 def parse_edge_list_text(text: str) -> TreeGraph:

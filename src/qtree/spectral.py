@@ -60,7 +60,7 @@ from .errors import (
     SizeLimitError,
     UnsupportedExactModeError,
 )
-from .graphs import TreeGraph
+from .graphs import _BLOCK, TreeGraph
 
 DENSE_SOLVER_LIMIT = 4096
 
@@ -146,12 +146,16 @@ class Spectrum:
 
     Each class is (representative, multiplicity); representatives are
     strictly increasing and multiplicities sum to n.  The spectral
-    density of a class is multiplicity / n.
+    density of a class is multiplicity / n.  The binning margins are the
+    largest gap between sorted solve eigenvalues that tol_abs merged and
+    the smallest it kept between classes, None where there is none.
     """
 
     classes: tuple[tuple[float, int], ...]
     n: int
     tol_abs: float
+    largest_merged_gap: float | None = field(default=None, repr=False, compare=False)
+    smallest_separating_gap: float | None = field(default=None, repr=False, compare=False)
 
     def multiplicity_at(self, e: float) -> int:
         best = min(self.classes, key=lambda c: abs(c[0] - e), default=None)
@@ -238,10 +242,9 @@ def _plan(parents, size_limit: int | None):
 
     def last_first():
         """(v, first child, last child + 1) of each node in inner, from the last, in blocks
-        of 4096, so that each of the three `.tolist()` lists holds at most 4096 ints."""
-        block = 4096
-        for stop in range(len(inner), 0, -block):
-            nodes = inner[max(stop - block, 0):stop][::-1]
+        of `graphs._BLOCK` nodes, the length of each of the three `.tolist()` lists."""
+        for stop in range(len(inner), 0, -_BLOCK):
+            nodes = inner[max(stop - _BLOCK, 0):stop][::-1]
             yield from zip(nodes.tolist(), first[nodes].tolist(), first[nodes + 1].tolist())
 
     shapes: list[tuple] = []  # (functionality, groups, quotient size)
@@ -314,11 +317,12 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
     """Binned spectrum of solves given as (eigenvalues, count), each eigenvalue count times.
 
     The eigenvalues are sorted together with their counts, and
-    consecutive ones within tol_abs merge into one class.  The class
-    representative is the mean of its eigenvalues, each repeated as
-    often as it occurs.  Because clusters are separated by raw gaps
-    above tol_abs, representatives of distinct classes are more than
-    tol_abs apart.  The default tolerance is 1e-8 times (spectral width
+    consecutive ones within tol_abs merge into one class; the largest gap
+    merged and the smallest gap kept are the spectrum's binning margins.
+    The class representative is the mean of its eigenvalues, each
+    repeated as often as it occurs.  Because clusters are separated by
+    raw gaps above tol_abs, representatives of distinct classes are more
+    than tol_abs apart.  The default tolerance is 1e-8 times (spectral width
     + 1), refused when the width overflows; a tol_abs given is checked by `spectrum`.
     A class whose mean overflows is refused too.
     """
@@ -332,7 +336,10 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
         if tol_abs == math.inf:
             raise InvalidParameterError(f"spectral width {float(w[0])} to {float(w[-1])} overflows")
     with np.errstate(over="ignore"):  # a gap that overflows is inf, above any tol_abs
-        starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol_abs)
+        gaps = np.diff(w, prepend=-np.inf)
+    split = gaps > tol_abs
+    starts = np.flatnonzero(split)
+    merged, kept = gaps[~split], gaps[starts[1:]]
     stops = np.append(starts[1:], len(w))
     sizes = np.add.reduceat(counts, starts)
     reps = w[starts]  # a class of one eigenvalue is that eigenvalue
@@ -346,7 +353,9 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
                 f"the mean of the {int(sizes[i])} eigenvalues from {float(w[starts[i]])} to "
                 f"{float(w[stops[i] - 1])} in one class overflows")
     return Spectrum(classes=tuple(zip(reps.tolist(), sizes.tolist())), n=int(counts.sum()),
-                    tol_abs=tol_abs)
+                    tol_abs=tol_abs,
+                    largest_merged_gap=float(merged.max()) if len(merged) else None,
+                    smallest_separating_gap=float(kept.min()) if len(kept) else None)
 
 
 def multiplicity_exact(h: Hamiltonian, e) -> int:

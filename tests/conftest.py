@@ -13,8 +13,8 @@ loop over the sorted eigenvalues and by tiling each solve's eigenvalues
 count times, the edge-list reader that scans line by line, the
 quotient plan that joins branches through a queue, the return weights
 that recurse through nested groups of branches, the leaf and parent
-counts taken from parent arrays by `np.bincount`, the time-series CSV
-body written as "%.17g" by one `%` formatting call, and the spectrum
+counts taken from parent arrays by `np.bincount`, the edge list and the
+time-series CSV body written by one `%` formatting call each, and the spectrum
 and sweep CSVs built as one list of lines each, as the spectral and
 ensemble modules once wrote them.  It also holds
 two checks the program itself does not need: the breadth-first
@@ -35,7 +35,7 @@ import pytest
 
 from qtree.errors import InvalidParameterError, SizeLimitError
 from qtree.ensemble import SweepRow
-from qtree.graphs import FORMAT_HEADER, StructuralStats, TreeGraph, _bfs_parents
+from qtree.graphs import _BLOCK, FORMAT_HEADER, StructuralStats, TreeGraph, _bfs_parents
 from qtree.spectral import Spectrum, _as_fraction, _bin, _matrix, _quotient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -134,7 +134,7 @@ def direct_time_series(rw, times) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(times, dtype=float)
     share = rw.nodes / rw.nodes.sum()
     abs_alpha_sq, pi_bar = np.empty(len(t)), np.empty(len(t))
-    step = max(1, (1 << 16) // len(rw.eigenvalues))
+    step = max(1, _BLOCK // len(rw.eigenvalues))
     for start in range(0, len(t), step):
         amp = np.exp(-1j * np.outer(t[start : start + step], rw.eigenvalues)) @ rw.weights.T
         block = slice(start, start + len(amp))
@@ -330,6 +330,13 @@ def count_leaves_and_parents_reference(parents: np.ndarray, n: int) -> Structura
             avg_f_minus_delta_parents=(sum_f_parents - sum_delta) / n_parents,
             avg_f_parents=sum_f_parents / n_parents,
         )
+
+
+def edge_list_text_reference(g: TreeGraph) -> str:
+    """The edge list of g, its lines "%d %d\\n" of every edge written by one `%` call."""
+    label = f"# label={g.label}\n" if g.label else ""
+    edges = np.column_stack((g.parents[1:], np.arange(1, g.n))).ravel().tolist()
+    return f"{FORMAT_HEADER}\n{label}{g.n}\n" + "%d %d\n" * (g.n - 1) % tuple(edges)
 
 
 def fmt_rows_reference(columns) -> str:

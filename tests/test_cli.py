@@ -22,7 +22,8 @@ from qtree import (Potential, QtreeError, build_hamiltonian, read_edge_list, ret
                    time_series)
 from qtree import cli, efficiency, ensemble, errors, graphs, spectral
 
-from conftest import fmt_rows_reference, spectrum_csv_text_reference, sweep_csv_text_reference
+from conftest import (edge_list_text_reference, fmt_rows_reference, spectrum_csv_text_reference,
+                      sweep_csv_text_reference)
 
 
 def run_cli(*args):
@@ -547,9 +548,9 @@ def test_fmt_rows_writes_what_one_percent_call_writes(rows):
 
 def test_fmt_rows_writes_what_one_percent_call_writes_across_blocks():
     # random bit patterns of the fast range 2^-20 <= x < 2^54 and of every double, and
-    # exact ties, over more rows than one block of 2^14
+    # exact ties, over two blocks of _BLOCK // 3 rows and part of a third
     rng = np.random.default_rng(20261020)
-    n = 2 ** 15 + 7
+    n = 2 * (graphs._BLOCK // 3) + 7
     fast = (rng.integers(1023 - 20, 1023 + 54, n).astype(np.uint64) << np.uint64(52)) \
         | rng.integers(0, 2 ** 52, n, dtype=np.uint64)
     ties = [_tie(int(k), int(m)) for k, m in zip(rng.integers(-6, 16, n),
@@ -593,6 +594,25 @@ def test_sweep_csv_text_writes_what_its_reference_writes(rows):
     assert cli.sweep_csv_text(rows) == sweep_csv_text_reference(rows)
 
 
+def test_gen_writes_its_edge_list_part_by_part(tmp_path, monkeypatch):
+    # parts of _BLOCK // 2 edges, here 4, are handed to the writer, never joined first
+    monkeypatch.setattr(graphs, "_BLOCK", 8)
+    parts, write = [], cli.write_text_atomic
+
+    def recording_write(path, text):
+        if path.endswith(".edges"):
+            assert not isinstance(text, str)
+            text = list(text)
+            parts.extend(text)
+        write(path, text)
+
+    monkeypatch.setattr(cli, "write_text_atomic", recording_write)
+    out = tmp_path / "c.edges"
+    assert cli.main(["gen", "--family", "chain", "--n", "50", "--out", str(out)]) == 0
+    assert [part.count("\n") for part in parts] == [3] + [4] * 12 + [1]  # header, 49 edges
+    assert out.read_text() == edge_list_text_reference(graphs.generate_chain(50))
+
+
 def test_timeseries_traces_less_memory_than_its_csv_holds(tmp_path):
     # the body goes to the file one block at a time, never whole as one string; measured
     # on a 56.0 MiB file: a traced peak of 39.1 MiB, and 135.2 MiB with the body joined first
@@ -624,13 +644,18 @@ def test_timeseries_rerun_identical(tmp_path):
                                                "write_s"]
         assert all(v >= 0 for v in manifest["timings"].values())
         # star(5): a 2-position quotient at the root and the 1-node leaf shape; 3 columns
-        # make blocks of 2^16 // 3 times, so the 500 samples are one block
-        assert manifest["counters"] == {"n": 5, "eigh_calls": 2, "largest_solve_dim": 2,
-                                        "weight_columns": 3, "series_blocks": 1}
+        # make blocks of _BLOCK // 3 times, so the 500 samples are one block; the
+        # eigenvalues 0, 1 and 5 merge nowhere and lie 1 apart at the closest
+        counters = manifest["counters"]
+        assert counters.pop("nyquist_ratio") == pytest.approx(50 * 5 / (math.pi * 499),
+                                                              rel=1e-12)
+        assert counters == {"n": 5, "eigh_calls": 2, "largest_solve_dim": 2,
+                            "weight_columns": 3, "series_blocks": 1, "tol_abs": 1e-8 * 6.0,
+                            "largest_merged_gap": None, "smallest_separating_gap": 1.0}
 
 
 def test_timeseries_manifest_counts_series_blocks(tmp_path):
-    # chain(301) has no branch symmetry: 301 weight columns, so blocks of 2^16 // 301 = 217
+    # chain(301) has no branch symmetry: 301 weight columns, so blocks of _BLOCK // 301 = 217
     # times, and 1000 samples take five blocks
     edges, out = str(tmp_path / "c.edges"), str(tmp_path / "ts.csv")
     assert cli.main(["gen", "--family", "chain", "--n", "301", "--out", edges]) == 0
@@ -655,6 +680,25 @@ def test_timeseries_manifest_counts_the_kernel_blocks_run(tmp_path, monkeypatch)
     assert cli.main(["timeseries", "--in", edges, "--samples", "100", "--out", out]) == 0
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["counters"]["series_blocks"] == subscripts.count("qj,qj->j") == 15
+
+
+def test_chi_and_timeseries_manifests_record_the_binning_margins(tmp_path):
+    # dendrimer(3,6) repeats eigenvalues across its branch solves, which the tolerance
+    # merges; the default grid's step is 50 n / (spread (samples - 1))
+    edges = str(tmp_path / "d.edges")
+    assert cli.main(["gen", "--family", "dendrimer", "--f", "3", "--g", "6", "--out", edges]) == 0
+    h = build_hamiltonian(read_edge_list(edges))
+    for command, sp, extra in (("chi", spectral.spectrum(h), []),
+                               ("timeseries", return_weights(h).spectrum, ["--samples", "100"])):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--in", edges, "--out", out, *extra]) == 0
+        counters = json.loads(Path(out + ".manifest.json").read_text())["counters"]
+        assert sp.largest_merged_gap is not None and sp.smallest_separating_gap is not None
+        assert (counters["tol_abs"], counters["largest_merged_gap"],
+                counters["smallest_separating_gap"]) == (
+                    sp.tol_abs, sp.largest_merged_gap, sp.smallest_separating_gap)
+        assert counters["largest_merged_gap"] <= sp.tol_abs < counters["smallest_separating_gap"]
+    assert counters["nyquist_ratio"] == pytest.approx(50 * 190 / (math.pi * 99), rel=1e-12)
 
 
 def test_chi_rerun_identical(tmp_path):

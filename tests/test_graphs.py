@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from qtree import (
     structural_stats,
 )
 from qtree.graphs import (
+    _BLOCK,
     MAX_NODES_DEFAULT,
     _BUCKETS,
     _bfs_parents,
     _count_sft_trees,
     _draw_functionalities,
+    _edge_list_parts,
     _grow_sft_ends,
     _guide_table,
     _parent_arrays,
@@ -42,6 +45,7 @@ from qtree.graphs import (
 
 from conftest import (
     count_leaves_and_parents_reference,
+    edge_list_text_reference,
     parse_edge_list_text_reference,
     validate_tree,
 )
@@ -198,6 +202,14 @@ def test_generated_edge_list_golden_sha256(name):
     # written files stay byte-stable across changes to the tree representation
     make, digest = EDGE_LIST_SHA256[name]
     assert hashlib.sha256(edge_list_text(make()).encode()).hexdigest() == digest
+
+
+def test_edge_list_across_parts_equals_the_one_percent_reference():
+    # two edges more than two parts of _BLOCK // 2 hold, so the lines cross two part ends
+    g = generate_sft(_BLOCK + 3, 2.5, seed=5)
+    parts = list(_edge_list_parts(g))
+    assert [part.count("\n") for part in parts] == [3, _BLOCK // 2, _BLOCK // 2, 2]
+    assert edge_list_text(g) == "".join(parts) == edge_list_text_reference(g)
 
 
 def test_vicsek_nonleaf_average_approaches_limit():
@@ -627,6 +639,16 @@ def test_structural_stats_matches_loop_reference_on_any_tree(g):
             structural_stats(g)
         return
     _assert_stats_equal(structural_stats(g), expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=_breadth_first_trees(), block=st.integers(2, 9))
+def test_edge_list_parts_of_any_size_equal_the_reference(g, block):
+    # parts of 1 to 4 edges end just before, at and past the last edge
+    with mock.patch("qtree.graphs._BLOCK", block):
+        parts = list(_edge_list_parts(g))
+    assert all(part.count("\n") == block // 2 for part in parts[1:-1])
+    assert "".join(parts) == edge_list_text_reference(g)
 
 
 DRAW_S = (1.4, 2.2, 2.6, 9.0, 1074)  # 1074: the CDF is 1.0 throughout

@@ -672,6 +672,53 @@ def test_plan_refuses_as_the_queue_reference_does(g, size_limit, message):
     assert _check_plan(g.parents, size_limit).startswith(message)
 
 
+def test_plan_in_many_chunks_matches_queue_reference_on_a_large_tree():
+    # hundreds of nodes with children, read from the last in chunks of 7
+    with mock.patch("qtree.spectral._BLOCK", 7):
+        for size_limit in (None, DENSE_SOLVER_LIMIT, 12):
+            _check_plan(generate_sft(4000, 3.0, seed=2).parents, size_limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plan_in_chunks_of_any_size_matches_queue_reference(data):
+    # chunks of 1 to 5 nodes with children end before, at and past the first of them
+    g = data.draw(breadth_first_trees())
+    size_limit = data.draw(st.one_of(st.none(), st.integers(0, g.n)))
+    with mock.patch("qtree.spectral._BLOCK", data.draw(st.integers(1, 5))):
+        _check_plan(g.parents, size_limit)
+
+
+def _margins(w, tol_abs):
+    """The largest gap at most tol_abs and the smallest above it between the sorted w."""
+    gaps = np.diff(np.sort(w))
+    merged, kept = gaps[gaps <= tol_abs], gaps[gaps > tol_abs]
+    return (float(merged.max()) if len(merged) else None,
+            float(kept.min()) if len(kept) else None)
+
+
+@pytest.mark.parametrize("potential", [CONNECTIVITY, ADJACENCY, QUADRATIC_POTENTIAL],
+                         ids=lambda p: p.kind)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_binning_margins_are_the_extreme_gaps_of_the_counted_blocks(potential, data):
+    # each counted block's eigenvalues once, from the queue reference's quotients
+    g = data.draw(breadth_first_trees())
+    tol_abs = data.draw(st.sampled_from([None, 1e-3, 0.3]))
+    h = build_hamiltonian(g, potential)
+    on_site = [potential.value(f) for f in h.functionality]
+    w = np.concatenate([np.linalg.eigvalsh(_matrix(q, on_site))
+                        for q, _ in plan_reference(g.parents, None)[1].values()])
+    sp = spectrum(h, tol_abs)
+    assert (sp.largest_merged_gap, sp.smallest_separating_gap) == _margins(w, sp.tol_abs)
+    rw = return_weights(h)
+    assert (rw.spectrum.largest_merged_gap, rw.spectrum.smallest_separating_gap) == _margins(
+        rw.eigenvalues, rw.spectrum.tol_abs)
+    # left out of comparisons and repr
+    assert sp == dataclasses.replace(sp, largest_merged_gap=-1.0, smallest_separating_gap=-1.0)
+    assert "gap" not in repr(sp)
+
+
 def _bits(sp):
     return [(rep.hex(), m) for rep, m in sp.classes], sp.n, sp.tol_abs
 
