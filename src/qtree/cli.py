@@ -71,6 +71,7 @@ from .spectral import (
     CONNECTIVITY,
     DENSE_SOLVER_LIMIT,
     Spectrum,
+    _check_tol_abs,
     build_hamiltonian,
     custom_potential,
     return_weights,
@@ -312,15 +313,14 @@ def _solve_counters(h, calls: str, sp: Spectrum) -> dict:
 
 
 def run_chi(params: dict) -> _Made:
-    tol_abs = _option(params, "tol_abs", lambda v: v is None or 0 < v < math.inf,
-                      "finite and positive")
+    _check_tol_abs(params["tol_abs"])  # before the input is read
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
     # the plan refuses an oversize tree before the report's structural pass
     h = build_hamiltonian(g, potential, params["size_limit"])
     plan_done = time.monotonic()
-    report = efficiency_report(h, tol_abs)
+    report = efficiency_report(h, params["tol_abs"])
     report_done = time.monotonic()
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "spectrum"}
     outputs = {params["out"]: _json_text(payload)}
@@ -328,6 +328,7 @@ def run_chi(params: dict) -> _Made:
         outputs[params["spectrum_out"]] = spectrum_csv_text(report.spectrum)
     return _Made(outputs, {"read_s": read_done, "plan_s": plan_done, "report_s": report_done},
                  {"n": report.n, "degeneracy_classes": len(report.spectrum.classes),
+                  "e_star_binned_multiplicity": report.spectrum.multiplicity_at(report.e_star),
                   **_solve_counters(h, "eigvalsh_calls", report.spectrum)})
 
 
@@ -428,9 +429,7 @@ def run_fit_kappa(params: dict) -> _Made:
 
 
 def run_timeseries(params: dict) -> _Made:
-    t_max = _option(params, "t_max", lambda v: v is None or 0 < v < math.inf,
-                    "finite and positive")
-    _check_time_grid(t_max, params["samples"])  # before the input is read
+    _check_time_grid(params["t_max"], params["samples"])  # before the input is read
     g = read_edge_list(params["in"])
     potential = _parse_potential(params["potential"])
     read_done = time.monotonic()
@@ -438,7 +437,7 @@ def run_timeseries(params: dict) -> _Made:
     plan_done = time.monotonic()
     rw = return_weights(h)
     weights_done = time.monotonic()
-    ts = time_series(rw, t_max, params["samples"])
+    ts = time_series(rw, params["t_max"], params["samples"])
     series_done = time.monotonic()
     footer = "# time_average_abs_alpha_sq={} time_average_pi_bar={} chi_exact={}\n".format(
         _cell(time_average(ts.abs_alpha_sq, ts.times)),

@@ -312,11 +312,10 @@ def time_average(values: Sequence[float], times: Sequence[float]) -> float:
     return float(np.trapezoid(v, t) / (t[-1] - t[0]))
 
 
-def _check_time_grid(t_max: float | None, samples: int) -> np.ndarray | None:
-    """Refuses a t_max that is not positive, fewer than 2 or more than MAX_NODES_DEFAULT
-    samples, and a grid linspace(0, t_max, samples) that repeats a time, as a subnormal t_max
-    can; a NaN or infinite t_max is left to the phase overflow check.  Returns the grid if
-    it had to build it, else None.
+def _check_time_grid(t_max: float | None, samples: int) -> None:
+    """Refuses a t_max that is not finite and positive, fewer than 2 or more than
+    MAX_NODES_DEFAULT samples, and a grid linspace(0, t_max, samples) that repeats a time, as
+    a subnormal t_max can; each in the words of `qtree timeseries`.
 
     It builds the grid only when the step s = t_max / (samples - 1) is below the smallest
     normal double.  With a normal s, linspace's times are t_i = fl(i * s), each within a
@@ -324,20 +323,17 @@ def _check_time_grid(t_max: float | None, samples: int) -> np.ndarray | None:
     So every step lies within 2 * samples * 2^-53 * s of s, below 2^-31 * s at samples <=
     2 000 000 < 2^21: positive, and equal far within the 1e-6 that the check allows.
     """
-    if t_max is not None and t_max <= 0:
-        raise InvalidParameterError(f"t_max must be positive, got {t_max!r}")
+    if t_max is not None and not 0 < t_max < math.inf:
+        raise InvalidParameterError(f"--t-max must be finite and positive, got {t_max}")
     if samples < 2:
         raise InvalidParameterError(
             f"a time series (--samples) needs at least 2 samples, got {samples}")
     if samples > MAX_NODES_DEFAULT:
         raise SizeLimitError(f"--samples {samples} is above the limit {MAX_NODES_DEFAULT}")
-    if t_max is None or not t_max / (samples - 1) < sys.float_info.min:  # NaN is not below
-        return None
-    t = np.linspace(0.0, t_max, samples)
-    if not _uniform_increasing(np.diff(t)):
+    if (t_max is not None and t_max / (samples - 1) < sys.float_info.min
+            and not _uniform_increasing(np.diff(np.linspace(0.0, t_max, samples)))):
         raise InvalidParameterError(f"--t-max {t_max!r} is too small for --samples {samples}: "
                                     "the time grid would repeat a time")
-    return t
 
 
 def _block_rows(columns: int) -> int:
@@ -369,18 +365,15 @@ def time_series(rw: ReturnWeights, t_max: float | None = None, samples: int = 10
     time's sum of squares over its two output columns, and alpha one
     product with sqrt(Pi_q/n).
     """
-    t = _check_time_grid(t_max, samples)
-    if t_max is None:
-        t = default_time_grid(rw.spectrum, samples)
+    _check_time_grid(t_max, samples)
+    t = (default_time_grid(rw.spectrum, samples) if t_max is None
+         else np.linspace(0.0, t_max, samples))
     lam = rw.eigenvalues
-    # linspace ends on t_max; an infinite t_max is refused before linspace warns on it
-    t_end, lam_max = float(t[-1] if t_max is None else t_max), float(np.abs(lam).max())
+    t_end, lam_max = float(t[-1]), float(np.abs(lam).max())
     if not math.isfinite(t_end * lam_max):  # on Python floats, an overflow is inf, not a warning
         raise InvalidParameterError(
             f"time grid to t={t_end!r} overflows the phases t * lambda (max |lambda| = {lam_max!r})"
         )
-    if t is None:
-        t = np.linspace(0.0, t_max, samples)
     root_share = np.sqrt(rw.nodes / rw.nodes.sum())
     scaled = np.ascontiguousarray(rw.weights * root_share[:, None])
     step = min(_block_rows(len(lam)), len(t))

@@ -59,6 +59,7 @@ from .errors import (
 from .graphs import (
     _BLOCK,
     _MASK64,
+    MAX_NODES_DEFAULT,
     TreeGraph,
     _check_pcg64_layout,
     _check_sft_size,
@@ -120,6 +121,8 @@ def _check_config(cfg: EnsembleConfig) -> None:
     _check_sft_size(cfg.n, cfg.resolved_f_max())
     if cfg.r < 1:
         raise InvalidParameterError(f"realization count must be >= 1, got {cfg.r}")
+    if cfg.r > MAX_NODES_DEFAULT:  # a row takes about 150 B a realization, tasks listed first
+        raise SizeLimitError(f"--r {cfg.r} is above the limit {MAX_NODES_DEFAULT}")
     if cfg.estimator not in ESTIMATORS:
         raise InvalidParameterError(
             f"unknown estimator {cfg.estimator!r}; choose one of {ESTIMATORS}"

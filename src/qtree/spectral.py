@@ -181,10 +181,15 @@ def build_hamiltonian(g: TreeGraph, potential: Potential = CONNECTIVITY,
     return Hamiltonian(g, potential, *_plan(g.parents, size_limit))
 
 
+def _check_tol_abs(tol_abs: float | None) -> None:
+    """Refuses a binning tolerance that is not finite and positive, in `qtree chi`'s words."""
+    if tol_abs is not None and not 0 < tol_abs < math.inf:
+        raise InvalidParameterError(f"--tol-abs must be finite and positive, got {tol_abs}")
+
+
 def spectrum(h: Hamiltonian, tol_abs: float | None = None) -> Spectrum:
     """Binned spectrum from the blocks' eigenvalues alone; tol_abs is checked first."""
-    if tol_abs is not None and not 0 < tol_abs < math.inf:
-        raise InvalidParameterError(f"tol_abs must be finite and positive, got {tol_abs}")
+    _check_tol_abs(tol_abs)
     return _bin([(w, count) for w, (_, _, count) in zip(_solve(h, np.linalg.eigvalsh), h.blocks)],
                 tol_abs)
 
@@ -254,8 +259,8 @@ def _plan(parents, size_limit: int | None):
         size = 1 + sum(shapes[c][2] for c, _ in groups)
         if size_limit is not None and size > size_limit:
             raise SizeLimitError(f"n={n}: a quotient of {size} positions exceeds "
-                                 f"the dense solver limit {size_limit}; raise --size-limit "
-                                 "or use the structural estimators of `qtree sweep`")
+                                 f"the dense solver limit {size_limit}, which "
+                                 "`qtree chi --size-limit` raises")
         shapes.append((f, groups, size))
         return len(shapes) - 1
 
@@ -323,7 +328,7 @@ def _bin(solved, tol_abs: float | None) -> Spectrum:
     repeated as often as it occurs.  Because clusters are separated by
     raw gaps above tol_abs, representatives of distinct classes are more
     than tol_abs apart.  The default tolerance is 1e-8 times (spectral width
-    + 1), refused when the width overflows; a tol_abs given is checked by `spectrum`.
+    + 1), refused when the width overflows; a tol_abs given is checked by `_check_tol_abs`.
     A class whose mean overflows is refused too.
     """
     w = np.concatenate([values for values, _ in solved])

@@ -227,8 +227,8 @@ def plan_reference(parents, size_limit):
             size = 1 + sum(shapes[c][2] for c, _ in groups)
             if size_limit is not None and size > size_limit:
                 raise SizeLimitError(f"n={len(parents)}: a quotient of {size} positions exceeds "
-                                     f"the dense solver limit {size_limit}; raise --size-limit "
-                                     "or use the structural estimators of `qtree sweep`")
+                                     f"the dense solver limit {size_limit}, which "
+                                     "`qtree chi --size-limit` raises")
             shapes.append((key[0], groups, size))
         pending.append((parents[v], sid))
     counts = {len(shapes) - 1: 1}

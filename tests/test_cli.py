@@ -191,7 +191,7 @@ def test_chi_size_limit_exit_4(tmp_path):
     res = run_cli("chi", "--in", str(edges), "--size-limit", "100",
                   "--out", str(tmp_path / "r.json"))
     assert res.returncode == 4
-    assert "structural" in res.stderr
+    assert res.stderr.endswith("which `qtree chi --size-limit` raises\n")
 
 
 def test_chi_dendrimer_above_4096_nodes_solves_its_quotient(tmp_path):
@@ -207,6 +207,7 @@ def test_chi_dendrimer_above_4096_nodes_solves_its_quotient(tmp_path):
     assert report["n"] == counters["n"] == 12_286
     assert counters["largest_solve_dim"] == 13
     assert report["multiplicity_e_star_exact"] == round(report["rho_star_exact"] * 12_286) == 3276
+    assert counters["e_star_binned_multiplicity"] == 3276  # the two E* oracles agree
 
 
 def test_chi_spectrum_export(tmp_path):
@@ -1513,6 +1514,54 @@ def test_an_option_out_of_range_is_refused_before_the_input_is_read(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("qtree: ") and option in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, option, value", [
+    *(("timeseries", "--t-max", value) for value in ("0", "-1", "inf", "nan")),
+    *(("chi", "--tol-abs", value) for value in ("0", "inf", "nan")),
+    ("timeseries", "--samples", "1"), ("chi", "--size-limit", "0"),
+])
+def test_an_option_the_library_checks_is_refused_in_its_words(tmp_path, capsys, command,
+                                                               option, value):
+    # the CLI has no check of its own for these: its line is the library's message
+    edges, out = str(tmp_path / "s5.edges"), tmp_path / "out"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--out", edges]) == 0
+    h = build_hamiltonian(read_edge_list(edges))
+    refuse = {"--t-max": lambda: time_series(return_weights(h), float(value)),
+              "--samples": lambda: time_series(return_weights(h), None, int(value)),
+              "--tol-abs": lambda: spectral.spectrum(h, float(value)),
+              "--size-limit": lambda: build_hamiltonian(h.graph, size_limit=int(value))}
+    with pytest.raises(QtreeError) as refused:
+        refuse[option]()
+    capsys.readouterr()
+    assert cli.main([command, "--in", edges, option, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"qtree: {refused.value}\n"
+    assert not out.exists()
+
+
+def test_sweep_refuses_more_realizations_than_the_limit_before_any_row(tmp_path, capsys,
+                                                                      monkeypatch):
+    def ensembles(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(ensemble, "_ensembles", ensembles)
+    r = graphs.MAX_NODES_DEFAULT + 1
+    assert cli.main(["sweep", "--n", "100", "--s-grid", "2.5", "--r", str(r),
+                     "--out", str(tmp_path / "sweep.csv")]) == 4
+    assert capsys.readouterr().err == f"qtree: --r {r} is above the limit {r - 1}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_timeseries_over_the_quotient_limit_names_the_option_that_raises_it(tmp_path, capsys):
+    # `qtree timeseries` has no --size-limit of its own
+    edges, out = str(tmp_path / "chain.edges"), tmp_path / "ts.csv"
+    assert cli.main(["gen", "--family", "chain", "--n", "5000", "--out", edges]) == 0
+    capsys.readouterr()
+    assert cli.main(["timeseries", "--in", edges, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "qtree: n=5000: a quotient of 4097 positions exceeds the dense solver limit 4096, "
+        "which `qtree chi --size-limit` raises\n")
+    assert not out.exists()
 
 
 def test_unwritable_output_exit_3_without_partial_file(tmp_path):

@@ -557,17 +557,20 @@ def test_time_series_bundle():
 
 @pytest.mark.parametrize("t_max", [1e308, float("nan")])
 def test_time_series_refuses_a_grid_whose_phases_overflow(t_max):
-    # max |lambda| of the star is above 1, so 1e308 * lambda is inf
-    with pytest.raises(InvalidParameterError, match="overflows the phases"):
-        time_series(return_weights(build_hamiltonian(generate_star(4))), t_max, 50)
+    # max |lambda| of the star is above 1, so 1e308 * lambda is inf; NaN is refused before
+    rw = return_weights(build_hamiltonian(generate_star(4)))
+    message = (f"--t-max must be finite and positive, got {t_max}" if math.isnan(t_max) else
+               f"time grid to t={t_max!r} overflows the phases t * lambda "
+               f"(max |lambda| = {float(np.abs(rw.eigenvalues).max())!r})")
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        time_series(rw, t_max, 50)
 
 
 @pytest.mark.parametrize("t_max", [math.inf, math.nan])
 def test_time_series_refuses_a_t_max_that_is_not_finite_before_any_grid(t_max):
     # np.linspace(0.0, inf, samples) warns "invalid value encountered in multiply"
     rw = return_weights(build_hamiltonian(generate_star(5)))
-    message = (f"time grid to t={t_max!r} overflows the phases t * lambda "
-               f"(max |lambda| = {float(np.abs(rw.eigenvalues).max())!r})")
+    message = f"--t-max must be finite and positive, got {t_max}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with mock.patch.object(efficiency.np, "linspace", side_effect=AssertionError("built")):
@@ -621,9 +624,10 @@ def test_time_series_builds_its_grid_once(t_max):
 
 @pytest.mark.parametrize("t_max", [-1.0, 0.0, -0.0, -math.inf])
 def test_time_series_refuses_a_t_max_that_is_not_positive(t_max):
-    # the grid would start at 0 and end at or before it; NaN is left to the overflow check
+    # the grid would start at 0 and end at or before it
     rw = return_weights(build_hamiltonian(generate_star(5)))
-    with pytest.raises(InvalidParameterError, match=f"^t_max must be positive, got {t_max!r}$"):
+    message = f"--t-max must be finite and positive, got {t_max}"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
         time_series(rw, t_max, 4)
 
 

@@ -264,6 +264,15 @@ def test_sweep_checks_each_row_before_its_analytic_values(monkeypatch):
     assert row.avg_f_analytic is None
 
 
+def test_sweep_refuses_more_realizations_than_the_limit_in_its_row(monkeypatch):
+    # every task is listed before any runs, so an r of 10^12 would exhaust memory first
+    monkeypatch.setattr(ensemble, "_ensembles", lambda *args: iter(()))
+    (row,) = sweep([EnsembleConfig(n=100, s=2.5, r=MAX_NODES_DEFAULT + 1)])
+    assert row.status == "size-limit"
+    assert row.one_minus_chi_mc_mean is None
+    ensemble._check_config(EnsembleConfig(n=100, s=2.5, r=MAX_NODES_DEFAULT))
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         run_ensemble(EnsembleConfig(n=50, s=2.5, r=0))

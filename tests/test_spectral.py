@@ -220,7 +220,7 @@ def test_spectrum_refuses_a_bad_tolerance_before_any_solve(tol):
     h = build_hamiltonian(generate_dendrimer(3, 3))
     with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("solved")):
         with pytest.raises(InvalidParameterError,
-                           match=f"^tol_abs must be finite and positive, got {tol}$"):
+                           match=f"^--tol-abs must be finite and positive, got {tol}$"):
             spectrum(h, tol)
 
 
