@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import itertools
@@ -276,7 +277,7 @@ class _Made(NamedTuple):
     code: int = 0
 
 
-# each family's generator and the flags it needs, in argument order
+# each family's generator and the flags it needs, in argument order; sft also takes --f-max
 _FAMILIES = {
     "chain": (generate_chain, ("n",)),
     "star": (generate_star, ("n",)),
@@ -294,6 +295,12 @@ def run_gen(params: dict) -> _Made:
         raise InvalidParameterError(
             f"family {family!r} needs --" + " --".join(missing)
         )
+    # not --seed, whose default 0 cannot be told apart from a given 0
+    takes = (*flags, "f_max") if family == "sft" else flags
+    extra = [f"--{flag.replace('_', '-')}" for flag in ("n", "f", "g", "s", "f_max")
+             if params[flag] is not None and flag not in takes]
+    if extra:
+        raise InvalidParameterError(f"family {family!r} does not take " + " ".join(extra))
     args = [params[flag] for flag in flags]
     seed = None
     if family == "sft":
@@ -467,8 +474,9 @@ _RUNNERS = {
 
 
 def _check_paths(params: dict) -> None:
-    """Refuse an output path that resolves to another output or to an input of the command,
-    then, with the OSError its write would raise after the run, one in a missing folder."""
+    """Refuse an empty path, and an output path that resolves to another output or to an
+    input of the command; then, with the OSError its write would raise after the run, an
+    output that is a folder or names none, or one in a missing folder."""
     out, potential = params["out"], params.get("potential") or ""
     table = potential.removeprefix("custom=") if potential.startswith("custom=") else None
     outputs = {"--out": out, "the manifest of --out": out + ".manifest.json",
@@ -478,6 +486,8 @@ def _check_paths(params: dict) -> None:
     for name, path in {**outputs, **inputs}.items():
         if path is None:
             continue
+        if not path:  # '' would resolve to the working folder
+            raise InvalidParameterError(f"{name} '' is not a file name")
         try:  # a manifest can hold a lone surrogate that no file name decodes to
             path = os.path.realpath(path)
         except UnicodeEncodeError:
@@ -487,6 +497,8 @@ def _check_paths(params: dict) -> None:
                 raise InvalidParameterError(f"{other} and {name} are the same file, {path}")
         resolved[name] = path
     for name in (name for name in outputs if name in resolved):
+        if os.path.basename(outputs[name]) in ("", ".", "..") or os.path.isdir(resolved[name]):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), outputs[name])
         try:  # the trailing separator makes a folder that is a file fail too
             os.stat(os.path.join(os.path.dirname(resolved[name]), ""))
         except OSError as exc:
@@ -526,6 +538,8 @@ def _run(command: str, params: dict) -> int:
 
 def run_rerun(params: dict) -> int:
     """Run a manifest's command on its stored params, parsed as its command line would be."""
+    if not params["manifest"]:  # '' would resolve to the working folder
+        raise InvalidParameterError("the manifest '' is not a file name")
     try:
         manifest = json.loads(Path(params["manifest"]).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep

@@ -93,8 +93,9 @@ def _flat_bound_truncated(a, b, n: int) -> np.ndarray:
     return leading + correction / n
 
 
-def chi_structural(st: StructuralStats, delta_mode: str = USE_MEASURED) -> float:
-    """Structural lower-bound value from functionality averages, to order 1/n.
+def chi_structural(st: StructuralStats, delta_mode: str = USE_MEASURED) -> float | np.ndarray:
+    """Structural lower-bound value from functionality averages, to order 1/n: a float for
+    one tree's stats, an array of one value per tree for a block's (`_count_sft_trees`).
 
     delta_mode selects the parent average: "use-measured" takes
     avg(f - delta), "force-zero" takes avg(f) as if no parent were bonded
@@ -106,7 +107,8 @@ def chi_structural(st: StructuralStats, delta_mode: str = USE_MEASURED) -> float
         b = st.avg_f_parents
     else:
         raise InvalidParameterError(f"unknown delta_mode {delta_mode!r}")
-    return float(_flat_bound_truncated([st.avg_f_nonleaf], [b], st.n)[0])
+    value = _flat_bound_truncated(np.atleast_1d(st.avg_f_nonleaf), np.atleast_1d(b), st.n)
+    return value if np.ndim(st.avg_f_nonleaf) else float(value[0])
 
 
 def avg_f_sft(s: float, f_max: int) -> float:

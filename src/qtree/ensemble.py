@@ -10,10 +10,11 @@ blocks, sized by the one block size `graphs._BLOCK`: a block of n-node
 trees holds ceil(_BLOCK / n) of them, about _BLOCK nodes, and a task at
 most _BLOCK // 4 realizations, whose PCG64 states are four words each.
 A sweep runs the tasks of all its rows in one ordered map, and
-`run_ensemble` is the one-config case.
-`_tasks` alone lays the tasks out: `_ensembles` maps what it gives, and
-`sweep_counters` reads a sweep's realizations, blocks and seed passes
-from it for the rows that ran.
+`run_ensemble` is the one-config case.  `_tasks` alone lays the tasks out:
+`_ensembles` maps what it gives, and `sweep_counters` reads a sweep's
+realizations, blocks and seed passes from it.  The rows stream: each
+row's result is yielded once its tasks are reduced, and `sweep` keeps
+only its columns, so a sweep holds one row's values at a time.
 What does not depend on the block runs once per task: the SplitMix64
 pass over the index array, NumPy's SeedSequence hash and PCG64 seeding
 of all the task's seeds, the one reused generator
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import islice
 from multiprocessing import Pool
@@ -41,12 +44,14 @@ from multiprocessing import Pool
 import numpy as np
 
 from .efficiency import (
+    FORCE_ZERO,
+    USE_MEASURED,
     _chi_sft_at_mean,
-    _flat_bound_truncated,
     _python_square,
     avg_f_sft,
     chi_lower_from_density,
     chi_sft_infinite,
+    chi_structural,
 )
 from .errors import (
     DegenerateAverageError,
@@ -75,6 +80,7 @@ SPECTRAL_EXACT = "spectral-exact"
 STRUCTURAL_DELTA0 = "structural-delta0"
 STRUCTURAL_MEASURED = "structural-measured"
 ESTIMATORS = (SPECTRAL_EXACT, STRUCTURAL_DELTA0, STRUCTURAL_MEASURED)
+_DELTA_MODES = {STRUCTURAL_DELTA0: FORCE_ZERO, STRUCTURAL_MEASURED: USE_MEASURED}
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -139,19 +145,21 @@ def _block_size(n: int) -> int:
     return min(-(-_BLOCK // n), _TASK_REALIZATIONS)
 
 
-def _task_ranges(rows: list[tuple[int, int]], workers: int) -> list[list[tuple[int, int]]]:
-    """Realizations 0..r-1 of each (r, block) row cut into tasks of consecutive whole blocks.
+def _tasks(rows: list[tuple[int, int]], workers: int) -> list[list[tuple[int, int, int]]]:
+    """Realizations 0..r-1 of each (n, r) row cut into tasks (start, stop, block) of
+    consecutive whole blocks of `_block_size(n)`.
 
     A task holds at most _TASK_REALIZATIONS realizations.  One worker
     takes as few tasks as that allows; more workers get about
     _TASKS_PER_WORKER tasks each over all the rows, and every row at
     least one.  Each task hashes its seeds once.
     """
+    blocks = [_block_size(n) for n, _ in rows]
     spread = 1 if workers == 1 else workers * _TASKS_PER_WORKER
-    per_task = -(-sum(-(-r // block) for r, block in rows) // spread)  # in blocks
-    sizes = [block * min(_TASK_REALIZATIONS // block, per_task) for _, block in rows]
-    return [[(start, min(start + size, r)) for start in range(0, r, size)]
-            for (r, _), size in zip(rows, sizes)]
+    per_task = -(-sum(-(-r // block) for (_, r), block in zip(rows, blocks)) // spread)  # blocks
+    sizes = [block * min(_TASK_REALIZATIONS // block, per_task) for block in blocks]
+    return [[(start, min(start + size, r), block) for start in range(0, r, size)]
+            for (_, r), block, size in zip(rows, blocks, sizes)]
 
 
 def _realize_task(
@@ -178,12 +186,8 @@ def _realize_task(
             exact += [chi_lower_from_density(multiplicity_exact(h, 1) / cfg.n, cfg.n)
                       for h in trees]
     counts = _count_sft_trees(cfg.n, np.concatenate(slot_counts, axis=1))
-    if cfg.estimator == SPECTRAL_EXACT:
-        value = np.array(exact)
-    else:
-        b = (counts.avg_f_parents if cfg.estimator == STRUCTURAL_DELTA0
-             else counts.avg_f_minus_delta_parents)
-        value = _flat_bound_truncated(counts.avg_f_nonleaf, b, cfg.n)
+    value = (np.array(exact) if cfg.estimator == SPECTRAL_EXACT
+             else chi_structural(counts, _DELTA_MODES[cfg.estimator]))
     return 1.0 - value, counts.avg_f_nonleaf
 
 
@@ -194,27 +198,20 @@ def _check_workers(workers: int) -> None:
     _check_pcg64_layout()
 
 
-def _tasks(sizes: list[tuple[int, int]], workers: int) -> list[list[tuple[int, int, int]]]:
-    """Each (n, r) row's tasks (start, stop, block), in blocks of `_block_size(n)`."""
-    blocks = [_block_size(n) for n, _ in sizes]
-    ranges = _task_ranges([(r, block) for (_, r), block in zip(sizes, blocks)], workers)
-    return [[(start, stop, block) for start, stop in row] for block, row in zip(blocks, ranges)]
-
-
 def _ensembles(runs: list[tuple[EnsembleConfig, np.ndarray]],
-               workers: int) -> list[EnsembleResult]:
-    """The ensemble of each checked config and the CDF it draws from, all tasks in one ordered
-    map: in this process at one worker or one task, else in one process pool with no more
-    processes than tasks, workers or CPUs this process may use."""
+               workers: int) -> Iterator[EnsembleResult]:
+    """The ensemble of each checked config and the CDF it draws from, yielded once its tasks
+    are reduced; all tasks in one ordered map: in this process at one worker or one task,
+    else in one process pool with no more processes than tasks, workers or CPUs this
+    process may use."""
     rows = _tasks([(cfg.n, cfg.r) for cfg, _ in runs], workers)
     tasks = [(cfg, cdf, *task) for (cfg, cdf), row in zip(runs, rows) for task in row]
-    if workers == 1 or len(tasks) <= 1:
-        done = map(_realize_task, tasks)
-    else:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with Pool(min(workers, len(tasks), cpus or 1)) as pool:
-            done = iter(pool.map(_realize_task, tasks, chunksize=1))
-    return [_result(cfg, list(islice(done, len(row)))) for (cfg, _), row in zip(runs, rows)]
+    serial = workers == 1 or len(tasks) <= 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with nullcontext() if serial else Pool(min(workers, len(tasks), cpus or 1)) as pool:
+        done = map(_realize_task, tasks) if serial else pool.imap(_realize_task, tasks)
+        for (cfg, _), row in zip(runs, rows):
+            yield _result(cfg, list(islice(done, len(row))))
 
 
 def _result(cfg: EnsembleConfig, done: list[tuple[np.ndarray, np.ndarray]]) -> EnsembleResult:
@@ -290,16 +287,15 @@ def sweep(cfgs: list[EnsembleConfig], workers: int = 1) -> list[SweepRow]:
         raise InvalidParameterError("sweep needs at least one config")
     _check_workers(workers)
     rows = [_sweep_row(cfg) for cfg in cfgs]
-    results = iter(_ensembles([(cfg, cdf) for cfg, (_, cdf) in zip(cfgs, rows) if cdf is not None],
-                              workers))
-    swept = []
-    for row, cdf in rows:
-        if cdf is not None:
-            result = next(results)
-            row = replace(row, one_minus_chi_mc_mean=result.mean_one_minus_chi_lb,
-                          one_minus_chi_mc_stderr=result.std_error)
-        swept.append(row)
-    return swept
+    results = _ensembles([(cfg, cdf) for cfg, (_, cdf) in zip(cfgs, rows) if cdf is not None],
+                         workers)
+    return [row if cdf is None else _filled(row, next(results)) for row, cdf in rows]
+
+
+def _filled(row: SweepRow, result: EnsembleResult) -> SweepRow:
+    """row with the Monte Carlo columns of its result."""
+    return replace(row, one_minus_chi_mc_mean=result.mean_one_minus_chi_lb,
+                   one_minus_chi_mc_stderr=result.std_error)
 
 
 def sweep_counters(rows: list[SweepRow], workers: int) -> dict[str, int]:

@@ -66,9 +66,9 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             pass
 
-        def map(self, fn, tasks, chunksize):
+        def imap(self, fn, tasks):
             record.mapped.extend(tasks)
-            return list(map(fn, tasks))
+            return map(fn, tasks)
 
     monkeypatch.setattr(ensemble, "Pool", InProcessPool)
     return record

@@ -84,6 +84,31 @@ def test_gen_missing_family_flag_exit_2(tmp_path):
     assert "--s" in res.stderr
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--family", "dendrimer", "--f", "3", "--g", "3", "--n", "5"], "--n"),
+    (["--family", "vicsek", "--f", "4", "--g", "2", "--s", "2.5", "--f-max", "3"],
+     "--s --f-max"),
+    (["--family", "chain", "--n", "10", "--f-max", "3"], "--f-max"),
+    (["--family", "star", "--n", "10", "--f", "3", "--g", "2"], "--f --g"),
+    (["--family", "sft", "--n", "10", "--s", "2.5", "--f-max", "4", "--g", "0"], "--g"),
+], ids=["dendrimer_n", "vicsek_s_f_max", "chain_f_max", "star_f_g", "sft_g"])
+def test_gen_refuses_a_flag_its_family_does_not_take(tmp_path, capsys, argv, flags):
+    # it would be ignored, and the manifest would record it as if it had shaped the tree
+    out = tmp_path / "x.edges"
+    assert cli.main(["gen", *argv, "--out", str(out)]) == 2
+    family = argv[1]
+    assert capsys.readouterr().err == f"qtree: family {family!r} does not take {flags}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_takes_a_seed_for_any_family(tmp_path):
+    # a --seed cannot be told apart from its default 0, so every family takes one
+    out = tmp_path / "x.edges"
+    assert cli.main(["gen", "--family", "star", "--n", "5", "--seed", "3",
+                     "--out", str(out)]) == 0
+    assert read_edge_list(out).n == 5
+
+
 def test_sweep_all_rows_failed_exit_5(tmp_path):
     # with f_max = 2 every node has functionality 2 or less: the averages are degenerate
     res = run_cli("sweep", "--n", "5000", "--s-grid", "2.5,3.0", "--r", "2", "--f-max", "2",
@@ -1489,6 +1514,75 @@ def test_an_out_in_a_missing_directory_exits_3_naming_it(golden_outputs, tmp_pat
     # the path given, not the temporary file beside it
     assert capsys.readouterr().err == f"qtree: [Errno 2] No such file or directory: {out!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+_PATH_ARGS = {
+    "gen": ["--family", "star", "--n", "5"],
+    "chi": ["--in", "s5.edges"],
+    "sweep": ["--n", "100", "--s-grid", "2.2,3.0", "--r", "100000"],
+    "fit-kappa": ["--in", "sweep3.csv", "--y-column", "one_minus_chi_mc_mean"],
+    "timeseries": ["--in", "s5.edges", "--samples", "20"],
+}
+
+
+@pytest.mark.parametrize("command, argv, option", [
+    *((command, [*args, "--out", ""], "--out") for command, args in _PATH_ARGS.items()),
+    ("chi", ["--in", "", "--out", "o.json"], "--in"),
+    ("chi", ["--in", "s5.edges", "--spectrum-out", "", "--out", "o.json"], "--spectrum-out"),
+    ("chi", ["--in", "s5.edges", "--potential", "custom=", "--out", "o.json"],
+     "the potential table"),
+    ("timeseries", ["--in", "", "--out", "o.csv"], "--in"),
+    ("timeseries", ["--in", "s5.edges", "--potential", "custom=", "--out", "o.csv"],
+     "the potential table"),
+    ("fit-kappa", ["--in", "", "--y-column", "s", "--out", "o.json"], "--in"),
+    ("rerun", ["s5.edges.manifest.json", "--out", ""], "--out"),
+    ("rerun", [""], "the manifest"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_an_empty_path_exits_2_naming_its_option(golden_outputs, tmp_path, capsys, monkeypatch,
+                                                 command, argv, option):
+    # '' would resolve to the working folder; each is refused before the runner starts
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name, _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    for name in ("s5.edges", "s5.edges.manifest.json", "sweep3.csv"):
+        (tmp_path / name).write_bytes((golden_outputs / name).read_bytes())
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"qtree: {option} '' is not a file name\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+@pytest.mark.parametrize("out", [".", "/", "..", "sub/", "sub", "x/.", "gone/", "m"])
+def test_an_out_that_is_a_folder_or_names_none_exits_3_naming_it(golden_outputs, tmp_path,
+                                                                 capsys, monkeypatch, command,
+                                                                 out):
+    # refused before the runner starts, as its write would fail after the whole run; "m" is
+    # a file, but its manifest "m.manifest.json" is a folder
+    monkeypatch.setitem(cli._RUNNERS, command, _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    for name in ("s5.edges", "sweep3.csv"):
+        (tmp_path / name).write_bytes((golden_outputs / name).read_bytes())
+    for folder in ("sub", "x", "m.manifest.json"):
+        (tmp_path / folder).mkdir()
+    files = sorted(tmp_path.rglob("*"))
+    assert cli.main([command, *_PATH_ARGS[command], "--out", out]) == 3
+    named = "m.manifest.json" if out == "m" else out
+    assert capsys.readouterr().err == f"qtree: [Errno 21] Is a directory: {named!r}\n"
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("spectrum_out", [".", "sub", "sub/"])
+def test_a_spectrum_out_that_is_a_folder_exits_3_naming_it(golden_outputs, tmp_path, capsys,
+                                                           monkeypatch, spectrum_out):
+    monkeypatch.setitem(cli._RUNNERS, "chi", _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert cli.main(["chi", "--in", str(golden_outputs / "s5.edges"), "--out", "x.json",
+                     "--spectrum-out", spectrum_out]) == 3
+    assert (capsys.readouterr().err
+            == f"qtree: [Errno 21] Is a directory: {spectrum_out!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
 
 def test_a_spectrum_out_in_a_missing_directory_exits_3_before_any_output(golden_outputs,

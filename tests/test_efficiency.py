@@ -46,7 +46,15 @@ from qtree import (
 )
 from qtree import cli, efficiency
 from qtree.efficiency import _flat_bound_truncated
-from qtree.graphs import MAX_NODES_DEFAULT
+from qtree.graphs import (
+    MAX_NODES_DEFAULT,
+    TreeGraph,
+    _count_sft_trees,
+    _grow_sft_ends,
+    _parent_arrays,
+    _sft_cdf,
+    _sft_slot_counts,
+)
 
 from conftest import dense_reference
 
@@ -144,6 +152,19 @@ def test_chi_structural_delta_modes_differ_on_star():
     forced = chi_structural(st, "force-zero")
     assert forced == pytest.approx(float(eq8_fraction_oracle(Fraction(4), Fraction(4), 5)))
     assert measured != forced
+
+
+@pytest.mark.parametrize("mode", ["use-measured", "force-zero"])
+def test_chi_structural_of_a_block_is_the_scalar_call_on_each_tree(mode):
+    # a block's stats, counted in closed form from its slot sums as a sweep counts them,
+    # give one value per tree: what each tree's own stats give
+    n, seeds = 12, range(300)
+    (sums,) = _grow_sft_ends(_sft_cdf(2.2, n - 1), n, seeds, len(seeds))
+    values = chi_structural(_count_sft_trees(n, _sft_slot_counts(sums)), mode)
+    trees = [structural_stats(TreeGraph(parents)) for parents in _parent_arrays(sums)]
+    assert isinstance(values, np.ndarray) and values.shape == (len(seeds),)
+    assert values.tolist() == [chi_structural(st, mode) for st in trees]
+    assert len({st.avg_f_minus_delta_parents != st.avg_f_parents for st in trees}) == 2
 
 
 def test_chi_structural_rejects_unknown_mode():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qtree import (
 )
 from qtree import ensemble, graphs
 from qtree.cli import sweep_csv_text
-from qtree.ensemble import _realization_seeds, _realize_task, _task_ranges
+from qtree.ensemble import _realization_seeds, _realize_task, _tasks
 from qtree.graphs import _BUCKETS, MAX_NODES_DEFAULT, _sft_cdf, _uniform_rows
 from qtree.spectral import _bin
 
@@ -79,13 +80,14 @@ def test_block_size_does_not_change_any_realization(monkeypatch, estimator, n, r
        workers=st.integers(1, 64))
 def test_tasks_are_whole_blocks_of_at_most_2_14_realizations(rows, workers):
     sizes = [(r, ensemble._block_size(n)) for r, n in rows]
-    tasks = _task_ranges(sizes, workers)
+    tasks = _tasks([(n, r) for r, n in rows], workers)
     assert len(tasks) == len(rows)
     for (r, block), ranges in zip(sizes, tasks):
-        assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])]
+        assert all(size == block for _, _, size in ranges)
+        assert [start for start, _, _ in ranges] == [0, *(stop for _, stop, _ in ranges[:-1])]
         assert ranges[-1][1] == r
-        assert all(0 < stop - start <= 2**14 for start, stop in ranges)
-        assert all((stop - start) % block == 0 for start, stop in ranges[:-1])
+        assert all(0 < stop - start <= 2**14 for start, stop, _ in ranges)
+        assert all((stop - start) % block == 0 for start, stop, _ in ranges[:-1])
         if workers == 1:  # as few tasks as the cap allows
             assert len(ranges) == -(-r // (2**14 // block * block))
     # more workers get about four tasks each over the whole sweep, unless the cap cuts a row
@@ -108,7 +110,7 @@ def test_each_task_hashes_its_seeds_once(monkeypatch):
     monkeypatch.setattr(graphs, "_pcg64_states", pcg64_states)
     assert run_ensemble(cfg, workers=1) == expected
     assert hashed == [13_108, 13_108, 3784]
-    assert len(hashed) == len(_task_ranges([(cfg.r, ensemble._block_size(cfg.n))], 1)[0])
+    assert len(hashed) == len(_tasks([(cfg.n, cfg.r)], 1)[0])
 
 
 def test_structural_block_counts_from_draws_alone(monkeypatch):
@@ -334,7 +336,7 @@ def test_pool_processes_are_capped_at_the_usable_cpus(monkeypatch, in_process_po
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cfg = EnsembleConfig(n=100, s=2.5, r=20_000, master_seed=8)
     expected = run_ensemble(cfg)
-    assert len(_task_ranges([(cfg.r, ensemble._block_size(cfg.n))], 5000)[0]) == 31
+    assert len(_tasks([(cfg.n, cfg.r)], 5000)[0]) == 31
     assert run_ensemble(cfg, workers=5000) == expected
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert run_ensemble(cfg, workers=5000) == expected
@@ -358,6 +360,26 @@ def test_sweep_preserves_order_and_monotonicity():
     assert all(a < b for a, b in zip(means, means[1:]))
     finite = [row.one_minus_chi_analytic_finite for row in rows]
     assert all(a < b for a, b in zip(finite, finite[1:]))
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers=1", "workers=2"])
+def test_a_sweep_holds_one_rows_result_at_a_time(monkeypatch, workers):
+    # a row's result, which holds each of its realizations' values, is let go before the next
+    # row's is made, so a sweep's memory does not grow with its rows
+    made = []
+    real_result = ensemble._result
+
+    def result(cfg, done):
+        assert all(ref() is None for ref in made), len(made)
+        res = real_result(cfg, done)
+        made.append(weakref.ref(res))
+        return res
+
+    cfgs = [EnsembleConfig(n=60, s=s, r=3000, master_seed=5) for s in (2.2, 2.6, 3.0, 4.0)]
+    expected = sweep(cfgs)
+    monkeypatch.setattr(ensemble, "_result", result)
+    assert sweep(cfgs, workers=workers) == expected
+    assert len(made) == len(cfgs)
 
 
 def test_sweep_flags_degenerate_rows_and_continues():
