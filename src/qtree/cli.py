@@ -30,6 +30,7 @@ import reprlib
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -678,6 +679,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except MemoryError as exc:  # numpy names the allocation; a bare MemoryError has no text
         print(f"qtree: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
+        return 4
+    except BrokenProcessPool:  # a worker ended without raising, as the OOM killer ends one
+        print("qtree: a worker process was killed, most likely for lack of memory", file=sys.stderr)
         return 4
     except QtreeError as exc:
         print(f"qtree: {exc}", file=sys.stderr)

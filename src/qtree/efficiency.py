@@ -63,17 +63,6 @@ def rho_star_structural(st: StructuralStats) -> float:
     return (st.n_leaves - st.n_parents) / st.n
 
 
-def _python_square(x: np.ndarray) -> np.ndarray:
-    """Elementwise x ** 2 rounded as Python's float power rounds it.
-
-    Python's float ** goes through the C library's pow, which can differ
-    from numpy's correctly rounded x * x in the last bit; squaring the
-    distinct values in Python keeps array results equal to scalar ones.
-    """
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([v ** 2 for v in values.tolist()])[inverse]
-
-
 def _flat_bound_truncated(a, b, n: int) -> np.ndarray:
     # a = avg functionality over non-leaves, b = avg (f - delta) over parents,
     # both 1-d and of equal length; this is the flat-density bound expanded
@@ -89,7 +78,12 @@ def _flat_bound_truncated(a, b, n: int) -> np.ndarray:
     big_a = (a - 2.0) / (a - 1.0)
     big_b = (b - 2.0) / (b - 1.0)
     leading = big_a * big_a * big_b * big_b
-    correction = 1.0 - big_a * big_b + 4.0 * (a - 2.0) / _python_square(a - 1.0) * big_b * big_b
+    # (a - 1) ** 2 as Python's float power rounds it: Python's ** goes through the C
+    # library's pow, which can differ from numpy's correctly rounded x * x in the last
+    # bit; squaring the distinct values in Python keeps array results equal to scalar ones
+    values, inverse = np.unique(a - 1.0, return_inverse=True)
+    square = np.array([v ** 2 for v in values.tolist()])[inverse]
+    correction = 1.0 - big_a * big_b + 4.0 * (a - 2.0) / square * big_b * big_b
     return leading + correction / n
 
 

@@ -9,12 +9,13 @@ Realizations run in tasks of consecutive indices, each a range of whole
 blocks, sized by the one block size `graphs._BLOCK`: a block of n-node
 trees holds ceil(_BLOCK / n) of them, about _BLOCK nodes, and a task at
 most _BLOCK // 4 realizations, whose PCG64 states are four words each.
-A sweep runs the tasks of all its rows in one ordered map, and
-`run_ensemble` is the one-config case.  `_tasks` alone lays the tasks out:
-`_ensembles` maps what it gives, and `sweep_counters` reads a sweep's
-realizations, blocks and seed passes from it.  The rows stream: each
-row's result is yielded once its tasks are reduced, and `sweep` keeps
-only its columns, so a sweep holds one row's values at a time.
+A sweep runs all its rows' tasks in one ordered map, pooled only when
+two or more processes would run, and `run_ensemble` is the one-config
+case.  `_tasks` alone lays the tasks out: `_ensembles` maps what it
+gives, and `sweep_counters` reads a sweep's realizations, blocks and
+seed passes from it.  The rows stream: each row's result is yielded
+once its tasks are reduced, and `sweep` keeps only its columns, so a
+sweep holds one row's values at a time.
 What does not depend on the block runs once per task: the SplitMix64
 pass over the index array, NumPy's SeedSequence hash and PCG64 seeding
 of all the task's seeds, the one reused generator
@@ -36,10 +37,9 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .efficiency import (
     FORCE_ZERO,
     USE_MEASURED,
     _chi_sft_at_mean,
-    _python_square,
     avg_f_sft,
     chi_lower_from_density,
     chi_sft_infinite,
@@ -127,7 +126,7 @@ def _check_config(cfg: EnsembleConfig) -> None:
     _check_sft_size(cfg.n, cfg.resolved_f_max())
     if cfg.r < 1:
         raise InvalidParameterError(f"realization count must be >= 1, got {cfg.r}")
-    if cfg.r > MAX_NODES_DEFAULT:  # a row takes about 150 B a realization, tasks listed first
+    if cfg.r > MAX_NODES_DEFAULT:  # a row's reduction adds 72 B a realization; tasks listed first
         raise SizeLimitError(f"--r {cfg.r} is above the limit {MAX_NODES_DEFAULT}")
     if cfg.estimator not in ESTIMATORS:
         raise InvalidParameterError(
@@ -201,35 +200,34 @@ def _check_workers(workers: int) -> None:
 def _ensembles(runs: list[tuple[EnsembleConfig, np.ndarray]],
                workers: int) -> Iterator[EnsembleResult]:
     """The ensemble of each checked config and the CDF it draws from, yielded once its tasks
-    are reduced; all tasks in one ordered map: in this process at one worker or one task,
-    else in one process pool with no more processes than tasks, workers or CPUs this
-    process may use."""
+    are reduced; all tasks in one ordered map: in this process when min(workers, tasks, CPUs
+    this process may use) is at most 1, else in a pool of that many processes, whose tasks
+    not yet started are cancelled when the reduction ends.  A worker that dies without
+    raising, as one the OOM killer ends does, raises `BrokenProcessPool`."""
     rows = _tasks([(cfg.n, cfg.r) for cfg, _ in runs], workers)
     tasks = [(cfg, cdf, *task) for (cfg, cdf), row in zip(runs, rows) for task in row]
-    serial = workers == 1 or len(tasks) <= 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with nullcontext() if serial else Pool(min(workers, len(tasks), cpus or 1)) as pool:
-        done = map(_realize_task, tasks) if serial else pool.imap(_realize_task, tasks)
+    processes = min(workers, len(tasks), cpus or 1)
+    pool = ProcessPoolExecutor(processes) if processes > 1 else None
+    try:
+        done = pool.map(_realize_task, tasks) if pool else map(_realize_task, tasks)
         for (cfg, _), row in zip(runs, rows):
             yield _result(cfg, list(islice(done, len(row))))
+    finally:  # an early end waits for no task: the running ones finish in the background
+        if pool:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _result(cfg: EnsembleConfig, done: list[tuple[np.ndarray, np.ndarray]]) -> EnsembleResult:
-    values_array = np.concatenate([v for v, _ in done])
-    values = values_array.tolist()
-    avg_fs = np.concatenate([a for _, a in done]).tolist()
+    values = tuple(np.concatenate([v for v, _ in done]).tolist())
     mean = math.fsum(values) / cfg.r  # fsum: exactly rounded, order independent
-    if cfg.r > 1:
-        variance = math.fsum(_python_square(values_array - mean).tolist()) / (cfg.r - 1)
-        std_error = math.sqrt(variance / cfg.r)
-    else:
-        std_error = 0.0
+    variance = math.fsum([(v - mean) ** 2 for v in values]) / (cfg.r - 1) if cfg.r > 1 else 0.0
     return EnsembleResult(
         mean_one_minus_chi_lb=mean,
-        std_error=std_error,
-        realized_avg_f_mean=math.fsum(avg_fs) / cfg.r,
+        std_error=math.sqrt(variance / cfg.r),
+        realized_avg_f_mean=math.fsum(np.concatenate([a for _, a in done]).tolist()) / cfg.r,
         config=cfg,
-        per_realization=tuple(values),
+        per_realization=values,
     )
 
 

@@ -20,7 +20,8 @@ ensemble modules once wrote them.  It also holds
 two checks the program itself does not need: the breadth-first
 parent-array invariant and the explicit leaf-pair eigenvectors at E*;
 and the `in_process_pool` fixture, which runs the sweep's process pool
-in the test's own process and records what it mapped.
+in the test's own process and records what it mapped.  The reduction of a
+sweep row replays as `ensemble` once made it: three lists of its values.
 """
 import math
 import os
@@ -34,7 +35,7 @@ import numpy as np
 import pytest
 
 from qtree.errors import InvalidParameterError, SizeLimitError
-from qtree.ensemble import SweepRow
+from qtree.ensemble import EnsembleResult, SweepRow
 from qtree.graphs import _BLOCK, FORMAT_HEADER, StructuralStats, TreeGraph, _bfs_parents
 from qtree.spectral import Spectrum, _as_fraction, _bin, _matrix, _quotient
 
@@ -49,29 +50,43 @@ def pytest_configure(config):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Replace `ensemble.Pool` by a pool that maps in this process, so patched functions
-    and counters reach its tasks; returns the record of the processes each pool was asked
-    for (`started`) and of every task it mapped, in order (`mapped`)."""
+    """Replace `ensemble.ProcessPoolExecutor` by an executor that maps in this process, so
+    patched functions and counters reach its tasks; returns the record of the processes
+    each pool was asked for (`started`) and of every task it mapped, in order (`mapped`)."""
     from qtree import ensemble
 
     record = SimpleNamespace(started=[], mapped=[])
 
-    class InProcessPool:
-        def __init__(self, processes):
-            record.started.append(processes)
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            record.started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            pass
-
-        def imap(self, fn, tasks):
+        def map(self, fn, tasks):
             record.mapped.extend(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(ensemble, "Pool", InProcessPool)
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessExecutor)
     return record
+
+
+def result_reference(cfg, done) -> EnsembleResult:
+    """The reduction of a row's task results (values, functionality averages) with a list
+    of the values, one of the averages and one of the squared deviations, each square
+    taken once per distinct deviation by Python's float power."""
+    values_array = np.concatenate([v for v, _ in done])
+    values = values_array.tolist()
+    avg_fs = np.concatenate([a for _, a in done]).tolist()
+    mean = math.fsum(values) / cfg.r
+    if cfg.r > 1:
+        deviations, inverse = np.unique(values_array - mean, return_inverse=True)
+        squares = np.array([d ** 2 for d in deviations.tolist()])[inverse]
+        std_error = math.sqrt(math.fsum(squares.tolist()) / (cfg.r - 1) / cfg.r)
+    else:
+        std_error = 0.0
+    return EnsembleResult(mean, std_error, math.fsum(avg_fs) / cfg.r, cfg, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -332,6 +333,7 @@ def test_sweep_manifest_counts_the_tasks_mapped_and_the_blocks_grown(
 
     monkeypatch.setattr(ensemble, "_realize_task", counting_realize_task)
     monkeypatch.setattr(ensemble, "_grow_sft_ends", counting_grow_sft_ends)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # any host
     out = tmp_path / "sw.csv"
     assert cli.main(["sweep", "--n", "60", "--s-grid", "2.2,1075,3.0,4.0", "--r", "2500",
                      "--workers", str(workers), "--out", str(out)]) == 0
@@ -1411,6 +1413,43 @@ def test_main_maps_a_memory_error_to_exit_4(tmp_path, capsys, error):
     assert capsys.readouterr().err == ("qtree: out of memory"
                                        + (f" ({error})" if str(error) else "") + "\n")
     assert not out.exists()
+
+
+_REALIZE_OR_DIE = """
+import os, signal
+from qtree.ensemble import _realize_task
+
+def realize_or_die(task):
+    if task[0].s == 3.0 and task[2] == 0:  # the second row's first task: SIGKILL, as OOM
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _realize_task(task)
+"""
+
+
+def test_sweep_exits_4_writing_nothing_when_a_worker_is_killed(tmp_path):
+    # a killed worker raises nothing; the sweep must not wait forever for its task's result,
+    # so it runs in a child process under a timeout, its tasks mapped through a module that
+    # each worker imports, whatever the start method
+    lib, run = tmp_path / "lib", tmp_path / "run"
+    lib.mkdir(), run.mkdir()
+    (lib / "dying.py").write_text(_REALIZE_OR_DIE)
+    main = ("import os, sys; from qtree import cli, ensemble; import dying; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "  # a pool starts on a one-CPU host too
+            "ensemble._realize_task = dying.realize_or_die; sys.exit(cli.main(sys.argv[1:]))")
+    child = subprocess.Popen(
+        [sys.executable, "-c", main, "sweep", "--n", "100", "--s-grid", "2.2,3.0", "--r", "20000",
+         "--workers", "2", "--out", str(run / "sw.csv")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((str(lib), os.environ["PYTHONPATH"]))},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)  # the child and its workers
+        child.communicate()
+        pytest.fail("the sweep hung after a worker was killed")
+    assert child.returncode == 4, stderr
+    assert stderr == "qtree: a worker process was killed, most likely for lack of memory\n"
+    assert stdout == "" and list(run.iterdir()) == []
 
 
 def test_chi_refuses_a_class_mean_that_overflows_writing_nothing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +29,7 @@ from qtree.ensemble import _realization_seeds, _realize_task, _tasks
 from qtree.graphs import _BUCKETS, MAX_NODES_DEFAULT, _sft_cdf, _uniform_rows
 from qtree.spectral import _bin
 
-from conftest import dense_matrix, dense_reference
+from conftest import dense_matrix, dense_reference, result_reference
 
 
 def test_three_node_ensemble_is_forced():
@@ -288,14 +289,16 @@ def test_config_validation():
 
 
 def test_sweep_rows_share_one_pool_and_match_one_worker(monkeypatch):
-    # count the pools the sweep starts: one for all its rows, whose tasks map in order
-    started, start_pool = [], ensemble.Pool
+    # count the pools the sweep starts: one for all its rows, whose tasks map in order; two
+    # usable CPUs, so that a pool starts on any host
+    started, start_pool = [], ensemble.ProcessPoolExecutor
 
-    def counting_pool(processes):
-        started.append(processes)
-        return start_pool(processes)
+    def counting_pool(max_workers):
+        started.append(max_workers)
+        return start_pool(max_workers)
 
-    monkeypatch.setattr(ensemble, "Pool", counting_pool)
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfgs = [EnsembleConfig(n=80, s=s, r=2000, master_seed=77) for s in (2.2, 3.0, 4.0)]
     one_task = [EnsembleConfig(n=80, s=2.2, r=500, master_seed=77)]  # one block of 820
     expected, expected_one = sweep_csv_text(sweep(cfgs)), sweep_csv_text(sweep(one_task))
@@ -344,7 +347,51 @@ def test_pool_processes_are_capped_at_the_usable_cpus(monkeypatch, in_process_po
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert run_ensemble(cfg, workers=5000) == expected
     assert run_ensemble(cfg, workers=4) == expected
-    assert in_process_pool.started == [min(31, cpus), 3, 5, 4]
+    first = [min(31, cpus)] if cpus > 1 else []  # no pool when the cap is 1
+    assert in_process_pool.started == [*first, 3, 5, 4]
+
+
+def test_one_usable_cpu_runs_in_process_at_any_worker_count(monkeypatch, in_process_pool):
+    # min(workers, tasks, CPUs) is 1: a pool of one process would only copy every task
+    cfg = EnsembleConfig(n=100, s=2.5, r=20_000, master_seed=8)
+    expected = run_ensemble(cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_ensemble(cfg, workers=4) == expected
+    assert in_process_pool.started == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), r=st.sampled_from([1, 2]) | st.integers(3, 400),
+       handful=st.booleans())
+def test_result_equals_the_three_list_reduction(data, r, handful):
+    # the reduction's fields, bit for bit, over values split into one or several tasks, with
+    # many distinct values or only a handful, as in a row at large s
+    unit = st.floats(0.0, 1.0)
+    if handful:
+        unit = st.sampled_from(data.draw(st.lists(unit, min_size=1, max_size=4)))
+    values = data.draw(st.lists(unit, min_size=r, max_size=r))
+    avg_fs = data.draw(st.lists(st.floats(2.0, 100.0), min_size=r, max_size=r))
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, max(1, r - 1)), max_size=4))) - {r})
+    done = [(np.array(values[a:b], dtype=float), np.array(avg_fs[a:b], dtype=float))
+            for a, b in zip([0, *cuts], [*cuts, r])]
+    cfg = EnsembleConfig(n=100, s=2.5, r=r)
+    got, want = ensemble._result(cfg, done), result_reference(cfg, done)
+    assert got == want and repr(got) == repr(want)  # repr: every float's bits, and 0.0's sign
+
+
+def test_a_row_is_reduced_in_under_100_bytes_a_realization():
+    # the values made Python floats once, as one tuple, and the list of their squared
+    # deviations peak at about 72 B a realization; three lists took 121 B
+    cfg = EnsembleConfig(n=100, s=2.5, r=200_000)
+    cdf = _sft_cdf(cfg.s, cfg.resolved_f_max())
+    done = [_realize_task((cfg, cdf, *task)) for task in _tasks([(cfg.n, cfg.r)], 1)[0]]
+    tracemalloc.start()
+    try:
+        ensemble._result(cfg, done)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.r < 100, peak / cfg.r
 
 
 def test_sweep_preserves_order_and_monotonicity():
